@@ -417,8 +417,7 @@ def run_probe(cfg: dict, out: Path) -> list[Check]:
                         samples=8 * cfg["probe.points_per_ray"])
     K = cfg["probe.max_degree"]
     if cfg["probe.engine"] == "twisted":
-        op = assemble_operator(sset, K, engine="twisted",
-                               circle_points=cfg["mean.circle_points"])
+        op = assemble_operator(sset, K, engine="twisted")
     else:
         funcs = euclidean_sector_basis(K, support_radii=(1.0, 0.6))
         op = assemble_operator(sset, engine="euclidean",

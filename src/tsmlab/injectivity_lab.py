@@ -6,11 +6,16 @@ basis elements b, and
 
     M[(j, i), b] = (b x mu_(r_i))(z_j)
 
-(twisted engine) or the plain circular mean (euclidean engine).  A function
-with vanishing means on S corresponds to a (near-)null vector of M, so
-sigma_min probes whether S can distinguish fields at the truncation: small
-sigma_min plus an exhibited near-null field certifies NON-injectivity at
-desk scale, while large sigma_min is evidence only (see the caveat string).
+(twisted engine) or the plain circular mean (euclidean engine).  Twisted
+rows are exact: every basis column is a special Hermite eigenfunction, so
+the product (Hecke-Bochner) relation factors its mean into a Laguerre
+factor in r_i times the column at z_j.  Euclidean rows are circle
+averages.  A function with vanishing means on S corresponds to a
+(near-)null vector of M, so sigma_min probes whether S can distinguish
+fields at the truncation: small sigma_min plus an exhibited near-null field
+certifies NON-injectivity at desk scale, while large sigma_min is evidence
+only (see the caveat string).  The certificate remeasures by sphere
+quadrature, independently of the closed form that found its candidate.
 
 Also here: the Hecke-Bochner type-function scans (fields a(|z|) P(z) whose
 twisted means vanish exactly on P^(-1)(0) plus possible spheres) and the
@@ -27,17 +32,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import TWIST_SIGN
+from .constants import tsm_product_constant
 from .errors import IllConditionedFitError
 from .euclidean_means import (CIRCLE_POINTS as EUCLID_POINTS,
                               SectorBasisFunction, circular_mean)
 from .fields import GAUSSIAN_QUARTER, SCHWARTZ_LIKE, SampledField
 from .ioutil import fmt, write_csv, write_json
-from .quadrature import PlaneRule, compensated_sum, plane_rule, sphere_rule
-from .special_functions import (LaguerreSpec, SolidHarmonic, SpecialHermiteIndex,
-                                laguerre_function, special_hermite_indices,
-                                special_hermite_matrix)
-from .twisted_transforms import twist_phase, twisted_spherical_mean
+from .quadrature import PlaneRule, plane_rule, sphere_rule
+from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
+                                special_hermite_indices, special_hermite_matrix)
+from .twisted_transforms import twisted_spherical_mean
 
 INJECTIVITY_CAVEAT = (
     "sigma_min > 0 at a finite truncation over a finite point sample is "
@@ -323,6 +327,11 @@ class TwistedHermiteBasis:
     def ncols(self) -> int:
         return len(self.indices)
 
+    @property
+    def spectral_degrees(self) -> np.ndarray:
+        """Eigenspace degree per column: the first index alpha."""
+        return np.asarray([i.alpha for i in self.indices], dtype=int)
+
     def matrix(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=complex).reshape(-1, 1)
         return special_hermite_matrix(pts[:, 0], self.max_degree)
@@ -354,6 +363,12 @@ class ProductHermiteBasis:
     @property
     def ncols(self) -> int:
         return len(self.slot_indices[0]) * len(self.slot_indices[1])
+
+    @property
+    def spectral_degrees(self) -> np.ndarray:
+        """Eigenspace degree per column on C^2: a1 + a2."""
+        return np.asarray([i.alpha + j.alpha for i in self.slot_indices[0]
+                           for j in self.slot_indices[1]], dtype=int)
 
     def block_key(self, col: int) -> int:
         """Index of the slot-1 factor: the documented block grouping."""
@@ -470,57 +485,58 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
                       engine: str = "twisted", basis=None,
                       circle_points: int = 256, sphere_orders=(16, 32, 32),
                       euclid_points: int = EUCLID_POINTS) -> SamplingOperator:
-    """Build M[(j,i), b] = (basis_b x mu_(r_i))(z_j) row by row.
+    """Build M[(j,i), b] = (basis_b x mu_(r_i))(z_j).
 
-    Twisted rows run the sphere quadrature against closed-form basis
-    evaluations; euclidean rows are plain circle averages.  Row order is
-    center-major; column order is the basis's documented order.
+    Twisted rows use the product relation: column b is an eigenfunction of
+    degree k_b = ``basis.spectral_degrees[b]``, so
+
+        M[(j,i), b] = B(n, k_b) L_(k_b)^(n-1)(r_i^2/2) e^(-r_i^2/4) basis_b(z_j)
+
+    with B = ``tsm_product_constant``; no quadrature is involved.  Euclidean
+    rows are plain averages over ``euclid_points`` circle nodes.  Row order
+    is center-major; column order is the basis's documented order.
+
+    ``circle_points`` and ``sphere_orders`` are accepted and ignored:
+    twisted rows need no quadrature, and the parameters stay so that callers
+    passing them by name or position keep working.
     """
-    if basis is None:
-        if engine == "twisted":
-            if max_degree is None:
-                raise ValueError("twisted engine needs max_degree or an explicit basis")
-            basis = (TwistedHermiteBasis(max_degree) if sampling_set.dimension == 1
-                     else ProductHermiteBasis((max_degree, max_degree)))
-        else:
-            raise ValueError("euclidean engine needs an explicit basis")
     if engine not in ("twisted", "euclidean"):
         raise ValueError(f"unknown engine {engine!r}")
+    if basis is None:
+        if engine == "euclidean":
+            raise ValueError("euclidean engine needs an explicit basis")
+        if max_degree is None:
+            raise ValueError("twisted engine needs max_degree or an explicit basis")
+        basis = (TwistedHermiteBasis(max_degree) if sampling_set.dimension == 1
+                 else ProductHermiteBasis((max_degree, max_degree)))
+    if getattr(basis, "engine", engine) != engine:
+        raise ValueError(f"{type(basis).__name__} is a {basis.engine} basis; "
+                         f"it cannot build {engine} rows")
     if getattr(basis, "dimension", sampling_set.dimension) != sampling_set.dimension:
         raise ValueError("basis dimension does not match the set")
 
-    centers = sampling_set.centers
-    radii = sampling_set.radii
+    centers, radii = sampling_set.centers, sampling_set.radii
     nc, nr, ncols = centers.shape[0], radii.shape[0], basis.ncols
+    if engine == "twisted":
+        n = sampling_set.dimension
+        k = basis.spectral_degrees
+        factor = np.stack([tsm_product_constant(n, d)
+                           * laguerre_function(LaguerreSpec(d, n - 1), radii)
+                           for d in range(int(k.max()) + 1)], axis=1)[:, k]
+        M = basis.matrix(centers)[:, None, :] * factor[None, :, :]
+    else:
+        theta = 2.0 * np.pi * np.arange(euclid_points) / euclid_points
+        M = np.empty((nc, nr, ncols))
+        chunk = max(1, int(2_000_000 // max(1, euclid_points * ncols)))
+        for i, r in enumerate(radii):
+            nodes = r * np.exp(1j * theta)
+            for s in range(0, nc, chunk):
+                pts = centers[s:s + chunk, 0][:, None] + nodes[None, :]
+                B = basis.matrix(pts.reshape(-1))
+                M[s:s + chunk, i] = B.reshape(pts.shape + (ncols,)).mean(axis=1)
     ci, ri = sampling_set.row_meta()
-    dtype = complex if engine == "twisted" else float
-    M = np.empty((nc * nr, ncols), dtype=dtype)
-
-    for i, r in enumerate(radii):
-        if engine == "twisted":
-            rule = (sphere_rule(1, r, m=circle_points) if sampling_set.dimension == 1
-                    else sphere_rule(2, r, orders=sphere_orders))
-            nodes, wts = rule.nodes, rule.weights
-        else:
-            theta = 2.0 * np.pi * np.arange(euclid_points) / euclid_points
-            nodes = (r * np.exp(1j * theta))[:, None]
-            wts = np.full(euclid_points, 1.0 / euclid_points)
-        m = nodes.shape[0]
-        chunk = max(1, int(2_000_000 // max(1, m * ncols)))
-        for s in range(0, nc, chunk):
-            zc = centers[s:s + chunk]
-            c = zc.shape[0]
-            if engine == "twisted":
-                pts = zc[:, None, :] - nodes[None, :, :]
-                B = basis.matrix(pts.reshape(-1, sampling_set.dimension))
-                tw = wts[None, :] * twist_phase(zc[:, None, :], nodes[None, :, :])
-            else:
-                pts = zc[:, None, :] + nodes[None, :, :]
-                B = basis.matrix(pts.reshape(-1, 1))
-                tw = np.broadcast_to(wts[None, :], (c, m))
-            rows = np.einsum("cm,cmb->cb", tw, B.reshape(c, m, ncols))
-            M[(np.arange(s, s + c)) * nr + i] = rows
-    return SamplingOperator(M, sampling_set, basis, engine, ci, ri)
+    return SamplingOperator(M.reshape(nc * nr, ncols), sampling_set, basis,
+                            engine, ci, ri)
 
 
 def _carrier_rule(dimension: int) -> PlaneRule:
@@ -827,6 +843,17 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec,
 # Q_k sector expansion fit
 
 
+def _sector_design(z: np.ndarray, k: int, q_max: int) -> np.ndarray:
+    """Sector columns z^p phi_(k-p)^p (p = 0..k), then conj(z)^q phi_k^q
+    (q = 1..q_max), at the points z: shape (len(z), k + 1 + q_max)."""
+    rho = np.abs(z)
+    cols = [z ** p * laguerre_function(LaguerreSpec(k - p, p), rho)
+            for p in range(0, k + 1)]
+    cols += [np.conj(z) ** q * laguerre_function(LaguerreSpec(k, q), rho)
+             for q in range(1, q_max + 1)]
+    return np.stack(cols, axis=1)
+
+
 @dataclass(frozen=True)
 class ProjectionExpansion:
     """Fitted sector coefficients of a degree-k projection on C.
@@ -843,23 +870,10 @@ class ProjectionExpansion:
     residual: float
     condition_number: float
 
-    def _columns(self, z: np.ndarray) -> list[np.ndarray]:
-        k = self.degree
-        rho = np.abs(z)
-        cols = [z ** p * laguerre_function(LaguerreSpec(k - p, p), rho)
-                for p in range(0, k + 1)]
-        cols += [np.conj(z) ** q * laguerre_function(LaguerreSpec(k, q), rho)
-                 for q in range(1, self.q_max + 1)]
-        return cols
-
     def predict(self, points) -> np.ndarray:
         z = np.asarray(points, dtype=complex).reshape(-1)
-        cols = self._columns(z)
         coeffs = np.concatenate([self.coeff_p, self.coeff_q[1:]])
-        out = np.zeros(z.shape, dtype=complex)
-        for c, col in zip(coeffs, cols):
-            out += c * col
-        return out
+        return _sector_design(z, self.degree, self.q_max) @ coeffs
 
     def dominant_sector(self) -> tuple[str, int]:
         """('p', p) or ('q', q) of the largest |coefficient|."""
@@ -892,14 +906,8 @@ def fit_projection_expansion(qk: SampledField, k: int, q_max: int | None = None,
         raise ValueError("the sector expansion fit runs on C")
     if q_max is None:
         q_max = k
-    z = qk.rule.nodes[:, 0]
-    rho = np.abs(z)
     sqw = np.sqrt(qk.rule.weights)
-    cols = [z ** p * laguerre_function(LaguerreSpec(k - p, p), rho)
-            for p in range(0, k + 1)]
-    cols += [np.conj(z) ** q * laguerre_function(LaguerreSpec(k, q), rho)
-             for q in range(1, q_max + 1)]
-    A = np.stack(cols, axis=1) * sqw[:, None]
+    A = _sector_design(qk.rule.nodes[:, 0], k, q_max) * sqw[:, None]
     norms = np.linalg.norm(A, axis=0)
     if np.any(norms == 0):
         raise IllConditionedFitError("degenerate (all-zero) design column",

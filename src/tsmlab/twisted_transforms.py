@@ -32,7 +32,8 @@ from .errors import GridMismatchError, TruncationTailWarning, TranslateTailWarni
 from .fields import MeanProfile, SampledField, SpectrumTruncation
 from .quadrature import (PlaneRule, RadialRule, SphereRule, compensated_sum,
                          plane_rule, sphere_rule)
-from .special_functions import LaguerreSpec, laguerre_function
+from .special_functions import (LaguerreSpec, laguerre_function,
+                                special_hermite_matrix)
 
 CIRCLE_POINTS = 256
 SPHERE3_ORDERS = (16, 32, 32)
@@ -205,39 +206,13 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
 
 
 def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray:
-    """Matrix of inner products <f, phi_(a,b)> for a, b <= max_degree (n=1).
-
-    Exploits phi_(b,a) = conj(phi_(a,b)) and runs one degree recurrence per
-    angular order, so the cost is O(K^2 N)."""
+    """Matrix of inner products <f, phi_(a,b)> for a, b <= max_degree (n=1):
+    one weighted product against ``special_hermite_matrix``."""
     if f.dimension != 1:
         raise ValueError("special Hermite coefficients are an n = 1 notion")
-    K = max_degree
-    z = f.rule.nodes[:, 0]
-    t = 0.5 * (z.real ** 2 + z.imag ** 2)
-    gauss = np.exp(-0.5 * t)
     fw = f.values * f.rule.weights
-    import math as _math
-    C = np.zeros((K + 1, K + 1), dtype=complex)
-    for d in range(K + 1):
-        zfac = (1j * np.conj(z) / np.sqrt(2.0)) ** d
-        base = (2.0 * np.pi) ** (-0.5) * zfac * gauss
-        prev = np.ones_like(t)
-        cur = 1.0 + d - t
-        for a in range(0, K + 1 - d):
-            if a == 0:
-                lag = prev
-            elif a == 1:
-                lag = cur
-            else:
-                prev, cur = cur, ((2 * (a - 1) + 1 + d - t) * cur
-                                  - (a - 1 + d) * prev) / a
-                lag = cur
-            amp = _math.exp(0.5 * (_math.lgamma(a + 1) - _math.lgamma(a + d + 1)))
-            basis = amp * base * lag
-            C[a, a + d] = compensated_sum(fw * np.conj(basis))
-            if d:
-                C[a + d, a] = compensated_sum(fw * basis)
-    return C
+    H = special_hermite_matrix(f.rule.nodes[:, 0], max_degree)
+    return (fw @ np.conj(H)).reshape(max_degree + 1, max_degree + 1)
 
 
 def special_hermite_truncation(f: SampledField, max_degree: int,

@@ -130,6 +130,18 @@ def test_probe_artifacts(tmp_path):
     assert (out / "operator.csv").exists()
 
 
+def test_probe_sigma_curve_agrees_with_spectrum(tmp_path):
+    """The curve entry at the base truncation is the operator's own
+    sigma_min, whatever circle rule the means of other experiments use."""
+    out = tmp_path / "pc"
+    code = main(["--experiment", "probe", "--out", str(out),
+                 "--override", "mean.circle_points=16"])
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["sigma_curve"][str(rep["K"])] == pytest.approx(min(rep["sigma"]),
+                                                              rel=1e-12)
+
+
 def test_manifest_config_echo(tmp_path):
     out = tmp_path / "m"
     code = main(["--experiment", "tsm-eval", "--out", str(out)] + FAST_GRID

@@ -19,9 +19,9 @@ from tsmlab.injectivity_lab import (DEFAULT_RADII, EuclideanSectorBasis,
                                     injectivity_probe, make_set,
                                     near_null_roundtrip, operator_to_csv,
                                     plane_block_offmass, sigma_curve_to_csv)
-from tsmlab.quadrature import plane_rule
+from tsmlab.quadrature import plane_rule, sphere_rule
 from tsmlab.special_functions import solid_harmonic_basis
-from tsmlab.twisted_transforms import (spectral_projection,
+from tsmlab.twisted_transforms import (spectral_projection, twist_phase,
                                        twisted_spherical_mean)
 
 
@@ -138,6 +138,70 @@ def test_operator_entries_match_direct_means():
                          lambda p, _fn=fn: _fn(np.asarray(p)[:, 0]))
         ref = twisted_spherical_mean(f, sset.centers[j], sset.radii[i], m=128)
         assert abs(op.matrix[row, col] - ref) < 1e-12
+
+
+def quadrature_operator(sset, basis, circle_points=256,
+                        sphere_orders=(16, 32, 32)) -> np.ndarray:
+    """Oracle for the closed-form twisted rows: each entry integrates the
+    basis column over the sphere rule of its radius, twist included."""
+    n = sset.dimension
+    nr = sset.radii.size
+    M = np.empty((sset.n_rows, basis.ncols), dtype=complex)
+    for i, r in enumerate(sset.radii):
+        rule = (sphere_rule(1, r, m=circle_points) if n == 1
+                else sphere_rule(2, r, orders=sphere_orders))
+        for j, z in enumerate(sset.centers):
+            B = basis.matrix(z[None, :] - rule.nodes)
+            tw = rule.weights * twist_phase(z[None, :], rule.nodes)
+            M[j * nr + i] = tw @ B
+    return M
+
+
+def _rel_gap(closed: np.ndarray, oracle: np.ndarray) -> float:
+    return float(np.max(np.abs(closed - oracle)) / np.max(np.abs(oracle)))
+
+
+@pytest.mark.parametrize("sset", [
+    make_set("coxeter_lines", n_lines=3, points_per_ray=4, extent=4.0,
+             rotation=0.37, translation=[0.5 - 0.2j],
+             radii=np.geomspace(0.2, 6.0, 8)),
+    make_set("sphere", radius=2.5, n=1, m=16, radii=np.geomspace(0.2, 6.0, 8)),
+    curve_set(lambda t: 1.0 + 0.2 * t, samples=20,
+              radii=np.geomspace(0.2, 6.0, 8)),
+], ids=["coxeter_lines", "sphere", "curve"])
+def test_closed_form_matches_quadrature_on_c(sset):
+    op = assemble_operator(sset, max_degree=6)
+    assert _rel_gap(op.matrix, quadrature_operator(sset, op.basis)) <= 1e-12
+
+
+def test_closed_form_matches_quadrature_for_product_basis():
+    sset = make_set("custom", centers=[[0.3 + 0.1j, -0.5 + 0.2j],
+                                       [-0.8 + 0.4j, 0.6 - 0.3j],
+                                       [1.1 - 0.2j, 0.2 + 0.9j]],
+                    radii=[0.7, 1.9])
+    op = assemble_operator(sset, basis=ProductHermiteBasis((1, 1)))
+    oracle = quadrature_operator(sset, op.basis, sphere_orders=(24, 48, 48))
+    assert _rel_gap(op.matrix, oracle) <= 1e-12
+
+
+def test_spectral_degrees_follow_the_first_indices():
+    assert list(TwistedHermiteBasis(1).spectral_degrees) == [0, 0, 1, 1]
+    degrees = ProductHermiteBasis((1, 1)).spectral_degrees
+    assert list(degrees[:4]) == [0, 0, 1, 1]       # slot 1 phi[0,0]
+    assert list(degrees[8:12]) == [1, 1, 2, 2]     # slot 1 phi[1,0]
+
+
+def test_unknown_engine_is_named():
+    sset = make_set("coxeter_lines", n_lines=1, points_per_ray=2, extent=1.0)
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        assemble_operator(sset, 2, engine="bogus")
+
+
+def test_basis_engine_must_match():
+    sset = make_set("coxeter_lines", n_lines=1, points_per_ray=2, extent=1.0)
+    basis = EuclideanSectorBasis(euclidean_sector_basis(2, support_radii=(1.0,)))
+    with pytest.raises(ValueError, match="euclidean basis"):
+        assemble_operator(sset, engine="twisted", basis=basis)
 
 
 def test_operator_svd_invariance_under_unitary_mixing():
