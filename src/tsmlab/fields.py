@@ -33,7 +33,7 @@ SCHWARTZ_LIKE = "schwartz_like"
 GAUSSIAN_QUARTER = "gaussian_quarter_weighted"
 DECAY_CLASSES = (SCHWARTZ_LIKE, GAUSSIAN_QUARTER)
 
-_CHUNK = {1: 8192, 2: 512}
+_CHUNK = {1: 2048, 2: 512}
 
 
 def _polar_coordinates(rule: PlaneRule, pts: np.ndarray):
@@ -97,7 +97,9 @@ def interpolate_on_rule(rule: PlaneRule, values: np.ndarray, points: np.ndarray,
                           rule.barycentric("radial"))
         if rule.dimension == 1:
             e = _phase_matrix(coords[1][sl], rule.angular_counts[0])
-            out[sl] = np.einsum("qa,qb,ab->q", wr, e, coef)
+            t = wr @ coef
+            t *= e
+            out[sl] = t.sum(axis=1)
         else:
             wt = _bary_matrix(coords[1][sl], rule.theta_nodes, rule.barycentric("theta"))
             e1 = _phase_matrix(coords[2][sl], rule.angular_counts[0])

@@ -34,11 +34,10 @@ import numpy as np
 
 from .constants import tsm_product_constant
 from .errors import IllConditionedFitError
-from .euclidean_means import (CIRCLE_POINTS as EUCLID_POINTS,
-                              SectorBasisFunction, circular_mean)
+from .euclidean_means import CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction
 from .fields import GAUSSIAN_QUARTER, SCHWARTZ_LIKE, SampledField
 from .ioutil import fmt, write_csv, write_json
-from .quadrature import PlaneRule, plane_rule, sphere_rule
+from .quadrature import PlaneRule, compensated_sum, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
                                 special_hermite_indices, special_hermite_matrix)
 from .twisted_transforms import twisted_spherical_mean
@@ -551,8 +550,10 @@ def _carrier_rule(dimension: int) -> PlaneRule:
 def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
                         max_radii: int | None = None) -> float:
     """Reconstruct the field of a coefficient vector and remeasure its means
-    over the whole set through the mean operators themselves; returns the
-    max |mean| (normalized by the coefficient norm)."""
+    over the whole set by quadrature (``twisted_spherical_mean``, or
+    ``circular_mean``'s nodes and sum), never by the closed form that built
+    the operator; returns the max |mean| (normalized by the coefficient
+    norm)."""
     v = np.asarray(coefficients)
     nv = float(np.linalg.norm(v))
     if nv == 0:
@@ -569,19 +570,15 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
             for r in radii:
                 worst = max(worst, abs(twisted_spherical_mean(f, z, r)))
     else:
-        holder = _EvalOnly(fn)
+        # circular_mean's nodes and sum, all radii of a centre in one call
+        theta = 2.0 * np.pi * np.arange(EUCLID_POINTS) / EUCLID_POINTS
+        ring = radii[:, None] * np.exp(1j * theta)[None, :]
         for z in sset.centers[:, 0]:
-            for r in radii:
-                worst = max(worst, abs(circular_mean(holder, z, r)))
+            pts = complex(z) + ring
+            vals = np.real(fn(pts.reshape(-1))).reshape(pts.shape)
+            means = compensated_sum(vals, axis=-1) / EUCLID_POINTS
+            worst = max(worst, float(np.max(np.abs(means))))
     return worst
-
-
-class _EvalOnly:
-    def __init__(self, fn):
-        self._fn = fn
-
-    def evaluate(self, points):
-        return np.real(np.asarray(self._fn(points)))
 
 
 # ---------------------------------------------------------------------------

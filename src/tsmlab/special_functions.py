@@ -51,26 +51,37 @@ class LaguerreSpec:
             raise ValueError(f"order must be >= 0, got {self.order}")
 
 
-def laguerre_polynomial(spec: LaguerreSpec, x):
-    """Evaluate L_k^alpha(x) by the upward three-term recurrence in k.
+def laguerre_sequence(order: int, x, max_degree: int):
+    """Yield L_k^order(x) for k = 0, 1, ..., max_degree.
 
-    The recurrence
-        (k+1) L_(k+1) = (2k+1+alpha-x) L_k - (k+alpha) L_(k-1)
-    is stable for x >= 0 at the degrees used here.  x may be a scalar or
-    an ndarray; negative or non-finite inputs are rejected.
+    This is the package's one Laguerre recurrence, upward in the degree:
+        (k+1) L_(k+1) = (2k+1+alpha-x) L_k - (k+alpha) L_(k-1),
+    stable for x >= 0 at the degrees used here, so every degree up to
+    ``max_degree`` costs one step.  The yielded arrays are the recurrence's
+    own state: read or copy them, never write into them.
+    """
+    x = np.asarray(x, dtype=float)
+    cur = np.ones_like(x)
+    yield cur
+    if max_degree >= 1:
+        prev, cur = cur, 1.0 + order - x
+        yield cur
+    for j in range(1, max_degree):
+        prev, cur = cur, ((2 * j + 1 + order - x) * cur - (j + order) * prev) / (j + 1)
+        yield cur
+
+
+def laguerre_polynomial(spec: LaguerreSpec, x):
+    """Evaluate L_k^alpha(x) through ``laguerre_sequence``.
+
+    x may be a scalar or an ndarray; negative or non-finite inputs are
+    rejected.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
         raise ValueError("laguerre_polynomial requires finite x >= 0")
-    k, alpha = spec.degree, spec.order
-    prev = np.ones_like(arr)
-    if k == 0:
-        out = prev
-    else:
-        cur = 1.0 + alpha - arr
-        for j in range(1, k):
-            prev, cur = cur, ((2 * j + 1 + alpha - arr) * cur - (j + alpha) * prev) / (j + 1)
-        out = cur
+    for out in laguerre_sequence(spec.order, arr, spec.degree):
+        pass
     return out if arr.ndim else float(out)
 
 
@@ -128,7 +139,7 @@ def special_hermite_indices(max_degree: int) -> list[SpecialHermiteIndex]:
 def special_hermite_matrix(z, max_degree: int) -> np.ndarray:
     """phi_(a,b)(z_m) for all a, b <= max_degree at once: (len(z), (K+1)^2).
 
-    Runs one Laguerre degree recurrence per angular order instead of one per
+    Runs one ``laguerre_sequence`` per angular order instead of one per
     basis element; columns follow ``special_hermite_indices``."""
     zz = np.asarray(z, dtype=complex).reshape(-1)
     K = max_degree
@@ -137,17 +148,7 @@ def special_hermite_matrix(z, max_degree: int) -> np.ndarray:
     out = np.empty((zz.shape[0], (K + 1) ** 2), dtype=complex)
     for d in range(K + 1):
         base = _NORM_2PI * (1j * np.conj(zz) / SQRT2) ** d * gauss
-        prev = np.ones_like(t)
-        cur = 1.0 + d - t
-        for a in range(K + 1 - d):
-            if a == 0:
-                lag = prev
-            elif a == 1:
-                lag = cur
-            else:
-                prev, cur = cur, ((2 * (a - 1) + 1 + d - t) * cur
-                                  - (a - 1 + d) * prev) / a
-                lag = cur
+        for a, lag in enumerate(laguerre_sequence(d, t, K - d)):
             amp = math.exp(0.5 * (math.lgamma(a + 1) - math.lgamma(a + d + 1)))
             vals = amp * base * lag
             out[:, a * (K + 1) + (a + d)] = vals

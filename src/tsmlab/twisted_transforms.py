@@ -19,6 +19,24 @@ the special Hermite family -- the first index is the spectral one.  In
 particular Q_k maps the angular sector z^p a(|z|) to multiples of
 ``z^p L_(k-p)^p(|z|^2/2) exp(-|z|^2/4)`` (zero for k < p) and the sector
 conj(z)^q a(|z|) to multiples of ``conj(z)^q L_k^q(|z|^2/2) exp(-|z|^2/4)``.
+
+Projection paths.  ``spectral_projections`` picks one from its input alone:
+
+* on the grid (n = 1, targets are the field's own nodes): substituting
+  u = z - w,
+
+      Q_k f(z) = int f(u) phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) du,
+
+  and this kernel is invariant under rotating z and u together: |z-u| and
+  Im(z . conj(u)) depend only on |z|, |u| and the phase difference.  The
+  polar grid's phases are uniform, so the quadrature sum over its nodes is
+  a circular convolution along the phase axis, done by FFT with one R x R
+  product per phase mode;
+* other targets of a field with an evaluator: the direct quadrature over w
+  reading f(z-w) in closed form.  It is the oracle of the other two paths;
+* other targets of a sample-only field (no evaluator): the u form above
+  summed directly over the field's own samples, so nothing is read off the
+  grid.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ from .fields import MeanProfile, SampledField, SpectrumTruncation
 from .quadrature import (PlaneRule, RadialRule, SphereRule, compensated_sum,
                          plane_rule, sphere_rule)
 from .special_functions import (LaguerreSpec, laguerre_function,
-                                special_hermite_matrix)
+                                laguerre_sequence, special_hermite_matrix)
 
 CIRCLE_POINTS = 256
 SPHERE3_ORDERS = (16, 32, 32)
@@ -140,6 +158,9 @@ def mean_profile(f: SampledField, z, radii=None,
 # ---------------------------------------------------------------------------
 # twisted convolution and spectral projections
 
+# (target, node) pairs per chunk of the direct sums
+_PAIR_CHUNK = 4_000_000
+
 
 def convolution_values(f: SampledField, g: SampledField, targets) -> np.ndarray:
     """(f x g) at arbitrary targets, integrating over g's grid."""
@@ -149,7 +170,7 @@ def convolution_values(f: SampledField, g: SampledField, targets) -> np.ndarray:
     w = g.rule.nodes
     gw = g.values * g.rule.weights
     out = np.empty(targets.shape[0], dtype=complex)
-    chunk = max(1, int(4_000_000 // max(1, w.shape[0])))
+    chunk = max(1, _PAIR_CHUNK // max(1, w.shape[0]))
     for s in range(0, targets.shape[0], chunk):
         zc = targets[s:s + chunk]
         pts = zc[:, None, :] - w[None, :, :]
@@ -174,28 +195,114 @@ def _projection_kernel(rule: PlaneRule, k: int) -> SampledField:
 
 
 def projection_values(f: SampledField, k: int, targets) -> np.ndarray:
-    """Q_k f = f x phi_k evaluated at arbitrary targets."""
+    """Q_k f = f x phi_k evaluated at arbitrary targets.
+
+    Fields with an evaluator take the direct f(z-w) quadrature, the oracle
+    of the faster paths; sample-only fields integrate their own samples
+    (see ``spectral_projections``)."""
+    if f.evaluator is None:
+        return spectral_projections(f, [k], targets)[:, 0]
     return convolution_values(f, _projection_kernel(f.rule, k), targets)
 
 
 def spectral_projection(f: SampledField, k: int) -> SampledField:
-    """Degree-k spectral projection of f as a field on f's grid."""
-    return twisted_convolution(f, _projection_kernel(f.rule, k))
+    """Degree-k spectral projection of f as a field on f's grid, with the
+    ``projection_values`` evaluator for off-grid reads."""
+    vals = spectral_projections(f, [k])[:, 0]
+    ev = lambda pts: projection_values(f, k, pts)
+    return SampledField(f.dimension, f.rule, vals, f.decay_class, ev,
+                        name=f"({f.name})x(phi_{k})")
+
+
+def _by_degree(order: int, x: np.ndarray, degrees: list):
+    """``(columns, L_k^order(x))`` for each k asked for, from one recurrence;
+    ``columns`` are the positions in ``degrees`` that ask for k."""
+    for k, lag in enumerate(laguerre_sequence(order, x, max(degrees))):
+        columns = [i for i, d in enumerate(degrees) if d == k]
+        if columns:
+            yield columns, lag
+
+
+# kernel entries the on-grid engine builds at once: 16 of the 64 target
+# radii of the default 64 x 256 grid, 4 MB of complex128 per degree
+_ENGINE_BLOCK = 1 << 18
+
+
+def _on_grid_projections(f: SampledField, degrees: list) -> np.ndarray:
+    """Q_k f at f's own nodes on C, by rotation equivariance.
+
+    For z = r_i e^(i th_a) and u = r_j e^(i th_b) the kernel
+    phi_k(|z-u|) exp(-(i/2) Im(z conj(u))) depends on (i, j, a-b) only, so
+    summing it against f's weighted samples is a circular convolution along
+    the phase axis: one FFT of the samples, one FFT of the kernel per
+    degree and block of target radii, an R x R product per phase mode, one
+    inverse FFT.
+    """
+    R, m = f.rule.shape
+    r = f.rule.radial_nodes
+    F = np.fft.fft((f.values * f.rule.weights).reshape(R, m), axis=1)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    out = np.empty((R, m, len(degrees)), dtype=complex)
+    rows = max(1, _ENGINE_BLOCK // (R * m))
+    for s in range(0, R, rows):
+        ri = r[s:s + rows, None, None]
+        rr = ri * r[None, :, None]
+        t = 0.5 * (ri * ri + (r * r)[None, :, None]) - rr * np.cos(theta)
+        # exp(-t/2) times the twist exp(-(i/2) Im(z conj(u)))
+        weight = np.exp(-0.5 * t - 0.5j * TWIST_SIGN * rr * np.sin(theta))
+        for columns, lag in _by_degree(0, t, degrees):
+            kernel = np.fft.fft(lag * weight, axis=2)
+            q = np.fft.ifft(np.einsum("ijl,jl->il", kernel, F), axis=1)
+            out[s:s + rows, :, columns] = q[:, :, None]
+    return out.reshape(R * m, len(degrees))
+
+
+def _sample_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
+    """Q_k f at arbitrary targets from f's samples alone (no off-grid read):
+    the u = z - w form of the projection, summed directly."""
+    u = f.rule.nodes
+    fw = f.values * f.rule.weights
+    out = np.empty((targets.shape[0], len(degrees)), dtype=complex)
+    chunk = max(1, _PAIR_CHUNK // u.shape[0])
+    for s in range(0, targets.shape[0], chunk):
+        zc = targets[s:s + chunk]
+        diff = zc[:, None, :] - u[None, :, :]
+        t = 0.5 * np.sum(diff.real ** 2 + diff.imag ** 2, axis=-1)
+        del diff
+        weight = np.exp(-0.5 * t) * twist_phase(u[None, :, :], zc[:, None, :]) * fw[None, :]
+        for columns, lag in _by_degree(f.dimension - 1, t, degrees):
+            out[s:s + chunk, columns] = np.einsum("cn,cn->c", weight, lag)[:, None]
+    return out
 
 
 def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
-    """Q_k f at the targets for every k in ``degrees``, sharing one pass
-    over the translation kernel.  Returns (targets, len(degrees)) complex."""
-    degrees = list(degrees)
-    targets = f.rule.nodes if targets is None else \
-        np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
+    """Q_k f at the targets for every k in ``degrees``, all degrees from one
+    Laguerre recurrence.  Returns (targets, len(degrees)) complex.
+
+    The input picks the path (see the module docstring): ``targets`` None
+    or equal to ``f.rule.nodes`` on C take the FFT engine.
+    """
+    degrees = [int(k) for k in degrees]
+    if not degrees or min(degrees) < 0:
+        raise ValueError(f"degrees must be a non-empty list of integers >= 0, got {degrees}")
     w = f.rule.nodes
+    if targets is not None:
+        targets = np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
+    if f.dimension == 1 and (targets is None or np.array_equal(targets, w)):
+        return _on_grid_projections(f, degrees)
+    if targets is None:
+        targets = w
+    if f.evaluator is None:
+        return _sample_projections(f, degrees, targets)
     rad = np.linalg.norm(w, axis=1)
-    lag = np.stack([laguerre_function(LaguerreSpec(k, f.dimension - 1), rad)
-                    for k in degrees], axis=1)
-    lag = lag * f.rule.weights[:, None]
+    t = 0.5 * rad * rad
+    gauss = np.exp(-0.5 * t)
+    lag = np.empty((w.shape[0], len(degrees)))
+    for columns, poly in _by_degree(f.dimension - 1, t, degrees):
+        lag[:, columns] = (poly * gauss)[:, None]
+    lag *= f.rule.weights[:, None]
     out = np.empty((targets.shape[0], len(degrees)), dtype=complex)
-    chunk = max(1, int(4_000_000 // max(1, w.shape[0])))
+    chunk = max(1, _PAIR_CHUNK // w.shape[0])
     for s in range(0, targets.shape[0], chunk):
         zc = targets[s:s + chunk]
         pts = zc[:, None, :] - w[None, :, :]
@@ -207,12 +314,14 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
 
 def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray:
     """Matrix of inner products <f, phi_(a,b)> for a, b <= max_degree (n=1):
-    one weighted product against ``special_hermite_matrix``."""
+    one weighted product against the conjugated ``special_hermite_matrix``,
+    conjugated in place so no second (nodes, (K+1)^2) array is made."""
     if f.dimension != 1:
         raise ValueError("special Hermite coefficients are an n = 1 notion")
     fw = f.values * f.rule.weights
     H = special_hermite_matrix(f.rule.nodes[:, 0], max_degree)
-    return (fw @ np.conj(H)).reshape(max_degree + 1, max_degree + 1)
+    np.conjugate(H, out=H)
+    return (fw @ H).reshape(max_degree + 1, max_degree + 1)
 
 
 def special_hermite_truncation(f: SampledField, max_degree: int,

@@ -7,7 +7,8 @@ import pytest
 
 from tsmlab.constants import REGRESSION
 from tsmlab.errors import IllConditionedFitError
-from tsmlab.euclidean_means import coxeter_odd_counterexample, euclidean_sector_basis
+from tsmlab.euclidean_means import (circular_mean, coxeter_odd_counterexample,
+                                   euclidean_sector_basis)
 from tsmlab.fields import SampledField
 from tsmlab.injectivity_lab import (DEFAULT_RADII, EuclideanSectorBasis,
                                     INJECTIVITY_CAVEAT, ProductHermiteBasis,
@@ -275,6 +276,29 @@ def test_near_null_roundtrip_remeasures_means(euclid_odd_operator):
     sigma, v = op.near_null(1e-10)[0]
     worst = near_null_roundtrip(op, v, max_radii=6)
     assert worst < 1e-10
+
+
+class _RealPart:
+    """What circular_mean reads: any object with an ``evaluate``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def evaluate(self, points):
+        return np.real(self.fn(points))
+
+
+def test_euclidean_roundtrip_equals_per_pair_circular_means(euclid_odd_operator):
+    # reference: one circular_mean call per (centre, radius) pair
+    op = euclid_odd_operator
+    sset = op.sampling_set
+    near_null = op.near_null(1e-10)[0][1]
+    generic = np.random.default_rng(11).normal(size=op.basis.ncols)
+    for v in (near_null, generic):
+        fn = op.basis.combine(v / np.linalg.norm(v))
+        ref = max(abs(circular_mean(_RealPart(fn), z, r))
+                  for z in sset.centers[:, 0] for r in sset.radii)
+        assert abs(near_null_roundtrip(op, v) - ref) <= 1e-15
 
 
 def test_twisted_operator_matches_frozen_regression():

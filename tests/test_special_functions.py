@@ -15,6 +15,7 @@ import scipy.special
 from tsmlab.quadrature import plane_rule
 from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
                                       laguerre_function, laguerre_polynomial,
+                                      laguerre_sequence,
                                       radial_eigenfunction_origin,
                                       solid_harmonic_basis,
                                       special_hermite_basis,
@@ -47,11 +48,14 @@ XGRID = np.linspace(0.0, 40.0, 81)
 def test_laguerre_recurrence_vs_series_oracle(alpha):
     # error scaled by the sup of |L| on the grid: pointwise-relative error
     # at the zero crossings only measures rounding of the working amplitude
-    for k in range(13):
-        got = laguerre_polynomial(LaguerreSpec(k, alpha), XGRID)
+    # one pass of the sequence gives every degree; single evaluations run
+    # the same recurrence and must agree with it bit for bit
+    for k, got in enumerate(laguerre_sequence(alpha, XGRID, 12)):
+        assert np.array_equal(got, laguerre_polynomial(LaguerreSpec(k, alpha), XGRID))
         ref = laguerre_series_oracle(k, alpha, XGRID)
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert np.max(np.abs(got - ref)) < 1e-12 * scale
+    assert k == 12
 
 
 def test_laguerre_vs_scipy():

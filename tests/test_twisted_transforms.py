@@ -7,6 +7,7 @@ drift shows up here first.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
                                       SpecialHermiteIndex)
 from tsmlab.twisted_transforms import (convolution_values, mean_profile,
                                        polar_bridge, projection_values,
+                                       spectral_projection,
                                        spectral_projections,
                                        special_hermite_coefficients,
                                        special_hermite_truncation,
@@ -179,6 +181,84 @@ def test_spectral_projections_batch_matches_singles(gauss_field, probe_targets):
     for i, k in enumerate([0, 2, 5]):
         single = projection_values(gauss_field, k, probe_targets)
         assert np.max(np.abs(batch[:, i] - single)) < 1e-13
+
+
+# fields for the on-grid engine: radial, the p = 1 sector, and an
+# off-centre anisotropic Gaussian (no rotational structure at all)
+ENGINE_FIELDS = {
+    "radial": lambda p: np.exp(-np.abs(p[:, 0]) ** 2 / 3.0).astype(complex),
+    "sector_p1": lambda p: p[:, 0] * np.exp(-np.abs(p[:, 0]) ** 2 / 3.0),
+    "offcentre": lambda p: np.exp(-((p[:, 0].real - 0.4) ** 2 / 2.5
+                                    + (p[:, 0].imag + 0.3) ** 2 / 3.5)).astype(complex),
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(ENGINE_FIELDS))
+@pytest.mark.parametrize("rule_name, bound", [("rule_c1", 1e-12),
+                                              ("rule_c1_small", 1e-8)])
+def test_on_grid_engine_matches_direct_oracle(request, rule_name, bound, field_name):
+    """The FFT engine integrates f's samples; the oracle integrates f's
+    closed form over the translated kernel.  Degrees stop at 8: beyond
+    that the oracle's kernel phi_k is cut off at the grid edge and the two
+    quadratures part for that reason alone."""
+    rule = request.getfixturevalue(rule_name)
+    f = SampledField.from_function(ENGINE_FIELDS[field_name], rule)
+    degrees = list(range(9))
+    on_grid = spectral_projections(f, degrees)
+    assert on_grid.shape == (rule.nodes.shape[0], len(degrees))
+    picked = np.random.default_rng(5).choice(rule.nodes.shape[0], 200, replace=False)
+    scale = float(np.max(np.abs(on_grid)))
+    for k in degrees:
+        ref = projection_values(f, k, rule.nodes[picked])
+        assert np.max(np.abs(on_grid[picked, k] - ref)) <= bound * scale, k
+    # the input picks the path: passing the nodes is the same call
+    assert np.array_equal(spectral_projections(f, degrees, targets=rule.nodes), on_grid)
+    # and the single-degree field takes its grid values from the engine
+    assert np.array_equal(spectral_projection(f, 3).values, on_grid[:, 3])
+
+
+def test_sample_only_field_projects_off_grid(rule_c1, tmp_path):
+    """A CSV-imported field has no evaluator; its projections at targets
+    off the origin sum its own samples and read nothing off the grid."""
+    exact = SampledField.from_function(ENGINE_FIELDS["offcentre"], rule_c1, name="offc")
+    exact.to_csv(tmp_path / "f.csv")
+    sampled = SampledField.from_csv(tmp_path / "f.csv")
+    assert sampled.evaluator is None
+    targets = np.array([[2.0 + 0j], [1.3 - 2.1j], [-2.6 + 0.7j], [0.4 + 3.0j]])
+    degrees = [0, 1, 2, 3]
+    got = spectral_projections(sampled, degrees, targets)
+    ref = spectral_projections(exact, degrees, targets)
+    assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+    single = projection_values(sampled, 2, targets)
+    assert np.array_equal(single, got[:, 2])
+    q2 = spectral_projection(sampled, 2)
+    assert np.max(np.abs(q2.evaluate(targets) - ref[:, 2])) <= 1e-8 * np.max(np.abs(ref))
+
+
+def _peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_projection_memory_budget(gauss_field, probe_targets):
+    # the engine builds its kernel in blocks of target radii, and the
+    # off-grid path holds a few (targets, nodes) arrays: neither may grow
+    # with the square of the grid
+    on_grid = _peak_mb(lambda: spectral_projections(gauss_field, range(13)))
+    assert on_grid < 48.0
+    off_grid = _peak_mb(lambda: spectral_projections(gauss_field, range(13),
+                                                     probe_targets[:3]))
+    assert off_grid < 8.0
+
+
+def test_spectral_projections_reject_bad_degrees(gauss_field):
+    for bad in ([], [2, -1]):
+        with pytest.raises(ValueError, match="degrees"):
+            spectral_projections(gauss_field, bad)
 
 
 def test_special_hermite_coefficients_pick_out_basis(rule_c1):
