@@ -32,7 +32,7 @@ from .quadrature import radial_rule, plane_rule
 from .special_functions import (LaguerreSpec, laguerre_function,
                                 solid_harmonic_basis)
 from .twisted_transforms import (mean_profile, polar_bridge, projection_values,
-                                 special_hermite_coefficients,
+                                 special_hermite_truncation,
                                  spectral_projections, twisted_spherical_mean,
                                  twisted_translate)
 from .diagnostics import radial_operator_residual
@@ -319,28 +319,16 @@ def run_tsm_eval(cfg: dict, out: Path) -> list[Check]:
     return []
 
 
-def _norm(d: np.ndarray) -> float:
-    # np.linalg.norm of a complex vector goes through threaded BLAS, which
-    # costs milliseconds per call when BLAS runs more than one thread
-    return float(np.sqrt(np.sum(d.real ** 2 + d.imag ** 2)))
-
-
 def run_project(cfg: dict, out: Path) -> list[Check]:
     f = _field(cfg)
     K = cfg["project.max_degree"]
-    coeffs = special_hermite_coefficients(f, K)
+    trunc = special_hermite_truncation(f, K)
+    coeffs = trunc.coefficients
     rows = [[str(a), str(b), fmt(coeffs[a, b].real), fmt(coeffs[a, b].imag)]
             for a in range(K + 1) for b in range(K + 1)]
     write_csv(out / "coefficients.csv", ["alpha", "beta", "re", "im"], rows)
 
-    proj = spectral_projections(f, list(range(K + 1)))
-    const = constants.expansion_constant(1)
-    partial = np.zeros_like(f.values)
-    errs = []
-    base = _norm(f.values)
-    for k in range(K + 1):
-        partial = partial + const * proj[:, k]
-        errs.append(_norm(partial - f.values) / base)
+    errs = trunc.partial_errors(f) / f.grid_norm()
     write_csv(out / "reconstruction.csv", ["K", "relative_error"],
               [[str(k), fmt(e)] for k, e in enumerate(errs)])
     decay = errs[-1] / errs[0] if errs[0] > 0 else 0.0

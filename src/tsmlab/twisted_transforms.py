@@ -20,23 +20,26 @@ particular Q_k maps the angular sector z^p a(|z|) to multiples of
 ``z^p L_(k-p)^p(|z|^2/2) exp(-|z|^2/4)`` (zero for k < p) and the sector
 conj(z)^q a(|z|) to multiples of ``conj(z)^q L_k^q(|z|^2/2) exp(-|z|^2/4)``.
 
-Projection paths.  ``spectral_projections`` picks one from its input alone:
+Projection paths.  Substituting u = z - w,
 
-* on the grid (n = 1, targets are the field's own nodes): substituting
-  u = z - w,
+    Q_k f(z) = int f(u) phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) du,
 
-      Q_k f(z) = int f(u) phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) du,
+so the kernel is known in closed form and f is read only at its own nodes.
+``spectral_projections`` sums this u form over f's weighted samples and
+picks one of two ways from its input alone:
 
-  and this kernel is invariant under rotating z and u together: |z-u| and
-  Im(z . conj(u)) depend only on |z|, |u| and the phase difference.  The
-  polar grid's phases are uniform, so the quadrature sum over its nodes is
-  a circular convolution along the phase axis, done by FFT with one R x R
-  product per phase mode;
-* other targets of a field with an evaluator: the direct quadrature over w
-  reading f(z-w) in closed form.  It is the oracle of the other two paths;
-* other targets of a sample-only field (no evaluator): the u form above
-  summed directly over the field's own samples, so nothing is read off the
-  grid.
+* on the grid (n = 1, targets are the field's own nodes): the kernel is
+  invariant under rotating z and u together -- |z-u| and Im(z . conj(u))
+  depend only on |z|, |u| and the phase difference.  The polar grid's
+  phases are uniform, so the quadrature sum over its nodes is a circular
+  convolution along the phase axis, done by FFT with one R x R product per
+  phase mode;
+* at every other target, with or without an evaluator: the sum over the
+  nodes taken directly.
+
+Both build the kernel through ``_twisted_kernels``.  The w form, reading f
+at z - w against phi_k sampled on the grid (``convolution_values``), is
+their independent oracle in the tests; it cuts phi_k off at the grid edge.
 """
 
 from __future__ import annotations
@@ -188,39 +191,35 @@ def twisted_convolution(f: SampledField, g: SampledField) -> SampledField:
                         name=f"({f.name})x({g.name})" if f.name or g.name else "")
 
 
-def _projection_kernel(rule: PlaneRule, k: int) -> SampledField:
-    spec = LaguerreSpec(k, rule.dimension - 1)
-    fn = lambda pts: laguerre_function(spec, np.linalg.norm(pts, axis=-1)).astype(complex)
-    return SampledField.from_function(fn, rule, name=f"phi_{k}")
-
-
 def projection_values(f: SampledField, k: int, targets) -> np.ndarray:
-    """Q_k f = f x phi_k evaluated at arbitrary targets.
-
-    Fields with an evaluator take the direct f(z-w) quadrature, the oracle
-    of the faster paths; sample-only fields integrate their own samples
-    (see ``spectral_projections``)."""
-    if f.evaluator is None:
-        return spectral_projections(f, [k], targets)[:, 0]
-    return convolution_values(f, _projection_kernel(f.rule, k), targets)
+    """Q_k f = f x phi_k evaluated at arbitrary targets: one column of
+    ``spectral_projections``."""
+    return spectral_projections(f, [k], targets)[:, 0]
 
 
 def spectral_projection(f: SampledField, k: int) -> SampledField:
-    """Degree-k spectral projection of f as a field on f's grid, with the
-    ``projection_values`` evaluator for off-grid reads."""
+    """Degree-k spectral projection of f as a field on f's grid (values from
+    ``spectral_projections``), with the ``projection_values`` evaluator for
+    off-grid reads."""
     vals = spectral_projections(f, [k])[:, 0]
     ev = lambda pts: projection_values(f, k, pts)
     return SampledField(f.dimension, f.rule, vals, f.decay_class, ev,
                         name=f"({f.name})x(phi_{k})")
 
 
-def _by_degree(order: int, x: np.ndarray, degrees: list):
-    """``(columns, L_k^order(x))`` for each k asked for, from one recurrence;
-    ``columns`` are the positions in ``degrees`` that ask for k."""
-    for k, lag in enumerate(laguerre_sequence(order, x, max(degrees))):
+def _twisted_kernels(order: int, t: np.ndarray, weight: np.ndarray, degrees: list):
+    """``(columns, L_k^order(t) * weight)`` for each k asked for, all degrees
+    from one Laguerre recurrence; ``columns`` are the positions in
+    ``degrees`` that ask for k.
+
+    With t = |z-u|^2 / 2 and weight = exp(-t/2) times the twist
+    exp(-(i/2) Im(z . conj(u))), this is the closed-form kernel
+    phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) of every projection path.
+    """
+    for k, lag in enumerate(laguerre_sequence(order, t, max(degrees))):
         columns = [i for i, d in enumerate(degrees) if d == k]
         if columns:
-            yield columns, lag
+            yield columns, lag * weight
 
 
 # kernel entries the on-grid engine builds at once: 16 of the 64 target
@@ -231,12 +230,11 @@ _ENGINE_BLOCK = 1 << 18
 def _on_grid_projections(f: SampledField, degrees: list) -> np.ndarray:
     """Q_k f at f's own nodes on C, by rotation equivariance.
 
-    For z = r_i e^(i th_a) and u = r_j e^(i th_b) the kernel
-    phi_k(|z-u|) exp(-(i/2) Im(z conj(u))) depends on (i, j, a-b) only, so
-    summing it against f's weighted samples is a circular convolution along
-    the phase axis: one FFT of the samples, one FFT of the kernel per
-    degree and block of target radii, an R x R product per phase mode, one
-    inverse FFT.
+    For z = r_i e^(i th_a) and u = r_j e^(i th_b) the kernel depends on
+    (i, j, a-b) only, so summing it against f's weighted samples is a
+    circular convolution along the phase axis: one FFT of the samples, one
+    FFT of the kernel per degree and block of target radii, an R x R
+    product per phase mode, one inverse FFT.
     """
     R, m = f.rule.shape
     r = f.rule.radial_nodes
@@ -248,39 +246,46 @@ def _on_grid_projections(f: SampledField, degrees: list) -> np.ndarray:
         ri = r[s:s + rows, None, None]
         rr = ri * r[None, :, None]
         t = 0.5 * (ri * ri + (r * r)[None, :, None]) - rr * np.cos(theta)
-        # exp(-t/2) times the twist exp(-(i/2) Im(z conj(u)))
+        # exp(-t/2) and the twist in one complex exponential
         weight = np.exp(-0.5 * t - 0.5j * TWIST_SIGN * rr * np.sin(theta))
-        for columns, lag in _by_degree(0, t, degrees):
-            kernel = np.fft.fft(lag * weight, axis=2)
+        for columns, kernel in _twisted_kernels(0, t, weight, degrees):
+            kernel = np.fft.fft(kernel, axis=2)
             q = np.fft.ifft(np.einsum("ijl,jl->il", kernel, F), axis=1)
             out[s:s + rows, :, columns] = q[:, :, None]
     return out.reshape(R * m, len(degrees))
 
 
-def _sample_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
-    """Q_k f at arbitrary targets from f's samples alone (no off-grid read):
-    the u = z - w form of the projection, summed directly."""
+def _direct_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
+    """Q_k f at arbitrary targets: the u form summed directly over f's
+    weighted samples, in chunks of targets.  t comes from one pairing
+    product, |z-u|^2 = |z|^2 + |u|^2 - 2 Re(z . conj(u))."""
     u = f.rule.nodes
     fw = f.values * f.rule.weights
+    half_u = 0.5 * np.sum(u.real ** 2 + u.imag ** 2, axis=1)
     out = np.empty((targets.shape[0], len(degrees)), dtype=complex)
     chunk = max(1, _PAIR_CHUNK // u.shape[0])
     for s in range(0, targets.shape[0], chunk):
         zc = targets[s:s + chunk]
-        diff = zc[:, None, :] - u[None, :, :]
-        t = 0.5 * np.sum(diff.real ** 2 + diff.imag ** 2, axis=-1)
-        del diff
-        weight = np.exp(-0.5 * t) * twist_phase(u[None, :, :], zc[:, None, :]) * fw[None, :]
-        for columns, lag in _by_degree(f.dimension - 1, t, degrees):
-            out[s:s + chunk, columns] = np.einsum("cn,cn->c", weight, lag)[:, None]
+        weight = twist_phase(u[None, :, :], zc[:, None, :])
+        pair = zc @ np.conj(u).T
+        t = half_u[None, :] + 0.5 * np.sum(zc.real ** 2 + zc.imag ** 2, axis=1)[:, None]
+        t -= pair.real
+        del pair
+        weight *= np.exp(-0.5 * t)
+        for columns, kernel in _twisted_kernels(f.dimension - 1, t, weight, degrees):
+            out[s:s + chunk, columns] = (kernel @ fw)[:, None]
     return out
 
 
 def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
-    """Q_k f at the targets for every k in ``degrees``, all degrees from one
-    Laguerre recurrence.  Returns (targets, len(degrees)) complex.
+    """Q_k f at the targets (default: f's own nodes) for every k in
+    ``degrees``, all degrees from one Laguerre recurrence.  Returns
+    (targets, len(degrees)) complex.
 
-    The input picks the path (see the module docstring): ``targets`` None
-    or equal to ``f.rule.nodes`` on C take the FFT engine.
+    Only f's samples are read, so fields with and without an evaluator take
+    the same path.  The input picks it (see the module docstring): targets
+    None or equal to ``f.rule.nodes`` on C take the FFT engine, all others
+    the direct sum.
     """
     degrees = [int(k) for k in degrees]
     if not degrees or min(degrees) < 0:
@@ -290,26 +295,7 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
         targets = np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
     if f.dimension == 1 and (targets is None or np.array_equal(targets, w)):
         return _on_grid_projections(f, degrees)
-    if targets is None:
-        targets = w
-    if f.evaluator is None:
-        return _sample_projections(f, degrees, targets)
-    rad = np.linalg.norm(w, axis=1)
-    t = 0.5 * rad * rad
-    gauss = np.exp(-0.5 * t)
-    lag = np.empty((w.shape[0], len(degrees)))
-    for columns, poly in _by_degree(f.dimension - 1, t, degrees):
-        lag[:, columns] = (poly * gauss)[:, None]
-    lag *= f.rule.weights[:, None]
-    out = np.empty((targets.shape[0], len(degrees)), dtype=complex)
-    chunk = max(1, _PAIR_CHUNK // w.shape[0])
-    for s in range(0, targets.shape[0], chunk):
-        zc = targets[s:s + chunk]
-        pts = zc[:, None, :] - w[None, :, :]
-        vals = f.evaluate(pts.reshape(-1, f.dimension)).reshape(zc.shape[0], w.shape[0])
-        vals *= twist_phase(zc[:, None, :], w[None, :, :])
-        out[s:s + chunk] = vals @ lag
-    return out
+    return _direct_projections(f, degrees, w if targets is None else targets)
 
 
 def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray:
@@ -328,6 +314,10 @@ def special_hermite_truncation(f: SampledField, max_degree: int,
                                with_coefficients: bool | None = None) -> SpectrumTruncation:
     """Degreewise projections Q_0..Q_K of f on its grid (plus the n = 1
     coefficient matrix unless disabled)."""
+    if with_coefficients is None:
+        with_coefficients = f.dimension == 1
+    # the coefficients first: their Hermite matrix is the larger array
+    coeffs = special_hermite_coefficients(f, max_degree) if with_coefficients else None
     degrees = list(range(max_degree + 1))
     vals = spectral_projections(f, degrees)
     projections = []
@@ -335,9 +325,6 @@ def special_hermite_truncation(f: SampledField, max_degree: int,
         ev = (lambda pts, _f=f, _k=k: projection_values(_f, _k, pts))
         projections.append(SampledField(f.dimension, f.rule, vals[:, i],
                                         f.decay_class, ev, name=f"Q{k}"))
-    if with_coefficients is None:
-        with_coefficients = f.dimension == 1
-    coeffs = special_hermite_coefficients(f, max_degree) if with_coefficients else None
     return SpectrumTruncation(f.dimension, max_degree, projections, coeffs)
 
 

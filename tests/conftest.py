@@ -1,11 +1,28 @@
-"""Shared fixtures. Heavy grids are session-scoped so the suite builds each
-one exactly once."""
+"""Shared fixtures and the projection oracle. Heavy grids are
+session-scoped so the suite builds each one exactly once."""
 
 import numpy as np
 import pytest
 
 from tsmlab.fields import SampledField
 from tsmlab.quadrature import plane_rule
+from tsmlab.special_functions import LaguerreSpec, laguerre_function
+from tsmlab.twisted_transforms import convolution_values
+
+
+def direct_projection_values(f, k, targets):
+    """Oracle for Q_k f = f x phi_k at arbitrary targets: the w form,
+    reading f's closed form at z - w against phi_k sampled on f's grid.
+
+    The library sums the u form over f's samples instead; this quadrature
+    shares neither the kernel nor the samples with it.  It cuts phi_k off
+    at the grid edge, so at high degree on small grids it is the less
+    accurate of the two.
+    """
+    spec = LaguerreSpec(k, f.rule.dimension - 1)
+    fn = lambda pts: laguerre_function(spec, np.linalg.norm(pts, axis=-1)).astype(complex)
+    return convolution_values(f, SampledField.from_function(fn, f.rule, name=f"phi_{k}"),
+                              targets)
 
 
 @pytest.fixture(scope="session")

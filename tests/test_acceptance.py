@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import direct_projection_values
 from tsmlab import cli
 from tsmlab.constants import REGRESSION
 from tsmlab.diagnostics import _D1, _D2
@@ -27,8 +28,7 @@ from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
                                       radial_eigenfunction_origin,
                                       solid_harmonic_basis)
 from tsmlab.twisted_transforms import (convolution_values, mean_profile,
-                                       polar_bridge, projection_values,
-                                       spectral_projection,
+                                       polar_bridge, spectral_projection,
                                        special_hermite_truncation,
                                        tensor_decompose_projection,
                                        twisted_spherical_mean)
@@ -158,7 +158,7 @@ def test_criterion_04_polar_equivalence(rule_c1, gauss_field, probe_targets):
         prof = mean_profile(gauss_field, z, radial_rule=rad)
         for k in range(7):
             bridged = polar_bridge(prof, k, 1)
-            direct = projection_values(gauss_field, k, z[None, :])[0]
+            direct = direct_projection_values(gauss_field, k, z[None, :])[0]
             worst = max(worst, abs(bridged - direct) / (1.0 + abs(direct)))
 
     # zero-profile <=> zero-projection, both directions, on phi_2
@@ -166,8 +166,8 @@ def test_criterion_04_polar_equivalence(rule_c1, gauss_field, probe_targets):
     z = np.array([1.2 + 0.4j])
     prof = mean_profile(f, z, radial_rule=rad)
     vanishing = max(abs(polar_bridge(prof, 1, 1)),
-                    abs(projection_values(f, 1, z[None, :])[0]))
-    alive_direct = projection_values(f, 2, z[None, :])[0]
+                    abs(direct_projection_values(f, 1, z[None, :])[0]))
+    alive_direct = direct_projection_values(f, 2, z[None, :])[0]
     alive = abs(polar_bridge(prof, 2, 1) - alive_direct)
     _gate("04 polar bridge vs projection (5 centers, k<=6)",
           _le("scaled error", worst, 1e-6),
@@ -256,7 +256,7 @@ def test_criterion_08_tensor_diagonal():
         pieces = tensor_decompose_projection(f, k)
         targets = pieces[0].rule.nodes
         total = np.sum([p.values for p in pieces], axis=0)
-        direct = projection_values(f, k, targets)
+        direct = direct_projection_values(f, k, targets)
         worst = max(worst, float(np.linalg.norm(total - direct)
                                  / np.linalg.norm(direct)))
     _gate("08 tensor pieces reproduce Q_k on C^2 (k<=4)",

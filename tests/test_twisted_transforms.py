@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import direct_projection_values
 from tsmlab.constants import sphere_surface_area
 from tsmlab.errors import (FieldDomainError, GridMismatchError,
                            TranslateTailWarning, TruncationTailWarning)
@@ -197,20 +198,25 @@ ENGINE_FIELDS = {
 @pytest.mark.parametrize("rule_name, bound", [("rule_c1", 1e-12),
                                               ("rule_c1_small", 1e-8)])
 def test_on_grid_engine_matches_direct_oracle(request, rule_name, bound, field_name):
-    """The FFT engine integrates f's samples; the oracle integrates f's
-    closed form over the translated kernel.  Degrees stop at 8: beyond
-    that the oracle's kernel phi_k is cut off at the grid edge and the two
-    quadratures part for that reason alone."""
+    """Both library paths sum the closed-form kernel against f's samples;
+    the oracle integrates f's closed form against phi_k sampled on the grid.
+    Checked at 200 nodes (the FFT engine) and at the same nodes turned by
+    half a phase step (the direct sum).  Degrees stop at 8: beyond that the
+    oracle's phi_k is cut off at the grid edge and the oracle, not the
+    library, parts from the exact value."""
     rule = request.getfixturevalue(rule_name)
     f = SampledField.from_function(ENGINE_FIELDS[field_name], rule)
     degrees = list(range(9))
     on_grid = spectral_projections(f, degrees)
     assert on_grid.shape == (rule.nodes.shape[0], len(degrees))
     picked = np.random.default_rng(5).choice(rule.nodes.shape[0], 200, replace=False)
+    turned = rule.nodes[picked] * np.exp(1j * np.pi / rule.shape[1])
+    off_grid = spectral_projections(f, degrees, turned)
     scale = float(np.max(np.abs(on_grid)))
-    for k in degrees:
-        ref = projection_values(f, k, rule.nodes[picked])
-        assert np.max(np.abs(on_grid[picked, k] - ref)) <= bound * scale, k
+    for targets, got in ((rule.nodes[picked], on_grid[picked]), (turned, off_grid)):
+        for k in degrees:
+            ref = direct_projection_values(f, k, targets)
+            assert np.max(np.abs(got[:, k] - ref)) <= bound * scale, k
     # the input picks the path: passing the nodes is the same call
     assert np.array_equal(spectral_projections(f, degrees, targets=rule.nodes), on_grid)
     # and the single-degree field takes its grid values from the engine
@@ -227,12 +233,25 @@ def test_sample_only_field_projects_off_grid(rule_c1, tmp_path):
     targets = np.array([[2.0 + 0j], [1.3 - 2.1j], [-2.6 + 0.7j], [0.4 + 3.0j]])
     degrees = [0, 1, 2, 3]
     got = spectral_projections(sampled, degrees, targets)
-    ref = spectral_projections(exact, degrees, targets)
+    ref = np.stack([direct_projection_values(exact, k, targets) for k in degrees], axis=1)
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
     single = projection_values(sampled, 2, targets)
     assert np.array_equal(single, got[:, 2])
     q2 = spectral_projection(sampled, 2)
     assert np.max(np.abs(q2.evaluate(targets) - ref[:, 2])) <= 1e-8 * np.max(np.abs(ref))
+
+
+def test_off_grid_projection_keeps_the_kernel_past_the_grid_edge(rule_c1_small):
+    """At k = 12, phi_k(10) = 0.12: a w-form sum would cut phi_k off at the
+    edge of the extent-10 grid, the u form evaluates it wherever z - u
+    lands.  The reference is the oracle on a grid twice as wide."""
+    held = np.array([0.37 + 0.21j, -0.9 + 0.4j, 1.3 - 0.7j, 0.1 - 1.1j, 2.0 + 0.3j])[:, None]
+    wide = plane_rule(1, extent=20.0, radial_points=128, angular_points=384)
+    ref = direct_projection_values(
+        SampledField.from_function(ENGINE_FIELDS["offcentre"], wide), 12, held)
+    f = SampledField.from_function(ENGINE_FIELDS["offcentre"], rule_c1_small)
+    got = projection_values(f, 12, held)
+    assert np.max(np.abs(got - ref)) <= 3e-6 * np.max(np.abs(ref))
 
 
 def _peak_mb(fn) -> float:
@@ -299,7 +318,7 @@ def test_mean_profile_linearity_and_bridge(rule_c1, gauss_field):
 
     for k in range(5):
         bridged = polar_bridge(prof, k, 1)
-        direct = projection_values(gauss_field, k, z[None, :])[0]
+        direct = direct_projection_values(gauss_field, k, z[None, :])[0]
         assert abs(bridged - direct) <= 1e-8 * (1.0 + abs(direct))
 
 
@@ -314,7 +333,7 @@ def test_polar_bridge_zero_iff_zero(rule_c1):
     assert prof.max_abs() > 1e-3                     # the profile itself lives
     for k in (1, m):
         bridged = polar_bridge(prof, k, 1)
-        direct = projection_values(f, k, z[None, :])[0]
+        direct = direct_projection_values(f, k, z[None, :])[0]
         if k == m:
             assert abs(direct) > 1e-3                # nonvanishing example
             assert abs(bridged - direct) < 1e-8
@@ -367,9 +386,21 @@ def test_tensor_pieces_sum_to_projection(c2_field):
     pieces = tensor_decompose_projection(c2_field, k)
     targets = pieces[0].rule.nodes
     total = np.sum([p.values for p in pieces], axis=0)
-    direct = projection_values(c2_field, k, targets)
+    direct = direct_projection_values(c2_field, k, targets)
     scale = max(1.0, float(np.max(np.abs(direct))))
     assert np.linalg.norm(total - direct) / np.sqrt(direct.size) < 1e-6 * scale
+
+
+def test_direct_sum_matches_direct_oracle_on_c2(c2_field):
+    """The direct sum with the L_k^1 kernel of C^2, k <= 2, off the grid;
+    this coarse grid holds the two quadratures to 1e-6 of the peak."""
+    targets = np.array([[0.3 + 0.2j, -0.5 + 0.1j], [1.1 - 0.4j, 0.2 + 0.7j],
+                        [-0.7 + 0.9j, 1.3 - 0.2j], [2.0 + 0.1j, -0.4 - 1.0j]])
+    got = spectral_projections(c2_field, range(3), targets)
+    scale = float(np.max(np.abs(got)))
+    for k in range(3):
+        ref = direct_projection_values(c2_field, k, targets)
+        assert np.max(np.abs(got[:, k] - ref)) <= 1e-6 * scale, k
 
 
 def test_tensor_pieces_separable_product_route(c2_field):
@@ -385,8 +416,8 @@ def test_tensor_pieces_separable_product_route(c2_field):
     targets = pieces[0].rule.nodes
     for b1 in range(k + 1):
         b2 = k - b1
-        ref = (projection_values(g, b1, targets[:, :1])
-               * projection_values(h, b2, targets[:, 1:]))
+        ref = (direct_projection_values(g, b1, targets[:, :1])
+               * direct_projection_values(h, b2, targets[:, 1:]))
         assert np.max(np.abs(pieces[b1].values - ref)) < 1e-12
 
 
