@@ -37,9 +37,12 @@ picks one of two ways from its input alone:
 * at every other target, with or without an evaluator: the sum over the
   nodes taken directly.
 
-Both build the kernel through ``_twisted_kernels``.  The w form, reading f
-at z - w against phi_k sampled on the grid (``convolution_values``), is
-their independent oracle in the tests; it cuts phi_k off at the grid edge.
+On C^2, ``tensor_decompose_projection`` takes the slot pieces of the product
+relation from one sampling of f on a slot x slot grid and two slot kernels.
+All three paths build the kernel through ``_twisted_kernels``.  The w form,
+reading f at z - w against phi_k sampled on the grid (``convolution_values``;
+slot by slot for the pieces), is their independent oracle in the tests; it
+cuts phi_k off at the grid edge.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import warnings
 
 import numpy as np
 
-from .constants import TWIST_SIGN, expansion_constant, sphere_surface_area
+from .constants import TWIST_SIGN, sphere_surface_area
 from .errors import GridMismatchError, TruncationTailWarning, TranslateTailWarning
 from .fields import MeanProfile, SampledField, SpectrumTruncation
 from .quadrature import (PlaneRule, RadialRule, SphereRule, compensated_sum,
@@ -70,17 +73,13 @@ __all__ = [
 
 
 def twist_phase(z, w):
-    """exp(i/2 Im(z . conj(w))), broadcast over leading axes of (..., n)."""
-    pair = np.sum(np.asarray(z, dtype=complex) * np.conj(np.asarray(w, dtype=complex)),
-                  axis=-1)
-    return np.exp(0.5j * TWIST_SIGN * pair.imag)
-
-
-def _default_sphere(dimension: int, r: float, m: int | None = None,
-                    orders=None) -> SphereRule:
-    if dimension == 1:
-        return sphere_rule(1, r, m=m or CIRCLE_POINTS)
-    return sphere_rule(2, r, orders=orders or SPHERE3_ORDERS)
+    """exp(i/2 Im(z . conj(w))), broadcast over leading axes of (..., n);
+    Im(z . conj(w)) is summed slot by slot, with no (..., n) product."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    im = (z[..., 0] * np.conj(w[..., 0])).imag
+    for j in range(1, z.shape[-1]):
+        im = im + (z[..., j] * np.conj(w[..., j])).imag
+    return np.exp(0.5j * TWIST_SIGN * im)
 
 
 def twisted_translate(f: SampledField, eta, tail_tol: float = 1e-9) -> SampledField:
@@ -106,12 +105,8 @@ def twisted_translate(f: SampledField, eta, tail_tol: float = 1e-9) -> SampledFi
         * twist_phase(eta[None, :], nodes)
     ev = None
     if f.evaluator is not None:
-        base = f.evaluator
-
-        def ev(pts, _b=base, _eta=eta):
-            pts = np.asarray(pts, dtype=complex)
-            return np.asarray(_b(pts - _eta[None, :])) * twist_phase(_eta[None, :], pts)
-
+        ev = lambda pts, _b=f.evaluator: (np.asarray(_b(np.asarray(pts, dtype=complex) - eta))
+                                          * twist_phase(eta, pts))
     return SampledField(f.dimension, f.rule, vals, f.decay_class, ev,
                         name=f.name and f"{f.name}|translated")
 
@@ -131,7 +126,9 @@ def twisted_spherical_mean(f: SampledField, z, r: float,
         raise ValueError(f"radius must be >= 0, got {r}")
     if r == 0.0:
         return complex(f.evaluate(z[None, :])[0])
-    sph = rule if rule is not None else _default_sphere(f.dimension, r, m, orders)
+    sph = rule if rule is not None else (
+        sphere_rule(1, r, m=m or CIRCLE_POINTS) if f.dimension == 1
+        else sphere_rule(2, r, orders=orders or SPHERE3_ORDERS))
     if abs(sph.radius - r) > 1e-12 * max(1.0, r):
         raise ValueError("sphere rule radius disagrees with r")
     vals = f.evaluate(z[None, :] - sph.nodes)
@@ -255,25 +252,32 @@ def _on_grid_projections(f: SampledField, degrees: list) -> np.ndarray:
     return out.reshape(R * m, len(degrees))
 
 
+def _pairing_kernel_args(z: np.ndarray, u: np.ndarray):
+    """``(t, weight)`` of ``_twisted_kernels`` for targets z (T, n) and
+    nodes u (N, n) from one pairing product z . conj(u): its real part
+    gives t = (|z|^2 + |u|^2) / 2 - Re, its imaginary part the twist."""
+    weight = z @ np.conj(u).T
+    t = 0.5 * (np.sum(z.real ** 2 + z.imag ** 2, axis=1)[:, None]
+               + np.sum(u.real ** 2 + u.imag ** 2, axis=1)[None, :])
+    t -= weight.real
+    np.multiply(t, -0.5, out=weight.real)
+    weight.imag *= -0.5 * TWIST_SIGN
+    return t, np.exp(weight, out=weight)
+
+
 def _direct_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
     """Q_k f at arbitrary targets: the u form summed directly over f's
-    weighted samples, in chunks of targets.  t comes from one pairing
-    product, |z-u|^2 = |z|^2 + |u|^2 - 2 Re(z . conj(u))."""
+    weighted samples, in chunks of targets; t and the twist come from one
+    pairing product."""
     u = f.rule.nodes
     fw = f.values * f.rule.weights
-    half_u = 0.5 * np.sum(u.real ** 2 + u.imag ** 2, axis=1)
     out = np.empty((targets.shape[0], len(degrees)), dtype=complex)
     chunk = max(1, _PAIR_CHUNK // u.shape[0])
     for s in range(0, targets.shape[0], chunk):
-        zc = targets[s:s + chunk]
-        weight = twist_phase(u[None, :, :], zc[:, None, :])
-        pair = zc @ np.conj(u).T
-        t = half_u[None, :] + 0.5 * np.sum(zc.real ** 2 + zc.imag ** 2, axis=1)[:, None]
-        t -= pair.real
-        del pair
-        weight *= np.exp(-0.5 * t)
+        t, weight = _pairing_kernel_args(targets[s:s + chunk], u)
         for columns, kernel in _twisted_kernels(f.dimension - 1, t, weight, degrees):
             out[s:s + chunk, columns] = (kernel @ fw)[:, None]
+            del kernel   # not held while the recurrence takes its next step
     return out
 
 
@@ -320,11 +324,9 @@ def special_hermite_truncation(f: SampledField, max_degree: int,
     coeffs = special_hermite_coefficients(f, max_degree) if with_coefficients else None
     degrees = list(range(max_degree + 1))
     vals = spectral_projections(f, degrees)
-    projections = []
-    for i, k in enumerate(degrees):
-        ev = (lambda pts, _f=f, _k=k: projection_values(_f, _k, pts))
-        projections.append(SampledField(f.dimension, f.rule, vals[:, i],
-                                        f.decay_class, ev, name=f"Q{k}"))
+    projections = [SampledField(f.dimension, f.rule, vals[:, k], f.decay_class,
+                                lambda pts, _k=k: projection_values(f, _k, pts),
+                                name=f"Q{k}") for k in degrees]
     return SpectrumTruncation(f.dimension, max_degree, projections, coeffs)
 
 
@@ -382,51 +384,47 @@ def tensor_decompose_projection(f: SampledField, k: int,
 
         f x phi_k^(1) = sum_(b1+b2=k) (f x_2 phi_b2^(0)) x_1 phi_b1^(0)
 
-    with x_i the twisted convolution in slot i alone.  Returns the pieces,
-    b1 ascending, as fields on ``eval_rule`` (default: a small probe
-    lattice -- materializing pieces on a full C^2 integration grid is not a
-    desk-scale operation).  Each piece keeps an exact nested-quadrature
-    evaluator.  Summing the pieces reproduces ``spectral_projection(f, k)``.
+    with x_i the twisted convolution in slot i alone.  f is sampled once on
+    the slot x slot product grid of ``slot_rule`` and weighted to F; with the
+    u-form slot kernel K_b(z)[t, u] = phi_b(|z_t - u|) exp(-(i/2) Im(z_t conj(u))),
+    piece (b1, b2) is rowsum((K_b1(z1) @ F) * K_b2(z2)).  Fields without an
+    evaluator raise FieldDomainError: the product grid reaches past their
+    extent.  Returns the pieces, b1 ascending, as fields on ``eval_rule``
+    (default: a small probe lattice) whose evaluators sum the same F.
+    Summing the pieces reproduces ``spectral_projection(f, k)``.
     """
     if f.dimension != 2:
         raise ValueError("tensor decomposition applies to fields on C^2")
+    if k < 0:
+        raise ValueError(f"degree must be an integer >= 0, got {k}")
     eval_rule = eval_rule or _default_eval_rule()
     slot = slot_rule or _default_slot_rule()
     if eval_rule.dimension != 2 or slot.dimension != 1:
         raise ValueError("eval_rule must live on C^2 and slot_rule on C")
 
-    w = slot.nodes[:, 0]
-    u = slot.weights
-    lag = np.stack([laguerre_function(LaguerreSpec(b, 0), np.abs(w))
-                    for b in range(k + 1)], axis=0) * u[None, :]   # (k+1, S)
+    u = slot.nodes
+    F = f.evaluate(np.stack(np.broadcast_arrays(u, u.T), axis=-1))   # (S, S)
+    F *= np.outer(slot.weights, slot.weights)
+    degrees = list(range(k + 1))
+    chunk = max(1, _PAIR_CHUNK // ((k + 1) * u.shape[0]))
+
+    def slot_kernels(z: np.ndarray) -> list:
+        """K_b(z) for b = 0..k at targets z (T, 1) of one slot: (T, S) each."""
+        return [kernel for _, kernel in
+                _twisted_kernels(0, *_pairing_kernel_args(z, u), degrees)]
 
     def piece_values(targets: np.ndarray) -> np.ndarray:
         """All (b1, b2 = k - b1) pieces at the targets: (T, k+1) complex."""
         targets = np.asarray(targets, dtype=complex).reshape(-1, 2)
-        S = w.shape[0]
         out = np.empty((targets.shape[0], k + 1), dtype=complex)
-        chunk = max(1, int(3_000_000 // (S * S)) or 1)
         for s in range(0, targets.shape[0], chunk):
             zc = targets[s:s + chunk]
-            c = zc.shape[0]
-            p1 = zc[:, 0][:, None] - w[None, :]            # (c, S)
-            p2 = zc[:, 1][:, None] - w[None, :]
-            pairs = np.empty((c, S, S, 2), dtype=complex)
-            pairs[..., 0] = p1[:, :, None]
-            pairs[..., 1] = p2[:, None, :]
-            F = f.evaluate(pairs.reshape(-1, 2)).reshape(c, S, S)
-            tw1 = np.exp(0.5j * TWIST_SIGN * (zc[:, 0][:, None] * np.conj(w)[None, :]).imag)
-            tw2 = np.exp(0.5j * TWIST_SIGN * (zc[:, 1][:, None] * np.conj(w)[None, :]).imag)
-            inner = np.einsum("cij,bj,cj->cib", F, lag, tw2)      # slot-2 conv
-            allp = np.einsum("cib,ai,ci->cab", inner, lag, tw1)   # slot-1 conv
-            for b1 in range(k + 1):
-                out[s:s + chunk, b1] = allp[:, b1, k - b1]
+            K1, K2 = slot_kernels(zc[:, :1]), slot_kernels(zc[:, 1:])
+            for b1 in degrees:
+                out[s:s + chunk, b1] = np.sum((K1[b1] @ F) * K2[k - b1], axis=1)
         return out
 
     vals = piece_values(eval_rule.nodes)
-    pieces = []
-    for b1 in range(k + 1):
-        ev = (lambda pts, _b1=b1: piece_values(pts)[:, _b1])
-        pieces.append(SampledField(2, eval_rule, vals[:, b1], f.decay_class, ev,
-                                   name=f"piece_b1={b1}_b2={k - b1}"))
-    return pieces
+    return [SampledField(2, eval_rule, vals[:, b1], f.decay_class,
+                         lambda pts, _b1=b1: piece_values(pts)[:, _b1],
+                         name=f"piece_b1={b1}_b2={k - b1}") for b1 in degrees]

@@ -1,4 +1,4 @@
-"""Shared fixtures and the projection oracle. Heavy grids are
+"""Shared fixtures and the projection oracles. Heavy grids are
 session-scoped so the suite builds each one exactly once."""
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from tsmlab.fields import SampledField
 from tsmlab.quadrature import plane_rule
 from tsmlab.special_functions import LaguerreSpec, laguerre_function
+from tsmlab.constants import TWIST_SIGN
 from tsmlab.twisted_transforms import convolution_values
 
 
@@ -23,6 +24,41 @@ def direct_projection_values(f, k, targets):
     fn = lambda pts: laguerre_function(spec, np.linalg.norm(pts, axis=-1)).astype(complex)
     return convolution_values(f, SampledField.from_function(fn, f.rule, name=f"phi_{k}"),
                               targets)
+
+
+def nested_piece_values(f, k, targets, slot):
+    """Oracle for the C^2 tensor pieces of Q_k f: all (b1, b2 = k - b1)
+    pieces at the targets, (T, k+1) complex.
+
+    The w form slot by slot: f's closed form read at (z1 - w1, z2 - w2)
+    for every pair of nodes of the C rule ``slot``, against phi_b sampled
+    on it, as two nested twisted convolutions.  The library samples f once
+    and uses the closed-form u-form kernel instead.
+    """
+    w = slot.nodes[:, 0]
+    u = slot.weights
+    lag = np.stack([laguerre_function(LaguerreSpec(b, 0), np.abs(w))
+                    for b in range(k + 1)], axis=0) * u[None, :]   # (k+1, S)
+    targets = np.asarray(targets, dtype=complex).reshape(-1, 2)
+    S = w.shape[0]
+    out = np.empty((targets.shape[0], k + 1), dtype=complex)
+    chunk = max(1, int(3_000_000 // (S * S)) or 1)
+    for s in range(0, targets.shape[0], chunk):
+        zc = targets[s:s + chunk]
+        c = zc.shape[0]
+        p1 = zc[:, 0][:, None] - w[None, :]            # (c, S)
+        p2 = zc[:, 1][:, None] - w[None, :]
+        pairs = np.empty((c, S, S, 2), dtype=complex)
+        pairs[..., 0] = p1[:, :, None]
+        pairs[..., 1] = p2[:, None, :]
+        F = f.evaluate(pairs.reshape(-1, 2)).reshape(c, S, S)
+        tw1 = np.exp(0.5j * TWIST_SIGN * (zc[:, 0][:, None] * np.conj(w)[None, :]).imag)
+        tw2 = np.exp(0.5j * TWIST_SIGN * (zc[:, 1][:, None] * np.conj(w)[None, :]).imag)
+        inner = np.einsum("cij,bj,cj->cib", F, lag, tw2)      # slot-2 conv
+        allp = np.einsum("cib,ai,ci->cab", inner, lag, tw1)   # slot-1 conv
+        for b1 in range(k + 1):
+            out[s:s + chunk, b1] = allp[:, b1, k - b1]
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import direct_projection_values
+from conftest import direct_projection_values, nested_piece_values
 from tsmlab.constants import sphere_surface_area
 from tsmlab.errors import (FieldDomainError, GridMismatchError,
                            TranslateTailWarning, TruncationTailWarning)
@@ -403,12 +403,54 @@ def test_direct_sum_matches_direct_oracle_on_c2(c2_field):
         assert np.max(np.abs(got[:, k] - ref)) <= 1e-6 * scale, k
 
 
+def _slot_rule():
+    # the default slot rule of tensor_decompose_projection
+    return plane_rule(1, extent=10.0, radial_points=32, angular_points=48)
+
+
+@pytest.fixture(scope="module")
+def c2_offcentre(c2_field):
+    """Off-centre in both slots, so no tensor piece vanishes (c2_field is
+    exp(-|z1|^2/4) = phi_0 in slot 1: its b1 >= 1 pieces are zero)."""
+    fn = lambda p: np.exp(-(np.abs(p[:, 0] - (0.4 - 0.3j)) ** 2 / 3.0
+                            + 1.3 * np.abs(p[:, 1] + 0.2j) ** 2 / 4.0))
+    return SampledField.from_function(lambda p: fn(p).astype(complex), c2_field.rule)
+
+
+@pytest.mark.parametrize("field_name", ["c2_field", "c2_offcentre"])
+def test_tensor_pieces_match_nested_oracle(field_name, request):
+    """Each piece, not only their sum, against the nested w-form oracle,
+    k <= 2, at every 8th node of the evaluation lattice, to 1e-10 of the
+    largest piece."""
+    f = request.getfixturevalue(field_name)
+    for k in range(3):
+        pieces = tensor_decompose_projection(f, k)
+        ref = nested_piece_values(f, k, pieces[0].rule.nodes[::8], _slot_rule())
+        got = np.stack([p.values[::8] for p in pieces], axis=1)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), k
+
+
+def test_tensor_piece_evaluators(c2_offcentre):
+    """On the lattice each piece's evaluator returns its values exactly;
+    off the lattice it matches the nested oracle to 1e-10 of the largest
+    piece."""
+    k = 2
+    pieces = tensor_decompose_projection(c2_offcentre, k)
+    for p in pieces:
+        assert np.array_equal(p.evaluate(p.rule.nodes), p.values)
+    pts = np.array([[0.3 + 0.2j, -0.5 + 0.1j], [1.1 - 0.4j, 0.2 + 0.7j],
+                    [-0.7 + 0.9j, 1.3 - 0.2j], [2.0 + 0.1j, -0.4 - 1.0j]])
+    ref = nested_piece_values(c2_offcentre, k, pts, _slot_rule())
+    got = np.stack([p.evaluate(pts) for p in pieces], axis=1)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_tensor_pieces_separable_product_route(c2_field):
     """For f = g(z1) h(z2) each piece factors into 1-d projections; the
-    nested-quadrature pieces must match the product route to near machine."""
+    pieces must match the product route to near machine."""
     k = 1
     pieces = tensor_decompose_projection(c2_field, k)
-    slot = plane_rule(1, extent=10.0, radial_points=32, angular_points=48)
+    slot = _slot_rule()
     g = SampledField.from_function(
         lambda p: np.exp(-np.abs(p[:, 0]) ** 2 / 4.0).astype(complex), slot)
     h = SampledField.from_function(
@@ -424,3 +466,8 @@ def test_tensor_pieces_separable_product_route(c2_field):
 def test_tensor_rejects_c1_fields(gauss_field):
     with pytest.raises(ValueError, match="C\\^2"):
         tensor_decompose_projection(gauss_field, 1)
+
+
+def test_tensor_rejects_negative_degree(c2_field):
+    with pytest.raises(ValueError, match="degree must be an integer >= 0, got -1"):
+        tensor_decompose_projection(c2_field, -1)
