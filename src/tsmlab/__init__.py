@@ -42,10 +42,10 @@ from .twisted_transforms import (mean_profile, polar_bridge,
                                  special_hermite_coefficients,
                                  special_hermite_truncation,
                                  tensor_decompose_projection,
-                                 twisted_convolution, twisted_spherical_mean,
-                                 twisted_translate)
+                                 twisted_convolution, twisted_mean_table,
+                                 twisted_spherical_mean, twisted_translate)
 from .euclidean_means import (EuclideanField, circular_mean,
-                              coxeter_odd_counterexample,
+                              coxeter_odd_counterexample, euclidean_mean_table,
                               euclidean_sector_basis)
 from .injectivity_lab import (INJECTIVITY_CAVEAT, ProjectionExpansion,
                               SamplingOperator, SamplingSet, TypeFunctionSpec,

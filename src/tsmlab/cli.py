@@ -33,7 +33,7 @@ from .special_functions import (LaguerreSpec, laguerre_function,
                                 solid_harmonic_basis)
 from .twisted_transforms import (mean_profile, polar_bridge, projection_values,
                                  special_hermite_truncation,
-                                 spectral_projections, twisted_spherical_mean,
+                                 spectral_projections, twisted_mean_table,
                                  twisted_translate)
 from .diagnostics import radial_operator_residual
 
@@ -137,6 +137,12 @@ def _validate(cfg: dict) -> None:
                     "identities.degree_max": 20, "expand.degree": 20}.items():
         if cfg[key] > hi:
             raise ConfigError(f"{key} must be <= {hi}, got {cfg[key]}")
+    steps = cfg["probe.degree_steps"]
+    if min(steps) < 0:
+        raise ConfigError(f"probe.degree_steps must be >= 0, got {steps}")
+    top = cfg["probe.max_degree"] + max(steps)
+    if top > 20:
+        raise ConfigError(f"probe.max_degree + max(probe.degree_steps) must be <= 20, got {top}")
     if cfg["profile.r_min"] >= cfg["profile.r_max"]:
         raise ConfigError("profile.r_min must be below profile.r_max")
     if cfg["field.kind"] not in ("gaussian", "laguerre", "type"):
@@ -222,6 +228,7 @@ def run_verify_identities(cfg: dict, out: Path) -> list[Check]:
     rule = _grid(cfg)
     centers = np.array([0.4 + 0.1j, -0.7 + 0.55j, 1.1 - 0.3j])
     radii = np.array([0.4, 0.9, 1.7, 2.6])
+    probes = centers[:, None]
     rows = []
 
     worst = 0.0
@@ -229,18 +236,16 @@ def run_verify_identities(cfg: dict, out: Path) -> list[Check]:
         spec = LaguerreSpec(k, 0)
         fn = lambda p, _s=spec: laguerre_function(_s, np.abs(p[:, 0])).astype(complex)
         f = SampledField.from_function(fn, rule, name=f"phi_{k}")
-        for z in centers:
-            for r in radii:
-                got = twisted_spherical_mean(f, [z], r, m=m)
-                want = (constants.tsm_product_constant(1, k)
-                        * laguerre_function(spec, np.array([r]))[0]
-                        * laguerre_function(spec, np.array([abs(z)]))[0])
-                err = abs(got - want) / (1.0 + abs(want))
-                worst = max(worst, err)
-                rows.append(["product_relation", str(k), fmt(r), fmt(err)])
+        got = twisted_mean_table(f, probes, radii, m=m)
+        want = (constants.tsm_product_constant(1, k)
+                * laguerre_function(spec, radii)[None, :]
+                * laguerre_function(spec, np.abs(centers))[:, None])
+        err = np.abs(got - want) / (1.0 + np.abs(want))
+        worst = max(worst, float(err.max()))
+        rows += [["product_relation", str(k), fmt(r), fmt(e)]
+                 for row in err for r, e in zip(radii, row)]
     checks.append(Check("product_relation", worst, 1e-8))
 
-    probes = centers[:, None]
     worst_orth = 0.0
     worst_const = 0.0
     for k in range(3):
@@ -281,14 +286,11 @@ def run_verify_identities(cfg: dict, out: Path) -> list[Check]:
     eta = np.array([0.5 - 0.35j])
     zeta = 0.3 + 0.6j
     tf = twisted_translate(fgauss, eta)
-    worst = 0.0
-    for r in radii:
-        a = abs(twisted_spherical_mean(tf, eta + zeta, r, m=m))
-        b = abs(twisted_spherical_mean(fgauss, [zeta], r, m=m))
-        err = abs(a - b) / (1.0 + b)
-        worst = max(worst, err)
-        rows.append(["translate_covariance", "", fmt(r), fmt(err)])
-    checks.append(Check("translate_covariance", worst, 1e-8))
+    a = np.abs(twisted_mean_table(tf, [eta + zeta], radii, m=m)[0])
+    b = np.abs(twisted_mean_table(fgauss, [[zeta]], radii, m=m)[0])
+    err = np.abs(a - b) / (1.0 + b)
+    rows += [["translate_covariance", "", fmt(r), fmt(e)] for r, e in zip(radii, err)]
+    checks.append(Check("translate_covariance", err.max(), 1e-8))
 
     worst = 0.0
     for k in range(kmax + 1):
@@ -300,7 +302,7 @@ def run_verify_identities(cfg: dict, out: Path) -> list[Check]:
     checks.append(Check("radial_eigenrelation", worst, 1e-6))
 
     z0 = centers[0]
-    small = abs(twisted_spherical_mean(fgauss, [z0], 1e-3, m=m)
+    small = abs(twisted_mean_table(fgauss, [[z0]], [1e-3], m=m)[0, 0]
                 - fgauss.evaluate(np.array([[z0]]))[0])
     rows.append(["mean_continuity", "", "1e-3", fmt(small)])
     checks.append(Check("mean_continuity", float(small), 1e-4))

@@ -15,6 +15,9 @@ angles pi l / N never determines compactly supported functions: the field
 
 is odd across every line of Sigma_N yet not identically zero.
 
+Every circular mean comes from ``euclidean_mean_table`` (centers x radii,
+each radius's circle nodes built once); ``circular_mean`` is its 1 x 1 case.
+
 The angular sector odd across all of Sigma_N is spanned by sin(s theta)
 with N | s; the counterexample occupies the lowest rung s = N.
 """
@@ -30,7 +33,7 @@ import numpy as np
 from .errors import FieldDomainError
 from .fields import interpolate_on_rule
 from .ioutil import fmt, write_csv
-from .quadrature import PlaneRule, compensated_sum, plane_rule
+from .quadrature import PlaneRule, circle_rule, compensated_sum, plane_rule
 
 CIRCLE_POINTS = 240      # divisible by 1..6: reflection pairs nodes exactly
 
@@ -132,32 +135,49 @@ class EuclideanField:
                               ev, name=self.name)
 
 
-def circular_mean(f, x, r: float, m: int = CIRCLE_POINTS) -> float:
-    """Average of f over the circle of radius r about x (a complex point).
-
-    Any object with an ``evaluate`` accepting complex points works.  r = 0
-    degenerates to f(x).
-    """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    x = complex(x)
-    if r == 0.0:
-        return float(np.real(f.evaluate(np.array([x]))[0]))
-    theta = 2.0 * np.pi * np.arange(m) / m
-    pts = x + r * np.exp(1j * theta)
-    vals = np.asarray(f.evaluate(pts), dtype=float)
-    return float(compensated_sum(vals) / m)
+# points per f.evaluate call in a mean table: 34 circles of 240 nodes, so
+# one call covers a center's radii in the CLI runs; a 42-column sector basis
+# read of this size is 2.8 MB
+_MEAN_POINTS = 8192
 
 
 def euclidean_mean_table(f, centers, radii, m: int = CIRCLE_POINTS) -> np.ndarray:
-    """Matrix of circular means, centers down, radii across."""
-    centers = np.asarray(centers, dtype=complex).reshape(-1)
-    radii = np.asarray(radii, dtype=float)
-    out = np.empty((centers.size, radii.size), dtype=float)
-    for j, c in enumerate(centers):
-        for i, r in enumerate(radii):
-            out[j, i] = circular_mean(f, c, r, m=m)
+    """Circular means M_r f(x) for every center (rows, complex points of the
+    plane) and radius (columns): (C, R) float.
+
+    Any object with an ``evaluate`` accepting complex points works.  Each
+    radius's ``circle_rule`` is built once per call and f is read once per
+    center over blocks of radii; r = 0 columns hold f(x).
+    """
+    centers = np.asarray(centers, dtype=complex)
+    if centers.ndim > 1 and centers.shape[1:] != (1,):
+        raise ValueError(f"centers must be complex points of the plane, "
+                         f"got shape {centers.shape}")
+    centers = centers.reshape(-1)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if np.any(radii < 0):
+        raise ValueError(f"radius must be >= 0, got {radii.min()}")
+    out = np.empty((centers.size, radii.size))
+    at_zero = radii == 0.0
+    if at_zero.any():
+        out[:, at_zero] = np.real(f.evaluate(centers)).reshape(-1, 1)
+    on = np.flatnonzero(~at_zero)
+    if not on.size:
+        return out
+    ring = np.stack([circle_rule(r, m).nodes[:, 0] for r in radii[on]])   # (R, m)
+    block = max(1, _MEAN_POINTS // m)
+    for x, row in zip(centers, out):
+        for s in range(0, on.size, block):
+            pts = x + ring[s:s + block]
+            vals = np.real(f.evaluate(pts)).reshape(pts.shape)
+            row[on[s:s + block]] = compensated_sum(vals, axis=-1) / m
     return out
+
+
+def circular_mean(f, x, r: float, m: int = CIRCLE_POINTS) -> float:
+    """Average of f over the circle of radius r about x (a complex point):
+    the 1 x 1 ``euclidean_mean_table``.  r = 0 degenerates to f(x)."""
+    return float(euclidean_mean_table(f, [x], [r], m)[0, 0])
 
 
 def write_mean_table(path, centers, radii, table) -> None:

@@ -14,8 +14,9 @@ averages.  A function with vanishing means on S corresponds to a
 (near-)null vector of M, so sigma_min probes whether S can distinguish
 fields at the truncation: small sigma_min plus an exhibited near-null field
 certifies NON-injectivity at desk scale, while large sigma_min is evidence
-only (see the caveat string).  The certificate remeasures by sphere
-quadrature, independently of the closed form that found its candidate.
+only (see the caveat string).  The certificate remeasures the candidate's
+means over the whole set by quadrature, one mean table of its engine,
+independently of the closed form that found it.
 
 Also here: the Hecke-Bochner type-function scans (fields a(|z|) P(z) whose
 twisted means vanish exactly on P^(-1)(0) plus possible spheres) and the
@@ -26,21 +27,24 @@ least-squares fit of the degree-k projection's sector expansion
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import tsm_product_constant
 from .errors import IllConditionedFitError
-from .euclidean_means import CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction
-from .fields import GAUSSIAN_QUARTER, SCHWARTZ_LIKE, SampledField
+from .euclidean_means import (CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction,
+                              euclidean_mean_table)
+from .fields import GAUSSIAN_QUARTER, SampledField
 from .ioutil import fmt, write_csv, write_json
-from .quadrature import PlaneRule, compensated_sum, plane_rule, sphere_rule
+from .quadrature import PlaneRule, circle_rule, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
                                 special_hermite_indices, special_hermite_matrix)
-from .twisted_transforms import twisted_spherical_mean
+from .twisted_transforms import twisted_mean_table
 
 INJECTIVITY_CAVEAT = (
     "sigma_min > 0 at a finite truncation over a finite point sample is "
@@ -420,9 +424,15 @@ class EuclideanSectorBasis:
 # operator assembly
 
 
+def _sigma_min(matrix: np.ndarray) -> float:
+    """Smallest singular value, without vectors; 0 for degenerate shapes."""
+    rows, cols = matrix.shape
+    return float(np.linalg.svd(matrix, compute_uv=False)[-1]) if rows >= cols > 0 else 0.0
+
+
 @dataclass
 class SamplingOperator:
-    """Dense mean-sampling matrix with its SVD.
+    """Dense mean-sampling matrix; its SVD is computed on first use.
 
     sigma_min is defined as 0 for degenerate shapes (no rows, no columns,
     or fewer rows than columns -- a genuine null space exists then).
@@ -433,19 +443,24 @@ class SamplingOperator:
     engine: str
     center_index: np.ndarray
     radius_index: np.ndarray
-    singular_values: np.ndarray = field(default=None)
-    _vh: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.singular_values is None:
-            rows, cols = self.matrix.shape
-            if rows == 0 or cols == 0:
-                self.singular_values = np.zeros(0)
-                self._vh = np.eye(cols, dtype=self.matrix.dtype)
-            else:
-                u, s, vh = np.linalg.svd(self.matrix, full_matrices=rows < cols)
-                self.singular_values = s
-                self._vh = vh
+        rows = self.matrix.shape[:1]
+        if np.shape(self.center_index) != rows or np.shape(self.radius_index) != rows:
+            raise ValueError("need one (center, radius) index pair per matrix row")
+
+    @functools.cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """(singular values, V^H); no rows or no columns: none and V = I."""
+        rows, cols = self.matrix.shape
+        if rows == 0 or cols == 0:
+            return np.zeros(0), np.eye(cols, dtype=self.matrix.dtype)
+        _, s, vh = np.linalg.svd(self.matrix, full_matrices=rows < cols)
+        return s, vh
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        return self._svd[0]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -465,19 +480,13 @@ class SamplingOperator:
     def near_null(self, threshold: float) -> list[tuple[float, np.ndarray]]:
         """(sigma, right singular vector) pairs with sigma <= threshold;
         exact null directions (degenerate shapes) count with sigma 0."""
-        sig = np.concatenate([self.singular_values,
-                              np.zeros(self._vh.shape[0] - self.singular_values.size)])
+        s, vh = self._svd
+        sig = np.concatenate([s, np.zeros(vh.shape[0] - s.size)])
         out = []
-        for j in range(self._vh.shape[0]):
+        for j in range(vh.shape[0]):
             if sig[j] <= threshold:
-                out.append((float(sig[j]), np.conj(self._vh[j])))
+                out.append((float(sig[j]), np.conj(vh[j])))
         return out
-
-    def restricted(self, columns: np.ndarray) -> "SamplingOperator":
-        """Same rows, a subset of basis columns (fresh SVD)."""
-        return SamplingOperator(self.matrix[:, columns], self.sampling_set,
-                                self.basis, self.engine,
-                                self.center_index, self.radius_index)
 
 
 def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
@@ -524,36 +533,26 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
                            for d in range(int(k.max()) + 1)], axis=1)[:, k]
         M = basis.matrix(centers)[:, None, :] * factor[None, :, :]
     else:
-        theta = 2.0 * np.pi * np.arange(euclid_points) / euclid_points
+        ring = np.stack([circle_rule(r, euclid_points).nodes[:, 0] for r in radii])
         M = np.empty((nc, nr, ncols))
-        chunk = max(1, int(2_000_000 // max(1, euclid_points * ncols)))
-        for i, r in enumerate(radii):
-            nodes = r * np.exp(1j * theta)
-            for s in range(0, nc, chunk):
-                pts = centers[s:s + chunk, 0][:, None] + nodes[None, :]
-                B = basis.matrix(pts.reshape(-1))
-                M[s:s + chunk, i] = B.reshape(pts.shape + (ncols,)).mean(axis=1)
+        # centers per basis read: about 8k points, as in a euclidean mean table
+        chunk = max(1, 8192 // ring.size)
+        for s in range(0, nc, chunk):
+            pts = centers[s:s + chunk, 0][:, None, None] + ring[None, :, :]
+            B = basis.matrix(pts.reshape(-1))
+            M[s:s + chunk] = B.reshape(pts.shape + (ncols,)).mean(axis=2)
     ci, ri = sampling_set.row_meta()
     return SamplingOperator(M.reshape(nc * nr, ncols), sampling_set, basis,
                             engine, ci, ri)
 
 
-def _carrier_rule(dimension: int) -> PlaneRule:
-    if dimension == 1:
-        return plane_rule(1, extent=12.0, radial_points=64, angular_points=256)
-    # small carrier: reconstructed fields keep exact evaluators, the grid is
-    # only a container
-    return plane_rule(2, extent=10.0, radial_points=6, sphere3_orders=(3, 6, 6),
-                      tolerance=float("inf"))
-
-
 def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
                         max_radii: int | None = None) -> float:
     """Reconstruct the field of a coefficient vector and remeasure its means
-    over the whole set by quadrature (``twisted_spherical_mean``, or
-    ``circular_mean``'s nodes and sum), never by the closed form that built
-    the operator; returns the max |mean| (normalized by the coefficient
-    norm)."""
+    over the whole set by quadrature, never by the closed form that built
+    the operator: one ``twisted_mean_table`` (sphere rules) or
+    ``euclidean_mean_table`` (circle nodes) over the set's centers and
+    radii.  Returns the max |mean| (normalized by the coefficient norm)."""
     v = np.asarray(coefficients)
     nv = float(np.linalg.norm(v))
     if nv == 0:
@@ -561,24 +560,10 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
     fn = operator.basis.combine(v / nv)
     sset = operator.sampling_set
     radii = sset.radii if max_radii is None else sset.radii[:max_radii]
-    worst = 0.0
-    if operator.engine == "twisted":
-        carrier = _carrier_rule(sset.dimension)
-        f = SampledField(sset.dimension, carrier, fn(carrier.nodes),
-                         SCHWARTZ_LIKE, evaluator=fn, name="near_null")
-        for z in sset.centers:
-            for r in radii:
-                worst = max(worst, abs(twisted_spherical_mean(f, z, r)))
-    else:
-        # circular_mean's nodes and sum, all radii of a centre in one call
-        theta = 2.0 * np.pi * np.arange(EUCLID_POINTS) / EUCLID_POINTS
-        ring = radii[:, None] * np.exp(1j * theta)[None, :]
-        for z in sset.centers[:, 0]:
-            pts = complex(z) + ring
-            vals = np.real(fn(pts.reshape(-1))).reshape(pts.shape)
-            means = compensated_sum(vals, axis=-1) / EUCLID_POINTS
-            worst = max(worst, float(np.max(np.abs(means))))
-    return worst
+    table = twisted_mean_table if operator.engine == "twisted" else euclidean_mean_table
+    means = table(SimpleNamespace(dimension=sset.dimension, evaluate=fn),
+                  sset.centers, radii)
+    return float(np.max(np.abs(means), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -626,22 +611,26 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
     """sigma_min across growing truncations plus certified near-null fields.
 
     For the n = 1 twisted Hermite basis the operator is reassembled once at
-    the largest requested truncation and the smaller truncations are column
-    subsets (the rows do not depend on the basis).  Other bases report the
-    base truncation only.
+    the largest requested truncation and the other truncations are column
+    subsets (the rows do not depend on the basis), decomposed without
+    vectors; the base step is the operator's own sigma_min.  Other bases
+    report the base truncation only.  A step taking the degree below 0
+    raises ValueError.
     """
     basis = operator.basis
+    base_degree = getattr(basis, "max_degree", None)
+    if base_degree is not None and base_degree + min(degree_steps, default=0) < 0:
+        raise ValueError(f"degree steps {tuple(degree_steps)} take the base "
+                         f"degree {base_degree} below 0")
     curve = {}
     if isinstance(basis, TwistedHermiteBasis) and len(degree_steps) > 1:
-        base = basis.max_degree
-        top = base + max(degree_steps)
-        big = assemble_operator(operator.sampling_set, top, engine="twisted")
+        big = assemble_operator(operator.sampling_set,
+                                base_degree + max(degree_steps), engine="twisted")
         for s in sorted(degree_steps):
-            sub = big.restricted(big.basis.columns_up_to(base + s))
-            curve[base + s] = sub.sigma_min
-        base_degree = base
+            cols = big.basis.columns_up_to(base_degree + s)
+            curve[base_degree + s] = (operator.sigma_min if s == 0
+                                      else _sigma_min(big.matrix[:, cols]))
     else:
-        base_degree = getattr(basis, "max_degree", None)
         curve[base_degree if base_degree is not None else 0] = operator.sigma_min
 
     entries = []
@@ -786,9 +775,9 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec,
                                  onset_centers=None, offset_centers=None,
                                  n_onset: int = 30, n_offset: int = 10,
                                  radii=None, tolerance: float = 1e-8,
-                                 sphere_orders=(16, 32, 32),
-                                 circle_points: int = 256):
-    """Build the type function and scan its twisted means.
+                                 sphere_orders=None, circle_points: int | None = None):
+    """Build the type function and scan its twisted means: one
+    ``twisted_mean_table`` over all scan centers and radii.
 
     Returns (field, report).  Default scan centers come from a fixed pool:
     the ``n_onset`` lexicographically first pool points with |P| ~ 0 and the
@@ -820,12 +809,8 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec,
     offset_centers = np.asarray(offset_centers, dtype=complex).reshape(-1, n)
     centers = np.concatenate([onset_centers, offset_centers], axis=0)
 
-    max_means = np.empty(centers.shape[0])
-    for j, z in enumerate(centers):
-        vals = [abs(twisted_spherical_mean(f, z, r, m=circle_points,
-                                           orders=sphere_orders))
-                for r in radii]
-        max_means[j] = max(vals)
+    max_means = np.max(np.abs(twisted_mean_table(f, centers, radii, m=circle_points,
+                                                 orders=sphere_orders)), axis=1)
     hmag = np.abs(spec.harmonic.evaluate(centers))
     hscale = float(hmag.max()) or 1.0
     report = VanishingSetReport(

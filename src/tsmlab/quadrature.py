@@ -119,11 +119,15 @@ def sphere3_rule(radius: float, orders: tuple[int, int, int] = (16, 32, 32)) -> 
     return SphereRule(2, radius, nodes, weights)
 
 
-def sphere_rule(dimension: int, radius: float, **kw) -> SphereRule:
+def sphere_rule(dimension: int, radius: float, m: int | None = None,
+                orders: tuple[int, int, int] | None = None) -> SphereRule:
+    """The sphere rule of every twisted mean: ``m`` circle nodes on C,
+    the S^3 product rule of ``orders`` on C^2; None takes the default size,
+    256 nodes and (16, 32, 32)."""
     if dimension == 1:
-        return circle_rule(radius, kw.get("m", 256))
+        return circle_rule(radius, 256 if m is None else m)
     if dimension == 2:
-        return sphere3_rule(radius, kw.get("orders", (16, 32, 32)))
+        return sphere3_rule(radius, (16, 32, 32) if orders is None else tuple(orders))
     raise ValueError("sphere rules implemented for n in {1, 2}")
 
 

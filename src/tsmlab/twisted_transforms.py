@@ -14,6 +14,11 @@ and the polar bridge ties them together: with omega = sphere_surface_area(n),
 
     omega * int_0^inf (f x mu_r)(z) phi_k(r) r^(2n-1) dr = (f x phi_k)(z).
 
+Means.  Every spherical mean comes from ``twisted_mean_table``: a centers x
+radii table that builds each radius's ``sphere_rule`` once and reads f once
+per center over blocks of radii.  A single mean and a profile are its
+1 x 1 case and one row.
+
 Degreewise structure (n = 1): Q_k f lands in span{phi_(k, m) : m >= 0} of
 the special Hermite family -- the first index is the spectral one.  In
 particular Q_k maps the angular sector z^p a(|z|) to multiples of
@@ -59,12 +64,10 @@ from .quadrature import (PlaneRule, RadialRule, SphereRule, compensated_sum,
 from .special_functions import (LaguerreSpec, laguerre_function,
                                 laguerre_sequence, special_hermite_matrix)
 
-CIRCLE_POINTS = 256
-SPHERE3_ORDERS = (16, 32, 32)
-
 __all__ = [
     "SampledField", "MeanProfile", "SpectrumTruncation",
     "twist_phase", "twisted_translate", "twisted_spherical_mean",
+    "twisted_mean_table",
     "mean_profile", "twisted_convolution", "convolution_values",
     "spectral_projection", "spectral_projections", "projection_values",
     "special_hermite_coefficients", "special_hermite_truncation",
@@ -111,34 +114,75 @@ def twisted_translate(f: SampledField, eta, tail_tol: float = 1e-9) -> SampledFi
                         name=f.name and f"{f.name}|translated")
 
 
+# points per f.evaluate call in a mean table: one interpolate_on_rule chunk
+# on C, one default S^3 sphere on C^2
+_MEAN_POINTS = {1: 2048, 2: 16384}
+
+
+def _mean_table(f: SampledField, centers, radii, sphere) -> np.ndarray:
+    """(C, R) twisted means at centers (C, n) over radii, ``sphere(r)`` the
+    rule of each r > 0.  f needs only ``dimension`` and ``evaluate``."""
+    centers = np.asarray(centers, dtype=complex)
+    if centers.ndim != 2 or centers.shape[1] != f.dimension:
+        raise ValueError(f"centers must be points of C^{f.dimension}, "
+                         f"shape (C, {f.dimension}); got {centers.shape}")
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if np.any(radii < 0):
+        raise ValueError(f"radius must be >= 0, got {radii.min()}")
+    out = np.empty((centers.shape[0], radii.size), dtype=complex)
+    at_zero = radii == 0.0
+    if at_zero.any():
+        out[:, at_zero] = f.evaluate(centers).reshape(-1, 1)
+    on = np.flatnonzero(~at_zero)
+    if not on.size:
+        return out
+    rules = [sphere(r) for r in radii[on]]
+    nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
+    weights = np.stack([s.weights for s in rules])
+    block = max(1, _MEAN_POINTS[f.dimension] // nodes.shape[1])
+    # each center as a (1, n) row: a 0-d slot in twist_phase rounds differently
+    for z, row in zip(centers[:, None, :], out):
+        for s in range(0, on.size, block):
+            w = nodes[s:s + block]
+            vals = weights[s:s + block] * f.evaluate(z - w).reshape(w.shape[:-1])
+            row[on[s:s + block]] = compensated_sum(vals * twist_phase(z, w), axis=-1)
+    return out
+
+
+def twisted_mean_table(f: SampledField, centers, radii,
+                       m: int | None = None, orders=None) -> np.ndarray:
+    """f x mu_r(z) for every center (rows, points of C^n) and radius
+    (columns): (C, R) complex.
+
+    Each radius's ``sphere_rule`` (``m`` circle nodes on C, S^3 ``orders``
+    on C^2) is built once per call and f is read once per center over
+    blocks of radii.  r = 0 degenerates to f(z) (continuity).  Off-grid
+    reads of sample-only fields raise FieldDomainError naming the offending
+    node.
+    """
+    return _mean_table(f, centers, radii,
+                       lambda r: sphere_rule(f.dimension, r, m=m, orders=orders))
+
+
 def twisted_spherical_mean(f: SampledField, z, r: float,
                            rule: SphereRule | None = None,
                            m: int | None = None, orders=None) -> complex:
-    """f x mu_r(z) over the normalized sphere of radius r centered at z.
-
-    r = 0 degenerates to f(z) (continuity).  Off-grid reads of sample-only
-    fields raise FieldDomainError naming the offending node.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (f.dimension,):
-        raise ValueError(f"center must be a point of C^{f.dimension}")
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if r == 0.0:
-        return complex(f.evaluate(z[None, :])[0])
-    sph = rule if rule is not None else (
-        sphere_rule(1, r, m=m or CIRCLE_POINTS) if f.dimension == 1
-        else sphere_rule(2, r, orders=orders or SPHERE3_ORDERS))
-    if abs(sph.radius - r) > 1e-12 * max(1.0, r):
+    """f x mu_r(z) over the normalized sphere of radius r centered at z:
+    the 1 x 1 ``twisted_mean_table``, or a table over the given sphere
+    ``rule``."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))[None, :]
+    if rule is None:
+        return complex(twisted_mean_table(f, z, [r], m, orders)[0, 0])
+    if r > 0 and abs(rule.radius - r) > 1e-12 * max(1.0, r):
         raise ValueError("sphere rule radius disagrees with r")
-    vals = f.evaluate(z[None, :] - sph.nodes)
-    return complex(compensated_sum(sph.weights * vals * twist_phase(z[None, :], sph.nodes)))
+    return complex(_mean_table(f, z, [r], lambda _: rule)[0, 0])
 
 
 def mean_profile(f: SampledField, z, radii=None,
                  radial_rule: RadialRule | None = None,
                  m: int | None = None, orders=None, name: str = "") -> MeanProfile:
-    """Means of f at one center over a radius grid.
+    """Means of f at one center over a radius grid: one row of
+    ``twisted_mean_table``.
 
     Pass ``radial_rule`` (its nodes become the radii) when the profile is
     destined for ``polar_bridge``; an explicit ``radii`` array works for
@@ -148,11 +192,9 @@ def mean_profile(f: SampledField, z, radii=None,
         if radial_rule is None:
             raise ValueError("need radii or a radial_rule")
         radii = radial_rule.nodes
-    radii = np.asarray(radii, dtype=float)
-    vals = np.array([twisted_spherical_mean(f, z, r, m=m, orders=orders)
-                     for r in radii])
-    return MeanProfile(np.atleast_1d(np.asarray(z, dtype=complex)), radii, vals,
-                       radial_rule=radial_rule, name=name)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    vals = twisted_mean_table(f, z[None, :], radii, m, orders)[0]
+    return MeanProfile(z, radii, vals, radial_rule=radial_rule, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,48 @@
-"""Shared fixtures and the projection oracles. Heavy grids are
+"""Shared fixtures and the mean and projection oracles. Heavy grids are
 session-scoped so the suite builds each one exactly once."""
 
 import numpy as np
 import pytest
 
 from tsmlab.fields import SampledField
-from tsmlab.quadrature import plane_rule
+from tsmlab.quadrature import compensated_sum, plane_rule, sphere_rule
 from tsmlab.special_functions import LaguerreSpec, laguerre_function
 from tsmlab.constants import TWIST_SIGN
-from tsmlab.twisted_transforms import convolution_values
+from tsmlab.twisted_transforms import convolution_values, twist_phase
+
+
+def per_pair_twisted_mean(f, z, r, rule=None, m=None, orders=None) -> complex:
+    """Oracle for one entry of ``twisted_mean_table``: f x mu_r(z) by its
+    own sphere rule, one (center, radius) pair per call, with the default
+    sizes 256 and (16, 32, 32) written out."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.shape != (f.dimension,):
+        raise ValueError(f"center must be a point of C^{f.dimension}")
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    if r == 0.0:
+        return complex(f.evaluate(z[None, :])[0])
+    sph = rule if rule is not None else (
+        sphere_rule(1, r, m=m or 256) if f.dimension == 1
+        else sphere_rule(2, r, orders=orders or (16, 32, 32)))
+    if abs(sph.radius - r) > 1e-12 * max(1.0, r):
+        raise ValueError("sphere rule radius disagrees with r")
+    vals = f.evaluate(z[None, :] - sph.nodes)
+    return complex(compensated_sum(sph.weights * vals * twist_phase(z[None, :], sph.nodes)))
+
+
+def per_pair_circular_mean(f, x, r, m=240) -> float:
+    """Oracle for one entry of ``euclidean_mean_table``: the plain average
+    of f over m equispaced nodes of one circle."""
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    x = complex(x)
+    if r == 0.0:
+        return float(np.real(f.evaluate(np.array([x]))[0]))
+    theta = 2.0 * np.pi * np.arange(m) / m
+    pts = x + r * np.exp(1j * theta)
+    vals = np.asarray(f.evaluate(pts), dtype=float)
+    return float(compensated_sum(vals) / m)
 
 
 def direct_projection_values(f, k, targets):

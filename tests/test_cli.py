@@ -1,10 +1,12 @@
 """Command-line harness: config handling, exit codes, artifacts, determinism."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from tsmlab import cli
 from tsmlab.cli import DEFAULTS, load_config, main
 from tsmlab.errors import ConfigError
 from tsmlab.ioutil import read_csv_columns
@@ -36,6 +38,27 @@ def test_config_file_parsing(tmp_path):
     p.write_text("# comment\n\nmean.circle_points = 64   # inline note\n")
     cfg = load_config(str(p), [])
     assert cfg["mean.circle_points"] == 64
+
+
+def test_every_default_key_is_read():
+    """Each key in defaults.cfg is read by a runner, by main, or by a helper
+    they call; a key only ``_validate`` mentions configures nothing."""
+    source = "".join(inspect.getsource(fn) for name, fn in vars(cli).items()
+                     if inspect.isfunction(fn) and fn.__module__ == cli.__name__
+                     and name != "_validate")
+    assert [key for key in DEFAULTS if f'"{key}"' not in source] == []
+
+
+def test_probe_degree_steps_are_checked():
+    with pytest.raises(ConfigError, match="degree_steps must be >= 0"):
+        load_config(None, ["probe.degree_steps=-12,0"])
+    # the top truncation stays inside the probe.max_degree cap
+    with pytest.raises(ConfigError, match="<= 20, got 110"):
+        load_config(None, ["probe.degree_steps=0,100"])
+    with pytest.raises(ConfigError, match="<= 20, got 21"):
+        load_config(None, ["probe.max_degree=17", "probe.degree_steps=0,4"])
+    cfg = load_config(None, ["probe.max_degree=16", "probe.degree_steps=0,4"])
+    assert cfg["probe.degree_steps"] == (0, 4)
 
 
 def test_list_checks_exits_zero(capsys):

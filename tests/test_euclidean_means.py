@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import per_pair_circular_mean
 from tsmlab.errors import FieldDomainError
 from tsmlab.euclidean_means import (EuclideanField, SectorBasisFunction,
                                     bump_profile, circular_mean,
@@ -52,6 +53,28 @@ def test_mean_table_shape_and_export(tmp_path):
     cols = read_csv_columns(p)
     assert len(cols["mean"]) == 6
     assert np.allclose(np.asarray(cols["r"]).reshape(2, 3), radii[None, :])
+
+
+def test_mean_table_matches_per_pair_circular_means():
+    # 39 radii past 0: the table reads f in blocks of 34 circles
+    f = coxeter_odd_counterexample(2)
+    centers = np.array([0.2 + 0.0j, 0.35j, 0.3 + 0.4j, -0.5 + 0.1j])
+    radii = np.concatenate([[0.0], np.geomspace(0.05, 1.5, 39)])
+    table = euclidean_mean_table(f, centers, radii)
+    ref = np.array([[per_pair_circular_mean(f, x, r) for r in radii] for x in centers])
+    assert table.shape == (4, 40)
+    assert np.max(np.abs(table - ref)) <= 1e-15 * f.max_abs()
+    assert np.max(np.abs(table[2:, 1:])) > 1e-3 * f.max_abs()   # off the lines
+
+
+def test_mean_table_input_validation():
+    f = coxeter_odd_counterexample(2)
+    with pytest.raises(ValueError, match=">= 0"):
+        euclidean_mean_table(f, [0.1j], [0.5, -0.5])
+    with pytest.raises(ValueError, match="center"):
+        euclidean_mean_table(f, [[0.1j, 0.2 + 0.0j]], [0.5])
+    with pytest.raises(ValueError, match=">= 0"):
+        circular_mean(f, 0.1j, -0.5)
 
 
 @pytest.mark.parametrize("n_lines", [1, 2, 3])

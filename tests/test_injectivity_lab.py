@@ -323,6 +323,33 @@ def test_probe_report_structure():
     json.dumps(rep.as_dict())                        # serializable as-is
 
 
+def test_probe_decomposes_each_truncation_once(monkeypatch):
+    sset = make_set("coxeter_lines", n_lines=2, points_per_ray=4, extent=4.0,
+                    radii=np.geomspace(0.3, 4.0, 12))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    op = assemble_operator(sset, max_degree=2)
+    assert calls == []                               # decomposed on first use
+    rep = injectivity_probe(op, degree_steps=(0, 2, 4), roundtrip=False)
+    # the operator with vectors, the two wider truncations without
+    assert sorted(calls) == [False, False, True]
+    assert rep.sigma_curve[2] == op.sigma_min
+
+
+def test_probe_rejects_steps_below_degree_zero():
+    sset = make_set("coxeter_lines", n_lines=2, points_per_ray=4, extent=4.0,
+                    radii=np.geomspace(0.3, 4.0, 12))
+    op = assemble_operator(sset, max_degree=2)
+    with pytest.raises(ValueError, match="below 0"):
+        injectivity_probe(op, degree_steps=(-3, 0), roundtrip=False)
+
+
 def test_plane_cross_block_offmass():
     sset = make_set("plane_cross_coxeter", n_lines=2, extent=2.5,
                     points_per_ray=2, radii=np.geomspace(0.4, 3.0, 4))

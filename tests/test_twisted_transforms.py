@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import direct_projection_values, nested_piece_values
+from conftest import (direct_projection_values, nested_piece_values,
+                      per_pair_twisted_mean)
 from tsmlab.constants import sphere_surface_area
 from tsmlab.errors import (FieldDomainError, GridMismatchError,
                            TranslateTailWarning, TruncationTailWarning)
@@ -30,8 +31,11 @@ from tsmlab.twisted_transforms import (convolution_values, mean_profile,
                                        special_hermite_truncation,
                                        tensor_decompose_projection,
                                        twist_phase, twisted_convolution,
+                                       twisted_mean_table,
                                        twisted_spherical_mean,
                                        twisted_translate)
+from tsmlab.injectivity_lab import TypeFunctionSpec
+from tsmlab.special_functions import solid_harmonic_basis
 
 
 def _phi_field(rule, k):
@@ -82,6 +86,64 @@ def test_mean_is_linear(rule_c1_small):
     rhs = (twisted_spherical_mean(f, z, 1.4)
            + 2.5j * twisted_spherical_mean(g, z, 1.4))
     assert abs(lhs - rhs) < 1e-14
+
+
+# 11 radii past 0: the C table reads f in blocks of 8 circles, 2048 points
+TABLE_RADII = np.concatenate([[0.0], np.geomspace(0.2, 6.0, 11)])
+TABLE_CENTERS = np.array([[0.3 + 0.2j], [-1.1 + 0.7j], [2.0 - 0.4j]])
+
+
+def _offcentre(rule):
+    return SampledField.from_function(
+        lambda p: (1.0 + 0.4 * p[:, 0]) * np.exp(-np.abs(p[:, 0] - (0.6 - 0.3j)) ** 2 / 2.5),
+        rule, name="offcentre")
+
+
+def _per_pair(f, centers, radii, **kw):
+    return np.array([[per_pair_twisted_mean(f, z, r, **kw) for r in radii]
+                     for z in centers])
+
+
+@pytest.mark.parametrize("which", ["gaussian", "offcentre"])
+def test_mean_table_matches_per_pair_oracle(which, gauss_field, rule_c1):
+    f = gauss_field if which == "gaussian" else _offcentre(rule_c1)
+    peak = np.max(np.abs(f.values))
+    for kw in ({}, {"m": 64}):
+        table = twisted_mean_table(f, TABLE_CENTERS, TABLE_RADII, **kw)
+        ref = _per_pair(f, TABLE_CENTERS, TABLE_RADII, **kw)
+        assert table.shape == (3, 12)
+        assert np.max(np.abs(table - ref)) <= 1e-15 * peak
+
+
+def test_mean_table_matches_per_pair_oracle_on_c2():
+    # criterion 7's type function, z1 conj(z2) exp(-|z|^2/4)
+    rule = plane_rule(2, extent=8.0, radial_points=12, sphere3_orders=(4, 8, 8),
+                      tolerance=float("inf"))
+    f = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0]).build_field(rule)
+    centers = np.array([[0.6 + 0.0j, 0.0j], [0.5 - 0.2j, 0.3 + 0.4j],
+                        [-1.1j, 1.6 + 0.0j]])
+    radii = np.array([0.3, 1.1, 3.0])
+    table = twisted_mean_table(f, centers, radii)
+    ref = _per_pair(f, centers, radii)
+    assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(f.values))
+
+
+def test_mean_table_of_csv_import_matches_per_pair_oracle(rule_c1_small, tmp_path):
+    _offcentre(rule_c1_small).to_csv(tmp_path / "f.csv")
+    sampled = SampledField.from_csv(tmp_path / "f.csv")
+    assert sampled.evaluator is None                  # every read interpolates
+    table = twisted_mean_table(sampled, TABLE_CENTERS, TABLE_RADII)
+    ref = _per_pair(sampled, TABLE_CENTERS, TABLE_RADII)
+    assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(sampled.values))
+
+
+def test_mean_table_input_validation(gauss_field):
+    with pytest.raises(ValueError, match=">= 0"):
+        twisted_mean_table(gauss_field, [[0j]], [1.0, -0.5])
+    with pytest.raises(ValueError, match="center"):
+        twisted_mean_table(gauss_field, [[0j, 0j]], [1.0])
+    with pytest.raises(ValueError, match="center"):
+        twisted_mean_table(gauss_field, [0j, 0.5j], [1.0])
 
 
 @pytest.mark.parametrize("n", [1, 2])
