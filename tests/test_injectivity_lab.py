@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import per_pair_twisted_mean
 from tsmlab.constants import REGRESSION
 from tsmlab.errors import IllConditionedFitError
 from tsmlab.euclidean_means import (circular_mean, coxeter_odd_counterexample,
@@ -299,6 +300,28 @@ def test_euclidean_roundtrip_equals_per_pair_circular_means(euclid_odd_operator)
         ref = max(abs(circular_mean(_RealPart(fn), z, r))
                   for z in sset.centers[:, 0] for r in sset.radii)
         assert abs(near_null_roundtrip(op, v) - ref) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_twisted_roundtrip_equals_per_pair_means(n):
+    # reference: one quadrature mean per (centre, radius) pair of the field
+    # the coefficients reconstruct, carried on a plane rule
+    if n == 1:
+        sset = make_set("coxeter_lines", n_lines=2, points_per_ray=2, extent=2.0,
+                        radii=[0.4, 1.1, 2.3])
+        op = assemble_operator(sset, max_degree=2)
+        carrier = plane_rule(1, extent=8.0, radial_points=16, angular_points=32)
+    else:
+        sset = make_set("custom", centers=[[0.3 + 0.1j, -0.5 + 0.2j],
+                                           [-0.8 + 0.4j, 0.6 - 0.3j]], radii=[0.7, 1.9])
+        op = assemble_operator(sset, basis=ProductHermiteBasis((1, 1)))
+        carrier = plane_rule(2, extent=8.0, radial_points=6, sphere3_orders=(3, 6, 6),
+                             tolerance=float("inf"))
+    v = np.random.default_rng(5).normal(size=op.basis.ncols)
+    fn = op.basis.combine(v / np.linalg.norm(v))
+    f = SampledField(n, carrier, fn(carrier.nodes), evaluator=fn)
+    ref = max(abs(per_pair_twisted_mean(f, z, r)) for z in sset.centers for r in sset.radii)
+    assert abs(near_null_roundtrip(op, v) - ref) <= 1e-15 * ref
 
 
 def test_twisted_operator_matches_frozen_regression():
