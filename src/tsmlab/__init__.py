@@ -30,8 +30,7 @@ from .errors import (ConfigError, DecayError, FieldDomainError,
                      TruncationTailWarning, TsmlabError)
 from .special_functions import (LaguerreSpec, SolidHarmonic,
                                 SpecialHermiteIndex, laguerre_function,
-                                laguerre_polynomial, solid_harmonic_basis,
-                                special_hermite_basis)
+                                laguerre_polynomial, solid_harmonic_basis)
 from .quadrature import (PlaneRule, RadialRule, SphereRule, circle_rule,
                          compensated_sum, gauss_legendre, plane_rule,
                          radial_rule, sphere3_rule, sphere_rule)

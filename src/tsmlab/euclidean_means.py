@@ -17,6 +17,8 @@ is odd across every line of Sigma_N yet not identically zero.
 
 Every circular mean comes from ``euclidean_mean_table`` (centers x radii,
 each radius's circle nodes built once); ``circular_mean`` is its 1 x 1 case.
+Sector basis columns come only from ``injectivity_lab.EuclideanSectorBasis``
+``.matrix``; ``SectorBasisFunction`` names a column and holds no evaluator.
 
 The angular sector odd across all of Sigma_N is spanned by sin(s theta)
 with N | s; the counterexample occupies the lowest rung s = N.
@@ -224,7 +226,10 @@ def coxeter_odd_orders(n_lines: int, max_order: int) -> list[int]:
 @dataclass(frozen=True)
 class SectorBasisFunction:
     """One (radial bump) x (Fourier mode) basis element for the Euclidean
-    sampling operator: bump(rho; R) (rho/R)^s trig(s theta)."""
+    sampling operator: bump(rho; R) (rho/R)^s trig(s theta).
+
+    A record only: its values come from ``EuclideanSectorBasis.matrix``,
+    which builds every column of a basis together."""
     kind: str              # "sin" | "cos"
     order: int
     support_radius: float
@@ -235,21 +240,13 @@ class SectorBasisFunction:
             raise ValueError(f"unknown sector kind {self.kind!r}")
         if self.order < 0 or (self.kind == "sin" and self.order == 0):
             raise ValueError("bad angular order")
+        if not (math.isfinite(self.support_radius) and self.support_radius > 0):
+            raise ValueError(f"support radius must be positive and finite, "
+                             f"got {self.support_radius}")
         if not self.name:
             object.__setattr__(
                 self, "name",
                 f"{self.kind}{self.order}_R{self.support_radius:g}")
-
-    def evaluate(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=complex)
-        rho = np.abs(p)
-        g = bump_profile(self.support_radius)(rho)
-        if self.order == 0:
-            return g
-        # (rho/R)^s trig(s theta) written via p^s for smoothness at 0
-        mono = (p / self.support_radius) ** self.order
-        ang = mono.imag if self.kind == "sin" else mono.real
-        return g * ang
 
 
 def euclidean_sector_basis(max_order: int,

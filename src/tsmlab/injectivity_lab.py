@@ -38,7 +38,7 @@ import numpy as np
 from .constants import tsm_product_constant
 from .errors import IllConditionedFitError
 from .euclidean_means import (CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction,
-                              euclidean_mean_table)
+                              bump_profile, euclidean_mean_table)
 from .fields import GAUSSIAN_QUARTER, SampledField
 from .ioutil import fmt, write_csv, write_json
 from .quadrature import PlaneRule, circle_rule, plane_rule, sphere_rule
@@ -344,10 +344,6 @@ class TwistedHermiteBasis:
         return np.asarray([j for j, i in enumerate(self.indices)
                            if i.alpha <= degree and i.beta <= degree], dtype=int)
 
-    def combine(self, coefficients: np.ndarray) -> Callable:
-        c = np.asarray(coefficients, dtype=complex)
-        return lambda pts: self.matrix(pts) @ c
-
 
 class ProductHermiteBasis:
     """Tensor products phi_(a1,b1)(z1) phi_(a2,b2)(z2) on C^2, slot-1 major:
@@ -383,13 +379,10 @@ class ProductHermiteBasis:
         m2 = special_hermite_matrix(pts[:, 1], self.slot_degrees[1])
         return (m1[:, :, None] * m2[:, None, :]).reshape(pts.shape[0], -1)
 
-    def combine(self, coefficients: np.ndarray) -> Callable:
-        c = np.asarray(coefficients, dtype=complex)
-        return lambda pts: self.matrix(pts) @ c
-
 
 class EuclideanSectorBasis:
-    """Wrapper over (radial bump) x (Fourier mode) sector functions."""
+    """(radial bump) x (Fourier mode) columns, in the order of the
+    ``SectorBasisFunction`` records given."""
 
     engine = "euclidean"
     dimension = 1
@@ -399,14 +392,35 @@ class EuclideanSectorBasis:
         if not self.functions:
             raise ValueError("empty basis")
         self.labels = [f.name for f in self.functions]
+        self._radii = np.asarray([f.support_radius for f in self.functions], dtype=float)
+        self._orders = np.asarray([f.order for f in self.functions])
+        self._sin = np.asarray([f.kind == "sin" for f in self.functions])
 
     @property
     def ncols(self) -> int:
         return len(self.functions)
 
     def matrix(self, points: np.ndarray) -> np.ndarray:
+        """bump(rho; R) (z/R)^s, imaginary part for sin and real part for
+        cos columns: (points, ncols) float, 0 outside each support.
+
+        Per support radius: one bump read and one table of powers (z/R)^s,
+        s up to the largest order there, over the points inside rho < R.
+        Each power is numpy's integer power, as in the per-column formula:
+        a ladder of running products differs from it by round-off, enough
+        to rotate the basis of a degenerate near-null space."""
         pts = np.asarray(points, dtype=complex).reshape(-1)
-        return np.stack([f.evaluate(pts) for f in self.functions], axis=1)
+        rho = np.abs(pts)
+        out = np.zeros((pts.shape[0], self.ncols))
+        for R in np.unique(self._radii):
+            cols = np.flatnonzero(self._radii == R)
+            inside = np.flatnonzero(rho < R)
+            w = pts[inside] / R
+            rungs = np.stack([w ** s for s in range(self._orders[cols].max() + 1)],
+                             axis=1)[:, self._orders[cols]]
+            out[np.ix_(inside, cols)] = (bump_profile(R)(rho[inside])[:, None]
+                                         * np.where(self._sin[cols], rungs.imag, rungs.real))
+        return out
 
     def index_of(self, kind: str, order: int, support_radius: float) -> int:
         for j, f in enumerate(self.functions):
@@ -414,10 +428,6 @@ class EuclideanSectorBasis:
                     and abs(f.support_radius - support_radius) < 1e-12):
                 return j
         raise KeyError(f"no basis element {kind}{order} at R={support_radius}")
-
-    def combine(self, coefficients: np.ndarray) -> Callable:
-        c = np.asarray(coefficients, dtype=float)
-        return lambda pts: self.matrix(pts) @ c
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +567,12 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
     nv = float(np.linalg.norm(v))
     if nv == 0:
         raise ValueError("zero coefficient vector")
-    fn = operator.basis.combine(v / nv)
+    c = v / nv
     sset = operator.sampling_set
     radii = sset.radii if max_radii is None else sset.radii[:max_radii]
     table = twisted_mean_table if operator.engine == "twisted" else euclidean_mean_table
-    means = table(SimpleNamespace(dimension=sset.dimension, evaluate=fn),
+    means = table(SimpleNamespace(dimension=sset.dimension,
+                                  evaluate=lambda pts: operator.basis.matrix(pts) @ c),
                   sset.centers, radii)
     return float(np.max(np.abs(means), initial=0.0))
 

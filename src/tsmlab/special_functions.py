@@ -7,18 +7,8 @@ Frozen conventions
   ``L_k^(n-1)(rho^2/2) exp(-rho^2/4)``.  With this scaling the operator
   ``-Laplacian + |z|^2/4`` acting on the induced radial field on C^n has
   eigenvalue ``2k + n``.
-* ``special_hermite_basis`` on C uses, for beta >= alpha,
-
-      phi_ab(z) = (2 pi)^(-1/2) sqrt(a!/b!) (i conj(z)/sqrt(2))^(b-a)
-                  L_a^(b-a)(|z|^2/2) exp(-|z|^2/4)
-
-  and ``phi_ab = conj(phi_ba)`` for alpha > beta.  The family is
-  orthonormal in L^2(C, Lebesgue); the diagonal element of index (k, k)
-  equals ``(2 pi)^(-1/2)`` times the degree-k radial eigenfunction.  With
-  the twisted convolution sign of ``constants.TWIST_SIGN`` the degree-k
-  projection of a field lands in span{phi_(k, m) : m >= 0}, i.e. the
-  *first* index is the spectral one.  Any phase change breaks the last
-  property silently, so it is pinned by tests.
+* The special Hermite family phi_(alpha,beta) on C is evaluated only by
+  ``special_hermite_matrix``, whose docstring fixes its convention.
 * Solid harmonic bases are ordered by the lexicographic order on the
   concatenated exponent pair (alpha, beta), largest first, and kernel
   vectors are produced by exact Gauss-Jordan elimination over Fractions:
@@ -115,20 +105,6 @@ class SpecialHermiteIndex:
             raise ValueError("special Hermite indices must be >= 0")
 
 
-def special_hermite_basis(idx: SpecialHermiteIndex, z):
-    """phi_(alpha,beta)(z) on C, vectorized over a complex array z."""
-    a, b = idx.alpha, idx.beta
-    zz = np.asarray(z, dtype=complex)
-    if b < a:
-        return np.conj(special_hermite_basis(SpecialHermiteIndex(b, a), zz))
-    d = b - a
-    t = 0.5 * (zz.real ** 2 + zz.imag ** 2)
-    amp = math.exp(0.5 * (math.lgamma(a + 1) - math.lgamma(b + 1)))
-    out = _NORM_2PI * amp * (1j * np.conj(zz) / SQRT2) ** d
-    out = out * laguerre_polynomial(LaguerreSpec(a, d), t) * np.exp(-0.5 * t)
-    return out
-
-
 def special_hermite_indices(max_degree: int) -> list[SpecialHermiteIndex]:
     """All (alpha, beta) with both indices <= max_degree, row-major in alpha.
     This is the frozen column order of ``special_hermite_matrix``."""
@@ -139,8 +115,21 @@ def special_hermite_indices(max_degree: int) -> list[SpecialHermiteIndex]:
 def special_hermite_matrix(z, max_degree: int) -> np.ndarray:
     """phi_(a,b)(z_m) for all a, b <= max_degree at once: (len(z), (K+1)^2).
 
-    Runs one ``laguerre_sequence`` per angular order instead of one per
-    basis element; columns follow ``special_hermite_indices``."""
+    The frozen convention is, for b >= a,
+
+        phi_ab(z) = (2 pi)^(-1/2) sqrt(a!/b!) (i conj(z)/sqrt(2))^(b-a)
+                    L_a^(b-a)(|z|^2/2) exp(-|z|^2/4)
+
+    and ``phi_ab = conj(phi_ba)`` for a > b.  The family is orthonormal in
+    L^2(C, Lebesgue); the diagonal element of index (k, k) equals
+    ``(2 pi)^(-1/2)`` times the degree-k radial eigenfunction.  With the
+    twisted convolution sign of ``constants.TWIST_SIGN`` the degree-k
+    projection of a field lands in span{phi_(k, m) : m >= 0}, i.e. the
+    *first* index is the spectral one.  Any phase change breaks the last
+    property silently, so it is pinned by tests.
+
+    Runs one ``laguerre_sequence`` per angular order, for all columns of
+    that order; columns follow ``special_hermite_indices``."""
     zz = np.asarray(z, dtype=complex).reshape(-1)
     K = max_degree
     t = 0.5 * (zz.real ** 2 + zz.imag ** 2)

@@ -356,14 +356,11 @@ def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray
     return (fw @ H).reshape(max_degree + 1, max_degree + 1)
 
 
-def special_hermite_truncation(f: SampledField, max_degree: int,
-                               with_coefficients: bool | None = None) -> SpectrumTruncation:
-    """Degreewise projections Q_0..Q_K of f on its grid (plus the n = 1
-    coefficient matrix unless disabled)."""
-    if with_coefficients is None:
-        with_coefficients = f.dimension == 1
+def special_hermite_truncation(f: SampledField, max_degree: int) -> SpectrumTruncation:
+    """Degreewise projections Q_0..Q_K of f on its grid, plus the
+    coefficient matrix when f lives on C (n = 1)."""
     # the coefficients first: their Hermite matrix is the larger array
-    coeffs = special_hermite_coefficients(f, max_degree) if with_coefficients else None
+    coeffs = special_hermite_coefficients(f, max_degree) if f.dimension == 1 else None
     degrees = list(range(max_degree + 1))
     vals = spectral_projections(f, degrees)
     projections = [SampledField(f.dimension, f.rule, vals[:, k], f.decay_class,

@@ -1,14 +1,49 @@
-"""Shared fixtures and the mean and projection oracles. Heavy grids are
-session-scoped so the suite builds each one exactly once."""
+"""Shared fixtures and the basis, mean and projection oracles. Heavy grids
+are session-scoped so the suite builds each one exactly once."""
+
+import math
 
 import numpy as np
 import pytest
 
+from tsmlab.euclidean_means import bump_profile
 from tsmlab.fields import SampledField
 from tsmlab.quadrature import compensated_sum, plane_rule, sphere_rule
-from tsmlab.special_functions import LaguerreSpec, laguerre_function
+from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
+                                      laguerre_function, laguerre_polynomial)
 from tsmlab.constants import TWIST_SIGN
 from tsmlab.twisted_transforms import convolution_values, twist_phase
+
+
+def special_hermite_basis(idx: SpecialHermiteIndex, z):
+    """Oracle for one column of ``special_hermite_matrix``: phi_(alpha,beta)(z)
+    on C, vectorized over a complex array z, with its own Laguerre call
+    per element."""
+    a, b = idx.alpha, idx.beta
+    zz = np.asarray(z, dtype=complex)
+    if b < a:
+        return np.conj(special_hermite_basis(SpecialHermiteIndex(b, a), zz))
+    d = b - a
+    t = 0.5 * (zz.real ** 2 + zz.imag ** 2)
+    amp = math.exp(0.5 * (math.lgamma(a + 1) - math.lgamma(b + 1)))
+    out = (2.0 * math.pi) ** (-0.5) * amp * (1j * np.conj(zz) / math.sqrt(2.0)) ** d
+    out = out * laguerre_polynomial(LaguerreSpec(a, d), t) * np.exp(-0.5 * t)
+    return out
+
+
+def sector_basis_values(b, points) -> np.ndarray:
+    """Oracle for one column of ``EuclideanSectorBasis.matrix``: the
+    ``SectorBasisFunction`` record b evaluated on its own, with its own bump
+    read and power over every point."""
+    p = np.asarray(points, dtype=complex)
+    rho = np.abs(p)
+    g = bump_profile(b.support_radius)(rho)
+    if b.order == 0:
+        return g
+    # (rho/R)^s trig(s theta) written via p^s for smoothness at 0
+    mono = (p / b.support_radius) ** b.order
+    ang = mono.imag if b.kind == "sin" else mono.real
+    return g * ang
 
 
 def per_pair_twisted_mean(f, z, r, rule=None, m=None, orders=None) -> complex:

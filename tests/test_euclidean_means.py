@@ -10,6 +10,7 @@ from tsmlab.euclidean_means import (EuclideanField, SectorBasisFunction,
                                     coxeter_odd_counterexample,
                                     coxeter_odd_orders, euclidean_mean_table,
                                     euclidean_sector_basis, write_mean_table)
+from tsmlab.injectivity_lab import EuclideanSectorBasis
 from tsmlab.ioutil import read_csv_columns
 from tsmlab.quadrature import plane_rule
 
@@ -121,11 +122,19 @@ def test_sector_basis_functions():
     b = SectorBasisFunction("sin", 3, 1.0)
     assert b.name == "sin3_R1"
     pts = 0.5 * np.exp(1j * np.linspace(0.1, 2.0, 9))
-    got = b.evaluate(pts)
+    got = EuclideanSectorBasis([b]).matrix(pts)[:, 0]
     ref = (np.abs(pts) / 1.0) ** 3 * np.sin(3 * np.angle(pts)) * bump_profile(1.0)(np.abs(pts))
     assert np.allclose(got, ref, atol=1e-13)
     outside = np.array([1.4 + 0.2j])
-    assert b.evaluate(outside)[0] == 0.0
+    assert EuclideanSectorBasis([b]).matrix(outside)[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan")])
+def test_sector_support_radius_must_be_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="support radius"):
+        SectorBasisFunction("sin", 1, radius)
+    with pytest.raises(ValueError, match="support radius"):
+        euclidean_sector_basis(3, support_radii=(radius,))
 
 
 def test_sector_basis_collection():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import per_pair_twisted_mean
+from conftest import per_pair_twisted_mean, sector_basis_values
 from tsmlab.constants import REGRESSION
 from tsmlab.errors import IllConditionedFitError
 from tsmlab.euclidean_means import (circular_mean, coxeter_odd_counterexample,
@@ -109,7 +109,7 @@ def test_twisted_basis_shapes():
     assert m.shape == (2, 16)
     e3 = np.zeros(16)
     e3[3] = 1.0
-    assert np.allclose(b.combine(e3)(pts), m[:, 3])
+    assert np.allclose(b.matrix(pts) @ e3, m[:, 3])
 
 
 def test_product_basis_block_structure():
@@ -121,6 +121,29 @@ def test_product_basis_block_structure():
     b1 = TwistedHermiteBasis(1).matrix(pts[:, 0])
     b2 = TwistedHermiteBasis(1).matrix(pts[:, 1])
     assert np.allclose(m, (b1[:, :, None] * b2[:, None, :]).reshape(1, -1))
+
+
+@pytest.mark.parametrize("funcs", [
+    euclidean_sector_basis(10, support_radii=(1.0, 0.6)),
+    euclidean_sector_basis(4, support_radii=(1.0,), orders=[2, 4], kinds=("sin",)),
+], ids=["cli", "odd_sector"])
+def test_sector_matrix_matches_per_column_oracle(funcs):
+    # all columns at once (one bump read and one power table per radius)
+    # against each record evaluated on its own; the radii are dense enough
+    # to sample each column's peak
+    angles = np.exp(1j * np.array([0.1, 0.3, 1.9, 2.7, 4.4, 5.8]))
+    on_edge = [0.6, -0.6j, 1.0, -1.0j]          # |z| = R exactly
+    pts = np.concatenate([[0.0], np.outer(np.linspace(0.02, 0.58, 29), angles).ravel(),
+                          np.outer(np.linspace(0.62, 0.98, 19), angles).ravel(), on_edge,
+                          np.outer([1.3, 4.0], angles).ravel()])
+    got = EuclideanSectorBasis(funcs).matrix(pts)
+    assert got.shape == (pts.size, len(funcs))
+    for j, b in enumerate(funcs):
+        ref = sector_basis_values(b, pts)
+        peak = np.max(np.abs(ref))
+        assert peak > 0
+        assert np.max(np.abs(got[:, j] - ref)) <= 1e-15 * peak, b.name
+        assert np.all(got[np.abs(pts) >= b.support_radius, j] == 0.0)
 
 
 def test_operator_entries_match_direct_means():
@@ -135,7 +158,7 @@ def test_operator_entries_match_direct_means():
         j, i = op.center_index[row], op.radius_index[row]
         e = np.zeros(basis.ncols)
         e[col] = 1.0
-        fn = basis.combine(e)
+        fn = lambda p, _e=e: basis.matrix(p) @ _e
         f = SampledField(1, carrier, fn(carrier.nodes[:, 0]), evaluator=
                          lambda p, _fn=fn: _fn(np.asarray(p)[:, 0]))
         ref = twisted_spherical_mean(f, sset.centers[j], sset.radii[i], m=128)
@@ -296,7 +319,7 @@ def test_euclidean_roundtrip_equals_per_pair_circular_means(euclid_odd_operator)
     near_null = op.near_null(1e-10)[0][1]
     generic = np.random.default_rng(11).normal(size=op.basis.ncols)
     for v in (near_null, generic):
-        fn = op.basis.combine(v / np.linalg.norm(v))
+        fn = lambda p, _e=v / np.linalg.norm(v): op.basis.matrix(p) @ _e
         ref = max(abs(circular_mean(_RealPart(fn), z, r))
                   for z in sset.centers[:, 0] for r in sset.radii)
         assert abs(near_null_roundtrip(op, v) - ref) <= 1e-15
@@ -318,7 +341,8 @@ def test_twisted_roundtrip_equals_per_pair_means(n):
         carrier = plane_rule(2, extent=8.0, radial_points=6, sphere3_orders=(3, 6, 6),
                              tolerance=float("inf"))
     v = np.random.default_rng(5).normal(size=op.basis.ncols)
-    fn = op.basis.combine(v / np.linalg.norm(v))
+    e = v / np.linalg.norm(v)
+    fn = lambda p: op.basis.matrix(p) @ e
     f = SampledField(n, carrier, fn(carrier.nodes), evaluator=fn)
     ref = max(abs(per_pair_twisted_mean(f, z, r)) for z in sset.centers for r in sset.radii)
     assert abs(near_null_roundtrip(op, v) - ref) <= 1e-15 * ref

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from conftest import special_hermite_basis
 from tsmlab.quadrature import plane_rule
-from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
-                                      laguerre_function, laguerre_polynomial,
-                                      laguerre_sequence,
+from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
+                                      laguerre_polynomial, laguerre_sequence,
                                       radial_eigenfunction_origin,
                                       solid_harmonic_basis,
-                                      special_hermite_basis,
                                       special_hermite_indices,
                                       special_hermite_matrix)
 
@@ -94,12 +93,13 @@ def test_special_hermite_explicit_low_orders():
     z = np.array([0.4 + 0.3j, -1.2 + 0.8j, 2.0 - 0.5j])
     g = np.exp(-0.25 * np.abs(z) ** 2)
     c = (2.0 * np.pi) ** -0.5
-    assert np.allclose(special_hermite_basis(SpecialHermiteIndex(0, 0), z), c * g)
-    assert np.allclose(special_hermite_basis(SpecialHermiteIndex(0, 1), z),
-                       c * (1j * np.conj(z) / np.sqrt(2.0)) * g)
+    mat = special_hermite_matrix(z, 1)
+    col = {(i.alpha, i.beta): mat[:, j]
+           for j, i in enumerate(special_hermite_indices(1))}
+    assert np.allclose(col[(0, 0)], c * g)
+    assert np.allclose(col[(0, 1)], c * (1j * np.conj(z) / np.sqrt(2.0)) * g)
     # index swap is complex conjugation
-    assert np.allclose(special_hermite_basis(SpecialHermiteIndex(1, 0), z),
-                       np.conj(special_hermite_basis(SpecialHermiteIndex(0, 1), z)))
+    assert np.allclose(col[(1, 0)], np.conj(col[(0, 1)]))
 
 
 def test_special_hermite_orthonormality():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (direct_projection_values, nested_piece_values,
-                      per_pair_twisted_mean)
+                      per_pair_twisted_mean, special_hermite_basis)
 from tsmlab.constants import sphere_surface_area
 from tsmlab.errors import (FieldDomainError, GridMismatchError,
                            TranslateTailWarning, TruncationTailWarning)
@@ -21,7 +21,6 @@ from tsmlab.fields import SampledField
 from tsmlab.quadrature import circle_rule, plane_rule, radial_rule
 from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
                                       radial_eigenfunction_origin,
-                                      special_hermite_basis,
                                       SpecialHermiteIndex)
 from tsmlab.twisted_transforms import (convolution_values, mean_profile,
                                        polar_bridge, projection_values,
