@@ -123,8 +123,8 @@ class EuclideanField:
                         "circular mean reads inside the declared support but "
                         "off the grid", points=bad[:8])
                 out[inside] = interpolate_on_rule(
-                    self.rule, self.values.astype(complex),
-                    flat[inside, None], cache=self._cache).real
+                    self.rule, self.values, flat[inside, None],
+                    cache=self._cache).real
         return out.reshape(pts.shape)
 
     def max_abs(self) -> float:

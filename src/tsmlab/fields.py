@@ -11,6 +11,13 @@ back to interpolation on the polar grid:
 * barycentric polynomial interpolation through the Gauss-Legendre radial
   (and, for n = 2, inclination) nodes.
 
+The angular DFT of the samples is taken once per field and cached.  A read
+then runs, per chunk of points, one real GEMM over the radial nodes, on C^2
+one batched matmul over the inclination nodes, and each phase angle's sum
+from two small exponential tables (see ``interpolate_on_rule``).  On the
+default C rule (64 x 256) a point costs 32 exponentials and about 70 kflop,
+nearly all of it in the GEMM.
+
 The combined interpolation budget for smooth rapidly-decaying fields on the
 default rules is ~1e-8 relative and is pinned by tests; it is the accuracy
 folded into operators that read fields off-grid.
@@ -66,56 +73,106 @@ def _bary_matrix(x: np.ndarray, nodes: np.ndarray, bw: np.ndarray) -> np.ndarray
     return w / w.sum(axis=1)[:, None]
 
 
-def _phase_matrix(theta: np.ndarray, m: int) -> np.ndarray:
-    freqs = np.fft.fftfreq(m, d=1.0 / m)
-    return np.exp(1j * theta[:, None] * freqs[None, :]) / m
+def _phase_factors(m: int):
+    """(A, B) with B = ceil(sqrt(m)) and A = ceil(m / B)."""
+    b = math.isqrt(m - 1) + 1
+    return -(-m // b), b
+
+
+def _angular_coefficients(tensor: np.ndarray, axes) -> np.ndarray:
+    """DFT of the samples over the phase-angle ``axes``, divided by the
+    number of angles, in fftshift order (frequency -(m//2) in column 0) and
+    zero-padded on each of those axes from m to A * B columns."""
+    coef = np.fft.fftn(tensor, axes=axes) / math.prod(tensor.shape[a] for a in axes)
+    coef = np.fft.fftshift(coef, axes=axes)
+    pad = [(0, 0)] * coef.ndim
+    for a in axes:
+        A, B = _phase_factors(coef.shape[a])
+        pad[a] = (0, A * B - coef.shape[a])
+    return np.pad(coef, pad)
+
+
+def _angular_sum(t: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
+    """Sum the last axis of t (Q, ..., A * B) against exp(i theta_q f), f =
+    j - m//2 in column j: (Q, ...).
+
+    With j = B a + b the phase factors into exp(i theta b) exp(i theta
+    (B a - m//2)), so each point needs A + B exponentials, not m."""
+    A, B = _phase_factors(m)
+    th = theta[:, None]
+    eb = np.exp(1j * (th * np.arange(B, dtype=float)))[:, :, None]          # (Q, B, 1)
+    ea = np.exp(1j * (th * (B * np.arange(A, dtype=float) - m // 2)))[:, :, None]
+    q = t.shape[0]
+    u = t.reshape(q, -1, B) @ eb                                            # (Q, ... A, 1)
+    return (u.reshape(q, -1, A) @ ea).reshape(t.shape[:-1])
+
+
+def _check_mode(out_of_domain: str):
+    if out_of_domain not in ("raise", "zero"):
+        raise ValueError(f"unknown out_of_domain mode {out_of_domain!r}")
 
 
 def interpolate_on_rule(rule: PlaneRule, values: np.ndarray, points: np.ndarray,
                         out_of_domain: str = "raise", cache: dict | None = None):
-    """Interpolate grid samples at arbitrary points (shape (Q, n) complex)."""
+    """Interpolate grid samples at arbitrary points (shape (Q, n) complex).
+
+    Points with |z| beyond the grid extent raise FieldDomainError
+    (``out_of_domain="raise"``) or read 0 without being interpolated
+    (``"zero"``); any other mode is a ValueError.  ``cache`` keeps the
+    angular coefficients (``_angular_coefficients``) between calls, so
+    ``values`` is read only when it is empty.
+
+    Per chunk of ``_CHUNK`` points, in order:
+
+    * the radial barycentric rows (Q, N_r) times the coefficients viewed as
+      real numbers: one real GEMM, 4 N_r flop per point and coefficient;
+    * on C^2, the inclination rows: one batched (1, N_t) x (N_t, 2 P1 P2)
+      matmul, 4 N_t P1 P2 flop per point;
+    * each phase angle through ``_angular_sum``: A + B exponentials and
+      about A * B complex multiply-adds per point and remaining column.
+
+    On the default C rule (64 x 256) a point costs 32 exponentials and
+    about 70 kflop.
+    """
+    _check_mode(out_of_domain)
     pts = np.asarray(points, dtype=complex)
     coords = _polar_coordinates(rule, pts)
-    r = coords[0]
-    bad = ~(r <= rule.extent * (1.0 + 1e-12))
+    bad = ~(coords[0] <= rule.extent * (1.0 + 1e-12))
+    keep = slice(None)
     if bad.any():
         if out_of_domain == "raise":
             i = int(np.argmax(bad))
             raise FieldDomainError(
                 f"evaluation point {pts[i]} lies outside the sampled domain "
                 f"|z| <= {rule.extent}", points=pts[bad])
-        if out_of_domain != "zero":
-            raise ValueError(f"unknown out_of_domain mode {out_of_domain!r}")
+        keep = np.flatnonzero(~bad)
+        coords = [c[keep] for c in coords]
     if cache is None:
         cache = {}
     if "coef" not in cache:
-        tensor = np.asarray(values).reshape(rule.shape)
-        if rule.dimension == 1:
-            cache["coef"] = np.fft.fft(tensor, axis=1)
-        else:
-            cache["coef"] = np.fft.fft(np.fft.fft(tensor, axis=2), axis=3)
+        tensor = np.asarray(values, dtype=complex).reshape(rule.shape)
+        # the phase angles are the last ``dimension`` axes of the grid
+        phase_axes = tuple(range(tensor.ndim - rule.dimension, tensor.ndim))
+        cache["coef"] = _angular_coefficients(tensor, phase_axes)
     coef = cache["coef"]
-    out = np.empty(pts.shape[0], dtype=complex)
+    radial = coef.reshape(coef.shape[0], -1).view(float)
+    vals = np.empty(coords[0].shape[0], dtype=complex)
     step = _CHUNK[rule.dimension]
-    for s in range(0, pts.shape[0], step):
-        sl = slice(s, min(s + step, pts.shape[0]))
-        wr = _bary_matrix(np.clip(r[sl], 0.0, rule.extent), rule.radial_nodes,
+    for s in range(0, vals.shape[0], step):
+        sl = slice(s, s + step)
+        wr = _bary_matrix(np.clip(coords[0][sl], 0.0, rule.extent), rule.radial_nodes,
                           rule.barycentric("radial"))
-        if rule.dimension == 1:
-            e = _phase_matrix(coords[1][sl], rule.angular_counts[0])
-            t = wr @ coef
-            t *= e
-            out[sl] = t.sum(axis=1)
-        else:
+        q = wr.shape[0]
+        t = (wr @ radial).view(complex).reshape((q,) + coef.shape[1:])
+        if rule.dimension == 2:
             wt = _bary_matrix(coords[1][sl], rule.theta_nodes, rule.barycentric("theta"))
-            e1 = _phase_matrix(coords[2][sl], rule.angular_counts[0])
-            e2 = _phase_matrix(coords[3][sl], rule.angular_counts[1])
-            t = np.einsum("qa,abcd->qbcd", wr, coef)
-            t = np.einsum("qb,qbcd->qcd", wt, t)
-            t = np.einsum("qc,qcd->qd", e1, t)
-            out[sl] = np.einsum("qd,qd->q", e2, t)
-    if bad.any():
-        out[bad] = 0.0
+            t = wt[:, None, :] @ t.reshape(q, coef.shape[1], -1).view(float)
+            t = _angular_sum(t.view(complex).reshape((q,) + coef.shape[2:]),
+                             coords[3][sl], rule.angular_counts[1])
+        # coords[-n] is the first phase angle: arg z on C, arg z1 on C^2
+        vals[sl] = _angular_sum(t, coords[-rule.dimension][sl], rule.angular_counts[0])
+    out = np.zeros(pts.shape[0], dtype=complex)
+    out[keep] = vals
     return out
 
 
@@ -157,6 +214,7 @@ class SampledField:
         Uses the retained closed form when available; otherwise interpolates
         on the grid (domain-checked: ``out_of_domain`` is "raise" or "zero").
         """
+        _check_mode(out_of_domain)
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 0 or pts.shape[-1] != self.dimension:
             raise ValueError(f"points must have last axis {self.dimension}")

@@ -58,7 +58,7 @@ import numpy as np
 
 from .constants import TWIST_SIGN, sphere_surface_area
 from .errors import GridMismatchError, TruncationTailWarning, TranslateTailWarning
-from .fields import MeanProfile, SampledField, SpectrumTruncation
+from .fields import _CHUNK, MeanProfile, SampledField, SpectrumTruncation
 from .quadrature import (PlaneRule, RadialRule, SphereRule, compensated_sum,
                          plane_rule, sphere_rule)
 from .special_functions import (LaguerreSpec, laguerre_function,
@@ -116,7 +116,7 @@ def twisted_translate(f: SampledField, eta, tail_tol: float = 1e-9) -> SampledFi
 
 # points per f.evaluate call in a mean table: one interpolate_on_rule chunk
 # on C, one default S^3 sphere on C^2
-_MEAN_POINTS = {1: 2048, 2: 16384}
+_MEAN_POINTS = {1: _CHUNK[1], 2: 16384}
 
 
 def _mean_table(f: SampledField, centers, radii, sphere) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Shared fixtures and the basis, mean and projection oracles. Heavy grids
-are session-scoped so the suite builds each one exactly once."""
+"""Shared fixtures and the basis, mean, projection and interpolation
+oracles. Heavy grids are session-scoped so the suite builds each one
+exactly once."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from tsmlab.euclidean_means import bump_profile
-from tsmlab.fields import SampledField
+from tsmlab.fields import SampledField, _bary_matrix, _polar_coordinates
 from tsmlab.quadrature import compensated_sum, plane_rule, sphere_rule
 from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
                                       laguerre_function, laguerre_polynomial)
@@ -44,6 +45,44 @@ def sector_basis_values(b, points) -> np.ndarray:
     mono = (p / b.support_radius) ** b.order
     ang = mono.imag if b.kind == "sin" else mono.real
     return g * ang
+
+
+def _phase_matrix(theta: np.ndarray, m: int) -> np.ndarray:
+    freqs = np.fft.fftfreq(m, d=1.0 / m)
+    return np.exp(1j * theta[:, None] * freqs[None, :]) / m
+
+
+def phase_matrix_interpolate(rule, values, points):
+    """Oracle for ``interpolate_on_rule``: a per-point table of all m
+    phases exp(i theta f) / m against the unshifted, unpadded DFT, and an
+    einsum chain over the whole coefficient tensor.  Points beyond the
+    grid are read at the clipped radius and then set to 0 ("zero" mode)."""
+    pts = np.asarray(points, dtype=complex)
+    coords = _polar_coordinates(rule, pts)
+    r = coords[0]
+    bad = ~(r <= rule.extent * (1.0 + 1e-12))
+    tensor = np.asarray(values).reshape(rule.shape)
+    if rule.dimension == 1:
+        coef = np.fft.fft(tensor, axis=1)
+    else:
+        coef = np.fft.fft(np.fft.fft(tensor, axis=2), axis=3)
+    wr = _bary_matrix(np.clip(r, 0.0, rule.extent), rule.radial_nodes,
+                      rule.barycentric("radial"))
+    if rule.dimension == 1:
+        e = _phase_matrix(coords[1], rule.angular_counts[0])
+        t = wr @ coef
+        t *= e
+        out = t.sum(axis=1)
+    else:
+        wt = _bary_matrix(coords[1], rule.theta_nodes, rule.barycentric("theta"))
+        e1 = _phase_matrix(coords[2], rule.angular_counts[0])
+        e2 = _phase_matrix(coords[3], rule.angular_counts[1])
+        t = np.einsum("qa,abcd->qbcd", wr, coef)
+        t = np.einsum("qb,qbcd->qcd", wt, t)
+        t = np.einsum("qc,qcd->qd", e1, t)
+        out = np.einsum("qd,qd->q", e2, t)
+    out[bad] = 0.0
+    return out
 
 
 def per_pair_twisted_mean(f, z, r, rule=None, m=None, orders=None) -> complex:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import phase_matrix_interpolate
 from tsmlab.errors import FieldDomainError, GridMismatchError
-from tsmlab.fields import SampledField, interpolate_on_rule
+from tsmlab.fields import _CHUNK, SampledField, interpolate_on_rule
 from tsmlab.quadrature import plane_rule
 
 GAUSS3 = lambda p: np.exp(-np.abs(p[:, 0]) ** 2 / 3.0).astype(complex)
@@ -27,14 +28,17 @@ def test_evaluate_preserves_point_shape(gauss_field):
 
 def test_interpolation_accuracy_off_grid(rule_c1):
     """Sample-only fields read between nodes through barycentric-radial,
-    Fourier-angular interpolation; smooth fields come back ~machine."""
+    Fourier-angular interpolation; smooth fields come back ~machine.  The
+    read spans two full chunks and a partial one."""
     f = SampledField.from_function(
         lambda p: (p[:, 0] ** 2 * np.exp(-np.abs(p[:, 0]) ** 2 / 2.0)),
         rule_c1, keep_evaluator=False)
     assert f.evaluator is None
     rng = np.random.default_rng(9)
-    pts = (rng.uniform(0.2, 8.0, size=24) *
-           np.exp(2j * np.pi * rng.uniform(size=24)))[:, None]
+    count = 5000
+    assert count > 2 * _CHUNK[1]
+    pts = (rng.uniform(0.2, 8.0, size=count) *
+           np.exp(2j * np.pi * rng.uniform(size=count)))[:, None]
     truth = pts[:, 0] ** 2 * np.exp(-np.abs(pts[:, 0]) ** 2 / 2.0)
     got = f.evaluate(pts)
     assert np.max(np.abs(got - truth)) < 1e-8
@@ -49,7 +53,7 @@ def test_interpolation_on_c2_rule():
     assert np.max(np.abs(f.evaluate(pts) - fn(pts))) < 1e-6
 
 
-def test_out_of_domain_modes(rule_c1):
+def test_out_of_domain_modes(rule_c1, gauss_field):
     f = SampledField.from_function(GAUSS3, rule_c1, keep_evaluator=False)
     outside = np.array([[15.0 + 0.0j]])
     with pytest.raises(FieldDomainError, match="outside"):
@@ -57,6 +61,64 @@ def test_out_of_domain_modes(rule_c1):
     assert f.evaluate(outside, out_of_domain="zero")[0] == 0.0
     with pytest.raises(ValueError):
         interpolate_on_rule(rule_c1, f.values, outside, out_of_domain="clip")
+    # an unknown mode is rejected before any point is looked at: on an
+    # in-domain read, and on a field that never interpolates
+    inside = np.array([[0.5 + 0.0j]])
+    with pytest.raises(ValueError, match="out_of_domain"):
+        f.evaluate(inside, out_of_domain="clip")
+    with pytest.raises(ValueError, match="out_of_domain"):
+        interpolate_on_rule(rule_c1, f.values, inside, out_of_domain="clip")
+    with pytest.raises(ValueError, match="out_of_domain"):
+        gauss_field.evaluate(inside, out_of_domain="clip")
+
+
+def _oracle_points(rule, rng, count):
+    """Random points inside the grid, plus node hits, the origin, points
+    at |z| = extent and points beyond it."""
+    n = rule.dimension
+    z = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
+    z *= (rule.extent * rng.uniform(size=count) / np.linalg.norm(z, axis=1))[:, None]
+    unit = z[:4] / np.linalg.norm(z[:4], axis=1)[:, None]
+    hits = rule.nodes[rng.choice(rule.nodes.shape[0], size=6, replace=False)]
+    return np.concatenate([z, hits, np.zeros((1, n)), rule.extent * unit,
+                           1.5 * rule.extent * unit])
+
+
+@pytest.mark.parametrize("dimension, sizes", [
+    (1, 256), (1, 96), (1, 63), (2, (6.0, 24, (8, 16, 16))),
+    (2, (10.0, 28, (10, 40, 40)))],
+    ids=["c1_m256", "c1_m96", "c1_m63", "c2_16x16", "c2_40x40"])
+def test_interpolation_matches_phase_matrix_oracle(dimension, sizes):
+    """The factored phases and the real GEMM give the same trigonometric
+    polynomial as the per-point table of all m phases."""
+    if dimension == 1:
+        rule = plane_rule(1, extent=12.0, radial_points=64, angular_points=sizes)
+        fn = lambda p: p[:, 0] ** 2 * np.exp(-np.abs(p[:, 0] - 0.4 + 0.3j) ** 2 / 2.0)
+    else:
+        extent, nr, orders = sizes
+        rule = plane_rule(2, extent=extent, radial_points=nr, sphere3_orders=orders)
+        c = np.array([0.25 - 0.1j, -0.2 + 0.3j])
+        fn = lambda p: p[:, 0] * np.exp(-np.sum(np.abs(p - c) ** 2, axis=1) / 3.0)
+    vals = fn(rule.nodes)
+    pts = _oracle_points(rule, np.random.default_rng(11), 60)
+    got = interpolate_on_rule(rule, vals, pts, out_of_domain="zero")
+    want = phase_matrix_interpolate(rule, vals, pts)
+    assert np.all(got[-4:] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(vals))
+
+
+def test_interpolation_across_chunks_c2():
+    """A C^2 read over two full chunks and a partial one, within the 1e-8
+    budget on a rule fine enough for it."""
+    rule = plane_rule(2, extent=8.0, radial_points=32, sphere3_orders=(12, 24, 24))
+    c = np.array([0.25 - 0.1j, -0.2 + 0.3j])
+    fn = lambda p: np.exp(-np.sum(np.abs(p - c) ** 2, axis=1) / 3.0).astype(complex)
+    f = SampledField.from_function(fn, rule, keep_evaluator=False)
+    rng = np.random.default_rng(4)
+    count = 1100
+    assert count > 2 * _CHUNK[2]
+    pts = rng.normal(scale=0.9, size=(count, 2)) + 1j * rng.normal(scale=0.9, size=(count, 2))
+    assert np.max(np.abs(f.evaluate(pts) - fn(pts))) < 1e-8
 
 
 def test_values_node_count_mismatch(rule_c1):
