@@ -31,7 +31,7 @@ Projection paths.  Substituting u = z - w,
 
 so the kernel is known in closed form and f is read only at its own nodes.
 ``spectral_projections`` sums this u form over f's weighted samples and
-picks one of two ways from its input alone:
+picks one of three ways from its input alone:
 
 * on the grid (n = 1, targets are the field's own nodes): the kernel is
   invariant under rotating z and u together -- |z-u| and Im(z . conj(u))
@@ -39,15 +39,25 @@ picks one of two ways from its input alone:
   phases are uniform, so the quadrature sum over its nodes is a circular
   convolution along the phase axis, done by FFT with one R x R product per
   phase mode;
-* at every other target, with or without an evaluator: the sum over the
-  nodes taken directly.
+* at every other target on C, with or without an evaluator: the sum over
+  the nodes taken directly;
+* on C^2, at any target: ring by ring through the slot factorisation.
+  With t_s = |z_s - u_s|^2 / 2, exp(-t/2) and the twist are products over
+  the two slots and L_k^1(t_1 + t_2) = sum_(b1+b2=k) L_b1(t_1) L_b2(t_2),
+  so the kernel is a sum of products of two C slot kernels.  Each
+  (radius, inclination) ring of the polar grid is the m1 x m2 product of
+  its slot-1 nodes r cos(th) e^(i p1) and slot-2 nodes r sin(th) e^(i p2),
+  so the sum over a ring is (slot-1 kernel) @ (samples) . (slot-2 kernel):
+  one batched matrix product over the rings per slot degree
+  (``_slot_pieces``).
 
-On C^2, ``tensor_decompose_projection`` takes the slot pieces of the product
-relation from one sampling of f on a slot x slot grid and two slot kernels.
-All three paths build the kernel through ``_twisted_kernels``.  The w form,
-reading f at z - w against phi_k sampled on the grid (``convolution_values``;
-slot by slot for the pieces), is their independent oracle in the tests; it
-cuts phi_k off at the grid edge.
+On C^2, ``tensor_decompose_projection`` samples f once on a slot x slot
+grid and takes the slot pieces of the product relation from the same
+``_slot_pieces``, with that grid as its one ring.  Every path builds the
+kernel through ``_twisted_kernels``.  The w form, reading f at z - w
+against phi_k sampled on the grid (``convolution_values``; slot by slot
+for the pieces), is their independent oracle in the tests; it cuts phi_k
+off at the grid edge.
 """
 
 from __future__ import annotations
@@ -246,16 +256,17 @@ def spectral_projection(f: SampledField, k: int) -> SampledField:
                         name=f"({f.name})x(phi_{k})")
 
 
-def _twisted_kernels(order: int, t: np.ndarray, weight: np.ndarray, degrees: list):
-    """``(columns, L_k^order(t) * weight)`` for each k asked for, all degrees
-    from one Laguerre recurrence; ``columns`` are the positions in
-    ``degrees`` that ask for k.
+def _twisted_kernels(t: np.ndarray, weight: np.ndarray, degrees: list):
+    """``(columns, L_k(t) * weight)`` for each k asked for, all degrees from
+    one Laguerre recurrence; ``columns`` are the positions in ``degrees``
+    that ask for k.
 
     With t = |z-u|^2 / 2 and weight = exp(-t/2) times the twist
     exp(-(i/2) Im(z . conj(u))), this is the closed-form kernel
-    phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) of every projection path.
+    phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) on C: of the on-grid engine
+    and the direct sum, and slot by slot of the C^2 sums.
     """
-    for k, lag in enumerate(laguerre_sequence(order, t, max(degrees))):
+    for k, lag in enumerate(laguerre_sequence(0, t, max(degrees))):
         columns = [i for i, d in enumerate(degrees) if d == k]
         if columns:
             yield columns, lag * weight
@@ -287,7 +298,7 @@ def _on_grid_projections(f: SampledField, degrees: list) -> np.ndarray:
         t = 0.5 * (ri * ri + (r * r)[None, :, None]) - rr * np.cos(theta)
         # exp(-t/2) and the twist in one complex exponential
         weight = np.exp(-0.5 * t - 0.5j * TWIST_SIGN * rr * np.sin(theta))
-        for columns, kernel in _twisted_kernels(0, t, weight, degrees):
+        for columns, kernel in _twisted_kernels(t, weight, degrees):
             kernel = np.fft.fft(kernel, axis=2)
             q = np.fft.ifft(np.einsum("ijl,jl->il", kernel, F), axis=1)
             out[s:s + rows, :, columns] = q[:, :, None]
@@ -308,7 +319,7 @@ def _pairing_kernel_args(z: np.ndarray, u: np.ndarray):
 
 
 def _direct_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
-    """Q_k f at arbitrary targets: the u form summed directly over f's
+    """Q_k f at arbitrary targets on C: the u form summed directly over f's
     weighted samples, in chunks of targets; t and the twist come from one
     pairing product."""
     u = f.rule.nodes
@@ -317,10 +328,58 @@ def _direct_projections(f: SampledField, degrees: list, targets: np.ndarray) -> 
     chunk = max(1, _PAIR_CHUNK // u.shape[0])
     for s in range(0, targets.shape[0], chunk):
         t, weight = _pairing_kernel_args(targets[s:s + chunk], u)
-        for columns, kernel in _twisted_kernels(f.dimension - 1, t, weight, degrees):
+        for columns, kernel in _twisted_kernels(t, weight, degrees):
             out[s:s + chunk, columns] = (kernel @ fw)[:, None]
             del kernel   # not held while the recurrence takes its next step
     return out
+
+
+# slot-kernel entries (both slots, every slot degree) per chunk of targets
+# in the C^2 sums: 16 MB of complex128
+_SLOT_BLOCK = 1 << 20
+
+
+def _slot_pieces(targets: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                 fw: np.ndarray, degrees: list) -> np.ndarray:
+    """Pieces (b1, b2) of the u-form sum on C^2 at targets (T, 2):
+    (T, K+1, K+1) complex, K = max(degrees), filled where b1 + b2 is in
+    ``degrees`` and 0 elsewhere.
+
+    fw (G, m1, m2) holds the weighted samples on G rings, ring g the product
+    grid of slot nodes u1[g] (m1) and u2[g] (m2).  With the slot kernels
+    K_b of ``_twisted_kernels`` (see the module docstring)
+
+        piece (b1, b2) = sum_g rowsum((K_b1(z1)[g] @ fw[g]) * K_b2(z2)[g]),
+
+    one batched (G, T, m1) x (G, m1, m2) product per b1.
+    """
+    G, m1, m2 = fw.shape
+    slot = list(range(max(degrees) + 1))
+    out = np.zeros((targets.shape[0], len(slot), len(slot)), dtype=complex)
+    chunk = max(1, _SLOT_BLOCK // (len(slot) * G * (m1 + m2)))
+    for s in range(0, targets.shape[0], chunk):
+        z = targets[s:s + chunk]
+        T = z.shape[0]
+        K2 = [kernel.reshape(T, G, m2) for _, kernel in
+              _twisted_kernels(*_pairing_kernel_args(z[:, 1:], u2.reshape(-1, 1)), slot)]
+        for (b1,), K1 in _twisted_kernels(*_pairing_kernel_args(z[:, :1], u1.reshape(-1, 1)),
+                                          slot):
+            P = np.matmul(K1.reshape(T, G, m1).transpose(1, 0, 2), fw).transpose(1, 0, 2)
+            for b2 in {k - b1 for k in degrees if k >= b1}:
+                out[s:s + chunk, b1, b2] = np.sum(P * K2[b2], axis=(1, 2))
+    return out
+
+
+def _ring_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
+    """Q_k f at arbitrary targets on C^2: the sum of ``_slot_pieces`` with
+    b1 + b2 = k.  Each (radius, inclination) ring of f's polar rule is the
+    m1 x m2 product grid of slot nodes r cos(th) e^(i p1) and r sin(th) e^(i p2)."""
+    R, nt, m1, m2 = f.rule.shape
+    u = f.rule.nodes.reshape(R * nt, m1, m2, 2)
+    fw = (f.values * f.rule.weights).reshape(R * nt, m1, m2)
+    pieces = _slot_pieces(targets, u[:, :, 0, 0], u[:, 0, :, 1], fw, degrees)
+    return np.stack([sum(pieces[:, b1, k - b1] for b1 in range(k + 1)) for k in degrees],
+                    axis=1)
 
 
 def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
@@ -329,9 +388,9 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     (targets, len(degrees)) complex.
 
     Only f's samples are read, so fields with and without an evaluator take
-    the same path.  The input picks it (see the module docstring): targets
-    None or equal to ``f.rule.nodes`` on C take the FFT engine, all others
-    the direct sum.
+    the same path.  The input picks it (see the module docstring): on C,
+    targets None or equal to ``f.rule.nodes`` take the FFT engine, all
+    others the direct sum; on C^2 every target takes the ring-factored sum.
     """
     degrees = [int(k) for k in degrees]
     if not degrees or min(degrees) < 0:
@@ -339,9 +398,11 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     w = f.rule.nodes
     if targets is not None:
         targets = np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
-    if f.dimension == 1 and (targets is None or np.array_equal(targets, w)):
+    if f.dimension == 2:
+        return _ring_projections(f, degrees, w if targets is None else targets)
+    if targets is None or np.array_equal(targets, w):
         return _on_grid_projections(f, degrees)
-    return _direct_projections(f, degrees, w if targets is None else targets)
+    return _direct_projections(f, degrees, targets)
 
 
 def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray:
@@ -402,6 +463,10 @@ def polar_bridge(profile: MeanProfile, k: int, n: int) -> complex:
 # tensor decomposition of projections on C^2
 
 
+# points of the slot x slot grid per f.evaluate call
+_GRID_POINTS = 1 << 16
+
+
 def _default_eval_rule() -> PlaneRule:
     # evaluation lattice only; its weights are never used as a quadrature,
     # hence the disabled moment check
@@ -424,12 +489,14 @@ def tensor_decompose_projection(f: SampledField, k: int,
         f x phi_k^(1) = sum_(b1+b2=k) (f x_2 phi_b2^(0)) x_1 phi_b1^(0)
 
     with x_i the twisted convolution in slot i alone.  f is sampled once on
-    the slot x slot product grid of ``slot_rule`` and weighted to F; with the
-    u-form slot kernel K_b(z)[t, u] = phi_b(|z_t - u|) exp(-(i/2) Im(z_t conj(u))),
-    piece (b1, b2) is rowsum((K_b1(z1) @ F) * K_b2(z2)).  Fields without an
-    evaluator raise FieldDomainError: the product grid reaches past their
-    extent.  Returns the pieces, b1 ascending, as fields on ``eval_rule``
-    (default: a small probe lattice) whose evaluators sum the same F.
+    the slot x slot product grid of ``slot_rule`` (in blocks of rows) and
+    weighted to F; with the u-form slot kernel
+    K_b(z)[t, u] = phi_b(|z_t - u|) exp(-(i/2) Im(z_t conj(u))), piece
+    (b1, b2) is rowsum((K_b1(z1) @ F) * K_b2(z2)): ``_slot_pieces`` with
+    the grid as its one ring.  Fields without an evaluator raise
+    FieldDomainError: the product grid reaches past their extent.  Returns
+    the pieces, b1 ascending, as fields on ``eval_rule`` (default: a small
+    probe lattice) whose evaluators sum the same F.
     Summing the pieces reproduces ``spectral_projection(f, k)``.
     """
     if f.dimension != 2:
@@ -441,29 +508,20 @@ def tensor_decompose_projection(f: SampledField, k: int,
     if eval_rule.dimension != 2 or slot.dimension != 1:
         raise ValueError("eval_rule must live on C^2 and slot_rule on C")
 
-    u = slot.nodes
-    F = f.evaluate(np.stack(np.broadcast_arrays(u, u.T), axis=-1))   # (S, S)
-    F *= np.outer(slot.weights, slot.weights)
-    degrees = list(range(k + 1))
-    chunk = max(1, _PAIR_CHUNK // ((k + 1) * u.shape[0]))
-
-    def slot_kernels(z: np.ndarray) -> list:
-        """K_b(z) for b = 0..k at targets z (T, 1) of one slot: (T, S) each."""
-        return [kernel for _, kernel in
-                _twisted_kernels(0, *_pairing_kernel_args(z, u), degrees)]
+    u, w = slot.nodes, slot.weights
+    F = np.empty((u.shape[0], u.shape[0]), dtype=complex)
+    rows = max(1, _GRID_POINTS // u.shape[0])
+    for s in range(0, u.shape[0], rows):
+        F[s:s + rows] = f.evaluate(np.stack(np.broadcast_arrays(u[s:s + rows], u.T), axis=-1))
+        F[s:s + rows] *= np.outer(w[s:s + rows], w)
 
     def piece_values(targets: np.ndarray) -> np.ndarray:
         """All (b1, b2 = k - b1) pieces at the targets: (T, k+1) complex."""
         targets = np.asarray(targets, dtype=complex).reshape(-1, 2)
-        out = np.empty((targets.shape[0], k + 1), dtype=complex)
-        for s in range(0, targets.shape[0], chunk):
-            zc = targets[s:s + chunk]
-            K1, K2 = slot_kernels(zc[:, :1]), slot_kernels(zc[:, 1:])
-            for b1 in degrees:
-                out[s:s + chunk, b1] = np.sum((K1[b1] @ F) * K2[k - b1], axis=1)
-        return out
+        b1 = np.arange(k + 1)
+        return _slot_pieces(targets, u.T, u.T, F[None], [k])[:, b1, k - b1]
 
     vals = piece_values(eval_rule.nodes)
     return [SampledField(2, eval_rule, vals[:, b1], f.decay_class,
                          lambda pts, _b1=b1: piece_values(pts)[:, _b1],
-                         name=f"piece_b1={b1}_b2={k - b1}") for b1 in degrees]
+                         name=f"piece_b1={b1}_b2={k - b1}") for b1 in range(k + 1)]

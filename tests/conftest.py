@@ -13,7 +13,7 @@ from tsmlab.quadrature import compensated_sum, plane_rule, sphere_rule
 from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
                                       laguerre_function, laguerre_polynomial)
 from tsmlab.constants import TWIST_SIGN
-from tsmlab.twisted_transforms import convolution_values, twist_phase
+from tsmlab.twisted_transforms import twist_phase
 
 
 def special_hermite_basis(idx: SpecialHermiteIndex, z):
@@ -119,19 +119,41 @@ def per_pair_circular_mean(f, x, r, m=240) -> float:
     return float(compensated_sum(vals) / m)
 
 
-def direct_projection_values(f, k, targets):
-    """Oracle for Q_k f = f x phi_k at arbitrary targets: the w form,
-    reading f's closed form at z - w against phi_k sampled on f's grid.
+def direct_projection_table(f, degrees, targets):
+    """Oracle for Q_k f = f x phi_k at arbitrary targets for every k in
+    ``degrees``: (T, len(degrees)) complex.  The w form: f's closed form
+    read at z - w for every node w of f's grid, times the twist, against
+    phi_k sampled on the grid.
 
-    The library sums the u form over f's samples instead; this quadrature
-    shares neither the kernel nor the samples with it.  It cuts phi_k off
-    at the grid edge, so at high degree on small grids it is the less
-    accurate of the two.
+    f is read once per chunk of targets and the product summed against
+    every phi_k column, each sum exactly the twisted convolution of
+    ``convolution_values``.  The library sums the u form over f's samples
+    instead; this quadrature shares neither the kernel nor the samples with
+    it.  It cuts phi_k off at the grid edge, so at high degree on small
+    grids it is the less accurate of the two.
     """
-    spec = LaguerreSpec(k, f.rule.dimension - 1)
-    fn = lambda pts: laguerre_function(spec, np.linalg.norm(pts, axis=-1)).astype(complex)
-    return convolution_values(f, SampledField.from_function(fn, f.rule, name=f"phi_{k}"),
-                              targets)
+    rule = f.rule
+    w = rule.nodes
+    r = np.linalg.norm(w, axis=-1)
+    phi_w = [laguerre_function(LaguerreSpec(k, rule.dimension - 1), r).astype(complex)
+             * rule.weights for k in degrees]
+    targets = np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
+    out = np.empty((targets.shape[0], len(degrees)), dtype=complex)
+    chunk = max(1, 4_000_000 // w.shape[0])
+    for s in range(0, targets.shape[0], chunk):
+        zc = targets[s:s + chunk]
+        pts = zc[:, None, :] - w[None, :, :]
+        vals = f.evaluate(pts.reshape(-1, f.dimension)).reshape(zc.shape[0], w.shape[0])
+        vals *= twist_phase(zc[:, None, :], w[None, :, :])
+        for i, gw in enumerate(phi_w):
+            out[s:s + chunk, i] = compensated_sum(vals * gw[None, :], axis=-1)
+    return out
+
+
+def direct_projection_values(f, k, targets):
+    """Oracle for Q_k f at arbitrary targets: one column of
+    ``direct_projection_table``."""
+    return direct_projection_table(f, [k], targets)[:, 0]
 
 
 def nested_piece_values(f, k, targets, slot):

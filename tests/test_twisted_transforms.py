@@ -12,9 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (direct_projection_values, nested_piece_values,
+from conftest import (direct_projection_table, direct_projection_values,
+                      nested_piece_values,
                       per_pair_twisted_mean, special_hermite_basis)
-from tsmlab.constants import sphere_surface_area
+from tsmlab import twisted_transforms
+from tsmlab.constants import TWIST_SIGN, sphere_surface_area
 from tsmlab.errors import (FieldDomainError, GridMismatchError,
                            TranslateTailWarning, TruncationTailWarning)
 from tsmlab.fields import SampledField
@@ -275,9 +277,9 @@ def test_on_grid_engine_matches_direct_oracle(request, rule_name, bound, field_n
     off_grid = spectral_projections(f, degrees, turned)
     scale = float(np.max(np.abs(on_grid)))
     for targets, got in ((rule.nodes[picked], on_grid[picked]), (turned, off_grid)):
+        ref = direct_projection_table(f, degrees, targets)
         for k in degrees:
-            ref = direct_projection_values(f, k, targets)
-            assert np.max(np.abs(got[:, k] - ref)) <= bound * scale, k
+            assert np.max(np.abs(got[:, k] - ref[:, k])) <= bound * scale, k
     # the input picks the path: passing the nodes is the same call
     assert np.array_equal(spectral_projections(f, degrees, targets=rule.nodes), on_grid)
     # and the single-degree field takes its grid values from the engine
@@ -294,7 +296,7 @@ def test_sample_only_field_projects_off_grid(rule_c1, tmp_path):
     targets = np.array([[2.0 + 0j], [1.3 - 2.1j], [-2.6 + 0.7j], [0.4 + 3.0j]])
     degrees = [0, 1, 2, 3]
     got = spectral_projections(sampled, degrees, targets)
-    ref = np.stack([direct_projection_values(exact, k, targets) for k in degrees], axis=1)
+    ref = direct_projection_table(exact, degrees, targets)
     assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
     single = projection_values(sampled, 2, targets)
     assert np.array_equal(single, got[:, 2])
@@ -453,15 +455,59 @@ def test_tensor_pieces_sum_to_projection(c2_field):
 
 
 def test_direct_sum_matches_direct_oracle_on_c2(c2_field):
-    """The direct sum with the L_k^1 kernel of C^2, k <= 2, off the grid;
-    this coarse grid holds the two quadratures to 1e-6 of the peak."""
+    """The ring-factored sum on C^2, k <= 2, off the grid, against the
+    w-form oracle; this coarse grid holds the two quadratures to 1e-6 of
+    the peak."""
     targets = np.array([[0.3 + 0.2j, -0.5 + 0.1j], [1.1 - 0.4j, 0.2 + 0.7j],
                         [-0.7 + 0.9j, 1.3 - 0.2j], [2.0 + 0.1j, -0.4 - 1.0j]])
     got = spectral_projections(c2_field, range(3), targets)
     scale = float(np.max(np.abs(got)))
+    ref = direct_projection_table(c2_field, range(3), targets)
     for k in range(3):
-        ref = direct_projection_values(c2_field, k, targets)
-        assert np.max(np.abs(got[:, k] - ref)) <= 1e-6 * scale, k
+        assert np.max(np.abs(got[:, k] - ref[:, k])) <= 1e-6 * scale, k
+
+
+def test_ring_sum_matches_pairwise_scipy_oracle(monkeypatch):
+    """The ring-factored C^2 sum against the pairwise u-form sum over every
+    node, with scipy's L_k^1 in place of the library's recurrence.  The rule
+    has m1 != m2 and n_t != radial_points, so a swapped ring axis shows; the
+    degrees are unsorted and repeated; the 11 targets span four chunks of
+    three.  Same quadrature, regrouped: to 1e-12 of the peak."""
+    from scipy.special import eval_genlaguerre
+    rule = plane_rule(2, extent=8.0, radial_points=20, sphere3_orders=(6, 12, 20))
+    fn = lambda p: np.exp(-(np.abs(p[:, 0] - (0.4 - 0.3j)) ** 2 / 3.0
+                            + 1.3 * np.abs(p[:, 1] + 0.2j) ** 2 / 4.0))
+    f = SampledField.from_function(lambda p: fn(p).astype(complex), rule)
+    degrees = [3, 0, 3, 1]
+    rng = np.random.default_rng(11)
+    targets = (rng.uniform(-2.0, 2.0, (11, 2)) + 1j * rng.uniform(-2.0, 2.0, (11, 2)))
+    # ring count x (m1 + m2) x (max degree + 1) slot-kernel entries per target
+    monkeypatch.setattr(twisted_transforms, "_SLOT_BLOCK", 3 * (20 * 6) * (12 + 20) * 4)
+    got = spectral_projections(f, degrees, targets)
+
+    u = rule.nodes
+    t = 0.5 * np.sum(np.abs(targets[:, None, :] - u[None, :, :]) ** 2, axis=-1)
+    im = np.sum((targets[:, None, :] * np.conj(u)[None, :, :]).imag, axis=-1)
+    pair = np.exp(-0.5 * t - 0.5j * TWIST_SIGN * im) * (f.values * rule.weights)[None, :]
+    ref = np.stack([np.sum(eval_genlaguerre(k, 1, t) * pair, axis=1) for k in degrees],
+                   axis=1)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_sample_only_field_projects_off_grid_on_c2(c2_offcentre, tmp_path):
+    """A CSV-imported C^2 field has no evaluator; its projections at targets
+    off the grid sum its own samples.  Against the w-form oracle on the
+    evaluator copy, to 1e-6 of the peak (the two quadratures on this coarse
+    grid)."""
+    c2_offcentre.to_csv(tmp_path / "f.csv")
+    sampled = SampledField.from_csv(tmp_path / "f.csv")
+    assert sampled.evaluator is None
+    targets = np.array([[0.3 + 0.2j, -0.5 + 0.1j], [1.1 - 0.4j, 0.2 + 0.7j],
+                        [-0.7 + 0.9j, 1.3 - 0.2j], [2.0 + 0.1j, -0.4 - 1.0j]])
+    degrees = [0, 1, 2]
+    got = spectral_projections(sampled, degrees, targets)
+    ref = direct_projection_table(c2_offcentre, degrees, targets)
+    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 def _slot_rule():
