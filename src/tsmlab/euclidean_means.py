@@ -16,7 +16,8 @@ angles pi l / N never determines compactly supported functions: the field
 is odd across every line of Sigma_N yet not identically zero.
 
 Every circular mean comes from ``euclidean_mean_table`` (centers x radii,
-each radius's circle nodes built once); ``circular_mean`` is its 1 x 1 case.
+each radius's circle nodes built once); ``circular_mean`` is its 1 x 1 case
+and the euclidean sampling operator its table of the basis matrix.
 Sector basis columns come only from ``injectivity_lab.EuclideanSectorBasis``
 ``.matrix``; ``SectorBasisFunction`` names a column and holds no evaluator.
 
@@ -147,7 +148,9 @@ def euclidean_mean_table(f, centers, radii, m: int = CIRCLE_POINTS) -> np.ndarra
     """Circular means M_r f(x) for every center (rows, complex points of the
     plane) and radius (columns): (C, R) float.
 
-    Any object with an ``evaluate`` accepting complex points works.  Each
+    Any object with an ``evaluate`` accepting P complex points works; if it
+    returns (P, V) the table is (C, R, V), column v field v's to round-off
+    (numpy sums one field's circle pairwise, V fields' node by node).  Each
     radius's ``circle_rule`` is built once per call and f is read once per
     center over blocks of radii; r = 0 columns hold f(x).
     """
@@ -159,21 +162,28 @@ def euclidean_mean_table(f, centers, radii, m: int = CIRCLE_POINTS) -> np.ndarra
     radii = np.asarray(radii, dtype=float).reshape(-1)
     if np.any(radii < 0):
         raise ValueError(f"radius must be >= 0, got {radii.min()}")
-    out = np.empty((centers.size, radii.size))
+    out = None      # made on the first read, once the number of fields is known
+
+    def table(tail: tuple) -> np.ndarray:
+        nonlocal out
+        if out is None:
+            out = np.empty(centers.shape + radii.shape + tail)
+        return out
+
     at_zero = radii == 0.0
     if at_zero.any():
-        out[:, at_zero] = np.real(f.evaluate(centers)).reshape(-1, 1)
+        f0 = np.real(f.evaluate(centers))
+        table(f0.shape[1:])[:, at_zero] = f0[:, None]
     on = np.flatnonzero(~at_zero)
-    if not on.size:
-        return out
-    ring = np.stack([circle_rule(r, m).nodes[:, 0] for r in radii[on]])   # (R, m)
-    block = max(1, _MEAN_POINTS // m)
-    for x, row in zip(centers, out):
-        for s in range(0, on.size, block):
-            pts = x + ring[s:s + block]
-            vals = np.real(f.evaluate(pts)).reshape(pts.shape)
-            row[on[s:s + block]] = compensated_sum(vals, axis=-1) / m
-    return out
+    if on.size:
+        ring = np.stack([circle_rule(r, m).nodes[:, 0] for r in radii[on]])   # (R, m)
+        block = max(1, _MEAN_POINTS // m)
+        for j, x in enumerate(centers):
+            for s in range(0, on.size, block):
+                vals = np.real(f.evaluate((x + ring[s:s + block]).reshape(-1)))
+                vals = vals.reshape((-1, m) + vals.shape[1:])
+                table(vals.shape[2:])[j, on[s:s + block]] = compensated_sum(vals, axis=1) / m
+    return table(())
 
 
 def circular_mean(f, x, r: float, m: int = CIRCLE_POINTS) -> float:

@@ -14,9 +14,9 @@ averages.  A function with vanishing means on S corresponds to a
 (near-)null vector of M, so sigma_min probes whether S can distinguish
 fields at the truncation: small sigma_min plus an exhibited near-null field
 certifies NON-injectivity at desk scale, while large sigma_min is evidence
-only (see the caveat string).  The certificate remeasures the candidate's
-means over the whole set by quadrature, one mean table of its engine,
-independently of the closed form that found it.
+only (see the caveat string).  The certificates remeasure the candidates'
+means over the whole set by quadrature, independently of the closed form
+that found them: one mean table of its engine for all of a probe's vectors.
 
 Also here: the Hecke-Bochner type-function scans (fields a(|z|) P(z) whose
 twisted means vanish exactly on P^(-1)(0) plus possible spheres) and the
@@ -41,7 +41,7 @@ from .euclidean_means import (CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunctio
                               bump_profile, euclidean_mean_table)
 from .fields import GAUSSIAN_QUARTER, SampledField
 from .ioutil import fmt, write_csv, write_json
-from .quadrature import PlaneRule, circle_rule, plane_rule, sphere_rule
+from .quadrature import PlaneRule, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
                                 special_hermite_indices, special_hermite_matrix)
 from .twisted_transforms import twisted_mean_table
@@ -492,11 +492,8 @@ class SamplingOperator:
         exact null directions (degenerate shapes) count with sigma 0."""
         s, vh = self._svd
         sig = np.concatenate([s, np.zeros(vh.shape[0] - s.size)])
-        out = []
-        for j in range(vh.shape[0]):
-            if sig[j] <= threshold:
-                out.append((float(sig[j]), np.conj(vh[j])))
-        return out
+        return [(float(sig[j]), np.conj(vh[j])) for j in range(vh.shape[0])
+                if sig[j] <= threshold]
 
 
 def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
@@ -511,8 +508,9 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
         M[(j,i), b] = B(n, k_b) L_(k_b)^(n-1)(r_i^2/2) e^(-r_i^2/4) basis_b(z_j)
 
     with B = ``tsm_product_constant``; no quadrature is involved.  Euclidean
-    rows are plain averages over ``euclid_points`` circle nodes.  Row order
-    is center-major; column order is the basis's documented order.
+    rows are plain averages over ``euclid_points`` circle nodes, one
+    ``euclidean_mean_table`` of the basis matrix.  Row order is
+    center-major; column order is the basis's documented order.
 
     ``circle_points`` and ``sphere_orders`` are accepted and ignored:
     twisted rows need no quadrature, and the parameters stay so that callers
@@ -534,7 +532,6 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
         raise ValueError("basis dimension does not match the set")
 
     centers, radii = sampling_set.centers, sampling_set.radii
-    nc, nr, ncols = centers.shape[0], radii.shape[0], basis.ncols
     if engine == "twisted":
         n = sampling_set.dimension
         k = basis.spectral_degrees
@@ -543,29 +540,24 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
                            for d in range(int(k.max()) + 1)], axis=1)[:, k]
         M = basis.matrix(centers)[:, None, :] * factor[None, :, :]
     else:
-        ring = np.stack([circle_rule(r, euclid_points).nodes[:, 0] for r in radii])
-        M = np.empty((nc, nr, ncols))
-        # centers per basis read: about 8k points, as in a euclidean mean table
-        chunk = max(1, 8192 // ring.size)
-        for s in range(0, nc, chunk):
-            pts = centers[s:s + chunk, 0][:, None, None] + ring[None, :, :]
-            B = basis.matrix(pts.reshape(-1))
-            M[s:s + chunk] = B.reshape(pts.shape + (ncols,)).mean(axis=2)
+        M = euclidean_mean_table(SimpleNamespace(evaluate=basis.matrix), centers, radii,
+                                 euclid_points)
     ci, ri = sampling_set.row_meta()
-    return SamplingOperator(M.reshape(nc * nr, ncols), sampling_set, basis,
+    return SamplingOperator(M.reshape(ci.size, basis.ncols), sampling_set, basis,
                             engine, ci, ri)
 
 
 def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
-                        max_radii: int | None = None) -> float:
-    """Reconstruct the field of a coefficient vector and remeasure its means
-    over the whole set by quadrature, never by the closed form that built
-    the operator: one ``twisted_mean_table`` (sphere rules) or
-    ``euclidean_mean_table`` (circle nodes) over the set's centers and
-    radii.  Returns the max |mean| (normalized by the coefficient norm)."""
+                        max_radii: int | None = None):
+    """Reconstruct the field of each coefficient vector, (ncols,) or the V
+    columns of (ncols, V), and remeasure its means over the whole set by
+    quadrature, never by the closed form that built the operator: one
+    ``twisted_mean_table`` (sphere rules) or ``euclidean_mean_table``
+    (circle nodes) for all V.  Returns the max |mean| of each vector
+    normalized by its norm: a float, or (V,) for V columns."""
     v = np.asarray(coefficients)
-    nv = float(np.linalg.norm(v))
-    if nv == 0:
+    nv = np.linalg.norm(v, axis=0)
+    if np.any(nv == 0):
         raise ValueError("zero coefficient vector")
     c = v / nv
     sset = operator.sampling_set
@@ -574,7 +566,7 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
     means = table(SimpleNamespace(dimension=sset.dimension,
                                   evaluate=lambda pts: operator.basis.matrix(pts) @ c),
                   sset.centers, radii)
-    return float(np.max(np.abs(means), initial=0.0))
+    return np.max(np.abs(means), axis=(0, 1), initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +636,10 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
     else:
         curve[base_degree if base_degree is not None else 0] = operator.sigma_min
 
-    entries = []
-    for sigma, v in operator.near_null(near_null_threshold):
-        rt = near_null_roundtrip(operator, v) if roundtrip else float("nan")
-        entries.append((sigma, v, rt))
+    null = operator.near_null(near_null_threshold)
+    rts = (near_null_roundtrip(operator, np.stack([v for _, v in null], axis=1))
+           if roundtrip and null else [float("nan")] * len(null))
+    entries = [(sigma, v, float(rt)) for (sigma, v), rt in zip(null, rts)]
     return InjectivityReport(
         engine=operator.engine, set_kind=operator.sampling_set.kind,
         base_degree=base_degree, rows=operator.shape[0], cols=operator.shape[1],

@@ -16,8 +16,8 @@ and the polar bridge ties them together: with omega = sphere_surface_area(n),
 
 Means.  Every spherical mean comes from ``twisted_mean_table``: a centers x
 radii table that builds each radius's ``sphere_rule`` once and reads f once
-per center over blocks of radii.  A single mean and a profile are its
-1 x 1 case and one row.
+per center over blocks of radii.  A single mean is its 1 x 1 case, a
+profile one row, and V fields read together its V columns, bit for bit.
 
 Degreewise structure (n = 1): Q_k f lands in span{phi_(k, m) : m >= 0} of
 the special Hermite family -- the first index is the spectral one.  In
@@ -69,8 +69,8 @@ import numpy as np
 from .constants import TWIST_SIGN, sphere_surface_area
 from .errors import GridMismatchError, TruncationTailWarning, TranslateTailWarning
 from .fields import _CHUNK, MeanProfile, SampledField, SpectrumTruncation
-from .quadrature import (PlaneRule, RadialRule, SphereRule, compensated_sum,
-                         plane_rule, sphere_rule)
+from .quadrature import (PlaneRule, RadialRule, compensated_sum, plane_rule,
+                         sphere_rule)
 from .special_functions import (LaguerreSpec, laguerre_function,
                                 laguerre_sequence, special_hermite_matrix)
 
@@ -129,40 +129,11 @@ def twisted_translate(f: SampledField, eta, tail_tol: float = 1e-9) -> SampledFi
 _MEAN_POINTS = {1: _CHUNK[1], 2: 16384}
 
 
-def _mean_table(f: SampledField, centers, radii, sphere) -> np.ndarray:
-    """(C, R) twisted means at centers (C, n) over radii, ``sphere(r)`` the
-    rule of each r > 0.  f needs only ``dimension`` and ``evaluate``."""
-    centers = np.asarray(centers, dtype=complex)
-    if centers.ndim != 2 or centers.shape[1] != f.dimension:
-        raise ValueError(f"centers must be points of C^{f.dimension}, "
-                         f"shape (C, {f.dimension}); got {centers.shape}")
-    radii = np.asarray(radii, dtype=float).reshape(-1)
-    if np.any(radii < 0):
-        raise ValueError(f"radius must be >= 0, got {radii.min()}")
-    out = np.empty((centers.shape[0], radii.size), dtype=complex)
-    at_zero = radii == 0.0
-    if at_zero.any():
-        out[:, at_zero] = f.evaluate(centers).reshape(-1, 1)
-    on = np.flatnonzero(~at_zero)
-    if not on.size:
-        return out
-    rules = [sphere(r) for r in radii[on]]
-    nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
-    weights = np.stack([s.weights for s in rules])
-    block = max(1, _MEAN_POINTS[f.dimension] // nodes.shape[1])
-    # each center as a (1, n) row: a 0-d slot in twist_phase rounds differently
-    for z, row in zip(centers[:, None, :], out):
-        for s in range(0, on.size, block):
-            w = nodes[s:s + block]
-            vals = weights[s:s + block] * f.evaluate(z - w).reshape(w.shape[:-1])
-            row[on[s:s + block]] = compensated_sum(vals * twist_phase(z, w), axis=-1)
-    return out
-
-
 def twisted_mean_table(f: SampledField, centers, radii,
                        m: int | None = None, orders=None) -> np.ndarray:
     """f x mu_r(z) for every center (rows, points of C^n) and radius
-    (columns): (C, R) complex.
+    (columns): (C, R) complex, or (C, R, V) when ``f.evaluate`` returns
+    (P, V) on P points.  f needs only ``dimension`` and ``evaluate``.
 
     Each radius's ``sphere_rule`` (``m`` circle nodes on C, S^3 ``orders``
     on C^2) is built once per call and f is read once per center over
@@ -170,22 +141,49 @@ def twisted_mean_table(f: SampledField, centers, radii,
     reads of sample-only fields raise FieldDomainError naming the offending
     node.
     """
-    return _mean_table(f, centers, radii,
-                       lambda r: sphere_rule(f.dimension, r, m=m, orders=orders))
+    centers = np.asarray(centers, dtype=complex)
+    if centers.ndim != 2 or centers.shape[1] != f.dimension:
+        raise ValueError(f"centers must be points of C^{f.dimension}, "
+                         f"shape (C, {f.dimension}); got {centers.shape}")
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if np.any(radii < 0):
+        raise ValueError(f"radius must be >= 0, got {radii.min()}")
+    out = None      # made on the first read, once the number of fields is known
+
+    def table(tail: tuple) -> np.ndarray:
+        nonlocal out
+        if out is None:
+            out = np.empty(centers.shape[:1] + radii.shape + tail, dtype=complex)
+        return out
+
+    at_zero = radii == 0.0
+    if at_zero.any():
+        f0 = f.evaluate(centers)
+        table(f0.shape[1:])[:, at_zero] = f0[:, None]
+    on = np.flatnonzero(~at_zero)
+    if on.size:
+        rules = [sphere_rule(f.dimension, r, m=m, orders=orders) for r in radii[on]]
+        nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
+        weights = np.stack([s.weights for s in rules])
+        block = max(1, _MEAN_POINTS[f.dimension] // nodes.shape[1])
+        # each center as a (1, n) row: a 0-d slot in twist_phase rounds differently
+        for j, z in enumerate(centers[:, None, :]):
+            for s in range(0, on.size, block):
+                w = nodes[s:s + block]
+                vals = f.evaluate((z - w).reshape(-1, f.dimension))
+                # fields first, contiguous: each sums its nodes as a scalar field
+                vals = np.ascontiguousarray(vals.T).reshape(vals.shape[1:] + w.shape[:-1])
+                table(vals.shape[:-2])[j, on[s:s + block]] = compensated_sum(
+                    weights[s:s + block] * vals * twist_phase(z, w), axis=-1).T
+    return table(())
 
 
 def twisted_spherical_mean(f: SampledField, z, r: float,
-                           rule: SphereRule | None = None,
                            m: int | None = None, orders=None) -> complex:
     """f x mu_r(z) over the normalized sphere of radius r centered at z:
-    the 1 x 1 ``twisted_mean_table``, or a table over the given sphere
-    ``rule``."""
+    the 1 x 1 ``twisted_mean_table``."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))[None, :]
-    if rule is None:
-        return complex(twisted_mean_table(f, z, [r], m, orders)[0, 0])
-    if r > 0 and abs(rule.radius - r) > 1e-12 * max(1.0, r):
-        raise ValueError("sphere rule radius disagrees with r")
-    return complex(_mean_table(f, z, [r], lambda _: rule)[0, 0])
+    return complex(twisted_mean_table(f, z, [r], m, orders)[0, 0])
 
 
 def mean_profile(f: SampledField, z, radii=None,
@@ -340,10 +338,9 @@ _SLOT_BLOCK = 1 << 20
 
 
 def _slot_pieces(targets: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                 fw: np.ndarray, degrees: list) -> np.ndarray:
-    """Pieces (b1, b2) of the u-form sum on C^2 at targets (T, 2):
-    (T, K+1, K+1) complex, K = max(degrees), filled where b1 + b2 is in
-    ``degrees`` and 0 elsewhere.
+                 fw: np.ndarray, pairs: list) -> np.ndarray:
+    """Pieces (b1, b2) of the u-form sum on C^2 at targets (T, 2), one
+    column per pair in ``pairs``: (T, len(pairs)) complex.
 
     fw (G, m1, m2) holds the weighted samples on G rings, ring g the product
     grid of slot nodes u1[g] (m1) and u2[g] (m2).  With the slot kernels
@@ -351,22 +348,21 @@ def _slot_pieces(targets: np.ndarray, u1: np.ndarray, u2: np.ndarray,
 
         piece (b1, b2) = sum_g rowsum((K_b1(z1)[g] @ fw[g]) * K_b2(z2)[g]),
 
-    one batched (G, T, m1) x (G, m1, m2) product per b1.
+    one batched (G, T, m1) x (G, m1, m2) product per slot-1 degree asked for.
     """
     G, m1, m2 = fw.shape
-    slot = list(range(max(degrees) + 1))
-    out = np.zeros((targets.shape[0], len(slot), len(slot)), dtype=complex)
-    chunk = max(1, _SLOT_BLOCK // (len(slot) * G * (m1 + m2)))
+    out = np.empty((targets.shape[0], len(pairs)), dtype=complex)
+    chunk = max(1, _SLOT_BLOCK // ((max(map(max, pairs)) + 1) * G * (m1 + m2)))
     for s in range(0, targets.shape[0], chunk):
         z = targets[s:s + chunk]
         T = z.shape[0]
-        K2 = [kernel.reshape(T, G, m2) for _, kernel in
-              _twisted_kernels(*_pairing_kernel_args(z[:, 1:], u2.reshape(-1, 1)), slot)]
-        for (b1,), K1 in _twisted_kernels(*_pairing_kernel_args(z[:, :1], u1.reshape(-1, 1)),
-                                          slot):
+        K2 = {pairs[cols[0]][1]: kernel.reshape(T, G, m2) for cols, kernel in _twisted_kernels(
+            *_pairing_kernel_args(z[:, 1:], u2.reshape(-1, 1)), [b2 for _, b2 in pairs])}
+        for cols, K1 in _twisted_kernels(*_pairing_kernel_args(z[:, :1], u1.reshape(-1, 1)),
+                                         [b1 for b1, _ in pairs]):
             P = np.matmul(K1.reshape(T, G, m1).transpose(1, 0, 2), fw).transpose(1, 0, 2)
-            for b2 in {k - b1 for k in degrees if k >= b1}:
-                out[s:s + chunk, b1, b2] = np.sum(P * K2[b2], axis=(1, 2))
+            for col in cols:
+                out[s:s + chunk, col] = np.sum(P * K2[pairs[col][1]], axis=(1, 2))
     return out
 
 
@@ -377,9 +373,10 @@ def _ring_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np
     R, nt, m1, m2 = f.rule.shape
     u = f.rule.nodes.reshape(R * nt, m1, m2, 2)
     fw = (f.values * f.rule.weights).reshape(R * nt, m1, m2)
-    pieces = _slot_pieces(targets, u[:, :, 0, 0], u[:, 0, :, 1], fw, degrees)
-    return np.stack([sum(pieces[:, b1, k - b1] for b1 in range(k + 1)) for k in degrees],
-                    axis=1)
+    pairs = sorted({(b1, k - b1) for k in degrees for b1 in range(k + 1)})
+    pieces = _slot_pieces(targets, u[:, :, 0, 0], u[:, 0, :, 1], fw, pairs)
+    return np.stack([sum(pieces[:, pairs.index((b1, k - b1))] for b1 in range(k + 1))
+                     for k in degrees], axis=1)
 
 
 def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
@@ -515,13 +512,12 @@ def tensor_decompose_projection(f: SampledField, k: int,
         F[s:s + rows] = f.evaluate(np.stack(np.broadcast_arrays(u[s:s + rows], u.T), axis=-1))
         F[s:s + rows] *= np.outer(w[s:s + rows], w)
 
-    def piece_values(targets: np.ndarray) -> np.ndarray:
-        """All (b1, b2 = k - b1) pieces at the targets: (T, k+1) complex."""
+    def piece_values(targets, pairs: list) -> np.ndarray:
         targets = np.asarray(targets, dtype=complex).reshape(-1, 2)
-        b1 = np.arange(k + 1)
-        return _slot_pieces(targets, u.T, u.T, F[None], [k])[:, b1, k - b1]
+        return _slot_pieces(targets, u.T, u.T, F[None], pairs)
 
-    vals = piece_values(eval_rule.nodes)
+    pairs = [(b1, k - b1) for b1 in range(k + 1)]
+    vals = piece_values(eval_rule.nodes, pairs)
     return [SampledField(2, eval_rule, vals[:, b1], f.decay_class,
-                         lambda pts, _b1=b1: piece_values(pts)[:, _b1],
-                         name=f"piece_b1={b1}_b2={k - b1}") for b1 in range(k + 1)]
+                         lambda pts, _p=p: piece_values(pts, [_p])[:, 0],
+                         name=f"piece_b1={p[0]}_b2={p[1]}") for b1, p in enumerate(pairs)]

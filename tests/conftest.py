@@ -85,7 +85,7 @@ def phase_matrix_interpolate(rule, values, points):
     return out
 
 
-def per_pair_twisted_mean(f, z, r, rule=None, m=None, orders=None) -> complex:
+def per_pair_twisted_mean(f, z, r, m=None, orders=None) -> complex:
     """Oracle for one entry of ``twisted_mean_table``: f x mu_r(z) by its
     own sphere rule, one (center, radius) pair per call, with the default
     sizes 256 and (16, 32, 32) written out."""
@@ -96,11 +96,8 @@ def per_pair_twisted_mean(f, z, r, rule=None, m=None, orders=None) -> complex:
         raise ValueError(f"radius must be >= 0, got {r}")
     if r == 0.0:
         return complex(f.evaluate(z[None, :])[0])
-    sph = rule if rule is not None else (
-        sphere_rule(1, r, m=m or 256) if f.dimension == 1
-        else sphere_rule(2, r, orders=orders or (16, 32, 32)))
-    if abs(sph.radius - r) > 1e-12 * max(1.0, r):
-        raise ValueError("sphere rule radius disagrees with r")
+    sph = (sphere_rule(1, r, m=m or 256) if f.dimension == 1
+           else sphere_rule(2, r, orders=orders or (16, 32, 32)))
     vals = f.evaluate(z[None, :] - sph.nodes)
     return complex(compensated_sum(sph.weights * vals * twist_phase(z[None, :], sph.nodes)))
 
@@ -117,6 +114,18 @@ def per_pair_circular_mean(f, x, r, m=240) -> float:
     pts = x + r * np.exp(1j * theta)
     vals = np.asarray(f.evaluate(pts), dtype=float)
     return float(compensated_sum(vals) / m)
+
+
+class StackedFields:
+    """V fields read as one, the form the mean tables take for V columns:
+    ``evaluate`` on P points returns (P, V), column v field v's values."""
+
+    def __init__(self, fields):
+        self.fields = list(fields)
+        self.dimension = getattr(self.fields[0], "dimension", 1)
+
+    def evaluate(self, points):
+        return np.stack([f.evaluate(points) for f in self.fields], axis=1)
 
 
 def direct_projection_table(f, degrees, targets):

@@ -23,7 +23,7 @@ from tsmlab.injectivity_lab import (EuclideanSectorBasis, TypeFunctionSpec,
                                     assemble_operator,
                                     fit_projection_expansion,
                                     hecke_bochner_counterexample, make_set)
-from tsmlab.quadrature import plane_rule, radial_rule, sphere3_rule
+from tsmlab.quadrature import plane_rule, radial_rule
 from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
                                       radial_eigenfunction_origin,
                                       solid_harmonic_basis)
@@ -31,6 +31,7 @@ from tsmlab.twisted_transforms import (convolution_values, mean_profile,
                                        polar_bridge, spectral_projection,
                                        special_hermite_truncation,
                                        tensor_decompose_projection,
+                                       twisted_mean_table,
                                        twisted_spherical_mean)
 
 
@@ -111,17 +112,15 @@ def test_criterion_02_product_relation(rule_c1_small, probe_targets):
                          [-0.9 + 0.1j, 0.2 - 0.7j],
                          [0.3 + 0.3j, -1.1 - 0.4j],
                          [1.6 + 0.0j, 0.5 + 0.5j]])
-    spheres = {r: sphere3_rule(r, (24, 40, 40)) for r in radii}
+    # n = 2: one table per degree over the (24, 40, 40) S^3 rule
     for k in range(9):
         f = _phi_field(rule2, k)
         spec = LaguerreSpec(k, 1)
         B = 1.0 / radial_eigenfunction_origin(2, k)
-        for z in centers2:
-            for r in radii:
-                lhs = twisted_spherical_mean(f, z, r, rule=spheres[r])
-                ref = B * laguerre_function(spec, np.array([r]))[0] \
-                    * laguerre_function(spec, np.array([np.linalg.norm(z)]))[0]
-                worst = max(worst, abs(lhs - ref) / (1.0 + abs(ref)))
+        lhs = twisted_mean_table(f, centers2, radii, orders=(24, 40, 40))
+        ref = B * np.outer(laguerre_function(spec, np.linalg.norm(centers2, axis=1)),
+                           laguerre_function(spec, np.asarray(radii)))
+        worst = max(worst, float(np.max(np.abs(lhs - ref) / (1.0 + np.abs(ref)))))
     _gate("02 product relation (n<=2, k<=8, 5 radii x 5 centers)",
           _le("scaled error", worst, 1e-8))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import per_pair_circular_mean
+from conftest import StackedFields, per_pair_circular_mean
 from tsmlab.errors import FieldDomainError
 from tsmlab.euclidean_means import (EuclideanField, SectorBasisFunction,
                                     bump_profile, circular_mean,
@@ -66,6 +66,24 @@ def test_mean_table_matches_per_pair_circular_means():
     assert table.shape == (4, 40)
     assert np.max(np.abs(table - ref)) <= 1e-15 * f.max_abs()
     assert np.max(np.abs(table[2:, 1:])) > 1e-3 * f.max_abs()   # off the lines
+
+
+def test_vector_table_equals_scalar_tables():
+    """A field returning (P, V) gets the (C, R, V) table whose column v is
+    the scalar table of field v: exactly at r = 0, and to 1e-15 of the peak
+    on circles, where the vector sums run over the nodes in order and the
+    scalar ones pairwise.  The sample-only copy interpolates every read."""
+    odd = coxeter_odd_counterexample(2)
+    fields = [odd, coxeter_odd_counterexample(3),
+              EuclideanField(odd.rule, odd.values, odd.support_radius, None, odd.name)]
+    centers = np.array([0.2 + 0.0j, 0.35j, 0.3 + 0.4j, -0.5 + 0.1j])
+    radii = np.concatenate([[0.0], np.geomspace(0.05, 1.5, 39)])
+    table = euclidean_mean_table(StackedFields(fields), centers, radii)
+    assert table.shape == (4, 40, 3)
+    for v, f in enumerate(fields):
+        ref = euclidean_mean_table(f, centers, radii)
+        assert np.array_equal(table[:, 0, v], ref[:, 0]), v
+        assert np.max(np.abs(table[:, :, v] - ref)) <= 1e-15 * f.max_abs(), v
 
 
 def test_mean_table_input_validation():

@@ -1,11 +1,12 @@
 """Sampling sets, operators, probes, and the two counterexample engines."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import per_pair_twisted_mean, sector_basis_values
+from conftest import per_pair_circular_mean, per_pair_twisted_mean, sector_basis_values
 from tsmlab.constants import REGRESSION
 from tsmlab.errors import IllConditionedFitError
 from tsmlab.euclidean_means import (circular_mean, coxeter_odd_counterexample,
@@ -295,6 +296,26 @@ def test_euclid_odd_sector_operator_is_singular(euclid_odd_operator):
         assert np.linalg.norm(op.matrix @ v) / np.linalg.norm(v) < 1e-8
 
 
+def test_euclidean_operator_entries_match_per_pair_circular_means():
+    """Euclidean rows have no closed form: spot-check entries against one
+    circle average of the basis column per (centre, radius), to 1e-15 of
+    the column's peak."""
+    sset = make_set("coxeter_lines", n_lines=3, points_per_ray=3, extent=1.5,
+                    radii=[0.3, 0.7, 1.2])
+    basis = EuclideanSectorBasis(euclidean_sector_basis(3, support_radii=(1.0, 0.6)))
+    op = assemble_operator(sset, engine="euclidean", basis=basis)
+    lattice = plane_rule(1, extent=1.0, radial_points=32, angular_points=64).nodes[:, 0]
+    peaks = np.max(np.abs(basis.matrix(lattice)), axis=0)
+    refs = []
+    # both support radii, cos and sin columns, and sin3 (odd across Sigma_3: 0)
+    for row, col in [(4, 0), (4, 9), (17, 2), (25, 3), (25, 8), (40, 4), (40, 5), (52, 13)]:
+        j, i = op.center_index[row], op.radius_index[row]
+        column = SimpleNamespace(evaluate=lambda p, _c=col: basis.matrix(p)[:, _c])
+        refs.append(per_pair_circular_mean(column, sset.centers[j, 0], sset.radii[i]))
+        assert abs(op.matrix[row, col] - refs[-1]) <= 1e-15 * peaks[col], (row, col)
+    assert sum(abs(r) > 1e-3 for r in refs) >= 6                 # not all zero
+
+
 def test_near_null_roundtrip_remeasures_means(euclid_odd_operator):
     op = euclid_odd_operator
     sigma, v = op.near_null(1e-10)[0]
@@ -318,11 +339,16 @@ def test_euclidean_roundtrip_equals_per_pair_circular_means(euclid_odd_operator)
     sset = op.sampling_set
     near_null = op.near_null(1e-10)[0][1]
     generic = np.random.default_rng(11).normal(size=op.basis.ncols)
+    refs = []
     for v in (near_null, generic):
         fn = lambda p, _e=v / np.linalg.norm(v): op.basis.matrix(p) @ _e
-        ref = max(abs(circular_mean(_RealPart(fn), z, r))
-                  for z in sset.centers[:, 0] for r in sset.radii)
-        assert abs(near_null_roundtrip(op, v) - ref) <= 1e-15
+        refs.append(max(abs(circular_mean(_RealPart(fn), z, r))
+                        for z in sset.centers[:, 0] for r in sset.radii))
+        assert abs(near_null_roundtrip(op, v) - refs[-1]) <= 1e-15
+    # both vectors as the columns of one matrix: one table call
+    got = near_null_roundtrip(op, np.stack([near_null, generic], axis=1))
+    assert got.shape == (2,)
+    assert np.max(np.abs(got - refs)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -340,12 +366,20 @@ def test_twisted_roundtrip_equals_per_pair_means(n):
         op = assemble_operator(sset, basis=ProductHermiteBasis((1, 1)))
         carrier = plane_rule(2, extent=8.0, radial_points=6, sphere3_orders=(3, 6, 6),
                              tolerance=float("inf"))
-    v = np.random.default_rng(5).normal(size=op.basis.ncols)
-    e = v / np.linalg.norm(v)
-    fn = lambda p: op.basis.matrix(p) @ e
-    f = SampledField(n, carrier, fn(carrier.nodes), evaluator=fn)
-    ref = max(abs(per_pair_twisted_mean(f, z, r)) for z in sset.centers for r in sset.radii)
-    assert abs(near_null_roundtrip(op, v) - ref) <= 1e-15 * ref
+    rng = np.random.default_rng(5)
+    vs = [rng.normal(size=op.basis.ncols)] + list(
+        rng.normal(size=(3, op.basis.ncols)) + 1j * rng.normal(size=(3, op.basis.ncols)))
+    refs = []
+    for v in vs:
+        fn = lambda p, _e=v / np.linalg.norm(v): op.basis.matrix(p) @ _e
+        f = SampledField(n, carrier, fn(carrier.nodes), evaluator=fn)
+        refs.append(max(abs(per_pair_twisted_mean(f, z, r))
+                        for z in sset.centers for r in sset.radii))
+    assert abs(near_null_roundtrip(op, vs[0]) - refs[0]) <= 1e-15 * refs[0]
+    # all four vectors as the columns of one matrix: one table call
+    got = near_null_roundtrip(op, np.stack(vs, axis=1))
+    assert got.shape == (4,)
+    assert np.max(np.abs(got - refs) / refs) <= 1e-15
 
 
 def test_twisted_operator_matches_frozen_regression():

@@ -12,15 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (direct_projection_table, direct_projection_values,
-                      nested_piece_values,
+from conftest import (StackedFields, direct_projection_table,
+                      direct_projection_values, nested_piece_values,
                       per_pair_twisted_mean, special_hermite_basis)
 from tsmlab import twisted_transforms
 from tsmlab.constants import TWIST_SIGN, sphere_surface_area
 from tsmlab.errors import (FieldDomainError, GridMismatchError,
                            TranslateTailWarning, TruncationTailWarning)
 from tsmlab.fields import SampledField
-from tsmlab.quadrature import circle_rule, plane_rule, radial_rule
+from tsmlab.quadrature import plane_rule, radial_rule
 from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
                                       radial_eigenfunction_origin,
                                       SpecialHermiteIndex)
@@ -67,9 +67,6 @@ def test_mean_input_validation(gauss_field):
         twisted_spherical_mean(gauss_field, np.array([0j]), -1.0)
     with pytest.raises(ValueError, match="center"):
         twisted_spherical_mean(gauss_field, np.array([0j, 0j]), 1.0)
-    with pytest.raises(ValueError, match="radius disagrees"):
-        twisted_spherical_mean(gauss_field, np.array([0j]), 1.0,
-                               rule=circle_rule(2.0, 64))
 
 
 def test_mean_small_radius_continuity(gauss_field):
@@ -136,6 +133,30 @@ def test_mean_table_of_csv_import_matches_per_pair_oracle(rule_c1_small, tmp_pat
     table = twisted_mean_table(sampled, TABLE_CENTERS, TABLE_RADII)
     ref = _per_pair(sampled, TABLE_CENTERS, TABLE_RADII)
     assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(sampled.values))
+
+
+@pytest.mark.parametrize("case", ["c1", "c2", "csv"])
+def test_vector_table_equals_scalar_tables(case, gauss_field, rule_c1_small, tmp_path):
+    """A field returning (P, V) gets the (C, R, V) table whose column v is,
+    bit for bit, the scalar table of field v; r = 0 columns included."""
+    if case == "c2":
+        rule = plane_rule(2, extent=8.0, radial_points=12, sphere3_orders=(4, 8, 8),
+                          tolerance=float("inf"))
+        fields = [TypeFunctionSpec(h).build_field(rule) for h in solid_harmonic_basis(1, 1, 2)]
+        centers = np.array([[0.6 + 0.0j, 0.0j], [0.5 - 0.2j, 0.3 + 0.4j]])
+        radii = np.array([0.0, 0.3, 1.1, 3.0])
+    else:
+        fields = [gauss_field.scaled(0.5j), _offcentre(gauss_field.rule)]
+        if case == "csv":
+            _offcentre(rule_c1_small).to_csv(tmp_path / "f.csv")
+            fields[1] = SampledField.from_csv(tmp_path / "f.csv")
+            fields[0] = _phi_field(rule_c1_small, 2)
+        centers, radii = TABLE_CENTERS, TABLE_RADII
+    assert len(fields) >= 2
+    table = twisted_mean_table(StackedFields(fields), centers, radii)
+    assert table.shape == (len(centers), len(radii), len(fields))
+    for v, f in enumerate(fields):
+        assert np.array_equal(table[:, :, v], twisted_mean_table(f, centers, radii)), v
 
 
 def test_mean_table_input_validation(gauss_field):
