@@ -708,7 +708,10 @@ class TypeFunctionSpec:
 
         def fn(pts):
             pts = np.asarray(pts, dtype=complex).reshape(-1, h.dimension)
-            return g(np.linalg.norm(pts, axis=1)) * h.evaluate(pts)
+            # |z|^2 slot by slot: the sum norm(pts, axis=1) takes, without
+            # its strided reduction over the two-wide last axis
+            sq = (pts.conj() * pts).real
+            return g(np.sqrt(sum(sq.T[1:], sq.T[0]))) * h.evaluate(pts)
 
         return fn
 

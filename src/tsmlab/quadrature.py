@@ -3,13 +3,15 @@ and full planes C^n (n <= 2) in polar form.
 
 Design notes
 ------------
-* Sphere rules carry *normalized* surface measure: weights sum to 1.
+* Sphere rules carry *normalized* surface measure: weights sum to 1.  They
+  also carry the factors they are the product of (t weights, one node
+  table per slot), which ``twisted_mean_table`` contracts against.
 * Plane rules carry Lebesgue measure in polar factorization
   ``dz = omega_(2n-1) r^(2n-1) dr dmu_r``: Gauss-Legendre on the radius
   against the Jacobian, the normalized sphere rule in the angles.
-* Reductions happen in fixed node order through ``compensated_sum`` so a
-  serial rerun (or any future chunked-parallel one that combines partials
-  in index order) reproduces results bit for bit.
+* ``integrate`` reduces in fixed node order through ``compensated_sum``
+  so a serial rerun (or any future chunked-parallel one that combines
+  partials in index order) reproduces results bit for bit.
 * Every plane rule self-checks the Gaussian moment
   ``int exp(-|z|^2/2) dz = (2 pi)^n`` at construction and refuses to build
   if the achieved error exceeds its declared tolerance.
@@ -64,12 +66,21 @@ def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SphereRule:
-    """Nodes/weights for a sphere |w| = radius in C^n, normalized measure."""
+    """Nodes/weights for a sphere |w| = radius in C^n, normalized measure.
+
+    Every sphere rule is a tensor product over T inclinations and the n
+    slots: ``t_weights`` (T,) and one ``slot_nodes[s]`` (T, M_s) table per
+    slot.  Node (t, a_1, .., a_n) is (slot_nodes[0][t, a_1], ..,
+    slot_nodes[n-1][t, a_n]) with weight t_weights[t] / (M_1 .. M_n);
+    ``nodes`` and ``weights`` list them row-major over (T, M_1, .., M_n).
+    """
 
     dimension: int          # complex dimension n
     radius: float
     nodes: np.ndarray       # (N, n) complex
     weights: np.ndarray     # (N,) positive, sum 1
+    t_weights: np.ndarray   # (T,) positive, sum 1
+    slot_nodes: tuple       # n arrays (T, M_s) complex
 
     def integrate(self, values) -> complex:
         return complex(compensated_sum(self.weights * np.asarray(values)))
@@ -85,22 +96,33 @@ class SphereRule:
             raise QuadratureError(f"sphere rule nodes off the sphere by {err:.3e}")
 
 
+def _product_rule(radius: float, t_weights: np.ndarray, slot_nodes: tuple) -> SphereRule:
+    """The sphere rule of its factors: node (t, a_1, .., a_n) takes slot s
+    from slot_nodes[s][t, a_s], weight t_weights[t] / (M_1 .. M_n)."""
+    phases = np.indices([s.shape[1] for s in slot_nodes]).reshape(len(slot_nodes), -1)
+    nodes = np.stack([s[:, a].ravel() for s, a in zip(slot_nodes, phases)], axis=1)
+    size = phases.shape[1]
+    weights = (t_weights[:, None] * np.full((1, size), 1.0 / size)).ravel()
+    return SphereRule(len(slot_nodes), radius, nodes, weights, t_weights, tuple(slot_nodes))
+
+
 def circle_rule(radius: float, m: int = 256) -> SphereRule:
-    """m equispaced points on |w| = radius in C, weights 1/m."""
+    """m equispaced points on |w| = radius in C, weights 1/m: the one-slot
+    product rule, T = 1 with t weight 1."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if m < 4:
         raise ValueError("circle rule needs at least 4 nodes")
     theta = 2.0 * np.pi * np.arange(m) / m
-    nodes = radius * np.exp(1j * theta)[:, None]
-    return SphereRule(1, radius, nodes, np.full(m, 1.0 / m))
+    return _product_rule(radius, np.ones(1), (radius * np.exp(1j * theta)[None, :],))
 
 
 def sphere3_rule(radius: float, orders: tuple[int, int, int] = (16, 32, 32)) -> SphereRule:
     """Product rule on S^3 = {(r cos(t) e^(i p1), r sin(t) e^(i p2))}.
 
     Gauss-Legendre in t on [0, pi/2] against the density 2 sin t cos t,
-    uniform in both phases; weights renormalized to sum exactly 1.
+    uniform in both phases; t weights renormalized to sum exactly 1.  The
+    slot tables are r cos(t) e^(i p1) (nt, m1) and r sin(t) e^(i p2) (nt, m2).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -110,13 +132,8 @@ def sphere3_rule(radius: float, orders: tuple[int, int, int] = (16, 32, 32)) -> 
     wt /= wt.sum()
     p1 = 2.0 * np.pi * np.arange(m1) / m1
     p2 = 2.0 * np.pi * np.arange(m2) / m2
-    ct = (radius * np.cos(t))[:, None, None]
-    st = (radius * np.sin(t))[:, None, None]
-    z1 = ct * np.exp(1j * p1)[None, :, None] * np.ones((1, 1, m2))
-    z2 = st * np.ones((1, m1, 1)) * np.exp(1j * p2)[None, None, :]
-    nodes = np.stack([z1.ravel(), z2.ravel()], axis=1)
-    weights = (wt[:, None, None] * np.full((1, m1, m2), 1.0 / (m1 * m2))).ravel()
-    return SphereRule(2, radius, nodes, weights)
+    return _product_rule(radius, wt, ((radius * np.cos(t))[:, None] * np.exp(1j * p1)[None, :],
+                                      (radius * np.sin(t))[:, None] * np.exp(1j * p2)[None, :]))
 
 
 def sphere_rule(dimension: int, radius: float, m: int | None = None,

@@ -215,15 +215,17 @@ class SolidHarmonic:
         if pts.shape[-1] != self.dimension:
             raise ValueError(f"points must have last axis {self.dimension}")
         out = np.zeros(pts.shape[:-1], dtype=complex)
-        zc = np.conj(pts)
         for (al, be), c in self.coefficients.items():
-            term = np.full(pts.shape[:-1], complex(c))
+            # each factor on the left: complex products round differently
+            # with their operands swapped
+            term = None if c == 1 else complex(c)
             for j in range(self.dimension):
-                if al[j]:
-                    term = term * pts[..., j] ** al[j]
-                if be[j]:
-                    term = term * zc[..., j] ** be[j]
-            out += term
+                for e, conj in ((al[j], False), (be[j], True)):
+                    if e:
+                        x = np.conj(pts[..., j]) if conj else pts[..., j]
+                        x = x if e == 1 else x ** e
+                        term = x if term is None else x * term
+            out += 1.0 if term is None else term
         return out
 
     def laplacian_coefficients(self) -> dict:

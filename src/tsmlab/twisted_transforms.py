@@ -18,6 +18,16 @@ Means.  Every spherical mean comes from ``twisted_mean_table``: a centers x
 radii table that builds each radius's ``sphere_rule`` once and reads f once
 per center over blocks of radii.  A single mean is its 1 x 1 case, a
 profile one row, and V fields read together its V columns, bit for bit.
+The sum over a sphere is contracted through the rule's factors: node
+(t, a_1, .., a_n) is (slot_1[t, a_1], .., slot_n[t, a_n]) with weight
+w_t / (M_1 .. M_n), and the twist is a product over slots, so
+
+    f x mu_r(z) = sum_t w_t / (M_1 M_2) * e_1[t]^T F[t] e_2[t]    (C^2)
+
+with e_s[t, a] = exp(i/2 Im(z_s conj(slot_s[t, a]))) and F[t] (M_1, M_2)
+the values of f at z - w on the nodes of inclination t: one batched mat-vec
+per slot, T (M_1 + M_2) exponentials in place of one per node.  The circle
+on C is the one-slot case, T = 1 and sum_a e_1[a] F[a] / M_1.
 
 Degreewise structure (n = 1): Q_k f lands in span{phi_(k, m) : m >= 0} of
 the special Hermite family -- the first index is the spectral one.  In
@@ -137,9 +147,11 @@ def twisted_mean_table(f: SampledField, centers, radii,
 
     Each radius's ``sphere_rule`` (``m`` circle nodes on C, S^3 ``orders``
     on C^2) is built once per call and f is read once per center over
-    blocks of radii.  r = 0 degenerates to f(z) (continuity).  Off-grid
-    reads of sample-only fields raise FieldDomainError naming the offending
-    node.
+    blocks of radii.  Each (center, radius) sum is contracted slot by slot
+    against the rule's twist factors, slot n first, then weighted over the
+    rule's inclinations (see the module docstring).  r = 0 degenerates to
+    f(z) (continuity).  Off-grid reads of sample-only fields raise
+    FieldDomainError naming the offending node.
     """
     centers = np.asarray(centers, dtype=complex)
     if centers.ndim != 2 or centers.shape[1] != f.dimension:
@@ -164,17 +176,30 @@ def twisted_mean_table(f: SampledField, centers, radii,
     if on.size:
         rules = [sphere_rule(f.dimension, r, m=m, orders=orders) for r in radii[on]]
         nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
-        weights = np.stack([s.weights for s in rules])
+        conj_slots = [np.conj(np.stack(t)) for t in zip(*(s.slot_nodes for s in rules))]
+        # w_t / (M_1 .. M_n): the weight of every node at inclination t
+        t_weights = np.stack([s.t_weights * (1.0 / (s.weights.size // s.t_weights.size))
+                              for s in rules])                   # (R, T)
         block = max(1, _MEAN_POINTS[f.dimension] // nodes.shape[1])
-        # each center as a (1, n) row: a 0-d slot in twist_phase rounds differently
-        for j, z in enumerate(centers[:, None, :]):
+        for j, z in enumerate(centers):
             for s in range(0, on.size, block):
                 w = nodes[s:s + block]
-                vals = f.evaluate((z - w).reshape(-1, f.dimension))
-                # fields first, contiguous: each sums its nodes as a scalar field
-                vals = np.ascontiguousarray(vals.T).reshape(vals.shape[1:] + w.shape[:-1])
-                table(vals.shape[:-2])[j, on[s:s + block]] = compensated_sum(
-                    weights[s:s + block] * vals * twist_phase(z, w), axis=-1).T
+                # z - w one slot column at a time: a broadcast over the n-wide
+                # last axis runs numpy's inner loop n elements at a time
+                pts = np.empty(w.shape, dtype=complex)
+                for k in range(f.dimension):
+                    np.subtract(z[k], w[..., k], out=pts[..., k])
+                vals = f.evaluate(pts.reshape(-1, f.dimension))
+                # fields first, contiguous; each radius's values as (T, M_1 * .. * M_n, 1)
+                tw = t_weights[s:s + block]
+                vals = np.ascontiguousarray(vals.T).reshape(vals.shape[1:] + tw.shape + (-1, 1))
+                # slot n first: one mat-vec per (radius, t) with the slot's twist
+                # e[t, a] = exp(i/2 Im(z_s conj(node))), so (.., T, 1, 1) is left
+                for zs, conj_nodes in zip(z[::-1], conj_slots[::-1]):
+                    e = np.exp(0.5j * TWIST_SIGN * (zs * conj_nodes[s:s + block]).imag)
+                    vals = vals.reshape(vals.shape[:-2] + (-1, e.shape[-1])) @ e[..., None]
+                vals = vals.reshape(vals.shape[:-3] + (1, -1)) @ tw[..., None]
+                table(vals.shape[:-3])[j, on[s:s + block]] = vals[..., 0, 0].T
     return table(())
 
 

@@ -47,6 +47,24 @@ def sector_basis_values(b, points) -> np.ndarray:
     return g * ang
 
 
+def solid_harmonic_values(h, z):
+    """Oracle for ``SolidHarmonic.evaluate``: every monomial built from a
+    full array of its coefficient, times each power of z and of the whole
+    conjugated array, unit powers included."""
+    pts = np.asarray(z, dtype=complex)
+    out = np.zeros(pts.shape[:-1], dtype=complex)
+    zc = np.conj(pts)
+    for (al, be), c in h.coefficients.items():
+        term = np.full(pts.shape[:-1], complex(c))
+        for j in range(h.dimension):
+            if al[j]:
+                term = term * pts[..., j] ** al[j]
+            if be[j]:
+                term = term * zc[..., j] ** be[j]
+        out += term
+    return out
+
+
 def _phase_matrix(theta: np.ndarray, m: int) -> np.ndarray:
     freqs = np.fft.fftfreq(m, d=1.0 / m)
     return np.exp(1j * theta[:, None] * freqs[None, :]) / m

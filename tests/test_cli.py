@@ -135,6 +135,21 @@ def test_counterexample_certificate(tmp_path):
     assert len(cols["mean"]) == cert["centers"] * cert["radii"]
 
 
+def test_twisted_counterexample_determinism(tmp_path):
+    """The C^2 vanishing scan, summed slot by slot, writes the same bytes
+    on a second run."""
+    payloads = []
+    for d in ("a", "b"):
+        out = tmp_path / d
+        code = main(["--experiment", "counterexample", "--out", str(out),
+                     "--override", "counterexample.engine=twisted"])
+        assert code == 0
+        payloads.append((out / "vanishing.json").read_bytes())
+    assert payloads[0] == payloads[1]
+    report = json.loads(payloads[0])
+    assert sum(report["on_zero_locus"]) == 30 and len(report["max_means"]) == 40
+
+
 def test_probe_artifacts(tmp_path):
     out = tmp_path / "pr"
     code = main(["--experiment", "probe", "--out", str(out),

@@ -1,5 +1,6 @@
 """Quadrature rules against closed-form moments."""
 
+import itertools
 import math
 
 import numpy as np
@@ -73,6 +74,35 @@ def test_sphere3_phase_moments_vanish():
     w1, w2 = rule.nodes[:, 0], rule.nodes[:, 1]
     for (j, k) in [(1, 0), (0, 1), (2, 1), (1, 3)]:
         assert abs(rule.integrate(w1 ** j * np.conj(w2) ** k)) < 1e-14
+
+
+@pytest.mark.parametrize("case", ["circle", "s3"])
+def test_sphere_rule_is_product_of_its_factors(case):
+    """nodes and weights are, bit for bit, the row-major product of the
+    t weights and the slot tables; the tables are r cos(t) e^(i p1) and
+    r sin(t) e^(i p2) on C^2, r e^(i p) on C."""
+    r = 1.7
+    if case == "circle":
+        rules = [((1, m), circle_rule(r, m)) for m in (4, 7, 64)]
+    else:
+        rules = [(o, sphere3_rule(r, o)) for o in [(5, 6, 10), (3, 8, 4), (16, 32, 32)]]
+    for (nt, *counts), rule in rules:
+        slots, tw = rule.slot_nodes, rule.t_weights
+        assert [s.shape for s in slots] == [(nt, m) for m in counts] and tw.shape == (nt,)
+        idx = list(itertools.product(range(tw.size), *map(range, counts)))
+        nodes = np.array([[slots[j][i[0], i[j + 1]] for j in range(len(slots))] for i in idx])
+        weights = np.array([tw[i[0]] * (1.0 / math.prod(counts)) for i in idx])
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
+        assert tw.sum() == pytest.approx(1.0, abs=1e-15)
+        if case == "circle":
+            t, moduli = np.zeros(1), [np.full(1, r)]
+        else:
+            t, _ = gauss_legendre(tw.size, 0.0, 0.5 * np.pi)
+            moduli = [r * np.cos(t), r * np.sin(t)]
+        for s, mod, m in zip(slots, moduli, counts):
+            want = mod[:, None] * np.exp(2j * np.pi * np.arange(m) / m)[None, :]
+            assert np.max(np.abs(s - want)) <= 1e-15 * r
 
 
 def test_radial_rule_moments():

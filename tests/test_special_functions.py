@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 import scipy.special
 
-from conftest import special_hermite_basis
+from conftest import solid_harmonic_values, special_hermite_basis
 from tsmlab.quadrature import plane_rule
 from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
                                       laguerre_polynomial, laguerre_sequence,
                                       radial_eigenfunction_origin,
-                                      solid_harmonic_basis,
+                                      SolidHarmonic, solid_harmonic_basis,
                                       special_hermite_indices,
                                       special_hermite_matrix)
 
@@ -163,6 +163,37 @@ def test_solid_harmonic_bigrading():
             lhs = h.evaluate(pts * np.exp(1j * t))
             rhs = np.exp(1j * (p - q) * t) * h.evaluate(pts)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_solid_harmonic_evaluate_matches_oracle():
+    """Unit and non-unit coefficients, unit and higher powers, conjugated
+    and plain slots, one- and two-slot harmonics, flat and batched points."""
+    rng = np.random.default_rng(13)
+    pts = 2.0 * (rng.normal(size=(3, 50, 2)) + 1j * rng.normal(size=(3, 50, 2)))
+    harmonics = [h for pq in [(1, 1), (2, 1), (2, 2)] for h in solid_harmonic_basis(*pq, 2)]
+    harmonics += [SolidHarmonic(1, 1, 2, {((1, 0), (0, 1)): Fraction(-3, 7)}),
+                  SolidHarmonic(0, 0, 2, {((0, 0), (0, 0)): Fraction(1)}),
+                  SolidHarmonic(0, 0, 2, {((0, 0), (0, 0)): Fraction(5, 2)})]
+    assert any(c != 1 for h in harmonics for c in h.coefficients.values())
+    for h in harmonics:
+        for z in (pts, pts[0]):
+            want = solid_harmonic_values(h, z)
+            got = h.evaluate(z)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), h.coefficients
+    for h in solid_harmonic_basis(3, 0, 1) + solid_harmonic_basis(0, 2, 1):
+        z = pts[0, :, :1]
+        want = solid_harmonic_values(h, z)
+        assert np.max(np.abs(h.evaluate(z) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_solid_harmonic_values_do_not_depend_on_batch_size():
+    """A point reads the same bits alone and among 20 000 others (past the
+    size where numpy reuses temporaries in place)."""
+    rng = np.random.default_rng(3)
+    pts = 3.0 * (rng.normal(size=(20000, 2)) + 1j * rng.normal(size=(20000, 2)))
+    for h in solid_harmonic_basis(1, 1, 2) + solid_harmonic_basis(2, 1, 2):
+        assert np.array_equal(h.evaluate(pts)[:500], h.evaluate(pts[:500])), h.coefficients
 
 
 def test_solid_harmonic_span_contains_z1_z2bar():

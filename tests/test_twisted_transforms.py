@@ -126,6 +126,26 @@ def test_mean_table_matches_per_pair_oracle_on_c2():
     assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(f.values))
 
 
+def test_mean_table_slot_bookkeeping_on_c2():
+    """Non-square S^3 orders and a field that tells its slots apart, off
+    centre in both: a slot mix-up in the twist or the contraction order
+    cannot cancel.  Centres have both slots nonzero; r = 0 included."""
+    rule = plane_rule(2, extent=8.0, radial_points=12, sphere3_orders=(4, 8, 8),
+                      tolerance=float("inf"))
+    f = SampledField.from_function(
+        lambda p: ((1.0 + 0.3 * p[:, 0] - 0.5j * np.conj(p[:, 1]))
+                   * np.exp(-np.abs(p[:, 0] - (0.7 - 0.2j)) ** 2 / 2.0
+                            - np.abs(p[:, 1] + (0.3 + 0.9j)) ** 2 / 3.5)),
+        rule, name="slots")
+    centers = np.array([[0.5 - 0.2j, 0.3 + 0.4j], [-1.1j, 1.6 + 0.2j],
+                        [0.9 + 0.8j, -0.6 - 1.2j]])
+    radii = np.array([0.0, 0.3, 1.1, 2.4])
+    for orders in [(5, 6, 10), (3, 12, 4)]:
+        table = twisted_mean_table(f, centers, radii, orders=orders)
+        ref = _per_pair(f, centers, radii, orders=orders)
+        assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(f.values)), orders
+
+
 def test_mean_table_of_csv_import_matches_per_pair_oracle(rule_c1_small, tmp_path):
     _offcentre(rule_c1_small).to_csv(tmp_path / "f.csv")
     sampled = SampledField.from_csv(tmp_path / "f.csv")
