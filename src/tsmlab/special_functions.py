@@ -8,7 +8,9 @@ Frozen conventions
   ``-Laplacian + |z|^2/4`` acting on the induced radial field on C^n has
   eigenvalue ``2k + n``.
 * The special Hermite family phi_(alpha,beta) on C is evaluated only by
-  ``special_hermite_matrix``, whose docstring fixes its convention.
+  ``special_hermite_matrix``, whose docstring fixes its convention; its
+  radial factors come from ``special_hermite_radial`` alone, which the
+  per-mode projections of ``twisted_transforms`` read as well.
 * Solid harmonic bases are ordered by the lexicographic order on the
   concatenated exponent pair (alpha, beta), largest first, and kernel
   vectors are produced by exact Gauss-Jordan elimination over Fractions:
@@ -18,12 +20,12 @@ Frozen conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-SQRT2 = math.sqrt(2.0)
 _NORM_2PI = (2.0 * math.pi) ** (-0.5)
 
 
@@ -41,17 +43,20 @@ class LaguerreSpec:
             raise ValueError(f"order must be >= 0, got {self.order}")
 
 
-def laguerre_sequence(order: int, x, max_degree: int):
+def laguerre_sequence(order, x, max_degree: int):
     """Yield L_k^order(x) for k = 0, 1, ..., max_degree.
 
     This is the package's one Laguerre recurrence, upward in the degree:
         (k+1) L_(k+1) = (2k+1+alpha-x) L_k - (k+alpha) L_(k-1),
     stable for x >= 0 at the degrees used here, so every degree up to
-    ``max_degree`` costs one step.  The yielded arrays are the recurrence's
-    own state: read or copy them, never write into them.
+    ``max_degree`` costs one step.  ``order`` may be an integer array: it
+    broadcasts against x, and every yielded array (degree 0 included) has
+    the broadcast shape, so one run serves many orders at once.  The
+    yielded arrays are the recurrence's own state: read or copy them,
+    never write into them.
     """
     x = np.asarray(x, dtype=float)
-    cur = np.ones_like(x)
+    cur = np.ones(np.broadcast_shapes(np.shape(order), x.shape))
     yield cur
     if max_degree >= 1:
         prev, cur = cur, 1.0 + order - x
@@ -112,6 +117,61 @@ def special_hermite_indices(max_degree: int) -> list[SpecialHermiteIndex]:
             for a in range(max_degree + 1) for b in range(max_degree + 1)]
 
 
+def special_hermite_radial(x, max_degree: int, max_order: int):
+    """Yield the radial factors rho_(a,d) at x = r^2/2 for a = 0, 1, ...,
+    max_degree, each an array (max_order + 1,) + x.shape over d:
+
+        rho_(a,d)(r) = sqrt(a!/(a+d)!) (r/sqrt(2))^d L_a^d(r^2/2) exp(-r^2/4),
+
+    so that phi_(a,a+d)(r e^(i th)) = (2 pi)^(-1/2) i^d e^(-i d th) rho_(a,d)(r)
+    (``special_hermite_matrix``).  This is the package's one implementation
+    of the factor.  It is taken as g_d(x) L_a^d(x) / sqrt(binom(a+d, a)) with
+
+        g_d(x) = exp(-x/2) prod_(i <= d) sqrt(x/i),
+
+    a running product that peaks near d = x and then falls until it
+    underflows, so high orders never overflow where (r/sqrt(2))^d alone
+    would (d > 330 at r = 12).  All orders come from one ``laguerre_sequence``
+    run broadcast over d, and 1/sqrt(binom(a+d, a)) from one factor
+    sqrt(a/(a+d)) per degree step.  At r = 0 the values are exact: 1 for
+    d = 0 and 0 beyond.
+    """
+    x = np.asarray(x, dtype=float)
+    d = np.arange(max_order + 1).reshape((-1,) + (1,) * x.ndim)
+    steps = np.empty(d.shape[:1] + x.shape)
+    steps[0] = np.exp(-0.5 * x)
+    steps[1:] = np.sqrt(x / d[1:])
+    g = np.cumprod(steps, axis=0)
+    scale = np.ones(d.shape)
+    for a, lag in enumerate(laguerre_sequence(d, x, max_degree)):
+        if a:
+            scale = scale * np.sqrt(a / (a + d))
+        yield g * lag * scale
+
+
+def special_hermite_order_limit(x_max: float) -> int:
+    """The number of orders d at which ``special_hermite_radial`` is nonzero
+    anywhere on 0 <= x <= x_max: the first d past the peak at which
+    g_d(x_max) underflows to 0.  Since g_d(x) grows with x for d > x, every
+    factor of a higher order on [0, x_max] is below the smallest double.
+
+    The count follows from x_max alone (about 920 orders at r = 12).  Raises
+    ValueError when exp(-x_max/2) is itself below the smallest normal
+    double (r > 53): the running product would start from 0.
+    """
+    x_max = float(x_max)
+    g = math.exp(-0.5 * x_max)
+    if g < sys.float_info.min:
+        raise ValueError(f"special Hermite radial factors at r = {math.sqrt(2.0 * x_max):.4g} "
+                         f"underflow from order 0: exp(-r^2/4) is below the smallest "
+                         f"normal double (r must stay below 53.2)")
+    orders = 1
+    while g > 0.0:
+        g *= math.sqrt(x_max / orders)
+        orders += 1
+    return orders - 1
+
+
 def special_hermite_matrix(z, max_degree: int) -> np.ndarray:
     """phi_(a,b)(z_m) for all a, b <= max_degree at once: (len(z), (K+1)^2).
 
@@ -128,22 +188,26 @@ def special_hermite_matrix(z, max_degree: int) -> np.ndarray:
     *first* index is the spectral one.  Any phase change breaks the last
     property silently, so it is pinned by tests.
 
-    Runs one ``laguerre_sequence`` per angular order, for all columns of
-    that order; columns follow ``special_hermite_indices``."""
+    Column (a, a+d) is (2 pi)^(-1/2) (i conj(z)/|z|)^d rho_(a,d)(|z|) with
+    the radial factor of ``special_hermite_radial``; columns follow
+    ``special_hermite_indices``."""
     zz = np.asarray(z, dtype=complex).reshape(-1)
     K = max_degree
+    r = np.abs(zz)
+    # i conj(z)/|z| is 1 at the origin, where rho_(a,d) vanishes for d > 0
+    unit = np.ones_like(zz)
+    np.divide(1j * np.conj(zz), r, out=unit, where=r > 0)
+    phases = np.empty((K + 1, zz.shape[0]), dtype=complex)
+    phases[0] = _NORM_2PI
+    for d in range(1, K + 1):
+        phases[d] = phases[d - 1] * unit
+    out = np.empty((zz.shape[0], K + 1, K + 1), dtype=complex)
     t = 0.5 * (zz.real ** 2 + zz.imag ** 2)
-    gauss = np.exp(-0.5 * t)
-    out = np.empty((zz.shape[0], (K + 1) ** 2), dtype=complex)
-    for d in range(K + 1):
-        base = _NORM_2PI * (1j * np.conj(zz) / SQRT2) ** d * gauss
-        for a, lag in enumerate(laguerre_sequence(d, t, K - d)):
-            amp = math.exp(0.5 * (math.lgamma(a + 1) - math.lgamma(a + d + 1)))
-            vals = amp * base * lag
-            out[:, a * (K + 1) + (a + d)] = vals
-            if d:
-                out[:, (a + d) * (K + 1) + a] = np.conj(vals)
-    return out
+    for a, rho in enumerate(special_hermite_radial(t, K, K)):
+        vals = (phases[:K + 1 - a] * rho[:K + 1 - a]).T     # columns (a, a), .., (a, K)
+        out[:, a, a:] = vals
+        out[:, a + 1:, a] = np.conj(vals[:, 1:])
+    return out.reshape(zz.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,21 @@ so the kernel is known in closed form and f is read only at its own nodes.
 ``spectral_projections`` sums this u form over f's weighted samples and
 picks one of three ways from its input alone:
 
-* on the grid (n = 1, targets are the field's own nodes): the kernel is
-  invariant under rotating z and u together -- |z-u| and Im(z . conj(u))
-  depend only on |z|, |u| and the phase difference.  The polar grid's
-  phases are uniform, so the quadrature sum over its nodes is a circular
-  convolution along the phase axis, done by FFT with one R x R product per
-  phase mode;
+* on the grid (n = 1, targets are the field's own nodes): the kernel's
+  series in the special Hermite family,
+
+      phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) = 2 pi sum_(b >= 0) phi_(k,b)(z) conj(phi_(k,b)(u)),
+
+  is term by term a radial factor at |z| times the same at |u| times
+  e^(i p (th_z - th_u)), p = k - b (``special_hermite_radial``).  The polar
+  grid's phases are uniform, so the sum over its nodes takes one FFT of the
+  samples along the phase axis and one contraction over the radial nodes
+  per mode, the per-mode table of ``_mode_table``; on the grid
+  Q_k f = 2 pi sum_b <f, phi_(k,b)> phi_(k,b), modes folded mod m (the
+  kernel's DFT is its series folded, by Poisson summation) and one inverse
+  FFT per degree.  The modes stop where the radial factor underflows at
+  the grid's outer radius, so the table sums what the nodes' quadrature
+  sums.  The special Hermite coefficients are the same table's entries;
 * at every other target on C, with or without an evaluator: the sum over
   the nodes taken directly;
 * on C^2, at any target: ring by ring through the slot factorisation.
@@ -63,11 +72,11 @@ picks one of three ways from its input alone:
 
 On C^2, ``tensor_decompose_projection`` samples f once on a slot x slot
 grid and takes the slot pieces of the product relation from the same
-``_slot_pieces``, with that grid as its one ring.  Every path builds the
-kernel through ``_twisted_kernels``.  The w form, reading f at z - w
-against phi_k sampled on the grid (``convolution_values``; slot by slot
-for the pieces), is their independent oracle in the tests; it cuts phi_k
-off at the grid edge.
+``_slot_pieces``, with that grid as its one ring.  Every path off the C
+grid builds the kernel through ``_twisted_kernels``.  The w form, reading
+f at z - w against phi_k sampled on the grid (``convolution_values``;
+slot by slot for the pieces), is their independent oracle in the tests;
+it cuts phi_k off at the grid edge.
 """
 
 from __future__ import annotations
@@ -81,8 +90,8 @@ from .errors import GridMismatchError, TruncationTailWarning, TranslateTailWarni
 from .fields import _CHUNK, MeanProfile, SampledField, SpectrumTruncation
 from .quadrature import (PlaneRule, RadialRule, compensated_sum, plane_rule,
                          sphere_rule)
-from .special_functions import (LaguerreSpec, laguerre_function,
-                                laguerre_sequence, special_hermite_matrix)
+from .special_functions import (LaguerreSpec, laguerre_function, laguerre_sequence,
+                                special_hermite_order_limit, special_hermite_radial)
 
 __all__ = [
     "SampledField", "MeanProfile", "SpectrumTruncation",
@@ -286,8 +295,8 @@ def _twisted_kernels(t: np.ndarray, weight: np.ndarray, degrees: list):
 
     With t = |z-u|^2 / 2 and weight = exp(-t/2) times the twist
     exp(-(i/2) Im(z . conj(u))), this is the closed-form kernel
-    phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) on C: of the on-grid engine
-    and the direct sum, and slot by slot of the C^2 sums.
+    phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) on C: of the direct sum, and
+    slot by slot of the C^2 sums.
     """
     for k, lag in enumerate(laguerre_sequence(0, t, max(degrees))):
         columns = [i for i, d in enumerate(degrees) if d == k]
@@ -295,37 +304,73 @@ def _twisted_kernels(t: np.ndarray, weight: np.ndarray, degrees: list):
             yield columns, lag * weight
 
 
-# kernel entries the on-grid engine builds at once: 16 of the 64 target
-# radii of the default 64 x 256 grid, 4 MB of complex128 per degree
-_ENGINE_BLOCK = 1 << 18
+def _mode_table(f: SampledField, max_degree: int, grid_modes: bool):
+    """The per-mode table of f on its own polar grid on C: ``(rho, sums)``.
 
+    rho (D, K+1, R) holds the radial factors rho_(a,d)(r_j) of
+    ``special_hermite_radial`` (K = max_degree) at D orders: with
+    ``grid_modes`` every order ``special_hermite_order_limit`` finds nonzero
+    at the grid's outer radius (at least K+1), which on-grid projections
+    sum; otherwise the K+1 orders of the coefficients.  sums (D, K+1, 2)
+    are their contractions with the phase DFT F(r_j, q) of f's weighted
+    samples:
 
-def _on_grid_projections(f: SampledField, degrees: list) -> np.ndarray:
-    """Q_k f at f's own nodes on C, by rotation equivariance.
-
-    For z = r_i e^(i th_a) and u = r_j e^(i th_b) the kernel depends on
-    (i, j, a-b) only, so summing it against f's weighted samples is a
-    circular convolution along the phase axis: one FFT of the samples, one
-    FFT of the kernel per degree and block of target radii, an R x R
-    product per phase mode, one inverse FFT.
+        sums[d, a, 0] = sum_j rho_(a,d)(r_j) F(r_j,  d mod m),
+        sums[d, a, 1] = sum_j rho_(a,d)(r_j) F(r_j, -d mod m).
     """
     R, m = f.rule.shape
-    r = f.rule.radial_nodes
+    x = 0.5 * f.rule.radial_nodes ** 2
+    orders = max_degree + 1
+    if grid_modes:
+        orders = max(orders, special_hermite_order_limit(x.max()))
+    rho = np.stack(list(special_hermite_radial(x, max_degree, orders - 1)), axis=1)
     F = np.fft.fft((f.values * f.rule.weights).reshape(R, m), axis=1)
-    theta = 2.0 * np.pi * np.arange(m) / m
-    out = np.empty((R, m, len(degrees)), dtype=complex)
-    rows = max(1, _ENGINE_BLOCK // (R * m))
-    for s in range(0, R, rows):
-        ri = r[s:s + rows, None, None]
-        rr = ri * r[None, :, None]
-        t = 0.5 * (ri * ri + (r * r)[None, :, None]) - rr * np.cos(theta)
-        # exp(-t/2) and the twist in one complex exponential
-        weight = np.exp(-0.5 * t - 0.5j * TWIST_SIGN * rr * np.sin(theta))
-        for columns, kernel in _twisted_kernels(t, weight, degrees):
-            kernel = np.fft.fft(kernel, axis=2)
-            q = np.fft.ifft(np.einsum("ijl,jl->il", kernel, F), axis=1)
-            out[s:s + rows, :, columns] = q[:, :, None]
-    return out.reshape(R * m, len(degrees))
+    d = np.arange(orders)
+    Fd = np.stack([F.T[d % m], F.T[-d % m]], axis=-1)          # (D, R, 2)
+    # one real product per order, over the real and imaginary parts of both columns
+    sums = np.matmul(rho, Fd.view(float)).view(complex)
+    return rho, sums
+
+
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _table_coefficients(sums: np.ndarray, max_degree: int) -> np.ndarray:
+    """<f, phi_(a,b)> for a, b <= max_degree from the mode table: with
+    phi_(a,b) = (2 pi)^(-1/2) (-i)^(a-b) e^(i (a-b) th) rho_(min, |a-b|)(r),
+    it is (2 pi)^(-1/2) i^(a-b) sums[|a-b|, min(a, b), a < b]."""
+    a, b = np.indices((max_degree + 1, max_degree + 1))
+    return (sums[np.abs(a - b), np.minimum(a, b), (a < b).astype(int)]
+            * ((2.0 * np.pi) ** -0.5 * _I_POWERS[(a - b) % 4]))
+
+
+def _table_projections(rho: np.ndarray, sums: np.ndarray, m: int, degrees: list) -> np.ndarray:
+    """Q_k f at the grid's own nodes from the mode table, (R m, len(degrees)).
+
+    The kernel's phase series is sum_(p <= k) rho_k,p(r_z) rho_k,p(r_u)
+    e^(i p (th_z - th_u)), rho_k,p = rho_(k-p, p) for p >= 0 and rho_(k, -p)
+    for p < 0, so on the grid
+
+        Q_k f(r_i, th) = sum_(p <= k) e^(i p th) rho_k,p(r_i) sum_j rho_k,p(r_j) F(r_j, p mod m).
+
+    The phases th are the m uniform grid phases, so modes equal mod m are
+    summed first (the DFT of the kernel is its series folded mod m) and one
+    inverse FFT along the phase axis finishes every degree.
+    """
+    D, R = rho.shape[0], rho.shape[2]
+    # row i of ``modes`` holds mode p = i - start - (D-1), so that i = p mod m;
+    # the rows before the first mode and past a degree's last one hold 0
+    start = -(D - 1) % m
+    modes = np.zeros((-(-(start + D + max(degrees)) // m) * m, R), dtype=complex)
+    H = np.empty((len(degrees), R, m), dtype=complex)
+    for i, k in enumerate(degrees):
+        pos = np.arange(k + 1)              # p = 0 .. k
+        radial = np.concatenate([rho[:0:-1, k], rho[pos, k - pos]])
+        coef = np.concatenate([sums[:0:-1, k, 1], sums[pos, k - pos, 0]])
+        np.multiply(radial, coef[:, None], out=modes[start:start + D + k])
+        modes[start + D + k:] = 0.0
+        H[i] = modes.reshape(-1, m, R).sum(axis=0).T
+    return np.fft.ifft(H, axis=2, norm="forward").transpose(1, 2, 0).reshape(-1, len(degrees))
 
 
 def _pairing_kernel_args(z: np.ndarray, u: np.ndarray):
@@ -406,13 +451,13 @@ def _ring_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np
 
 def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     """Q_k f at the targets (default: f's own nodes) for every k in
-    ``degrees``, all degrees from one Laguerre recurrence.  Returns
-    (targets, len(degrees)) complex.
+    ``degrees``.  Returns (targets, len(degrees)) complex.
 
     Only f's samples are read, so fields with and without an evaluator take
     the same path.  The input picks it (see the module docstring): on C,
-    targets None or equal to ``f.rule.nodes`` take the FFT engine, all
-    others the direct sum; on C^2 every target takes the ring-factored sum.
+    targets None or equal to ``f.rule.nodes`` take the per-mode table, all
+    others the direct sum, all degrees from one Laguerre recurrence; on C^2
+    every target takes the ring-factored sum.
     """
     degrees = [int(k) for k in degrees]
     if not degrees or min(degrees) < 0:
@@ -423,33 +468,49 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     if f.dimension == 2:
         return _ring_projections(f, degrees, w if targets is None else targets)
     if targets is None or np.array_equal(targets, w):
-        return _on_grid_projections(f, degrees)
+        rho, sums = _mode_table(f, max(degrees), grid_modes=True)
+        return _table_projections(rho, sums, f.rule.shape[1], degrees)
     return _direct_projections(f, degrees, targets)
 
 
+def _max_degree(max_degree) -> int:
+    """max_degree as an int; ValueError, naming it, when negative or not an integer."""
+    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
+        raise ValueError(f"max_degree must be an integer >= 0, got {max_degree!r}")
+    return int(max_degree)
+
+
 def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray:
-    """Matrix of inner products <f, phi_(a,b)> for a, b <= max_degree (n=1):
-    one weighted product against the conjugated ``special_hermite_matrix``,
-    conjugated in place so no second (nodes, (K+1)^2) array is made."""
+    """Matrix of inner products <f, phi_(a,b)> for a, b <= max_degree (n = 1),
+    (K+1, K+1) complex.  On the polar grid, with phi_(a,b) =
+    (2 pi)^(-1/2) (-i)^(a-b) e^(i (a-b) th) rho_(min(a,b), |a-b|)(r),
+
+        <f, phi_(a,b)> = (2 pi)^(-1/2) i^(a-b) sum_j rho(r_j) F(r_j, a-b mod m)
+
+    with F the phase DFT of f's weighted samples: the mode table of the
+    K+1 orders (``_mode_table``), no (nodes, (K+1)^2) matrix."""
     if f.dimension != 1:
         raise ValueError("special Hermite coefficients are an n = 1 notion")
-    fw = f.values * f.rule.weights
-    H = special_hermite_matrix(f.rule.nodes[:, 0], max_degree)
-    np.conjugate(H, out=H)
-    return (fw @ H).reshape(max_degree + 1, max_degree + 1)
+    K = _max_degree(max_degree)
+    return _table_coefficients(_mode_table(f, K, grid_modes=False)[1], K)
 
 
 def special_hermite_truncation(f: SampledField, max_degree: int) -> SpectrumTruncation:
     """Degreewise projections Q_0..Q_K of f on its grid, plus the
-    coefficient matrix when f lives on C (n = 1)."""
-    # the coefficients first: their Hermite matrix is the larger array
-    coeffs = special_hermite_coefficients(f, max_degree) if f.dimension == 1 else None
-    degrees = list(range(max_degree + 1))
-    vals = spectral_projections(f, degrees)
+    coefficient matrix when f lives on C (n = 1).  On C both come from one
+    mode table over the orders the grid resolves."""
+    K = _max_degree(max_degree)
+    degrees = list(range(K + 1))
+    if f.dimension == 1:
+        rho, sums = _mode_table(f, K, grid_modes=True)
+        coeffs = _table_coefficients(sums, K)
+        vals = _table_projections(rho, sums, f.rule.shape[1], degrees)
+    else:
+        coeffs, vals = None, spectral_projections(f, degrees)
     projections = [SampledField(f.dimension, f.rule, vals[:, k], f.decay_class,
                                 lambda pts, _k=k: projection_values(f, _k, pts),
                                 name=f"Q{k}") for k in degrees]
-    return SpectrumTruncation(f.dimension, max_degree, projections, coeffs)
+    return SpectrumTruncation(f.dimension, K, projections, coeffs)
 
 
 def polar_bridge(profile: MeanProfile, k: int, n: int) -> complex:

@@ -11,7 +11,8 @@ from tsmlab.euclidean_means import bump_profile
 from tsmlab.fields import SampledField, _bary_matrix, _polar_coordinates
 from tsmlab.quadrature import compensated_sum, plane_rule, sphere_rule
 from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
-                                      laguerre_function, laguerre_polynomial)
+                                      laguerre_function, laguerre_polynomial,
+                                      special_hermite_matrix)
 from tsmlab.constants import TWIST_SIGN
 from tsmlab.twisted_transforms import twist_phase
 
@@ -30,6 +31,16 @@ def special_hermite_basis(idx: SpecialHermiteIndex, z):
     out = (2.0 * math.pi) ** (-0.5) * amp * (1j * np.conj(zz) / math.sqrt(2.0)) ** d
     out = out * laguerre_polynomial(LaguerreSpec(a, d), t) * np.exp(-0.5 * t)
     return out
+
+
+def design_matrix_coefficients(f, max_degree):
+    """Oracle for ``special_hermite_coefficients``: the weighted samples
+    against the conjugated (nodes, (K+1)^2) ``special_hermite_matrix``,
+    conjugated in place so no second such array is made."""
+    fw = f.values * f.rule.weights
+    H = special_hermite_matrix(f.rule.nodes[:, 0], max_degree)
+    np.conjugate(H, out=H)
+    return (fw @ H).reshape(max_degree + 1, max_degree + 1)
 
 
 def sector_basis_values(b, points) -> np.ndarray:
@@ -228,6 +239,13 @@ def rule_c1():
 def rule_c1_small():
     # cheap grid for tests that only need moderate accuracy
     return plane_rule(1, extent=10.0, radial_points=40, angular_points=128)
+
+
+@pytest.fixture(scope="session")
+def rule_c1_odd():
+    # an odd phase count below 2K at K = 40: the modes a - b of the
+    # coefficients wrap around mod m, and no mode but 0 is its own negative
+    return plane_rule(1, extent=10.0, radial_points=40, angular_points=45)
 
 
 @pytest.fixture(scope="session")

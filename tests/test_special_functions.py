@@ -19,7 +19,9 @@ from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
                                       radial_eigenfunction_origin,
                                       SolidHarmonic, solid_harmonic_basis,
                                       special_hermite_indices,
-                                      special_hermite_matrix)
+                                      special_hermite_matrix,
+                                      special_hermite_order_limit,
+                                      special_hermite_radial)
 
 
 def laguerre_series_oracle(k: int, alpha: int, x: np.ndarray) -> np.ndarray:
@@ -66,6 +68,63 @@ def test_laguerre_vs_scipy():
             ref = scipy.special.eval_genlaguerre(k, alpha, XGRID)
             scale = np.maximum(1.0, np.abs(ref))
             assert np.max(np.abs(got - ref) / scale) < 1e-9
+
+
+def test_laguerre_sequence_broadcasts_orders():
+    # one run over an array of orders is every scalar run at once
+    orders = np.arange(6)[:, None]
+    for k, got in enumerate(laguerre_sequence(orders, XGRID, 8)):
+        assert got.shape == (6, XGRID.size)
+        for alpha in range(6):
+            assert np.array_equal(got[alpha], laguerre_polynomial(LaguerreSpec(k, alpha), XGRID))
+
+
+def _radial_oracle(a: int, d: int, x: np.ndarray) -> np.ndarray:
+    """rho_(a,d) at x > 0: the exact-series Laguerre value, the rest of the
+    factor in log space, so nothing overflows at high d."""
+    lag = laguerre_series_oracle(a, d, x)
+    log_rest = (0.5 * (math.lgamma(a + 1) - math.lgamma(a + d + 1))
+                + 0.5 * d * np.log(x) - 0.5 * x)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(lag)) + log_rest
+    return np.sign(lag) * np.exp(log_mag)
+
+
+def test_special_hermite_radial_vs_oracle():
+    """|rho| <= 1, so the error is absolute; up to d = 1000 at r = 12,
+    where (r/sqrt(2))^d alone overflows past d = 330."""
+    r = np.array([0.25, 1.0, 2.5, 6.0, 9.5, 12.0])
+    x = 0.5 * r * r
+    with np.errstate(over="raise", invalid="raise"):
+        rho = np.stack(list(special_hermite_radial(x, 12, 1000)))
+    assert rho.shape == (13, 1001, r.size)
+    for a in (0, 1, 4, 12):
+        for d in (0, 1, 2, 7, 30, 72, 150, 400, 1000):
+            assert np.max(np.abs(rho[a, d] - _radial_oracle(a, d, x))) < 1e-13, (a, d)
+
+
+def test_special_hermite_radial_exact_at_origin():
+    rho = np.stack(list(special_hermite_radial(np.zeros(1), 8, 20)))
+    assert np.array_equal(rho[:, 0, 0], np.ones(9))
+    assert np.array_equal(rho[:, 1:, 0], np.zeros((9, 20)))
+    mat = special_hermite_matrix(np.zeros(1), 6)
+    diag = [i.alpha == i.beta for i in special_hermite_indices(6)]
+    assert np.array_equal(mat[0], np.where(diag, (2.0 * math.pi) ** -0.5, 0.0))
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 12.0, 20.0])
+def test_special_hermite_order_limit_marks_underflow(r):
+    # at the limit every factor on [0, r] is 0; the order below is not
+    x = 0.5 * r * r
+    D = special_hermite_order_limit(x)
+    rho = np.stack(list(special_hermite_radial(np.array([x, 0.5 * x]), 12, D)))
+    assert np.all(rho[:, D] == 0.0)
+    assert np.all(rho[:, D - 1, 0] != 0.0)
+
+
+def test_special_hermite_order_limit_rejects_underflowing_seed():
+    with pytest.raises(ValueError, match="underflow"):
+        special_hermite_order_limit(0.5 * 60.0 ** 2)
 
 
 def test_laguerre_rejects_bad_spec():

@@ -12,9 +12,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (StackedFields, direct_projection_table,
-                      direct_projection_values, nested_piece_values,
-                      per_pair_twisted_mean, special_hermite_basis)
+from conftest import (StackedFields, design_matrix_coefficients,
+                      direct_projection_table, direct_projection_values,
+                      nested_piece_values, per_pair_twisted_mean,
+                      special_hermite_basis)
 from tsmlab import twisted_transforms
 from tsmlab.constants import TWIST_SIGN, sphere_surface_area
 from tsmlab.errors import (FieldDomainError, GridMismatchError,
@@ -304,8 +305,8 @@ ENGINE_FIELDS = {
 def test_on_grid_engine_matches_direct_oracle(request, rule_name, bound, field_name):
     """Both library paths sum the closed-form kernel against f's samples;
     the oracle integrates f's closed form against phi_k sampled on the grid.
-    Checked at 200 nodes (the FFT engine) and at the same nodes turned by
-    half a phase step (the direct sum).  Degrees stop at 8: beyond that the
+    Checked at 200 nodes (the per-mode table) and at the same nodes turned
+    by half a phase step (the direct sum).  Degrees stop at 8: beyond that the
     oracle's phi_k is cut off at the grid edge and the oracle, not the
     library, parts from the exact value."""
     rule = request.getfixturevalue(rule_name)
@@ -323,7 +324,7 @@ def test_on_grid_engine_matches_direct_oracle(request, rule_name, bound, field_n
             assert np.max(np.abs(got[:, k] - ref[:, k])) <= bound * scale, k
     # the input picks the path: passing the nodes is the same call
     assert np.array_equal(spectral_projections(f, degrees, targets=rule.nodes), on_grid)
-    # and the single-degree field takes its grid values from the engine
+    # and the single-degree field takes its grid values from the table
     assert np.array_equal(spectral_projection(f, 3).values, on_grid[:, 3])
 
 
@@ -367,10 +368,24 @@ def _peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("m", [24, 25])
+def test_on_grid_projections_fold_aliased_modes(m):
+    """On a coarse grid the m phases under-resolve the kernel: its phase
+    modes p <= k reach past m at k >= m, and its modes below -m/2 are far
+    from negligible.  The table folds every mode mod m, so it still sums
+    exactly what the u form sums over the nodes."""
+    rule = plane_rule(1, extent=8.0, radial_points=16, angular_points=m)
+    f = SampledField.from_function(ENGINE_FIELDS["offcentre"], rule)
+    degrees = list(range(31))
+    got = spectral_projections(f, degrees)
+    ref = twisted_transforms._direct_projections(f, degrees, rule.nodes)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_projection_memory_budget(gauss_field, probe_targets):
-    # the engine builds its kernel in blocks of target radii, and the
-    # off-grid path holds a few (targets, nodes) arrays: neither may grow
-    # with the square of the grid
+    # the on-grid table holds (orders, degrees, radii) floats, and the
+    # off-grid path a few (targets, nodes) arrays: neither may grow with
+    # the square of the grid
     on_grid = _peak_mb(lambda: spectral_projections(gauss_field, range(13)))
     assert on_grid < 48.0
     off_grid = _peak_mb(lambda: spectral_projections(gauss_field, range(13),
@@ -382,6 +397,35 @@ def test_spectral_projections_reject_bad_degrees(gauss_field):
     for bad in ([], [2, -1]):
         with pytest.raises(ValueError, match="degrees"):
             spectral_projections(gauss_field, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, "3"])
+def test_special_hermite_reject_bad_max_degree(gauss_field, bad):
+    for fn in (special_hermite_coefficients, special_hermite_truncation):
+        with pytest.raises(ValueError, match="max_degree"):
+            fn(gauss_field, bad)
+
+
+@pytest.mark.parametrize("K", [3, 12, 40])
+@pytest.mark.parametrize("rule_name", ["rule_c1", "rule_c1_odd"])
+def test_coefficients_match_design_matrix_oracle(request, rule_name, K):
+    """The mode table against the weighted samples times the conjugated
+    special Hermite matrix; the off-centre field has no symmetry, so every
+    coefficient is in play."""
+    rule = request.getfixturevalue(rule_name)
+    f = SampledField.from_function(ENGINE_FIELDS["offcentre"], rule)
+    ref = design_matrix_coefficients(f, K)
+    scale = float(np.max(np.abs(ref)))
+    assert np.max(np.abs(special_hermite_coefficients(f, K) - ref)) <= 1e-13 * scale
+    if K <= 12:
+        got = special_hermite_truncation(f, K).coefficients
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+
+def test_truncation_memory_budget(gauss_field):
+    # the coefficients come from the mode table, with no (nodes, (K+1)^2)
+    # design matrix: 440 MB at K = 40 on the default grid
+    assert _peak_mb(lambda: special_hermite_truncation(gauss_field, 40)) < 64.0
 
 
 def test_special_hermite_coefficients_pick_out_basis(rule_c1):
