@@ -200,10 +200,9 @@ class SampledField:
 
     @classmethod
     def from_function(cls, fn, rule: PlaneRule, decay_class: str = SCHWARTZ_LIKE,
-                      keep_evaluator: bool = True, name: str = "") -> "SampledField":
+                      name: str = "") -> "SampledField":
         vals = np.asarray(fn(rule.nodes), dtype=complex)
-        f = cls(rule.dimension, rule, vals, decay_class,
-                evaluator=fn if keep_evaluator else None, name=name)
+        f = cls(rule.dimension, rule, vals, decay_class, evaluator=fn, name=name)
         if decay_class == GAUSSIAN_QUARTER:
             f.check_decay()
         return f

@@ -7,10 +7,12 @@ basis elements b, and
     M[(j, i), b] = (b x mu_(r_i))(z_j)
 
 (twisted engine) or the plain circular mean (euclidean engine).  Twisted
-rows are exact: every basis column is a special Hermite eigenfunction, so
-the product (Hecke-Bochner) relation factors its mean into a Laguerre
-factor in r_i times the column at z_j.  Euclidean rows are circle
-averages.  A function with vanishing means on S corresponds to a
+columns come from one basis, ``ProductHermiteBasis``: tensor products of
+special Hermite functions, one factor per slot, so C is its one-slot case
+and C^2 its two-slot case.  Twisted rows are exact: every column is an
+eigenfunction, so the product (Hecke-Bochner) relation factors its mean
+into a Laguerre factor in r_i times the column at z_j.  Euclidean rows are
+circle averages.  A function with vanishing means on S corresponds to a
 (near-)null vector of M, so sigma_min probes whether S can distinguish
 fields at the truncation: small sigma_min plus an exhibited near-null field
 certifies NON-injectivity at desk scale, while large sigma_min is evidence
@@ -28,7 +30,7 @@ least-squares fit of the degree-k projection's sector expansion
 from __future__ import annotations
 
 import functools
-import math
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -56,7 +58,7 @@ DEFAULT_RADII = tuple(np.geomspace(0.2, 6.0, 24))
 
 __all__ = [
     "INJECTIVITY_CAVEAT", "DEFAULT_RADII", "SamplingSet", "make_set",
-    "curve_set", "TwistedHermiteBasis", "ProductHermiteBasis",
+    "curve_set", "ProductHermiteBasis",
     "EuclideanSectorBasis", "SamplingOperator", "assemble_operator",
     "near_null_roundtrip", "InjectivityReport", "injectivity_probe",
     "TypeFunctionSpec", "VanishingSetReport", "hecke_bochner_counterexample",
@@ -243,11 +245,8 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         radius = float(params["radius"])
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
-        if n == 1:
-            rule = sphere_rule(1, radius, m=int(params.get("m", 24)))
-        else:
-            rule = sphere_rule(2, radius, orders=tuple(params.get("orders", (4, 8, 8))))
-        centers = rule.nodes
+        centers = sphere_rule(n, radius, m=int(params.get("m", 24)),
+                              orders=tuple(params.get("orders", (4, 8, 8)))).nodes
         stored.update(radius=radius, n=n)
     elif kind == "sphere_cross_plane":
         radius = float(params["radius"])
@@ -313,71 +312,52 @@ def curve_set(r_profile: Callable, t_range=(0.0, 4.0 * np.pi), samples: int = 64
 # column bases
 
 
-class TwistedHermiteBasis:
-    """phi_(a,b), a, b <= max_degree, in special_hermite_indices order."""
-
-    engine = "twisted"
-    dimension = 1
-
-    def __init__(self, max_degree: int):
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        self.max_degree = max_degree
-        self.indices = special_hermite_indices(max_degree)
-        self.labels = [f"phi[{i.alpha},{i.beta}]" for i in self.indices]
-
-    @property
-    def ncols(self) -> int:
-        return len(self.indices)
-
-    @property
-    def spectral_degrees(self) -> np.ndarray:
-        """Eigenspace degree per column: the first index alpha."""
-        return np.asarray([i.alpha for i in self.indices], dtype=int)
-
-    def matrix(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=complex).reshape(-1, 1)
-        return special_hermite_matrix(pts[:, 0], self.max_degree)
-
-    def columns_up_to(self, degree: int) -> np.ndarray:
-        """Column indices of the sub-basis with both indices <= degree."""
-        return np.asarray([j for j, i in enumerate(self.indices)
-                           if i.alpha <= degree and i.beta <= degree], dtype=int)
-
-
 class ProductHermiteBasis:
-    """Tensor products phi_(a1,b1)(z1) phi_(a2,b2)(z2) on C^2, slot-1 major:
-    columns with equal slot-1 index (a1, b1) are contiguous."""
+    """Tensor products phi_(a_1,b_1)(z_1) .. phi_(a_n,b_n)(z_n) on C^n, one
+    special Hermite factor per slot, each slot's indices in
+    special_hermite_indices order up to its degree, slot-1 major: columns
+    with equal slot-1 index (a_1, b_1) are contiguous.  C is the one-slot
+    case, ``ProductHermiteBasis((K,))``: the family phi_(a,b), a, b <= K."""
 
     engine = "twisted"
-    dimension = 2
 
     def __init__(self, slot_degrees=(1, 1)):
-        self.slot_degrees = (int(slot_degrees[0]), int(slot_degrees[1]))
-        self.slot_indices = (special_hermite_indices(self.slot_degrees[0]),
-                             special_hermite_indices(self.slot_degrees[1]))
-        self.labels = [f"phi[{i.alpha},{i.beta}]*phi[{j.alpha},{j.beta}]"
-                       for i in self.slot_indices[0] for j in self.slot_indices[1]]
+        self.slot_degrees = tuple(int(d) for d in slot_degrees)
+        if len(self.slot_degrees) not in (1, 2) or min(self.slot_degrees) < 0:
+            raise ValueError(f"need one or two slot degrees >= 0, got {slot_degrees}")
+        self.dimension = len(self.slot_degrees)
+        self.slot_indices = tuple(special_hermite_indices(d) for d in self.slot_degrees)
+        self._columns = list(itertools.product(*self.slot_indices))
+        self.labels = ["*".join(f"phi[{i.alpha},{i.beta}]" for i in col)
+                       for col in self._columns]
 
     @property
     def ncols(self) -> int:
-        return len(self.slot_indices[0]) * len(self.slot_indices[1])
+        return len(self._columns)
 
     @property
     def spectral_degrees(self) -> np.ndarray:
-        """Eigenspace degree per column on C^2: a1 + a2."""
-        return np.asarray([i.alpha + j.alpha for i in self.slot_indices[0]
-                           for j in self.slot_indices[1]], dtype=int)
+        """Eigenspace degree per column: the sum of the slots' first indices."""
+        return np.asarray([sum(i.alpha for i in col) for col in self._columns], dtype=int)
+
+    def columns_up_to(self, degree: int) -> np.ndarray:
+        """Column indices of the sub-basis with every index <= degree."""
+        return np.asarray([j for j, col in enumerate(self._columns)
+                           if all(max(i.alpha, i.beta) <= degree for i in col)], dtype=int)
 
     def block_key(self, col: int) -> int:
         """Index of the slot-1 factor: the documented block grouping."""
-        return col // len(self.slot_indices[1])
+        return col // (self.ncols // len(self.slot_indices[0]))
 
     def matrix(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=complex).reshape(-1, 2)
-        m1 = special_hermite_matrix(pts[:, 0], self.slot_degrees[0])
-        m2 = special_hermite_matrix(pts[:, 1], self.slot_degrees[1])
-        return (m1[:, :, None] * m2[:, None, :]).reshape(pts.shape[0], -1)
+        """The face-splitting (row-wise Kronecker) product of each slot's
+        ``special_hermite_matrix``; one slot returns its matrix as is."""
+        pts = np.asarray(points, dtype=complex).reshape(-1, self.dimension)
+        out = special_hermite_matrix(pts[:, 0], self.slot_degrees[0])
+        for s in range(1, self.dimension):
+            m = special_hermite_matrix(pts[:, s], self.slot_degrees[s])
+            out = (out[:, :, None] * m[:, None, :]).reshape(pts.shape[0], -1)
+        return out
 
 
 class EuclideanSectorBasis:
@@ -444,20 +424,32 @@ def _sigma_min(matrix: np.ndarray) -> float:
 class SamplingOperator:
     """Dense mean-sampling matrix; its SVD is computed on first use.
 
-    sigma_min is defined as 0 for degenerate shapes (no rows, no columns,
-    or fewer rows than columns -- a genuine null space exists then).
+    Rows are the set's ``row_meta`` pairs, columns the basis's; the engine
+    is the basis's.  sigma_min is defined as 0 for degenerate shapes (no
+    rows, no columns, or fewer rows than columns -- a genuine null space
+    exists then).
     """
     matrix: np.ndarray
     sampling_set: SamplingSet
     basis: object
-    engine: str
-    center_index: np.ndarray
-    radius_index: np.ndarray
 
     def __post_init__(self):
-        rows = self.matrix.shape[:1]
-        if np.shape(self.center_index) != rows or np.shape(self.radius_index) != rows:
-            raise ValueError("need one (center, radius) index pair per matrix row")
+        want = (self.sampling_set.n_rows, self.basis.ncols)
+        if self.matrix.shape != want:
+            raise ValueError(f"matrix shape {self.matrix.shape} is not (set rows, "
+                             f"basis columns) = {want}")
+
+    @property
+    def engine(self) -> str:
+        return self.basis.engine
+
+    @property
+    def center_index(self) -> np.ndarray:
+        return self.sampling_set.row_meta()[0]
+
+    @property
+    def radius_index(self) -> np.ndarray:
+        return self.sampling_set.row_meta()[1]
 
     @functools.cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray]:
@@ -512,9 +504,12 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
     ``euclidean_mean_table`` of the basis matrix.  Row order is
     center-major; column order is the basis's documented order.
 
-    ``circle_points`` and ``sphere_orders`` are accepted and ignored:
-    twisted rows need no quadrature, and the parameters stay so that callers
-    passing them by name or position keep working.
+    Without ``basis`` the twisted engine takes the special Hermite product
+    basis of ``max_degree`` in every slot, ``ProductHermiteBasis((K,) * n)``:
+    on C the family phi_(a,b), a, b <= K.  ``circle_points`` and
+    ``sphere_orders`` are accepted and ignored: twisted rows need no
+    quadrature, and the parameters stay so that callers passing them by
+    name or position keep working.
     """
     if engine not in ("twisted", "euclidean"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -523,8 +518,7 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
             raise ValueError("euclidean engine needs an explicit basis")
         if max_degree is None:
             raise ValueError("twisted engine needs max_degree or an explicit basis")
-        basis = (TwistedHermiteBasis(max_degree) if sampling_set.dimension == 1
-                 else ProductHermiteBasis((max_degree, max_degree)))
+        basis = ProductHermiteBasis((max_degree,) * sampling_set.dimension)
     if getattr(basis, "engine", engine) != engine:
         raise ValueError(f"{type(basis).__name__} is a {basis.engine} basis; "
                          f"it cannot build {engine} rows")
@@ -542,13 +536,10 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
     else:
         M = euclidean_mean_table(SimpleNamespace(evaluate=basis.matrix), centers, radii,
                                  euclid_points)
-    ci, ri = sampling_set.row_meta()
-    return SamplingOperator(M.reshape(ci.size, basis.ncols), sampling_set, basis,
-                            engine, ci, ri)
+    return SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
 
 
-def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
-                        max_radii: int | None = None):
+def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray):
     """Reconstruct the field of each coefficient vector, (ncols,) or the V
     columns of (ncols, V), and remeasure its means over the whole set by
     quadrature, never by the closed form that built the operator: one
@@ -561,11 +552,10 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray,
         raise ValueError("zero coefficient vector")
     c = v / nv
     sset = operator.sampling_set
-    radii = sset.radii if max_radii is None else sset.radii[:max_radii]
     table = twisted_mean_table if operator.engine == "twisted" else euclidean_mean_table
     means = table(SimpleNamespace(dimension=sset.dimension,
                                   evaluate=lambda pts: operator.basis.matrix(pts) @ c),
-                  sset.centers, radii)
+                  sset.centers, sset.radii)
     return np.max(np.abs(means), axis=(0, 1), initial=0.0)
 
 
@@ -610,23 +600,27 @@ class InjectivityReport:
 
 
 def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1e-8,
-                      degree_steps=(0, 2, 4), roundtrip: bool = True) -> InjectivityReport:
+                      degree_steps=(0, 2, 4)) -> InjectivityReport:
     """sigma_min across growing truncations plus certified near-null fields.
 
-    For the n = 1 twisted Hermite basis the operator is reassembled once at
-    the largest requested truncation and the other truncations are column
-    subsets (the rows do not depend on the basis), decomposed without
-    vectors; the base step is the operator's own sigma_min.  Other bases
-    report the base truncation only.  A step taking the degree below 0
-    raises ValueError.
+    The sigma-curve runs over the one-slot Hermite basis on C,
+    ``ProductHermiteBasis((K,))``, whose degree K is the report's base
+    degree: the operator is reassembled once at the largest requested
+    truncation K + max(steps) and the other truncations are column subsets
+    (the rows do not depend on the basis), decomposed without vectors; the
+    base step is the operator's own sigma_min.  A step taking K below 0
+    raises ValueError.  Other bases, the C^2 product basis included, report
+    their own sigma_min only, with no base degree.  Every near-null vector
+    is certified by ``near_null_roundtrip``.
     """
     basis = operator.basis
-    base_degree = getattr(basis, "max_degree", None)
-    if base_degree is not None and base_degree + min(degree_steps, default=0) < 0:
+    one_slot = isinstance(basis, ProductHermiteBasis) and basis.dimension == 1
+    base_degree = basis.slot_degrees[0] if one_slot else None
+    if one_slot and base_degree + min(degree_steps, default=0) < 0:
         raise ValueError(f"degree steps {tuple(degree_steps)} take the base "
                          f"degree {base_degree} below 0")
     curve = {}
-    if isinstance(basis, TwistedHermiteBasis) and len(degree_steps) > 1:
+    if one_slot and len(degree_steps) > 1:
         big = assemble_operator(operator.sampling_set,
                                 base_degree + max(degree_steps), engine="twisted")
         for s in sorted(degree_steps):
@@ -637,8 +631,7 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
         curve[base_degree if base_degree is not None else 0] = operator.sigma_min
 
     null = operator.near_null(near_null_threshold)
-    rts = (near_null_roundtrip(operator, np.stack([v for _, v in null], axis=1))
-           if roundtrip and null else [float("nan")] * len(null))
+    rts = near_null_roundtrip(operator, np.stack([v for _, v in null], axis=1)) if null else []
     entries = [(sigma, v, float(rt)) for (sigma, v), rt in zip(null, rts)]
     return InjectivityReport(
         engine=operator.engine, set_kind=operator.sampling_set.kind,
@@ -649,7 +642,7 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
 
 def plane_block_offmass(operator: SamplingOperator) -> float:
     """Off-block mass ratio of the weighted Gram matrix, blocks = slot-1
-    basis index of a ProductHermiteBasis.
+    basis index of a two-slot ProductHermiteBasis.
 
     For a plane_cross_coxeter set whose first slot rides an integration
     rule, the z1-sum in the Gram approximates the L^2(C) pairing of slot-1
@@ -657,8 +650,8 @@ def plane_block_offmass(operator: SamplingOperator) -> float:
     to quadrature error.
     """
     basis = operator.basis
-    if not isinstance(basis, ProductHermiteBasis):
-        raise ValueError("block structure is defined for product bases")
+    if not (isinstance(basis, ProductHermiteBasis) and basis.dimension == 2):
+        raise ValueError("block structure is defined for two-slot product bases")
     if operator.sampling_set.center_weights is None:
         raise ValueError("set carries no center weights; off-block mass "
                          "is only meaningful against rule weights")
@@ -930,8 +923,9 @@ def operator_to_csv(operator: SamplingOperator, csv_path, meta_path=None) -> Non
     for lab in operator.basis.labels:
         header += ([f"re({lab})", f"im({lab})"] if twisted else [lab])
     rows = []
+    ci, ri = operator.sampling_set.row_meta()
     for rix in range(operator.matrix.shape[0]):
-        row = [str(int(operator.center_index[rix])), str(int(operator.radius_index[rix]))]
+        row = [str(int(ci[rix])), str(int(ri[rix]))]
         for v in operator.matrix[rix]:
             if twisted:
                 row += [fmt(np.real(v)), fmt(np.imag(v))]

@@ -6,15 +6,19 @@ Design notes
 * Sphere rules carry *normalized* surface measure: weights sum to 1.  They
   also carry the factors they are the product of (t weights, one node
   table per slot), which ``twisted_mean_table`` contracts against.
-* Plane rules carry Lebesgue measure in polar factorization
-  ``dz = omega_(2n-1) r^(2n-1) dr dmu_r``: Gauss-Legendre on the radius
-  against the Jacobian, the normalized sphere rule in the angles.
+* A plane rule is a radius times a sphere rule: node (r, w) is r w with
+  r a Gauss-Legendre node on [0, extent] and w a node of the unit
+  ``sphere_rule`` (the circle on C, S^3 on C^2), weight
+  ``w_r r^(2n-1) * omega_(2n-1) w_w`` -- Lebesgue measure in the polar
+  factorization ``dz = omega_(2n-1) r^(2n-1) dr dmu_r``.  One construction
+  serves both n.
 * ``integrate`` reduces in fixed node order through ``compensated_sum``
   so a serial rerun (or any future chunked-parallel one that combines
   partials in index order) reproduces results bit for bit.
 * Every plane rule self-checks the Gaussian moment
-  ``int exp(-|z|^2/2) dz = (2 pi)^n`` at construction and refuses to build
-  if the achieved error exceeds its declared tolerance.
+  ``int exp(-|z|^2/2) dz = (2 pi)^n`` at construction, restricted to its
+  own disk, and refuses to build if the achieved error exceeds its
+  declared tolerance.
 """
 
 from __future__ import annotations
@@ -233,42 +237,31 @@ def plane_rule(dimension: int,
         raise ValueError("plane rules implemented for n in {1, 2}")
     if extent <= 0:
         raise ValueError("extent must be positive")
+    n = dimension
     r, wr = gauss_legendre(radial_points, 0.0, extent)
-    omega = sphere_surface_area(dimension)
-    if dimension == 1:
-        m = angular_points
-        theta = 2.0 * np.pi * np.arange(m) / m
-        nodes = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()[:, None]
-        weights = (wr * r)[:, None] * np.full((1, m), omega / m)
-        shape: tuple = (radial_points, m)
-        theta_nodes = None
-        angular_counts = (m,)
-        params = {"dimension": 1, "extent": extent, "radial_points": radial_points,
-                  "angular_points": m, "tolerance": tolerance}
+    sph = sphere_rule(n, 1.0, m=angular_points, orders=sphere3_orders)
+    nodes = (r[:, None, None] * sph.nodes[None, :, :]).reshape(-1, n)
+    weights = (wr * r ** (2 * n - 1))[:, None] * (sphere_surface_area(n) * sph.weights)[None, :]
+    if n == 1:
+        theta_nodes, angular = None, {"angular_points": angular_points}
     else:
-        sph = sphere3_rule(1.0, sphere3_orders)
-        nodes = (r[:, None, None] * sph.nodes[None, :, :]).reshape(-1, 2)
-        weights = ((wr * r ** 3)[:, None] * (omega * sph.weights)[None, :])
-        nt, m1, m2 = sphere3_orders
-        shape = (radial_points, nt, m1, m2)
-        t_nodes, _ = gauss_legendre(nt, 0.0, 0.5 * np.pi)
-        theta_nodes = t_nodes
-        angular_counts = (m1, m2)
-        params = {"dimension": 2, "extent": extent, "radial_points": radial_points,
-                  "sphere3_orders": tuple(sphere3_orders), "tolerance": tolerance}
-    rule = PlaneRule(dimension, extent, np.ascontiguousarray(nodes),
-                     weights.ravel(), shape, r, theta_nodes, angular_counts,
-                     params, tolerance)
+        theta_nodes = gauss_legendre(sphere3_orders[0], 0.0, 0.5 * np.pi)[0]
+        angular = {"sphere3_orders": tuple(sphere3_orders)}
+    angular_counts = tuple(s.shape[1] for s in sph.slot_nodes)
+    # (radius, [inclination,] phase per slot)
+    shape = (radial_points,) + np.shape(theta_nodes) + angular_counts
+    params = {"dimension": n, "extent": extent, "radial_points": radial_points,
+              **angular, "tolerance": tolerance}
+    rule = PlaneRule(n, extent, np.ascontiguousarray(nodes), weights.ravel(), shape, r,
+                     theta_nodes, angular_counts, params, tolerance)
     sq = np.sum(np.abs(rule.nodes) ** 2, axis=1)
     got = float(np.real(rule.integrate(np.exp(-0.5 * sq))))
     # Gaussian moment restricted to the rule's own disk, so small-extent
-    # rules (compactly supported work) are checked fairly:
-    # n=1: 2 pi (1 - e^(-E^2/2));  n=2: 2 pi^2 (2 - e^(-E^2/2)(E^2 + 2))
-    tail = math.exp(-0.5 * extent ** 2)
-    if dimension == 1:
-        exact = 2.0 * np.pi * (1.0 - tail)
-    else:
-        exact = 2.0 * np.pi ** 2 * (2.0 - tail * (extent ** 2 + 2.0))
+    # rules (compactly supported work) are checked fairly: with x = E^2/2,
+    # (2 pi)^n (1 - e^(-x) sum_(j<n) x^j / j!)
+    x = 0.5 * extent ** 2
+    exact = (2.0 * np.pi) ** n * (1.0 - math.exp(-x) * sum(x ** j / math.factorial(j)
+                                                          for j in range(n)))
     rule.moment_error = abs(got - exact) / exact
     if rule.moment_error > tolerance:
         raise QuadratureError(

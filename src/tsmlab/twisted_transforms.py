@@ -449,6 +449,14 @@ def _ring_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np
                      for k in degrees], axis=1)
 
 
+def _degree(value, name: str) -> int:
+    """A degree as an int: a Python or numpy integer >= 0, not a bool;
+    ValueError naming ``name`` and the value otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     """Q_k f at the targets (default: f's own nodes) for every k in
     ``degrees``.  Returns (targets, len(degrees)) complex.
@@ -459,9 +467,9 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     others the direct sum, all degrees from one Laguerre recurrence; on C^2
     every target takes the ring-factored sum.
     """
-    degrees = [int(k) for k in degrees]
-    if not degrees or min(degrees) < 0:
-        raise ValueError(f"degrees must be a non-empty list of integers >= 0, got {degrees}")
+    degrees = [_degree(k, f"degrees[{i}]") for i, k in enumerate(degrees)]
+    if not degrees:
+        raise ValueError("degrees must be a non-empty list of integers >= 0, got []")
     w = f.rule.nodes
     if targets is not None:
         targets = np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
@@ -471,13 +479,6 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
         rho, sums = _mode_table(f, max(degrees), grid_modes=True)
         return _table_projections(rho, sums, f.rule.shape[1], degrees)
     return _direct_projections(f, degrees, targets)
-
-
-def _max_degree(max_degree) -> int:
-    """max_degree as an int; ValueError, naming it, when negative or not an integer."""
-    if not isinstance(max_degree, (int, np.integer)) or max_degree < 0:
-        raise ValueError(f"max_degree must be an integer >= 0, got {max_degree!r}")
-    return int(max_degree)
 
 
 def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray:
@@ -491,7 +492,7 @@ def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray
     K+1 orders (``_mode_table``), no (nodes, (K+1)^2) matrix."""
     if f.dimension != 1:
         raise ValueError("special Hermite coefficients are an n = 1 notion")
-    K = _max_degree(max_degree)
+    K = _degree(max_degree, "max_degree")
     return _table_coefficients(_mode_table(f, K, grid_modes=False)[1], K)
 
 
@@ -499,7 +500,7 @@ def special_hermite_truncation(f: SampledField, max_degree: int) -> SpectrumTrun
     """Degreewise projections Q_0..Q_K of f on its grid, plus the
     coefficient matrix when f lives on C (n = 1).  On C both come from one
     mode table over the orders the grid resolves."""
-    K = _max_degree(max_degree)
+    K = _degree(max_degree, "max_degree")
     degrees = list(range(K + 1))
     if f.dimension == 1:
         rho, sums = _mode_table(f, K, grid_modes=True)
@@ -550,20 +551,11 @@ def polar_bridge(profile: MeanProfile, k: int, n: int) -> complex:
 _GRID_POINTS = 1 << 16
 
 
-def _default_eval_rule() -> PlaneRule:
-    # evaluation lattice only; its weights are never used as a quadrature,
-    # hence the disabled moment check
-    return plane_rule(2, extent=2.5, radial_points=3, sphere3_orders=(2, 4, 4),
-                      tolerance=float("inf"))
-
-
 def _default_slot_rule() -> PlaneRule:
     return plane_rule(1, extent=10.0, radial_points=32, angular_points=48)
 
 
-def tensor_decompose_projection(f: SampledField, k: int,
-                                eval_rule: PlaneRule | None = None,
-                                slot_rule: PlaneRule | None = None) -> list[SampledField]:
+def tensor_decompose_projection(f: SampledField, k: int) -> list[SampledField]:
     """Split Q_k of a field on C^2 into its diagonal tensor pieces.
 
     The degree-k radial eigenfunction on C^2 tensor-decomposes over C x C:
@@ -572,25 +564,24 @@ def tensor_decompose_projection(f: SampledField, k: int,
         f x phi_k^(1) = sum_(b1+b2=k) (f x_2 phi_b2^(0)) x_1 phi_b1^(0)
 
     with x_i the twisted convolution in slot i alone.  f is sampled once on
-    the slot x slot product grid of ``slot_rule`` (in blocks of rows) and
-    weighted to F; with the u-form slot kernel
+    the slot x slot product grid of ``_default_slot_rule`` (in blocks of
+    rows) and weighted to F; with the u-form slot kernel
     K_b(z)[t, u] = phi_b(|z_t - u|) exp(-(i/2) Im(z_t conj(u))), piece
     (b1, b2) is rowsum((K_b1(z1) @ F) * K_b2(z2)): ``_slot_pieces`` with
     the grid as its one ring.  Fields without an evaluator raise
     FieldDomainError: the product grid reaches past their extent.  Returns
-    the pieces, b1 ascending, as fields on ``eval_rule`` (default: a small
-    probe lattice) whose evaluators sum the same F.
+    the pieces, b1 ascending, as fields on a small probe lattice of C^2
+    whose evaluators sum the same F.
     Summing the pieces reproduces ``spectral_projection(f, k)``.
     """
     if f.dimension != 2:
         raise ValueError("tensor decomposition applies to fields on C^2")
-    if k < 0:
-        raise ValueError(f"degree must be an integer >= 0, got {k}")
-    eval_rule = eval_rule or _default_eval_rule()
-    slot = slot_rule or _default_slot_rule()
-    if eval_rule.dimension != 2 or slot.dimension != 1:
-        raise ValueError("eval_rule must live on C^2 and slot_rule on C")
-
+    k = _degree(k, "degree")
+    # evaluation lattice only; its weights are never used as a quadrature,
+    # hence the disabled moment check
+    lattice = plane_rule(2, extent=2.5, radial_points=3, sphere3_orders=(2, 4, 4),
+                         tolerance=float("inf"))
+    slot = _default_slot_rule()
     u, w = slot.nodes, slot.weights
     F = np.empty((u.shape[0], u.shape[0]), dtype=complex)
     rows = max(1, _GRID_POINTS // u.shape[0])
@@ -603,7 +594,7 @@ def tensor_decompose_projection(f: SampledField, k: int,
         return _slot_pieces(targets, u.T, u.T, F[None], pairs)
 
     pairs = [(b1, k - b1) for b1 in range(k + 1)]
-    vals = piece_values(eval_rule.nodes, pairs)
-    return [SampledField(2, eval_rule, vals[:, b1], f.decay_class,
+    vals = piece_values(lattice.nodes, pairs)
+    return [SampledField(2, lattice, vals[:, b1], f.decay_class,
                          lambda pts, _p=p: piece_values(pts, [_p])[:, 0],
                          name=f"piece_b1={p[0]}_b2={p[1]}") for b1, p in enumerate(pairs)]

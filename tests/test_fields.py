@@ -30,9 +30,8 @@ def test_interpolation_accuracy_off_grid(rule_c1):
     """Sample-only fields read between nodes through barycentric-radial,
     Fourier-angular interpolation; smooth fields come back ~machine.  The
     read spans two full chunks and a partial one."""
-    f = SampledField.from_function(
-        lambda p: (p[:, 0] ** 2 * np.exp(-np.abs(p[:, 0]) ** 2 / 2.0)),
-        rule_c1, keep_evaluator=False)
+    fn = lambda p: (p[:, 0] ** 2 * np.exp(-np.abs(p[:, 0]) ** 2 / 2.0))
+    f = SampledField(1, rule_c1, fn(rule_c1.nodes))
     assert f.evaluator is None
     rng = np.random.default_rng(9)
     count = 5000
@@ -47,14 +46,14 @@ def test_interpolation_accuracy_off_grid(rule_c1):
 def test_interpolation_on_c2_rule():
     rule = plane_rule(2, extent=6.0, radial_points=24, sphere3_orders=(8, 16, 16))
     fn = lambda p: np.exp(-np.sum(np.abs(p) ** 2, axis=1) / 3.0).astype(complex)
-    f = SampledField.from_function(fn, rule, keep_evaluator=False)
+    f = SampledField(2, rule, fn(rule.nodes))
     rng = np.random.default_rng(4)
     pts = rng.normal(scale=0.9, size=(15, 2)) + 1j * rng.normal(scale=0.9, size=(15, 2))
     assert np.max(np.abs(f.evaluate(pts) - fn(pts))) < 1e-6
 
 
 def test_out_of_domain_modes(rule_c1, gauss_field):
-    f = SampledField.from_function(GAUSS3, rule_c1, keep_evaluator=False)
+    f = SampledField(1, rule_c1, GAUSS3(rule_c1.nodes))
     outside = np.array([[15.0 + 0.0j]])
     with pytest.raises(FieldDomainError, match="outside"):
         f.evaluate(outside)
@@ -113,7 +112,7 @@ def test_interpolation_across_chunks_c2():
     rule = plane_rule(2, extent=8.0, radial_points=32, sphere3_orders=(12, 24, 24))
     c = np.array([0.25 - 0.1j, -0.2 + 0.3j])
     fn = lambda p: np.exp(-np.sum(np.abs(p - c) ** 2, axis=1) / 3.0).astype(complex)
-    f = SampledField.from_function(fn, rule, keep_evaluator=False)
+    f = SampledField(2, rule, fn(rule.nodes))
     rng = np.random.default_rng(4)
     count = 1100
     assert count > 2 * _CHUNK[2]

@@ -14,8 +14,7 @@ from tsmlab.euclidean_means import (circular_mean, coxeter_odd_counterexample,
 from tsmlab.fields import SampledField
 from tsmlab.injectivity_lab import (DEFAULT_RADII, EuclideanSectorBasis,
                                     INJECTIVITY_CAVEAT, ProductHermiteBasis,
-                                    SamplingOperator, SamplingSet,
-                                    TwistedHermiteBasis, TypeFunctionSpec,
+                                    SamplingOperator, SamplingSet, TypeFunctionSpec,
                                     assemble_operator, curve_set,
                                     fit_projection_expansion, gaussian_profile,
                                     hecke_bochner_counterexample,
@@ -23,7 +22,7 @@ from tsmlab.injectivity_lab import (DEFAULT_RADII, EuclideanSectorBasis,
                                     near_null_roundtrip, operator_to_csv,
                                     plane_block_offmass, sigma_curve_to_csv)
 from tsmlab.quadrature import plane_rule, sphere_rule
-from tsmlab.special_functions import solid_harmonic_basis
+from tsmlab.special_functions import solid_harmonic_basis, special_hermite_matrix
 from tsmlab.twisted_transforms import (spectral_projection, twist_phase,
                                        twisted_spherical_mean)
 
@@ -100,7 +99,7 @@ def test_default_radii():
 
 
 def test_twisted_basis_shapes():
-    b = TwistedHermiteBasis(3)
+    b = ProductHermiteBasis((3,))
     assert b.ncols == 16
     sub = b.columns_up_to(1)
     assert [b.labels[j] for j in sub] == \
@@ -111,6 +110,8 @@ def test_twisted_basis_shapes():
     e3 = np.zeros(16)
     e3[3] = 1.0
     assert np.allclose(b.matrix(pts) @ e3, m[:, 3])
+    # the one-slot matrix is the special Hermite matrix itself, bit for bit
+    assert m.tobytes() == special_hermite_matrix(pts, 3).tobytes()
 
 
 def test_product_basis_block_structure():
@@ -119,8 +120,8 @@ def test_product_basis_block_structure():
     assert [b.block_key(j) for j in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
     pts = np.array([[0.2 + 0.1j, -0.4 + 0.3j]])
     m = b.matrix(pts)
-    b1 = TwistedHermiteBasis(1).matrix(pts[:, 0])
-    b2 = TwistedHermiteBasis(1).matrix(pts[:, 1])
+    b1 = special_hermite_matrix(pts[:, 0], 1)
+    b2 = special_hermite_matrix(pts[:, 1], 1)
     assert np.allclose(m, (b1[:, :, None] * b2[:, None, :]).reshape(1, -1))
 
 
@@ -211,7 +212,7 @@ def test_closed_form_matches_quadrature_for_product_basis():
 
 
 def test_spectral_degrees_follow_the_first_indices():
-    assert list(TwistedHermiteBasis(1).spectral_degrees) == [0, 0, 1, 1]
+    assert list(ProductHermiteBasis((1,)).spectral_degrees) == [0, 0, 1, 1]
     degrees = ProductHermiteBasis((1, 1)).spectral_degrees
     assert list(degrees[:4]) == [0, 0, 1, 1]       # slot 1 phi[0,0]
     assert list(degrees[8:12]) == [1, 1, 2, 2]     # slot 1 phi[1,0]
@@ -246,9 +247,10 @@ def test_sigma_min_monotone_in_rows():
     sset = make_set("coxeter_lines", n_lines=2, points_per_ray=3, extent=3.0,
                     radii=np.linspace(0.5, 4.0, 10))
     op = assemble_operator(sset, max_degree=2)
-    few = op.radius_index < 4      # same centers, fewer radii
-    sub = SamplingOperator(op.matrix[few], op.sampling_set, op.basis,
-                           op.engine, op.center_index[few], op.radius_index[few])
+    few = SamplingSet(sset.kind, sset.dimension, sset.centers, sset.radii[:4],
+                      sset.params)     # same centers, fewer radii
+    sub = SamplingOperator(op.matrix[op.radius_index < 4], few, op.basis)
+    assert np.array_equal(sub.center_index, op.center_index[op.radius_index < 4])
     assert sub.sigma_min <= op.sigma_min + 1e-12
 
 
@@ -319,7 +321,7 @@ def test_euclidean_operator_entries_match_per_pair_circular_means():
 def test_near_null_roundtrip_remeasures_means(euclid_odd_operator):
     op = euclid_odd_operator
     sigma, v = op.near_null(1e-10)[0]
-    worst = near_null_roundtrip(op, v, max_radii=6)
+    worst = near_null_roundtrip(op, v)
     assert worst < 1e-10
 
 
@@ -396,7 +398,7 @@ def test_probe_report_structure():
     sset = make_set("coxeter_lines", n_lines=2, points_per_ray=4, extent=4.0,
                     radii=np.geomspace(0.3, 4.0, 12))
     op = assemble_operator(sset, max_degree=4)
-    rep = injectivity_probe(op, degree_steps=(0, 2), roundtrip=False)
+    rep = injectivity_probe(op, degree_steps=(0, 2))
     assert rep.engine == "twisted"
     assert set(rep.sigma_curve) == {4, 6}
     assert rep.sigma_curve[6] < rep.sigma_curve[4]   # tighter truncation
@@ -417,7 +419,7 @@ def test_probe_decomposes_each_truncation_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     op = assemble_operator(sset, max_degree=2)
     assert calls == []                               # decomposed on first use
-    rep = injectivity_probe(op, degree_steps=(0, 2, 4), roundtrip=False)
+    rep = injectivity_probe(op, degree_steps=(0, 2, 4))
     # the operator with vectors, the two wider truncations without
     assert sorted(calls) == [False, False, True]
     assert rep.sigma_curve[2] == op.sigma_min
@@ -428,7 +430,7 @@ def test_probe_rejects_steps_below_degree_zero():
                     radii=np.geomspace(0.3, 4.0, 12))
     op = assemble_operator(sset, max_degree=2)
     with pytest.raises(ValueError, match="below 0"):
-        injectivity_probe(op, degree_steps=(-3, 0), roundtrip=False)
+        injectivity_probe(op, degree_steps=(-3, 0))
 
 
 def test_plane_cross_block_offmass():
@@ -437,6 +439,44 @@ def test_plane_cross_block_offmass():
     op = assemble_operator(sset, basis=ProductHermiteBasis((1, 1)),
                            sphere_orders=(8, 16, 16))
     assert plane_block_offmass(op) < 1e-8
+    # the blocks are the slot-1 factors: a one-slot basis has none
+    sset1 = make_set("coxeter_lines", n_lines=2, points_per_ray=2, extent=2.0)
+    with pytest.raises(ValueError, match="two-slot"):
+        plane_block_offmass(assemble_operator(sset1, max_degree=1))
+
+
+def test_probe_curve_is_for_the_one_slot_basis():
+    # on C the default basis is the one-slot product basis and draws the
+    # sigma-curve; on C^2 the report keeps no base degree and one entry
+    sset = make_set("coxeter_lines", n_lines=2, points_per_ray=3, extent=3.0,
+                    radii=np.geomspace(0.3, 4.0, 10))
+    op = assemble_operator(sset, max_degree=2)
+    assert op.basis.slot_degrees == (2,)
+    rep = injectivity_probe(op, degree_steps=(0, 1))
+    assert rep.base_degree == 2 and sorted(rep.sigma_curve) == [2, 3]
+    sset2 = make_set("custom", centers=[[0.3 + 0.1j, -0.5 + 0.2j],
+                                        [-0.8 + 0.4j, 0.6 - 0.3j]], radii=[0.7, 1.9])
+    op2 = assemble_operator(sset2, max_degree=0)
+    assert op2.basis.slot_degrees == (0, 0)
+    rep2 = injectivity_probe(op2, degree_steps=(0, 1))
+    assert rep2.as_dict()["K"] is None and rep2.sigma_curve == {0: op2.sigma_min}
+
+
+@pytest.mark.parametrize("degrees", [(), (1, 1, 1), (-1,), (2, -1)])
+def test_product_basis_rejects_bad_slot_degrees(degrees):
+    with pytest.raises(ValueError, match="slot degrees"):
+        ProductHermiteBasis(degrees)
+
+
+def test_operator_shape_must_match_set_and_basis():
+    sset = make_set("coxeter_lines", n_lines=1, points_per_ray=2, extent=1.0,
+                    radii=[0.5, 1.0])
+    op = assemble_operator(sset, max_degree=1)
+    assert op.engine == "twisted"
+    with pytest.raises(ValueError, match="matrix shape"):
+        SamplingOperator(op.matrix[1:], sset, op.basis)
+    with pytest.raises(ValueError, match="matrix shape"):
+        SamplingOperator(op.matrix, sset, ProductHermiteBasis((2,)))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +564,7 @@ def test_operator_and_sigma_csv(tmp_path, euclid_odd_operator):
     meta = json.loads(meta_p.read_text())
     assert meta["labels"] == op.basis.labels
 
-    rep = injectivity_probe(op, roundtrip=False)
+    rep = injectivity_probe(op)
     sig_p = tmp_path / "sigma.csv"
     sigma_curve_to_csv(rep, sig_p)
     assert len(sig_p.read_text().strip().splitlines()) == len(rep.sigma_curve) + 1

@@ -397,6 +397,18 @@ def test_spectral_projections_reject_bad_degrees(gauss_field):
     for bad in ([], [2, -1]):
         with pytest.raises(ValueError, match="degrees"):
             spectral_projections(gauss_field, bad)
+    # no silent truncation or parsing: the error names the bad entry
+    for bad, named in (([2.7], r"degrees\[0\] .*got 2\.7"), ([1, "3"], r"degrees\[1\] .*got '3'"),
+                       ([True], r"degrees\[0\] .*got True")):
+        with pytest.raises(ValueError, match=named):
+            spectral_projections(gauss_field, bad)
+    with pytest.raises(ValueError, match="got 2.5"):
+        projection_values(gauss_field, 2.5, [[0.3 + 0.1j]])
+    with pytest.raises(ValueError, match="got 1.0"):
+        spectral_projection(gauss_field, 1.0)
+    # numpy integers are degrees
+    assert np.array_equal(spectral_projections(gauss_field, np.arange(2)),
+                          spectral_projections(gauss_field, [0, 1]))
 
 
 @pytest.mark.parametrize("bad", [-1, 2.5, "3"])
@@ -661,5 +673,6 @@ def test_tensor_rejects_c1_fields(gauss_field):
 
 
 def test_tensor_rejects_negative_degree(c2_field):
-    with pytest.raises(ValueError, match="degree must be an integer >= 0, got -1"):
-        tensor_decompose_projection(c2_field, -1)
+    for bad in (-1, 2.5):
+        with pytest.raises(ValueError, match=f"degree must be an integer >= 0, got {bad}"):
+            tensor_decompose_projection(c2_field, bad)
