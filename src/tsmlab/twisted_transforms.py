@@ -68,7 +68,10 @@ picks one of three ways from its input alone:
   its slot-1 nodes r cos(th) e^(i p1) and slot-2 nodes r sin(th) e^(i p2),
   so the sum over a ring is (slot-1 kernel) @ (samples) . (slot-2 kernel):
   one batched matrix product over the rings per slot degree
-  (``_slot_pieces``).
+  (``_slot_pieces``).  A slot kernel depends on its own slot value alone,
+  so both kernels and the slot-1 product are built once per distinct z1
+  and z2 of a chunk of targets (on a grid's own nodes each z1 repeats m2
+  times) and gathered back per target.
 
 On C^2, ``tensor_decompose_projection`` samples f once on a slot x slot
 grid and takes the slot pieces of the product relation from the same
@@ -416,21 +419,25 @@ def _slot_pieces(targets: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     grid of slot nodes u1[g] (m1) and u2[g] (m2).  With the slot kernels
     K_b of ``_twisted_kernels`` (see the module docstring)
 
-        piece (b1, b2) = sum_g rowsum((K_b1(z1)[g] @ fw[g]) * K_b2(z2)[g]),
+        piece (b1, b2) = sum_g rowsum((K_b1(z1)[g] @ fw[g]) * K_b2(z2)[g]).
 
-    one batched (G, T, m1) x (G, m1, m2) product per slot-1 degree asked for.
+    K_b(z_s) depends on its own slot value alone, so per chunk of targets
+    both slot kernels and the batched (G, U1, m1) x (G, m1, m2) product, one
+    per slot-1 degree asked for, are built on the chunk's U_s distinct
+    values of z_s only; the row sums gather their rows back per target.
     """
     G, m1, m2 = fw.shape
     out = np.empty((targets.shape[0], len(pairs)), dtype=complex)
     chunk = max(1, _SLOT_BLOCK // ((max(map(max, pairs)) + 1) * G * (m1 + m2)))
     for s in range(0, targets.shape[0], chunk):
-        z = targets[s:s + chunk]
-        T = z.shape[0]
-        K2 = {pairs[cols[0]][1]: kernel.reshape(T, G, m2) for cols, kernel in _twisted_kernels(
-            *_pairing_kernel_args(z[:, 1:], u2.reshape(-1, 1)), [b2 for _, b2 in pairs])}
-        for cols, K1 in _twisted_kernels(*_pairing_kernel_args(z[:, :1], u1.reshape(-1, 1)),
+        z1, at1 = np.unique(targets[s:s + chunk, 0], return_inverse=True)
+        z2, at2 = np.unique(targets[s:s + chunk, 1], return_inverse=True)
+        K2 = {pairs[cols[0]][1]: kernel.reshape(-1, G, m2)[at2] for cols, kernel in
+              _twisted_kernels(*_pairing_kernel_args(z2[:, None], u2.reshape(-1, 1)),
+                               [b2 for _, b2 in pairs])}
+        for cols, K1 in _twisted_kernels(*_pairing_kernel_args(z1[:, None], u1.reshape(-1, 1)),
                                          [b1 for b1, _ in pairs]):
-            P = np.matmul(K1.reshape(T, G, m1).transpose(1, 0, 2), fw).transpose(1, 0, 2)
+            P = np.matmul(K1.reshape(-1, G, m1).transpose(1, 0, 2), fw).transpose(1, 0, 2)[at1]
             for col in cols:
                 out[s:s + chunk, col] = np.sum(P * K2[pairs[col][1]], axis=(1, 2))
     return out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tsmlab.euclidean_means import bump_profile
-from tsmlab.fields import SampledField, _bary_matrix, _polar_coordinates
+from tsmlab.fields import SampledField, _polar_coordinates
 from tsmlab.quadrature import compensated_sum, plane_rule, sphere_rule
 from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
                                       laguerre_function, laguerre_polynomial,
@@ -76,6 +76,18 @@ def solid_harmonic_values(h, z):
     return out
 
 
+def lagrange_rows(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(Q, N) Lagrange basis values l_j(x_q) = prod_(k != j) (x_q - x_k) /
+    (x_j - x_k), each row an explicit product: exactly one-hot at a node
+    and continuous next to one, with no barycentric weights and no snap."""
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((x.size, nodes.size))
+    for j in range(nodes.size):
+        others = np.delete(nodes, j)
+        rows[:, j] = np.prod((x[:, None] - others) / (nodes[j] - others), axis=1)
+    return rows
+
+
 def _phase_matrix(theta: np.ndarray, m: int) -> np.ndarray:
     freqs = np.fft.fftfreq(m, d=1.0 / m)
     return np.exp(1j * theta[:, None] * freqs[None, :]) / m
@@ -83,9 +95,10 @@ def _phase_matrix(theta: np.ndarray, m: int) -> np.ndarray:
 
 def phase_matrix_interpolate(rule, values, points):
     """Oracle for ``interpolate_on_rule``: a per-point table of all m
-    phases exp(i theta f) / m against the unshifted, unpadded DFT, and an
-    einsum chain over the whole coefficient tensor.  Points beyond the
-    grid are read at the clipped radius and then set to 0 ("zero" mode)."""
+    phases exp(i theta f) / m against the unshifted, unpadded DFT, the
+    radial and inclination rows of ``lagrange_rows``, and an einsum chain
+    over the whole coefficient tensor.  Points beyond the grid are read at
+    the clipped radius and then set to 0 ("zero" mode)."""
     pts = np.asarray(points, dtype=complex)
     coords = _polar_coordinates(rule, pts)
     r = coords[0]
@@ -95,15 +108,14 @@ def phase_matrix_interpolate(rule, values, points):
         coef = np.fft.fft(tensor, axis=1)
     else:
         coef = np.fft.fft(np.fft.fft(tensor, axis=2), axis=3)
-    wr = _bary_matrix(np.clip(r, 0.0, rule.extent), rule.radial_nodes,
-                      rule.barycentric("radial"))
+    wr = lagrange_rows(np.clip(r, 0.0, rule.extent), rule.radial_nodes)
     if rule.dimension == 1:
         e = _phase_matrix(coords[1], rule.angular_counts[0])
         t = wr @ coef
         t *= e
         out = t.sum(axis=1)
     else:
-        wt = _bary_matrix(coords[1], rule.theta_nodes, rule.barycentric("theta"))
+        wt = lagrange_rows(coords[1], rule.theta_nodes)
         e1 = _phase_matrix(coords[2], rule.angular_counts[0])
         e2 = _phase_matrix(coords[3], rule.angular_counts[1])
         t = np.einsum("qa,abcd->qbcd", wr, coef)

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import phase_matrix_interpolate
 from tsmlab.errors import FieldDomainError, GridMismatchError
-from tsmlab.fields import _CHUNK, SampledField, interpolate_on_rule
+from tsmlab.fields import (_CHUNK, SampledField, _bary_matrix, _polar_coordinates,
+                           interpolate_on_rule)
 from tsmlab.quadrature import plane_rule
 
 GAUSS3 = lambda p: np.exp(-np.abs(p[:, 0]) ** 2 / 3.0).astype(complex)
@@ -103,6 +104,40 @@ def test_interpolation_matches_phase_matrix_oracle(dimension, sizes):
     got = interpolate_on_rule(rule, vals, pts, out_of_domain="zero")
     want = phase_matrix_interpolate(rule, vals, pts)
     assert np.all(got[-4:] == 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_interpolation_on_and_next_to_a_radial_node(dimension):
+    """Points whose radius is exactly a radial node (their barycentric rows
+    snap to one-hot) and points 1e-15 further out (inside the snap
+    tolerance) against the Lagrange-product oracle, which is one-hot at a
+    node and continuous beside it, to 1e-13 of the peak."""
+    if dimension == 1:
+        rule = plane_rule(1, extent=12.0, radial_points=64, angular_points=63)
+        fn = lambda p: p[:, 0] ** 2 * np.exp(-np.abs(p[:, 0] - 0.4 + 0.3j) ** 2 / 2.0)
+    else:
+        rule = plane_rule(2, extent=6.0, radial_points=24, sphere3_orders=(8, 16, 16))
+        c = np.array([0.25 - 0.1j, -0.2 + 0.3j])
+        fn = lambda p: p[:, 0] * np.exp(-np.sum(np.abs(p - c) ** 2, axis=1) / 3.0)
+    r = rule.radial_nodes[[0, 5, 17, 23]]
+    phase = np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 64))
+    on, near = [], []
+    for radius in r:
+        # a phase off the grid at which |radius e^(i phi)| reads radius exactly
+        z = radius * phase[np.abs(radius * phase) == radius][0]
+        on.append([z] + [0.0] * (dimension - 1))
+        near.append([z * (1.0 + 1e-15 / radius)] + [0.0] * (dimension - 1))
+    pts = np.array(on + near, dtype=complex)
+    radii = _polar_coordinates(rule, pts)[0]
+    assert np.array_equal(radii[:4], r)
+    assert np.all((radii[4:] > r) & (radii[4:] - r < 3e-15))
+    rows = _bary_matrix(radii, rule.radial_nodes, rule.barycentric("radial"))
+    assert np.array_equal(rows, np.tile(rows[:4], (2, 1)))
+    assert np.all(np.sort(rows, axis=1)[:, -2:] == [0.0, 1.0])
+    vals = fn(rule.nodes)
+    got = interpolate_on_rule(rule, vals, pts)
+    want = phase_matrix_interpolate(rule, vals, pts)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(vals))
 
 

@@ -649,6 +649,67 @@ def test_tensor_piece_evaluators(c2_offcentre):
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def _repeating_targets(case: str, lattice: np.ndarray) -> np.ndarray:
+    """Targets whose slot values repeat: the probe lattice (96 nodes, 24
+    distinct z1 and 24 distinct z2), the lattice shuffled, rows listed
+    twice, and a single target."""
+    if case == "lattice":
+        return lattice
+    if case == "shuffled":
+        return lattice[np.random.default_rng(8).permutation(lattice.shape[0])]
+    if case == "duplicated":
+        return np.concatenate([lattice[:20], lattice[50:60], lattice[:20], lattice[55:58]])
+    return lattice[37:38]
+
+
+@pytest.mark.parametrize("case", ["lattice", "shuffled", "duplicated", "single"])
+def test_c2_batched_reads_match_per_target_reads(c2_offcentre, case):
+    """The C^2 slot kernels are built once per distinct slot value of a
+    chunk of targets and gathered back per target.  Ring projections and
+    tensor piece evaluators over a batch of such targets against one call
+    per target, to 1e-14 of the peak."""
+    k = 2
+    pieces = tensor_decompose_projection(c2_offcentre, k)
+    targets = _repeating_targets(case, pieces[0].rule.nodes)
+    reads = [lambda pts: projection_values(c2_offcentre, k, pts)] + [p.evaluate for p in pieces]
+    for read in reads:
+        got = read(targets)
+        ref = np.array([read(z[None])[0] for z in targets])
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_on_grid_c2_projections_match_one_node_at_a_time():
+    """On a C^2 grid's own nodes each z1 repeats over the slot-2 phases and
+    each z2 over the slot-1 phases; Q_k at all nodes at once against the
+    ring sum read one node at a time, to 1e-14 of each degree's peak."""
+    rule = plane_rule(2, extent=6.0, radial_points=6, sphere3_orders=(3, 6, 8),
+                      tolerance=float("inf"))
+    fn = lambda p: np.exp(-(np.abs(p[:, 0] - (0.4 - 0.3j)) ** 2 / 3.0
+                            + 1.3 * np.abs(p[:, 1] + 0.2j) ** 2 / 4.0)) * (1.0 + p[:, 0] * p[:, 1])
+    f = SampledField(2, rule, fn(rule.nodes))
+    degrees = [0, 1, 3]
+    got = spectral_projections(f, degrees)
+    ref = np.concatenate([spectral_projections(f, degrees, z[None]) for z in rule.nodes])
+    assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-14 * np.max(np.abs(ref), axis=0))
+
+
+def test_tensor_pieces_build_slot_kernels_per_distinct_slot_value(c2_offcentre, monkeypatch):
+    """Work count: the probe lattice's 96 targets have 24 distinct z1 and
+    24 distinct z2, so the slot kernels of the pieces take 24 + 24 rows of
+    targets, not 96 + 96."""
+    rows = []
+    pairing = twisted_transforms._pairing_kernel_args
+
+    def counted(z, u):
+        rows.append(z.shape[0])
+        return pairing(z, u)
+
+    monkeypatch.setattr(twisted_transforms, "_pairing_kernel_args", counted)
+    pieces = tensor_decompose_projection(c2_offcentre, 2)
+    assert pieces[0].rule.nodes.shape[0] == 96
+    assert rows == [24, 24]
+
+
 def test_tensor_pieces_separable_product_route(c2_field):
     """For f = g(z1) h(z2) each piece factors into 1-d projections; the
     pieces must match the product route to near machine."""
