@@ -129,7 +129,8 @@ def _validate(cfg: dict) -> None:
                 "counterexample.n_lines": 1, "counterexample.centers_per_line": 1,
                 "counterexample.r_count": 2, "probe.n_lines": 1,
                 "probe.points_per_ray": 1, "probe.max_degree": 0,
-                "probe.r_count": 2}
+                "probe.r_count": 2, "mean.sphere3_t": 1, "mean.sphere3_phi1": 1,
+                "mean.sphere3_phi2": 1, "field.degree": 0}
     for key, lo in at_least.items():
         if cfg[key] < lo:
             raise ConfigError(f"{key} must be >= {lo}, got {cfg[key]}")
@@ -143,8 +144,9 @@ def _validate(cfg: dict) -> None:
     top = cfg["probe.max_degree"] + max(steps)
     if top > 20:
         raise ConfigError(f"probe.max_degree + max(probe.degree_steps) must be <= 20, got {top}")
-    if cfg["profile.r_min"] >= cfg["profile.r_max"]:
-        raise ConfigError("profile.r_min must be below profile.r_max")
+    for section in ("profile", "probe"):
+        if cfg[f"{section}.r_min"] >= cfg[f"{section}.r_max"]:
+            raise ConfigError(f"{section}.r_min must be below {section}.r_max")
     if cfg["field.kind"] not in ("gaussian", "laguerre", "type"):
         raise ConfigError(f"unknown field.kind {cfg['field.kind']!r}")
     if cfg["counterexample.engine"] not in ("euclidean", "twisted"):

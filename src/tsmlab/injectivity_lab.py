@@ -620,7 +620,7 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
         raise ValueError(f"degree steps {tuple(degree_steps)} take the base "
                          f"degree {base_degree} below 0")
     curve = {}
-    if one_slot and len(degree_steps) > 1:
+    if one_slot and max(degree_steps, default=0) > 0:
         big = assemble_operator(operator.sampling_set,
                                 base_degree + max(degree_steps), engine="twisted")
         for s in sorted(degree_steps):

@@ -292,21 +292,6 @@ class SolidHarmonic:
             out += 1.0 if term is None else term
         return out
 
-    def laplacian_coefficients(self) -> dict:
-        """Exact coefficients of Delta P (empty dict iff harmonic)."""
-        out: dict = {}
-        for (al, be), c in self.coefficients.items():
-            for j in range(self.dimension):
-                if al[j] and be[j]:
-                    al2 = al[:j] + (al[j] - 1,) + al[j + 1:]
-                    be2 = be[:j] + (be[j] - 1,) + be[j + 1:]
-                    out[(al2, be2)] = out.get((al2, be2), Fraction(0)) + 4 * al[j] * be[j] * c
-        return {k: v for k, v in out.items() if v != 0}
-
-    @property
-    def is_harmonic(self) -> bool:
-        return not self.laplacian_coefficients()
-
 
 def solid_harmonic_basis(p: int, q: int, n: int) -> list[SolidHarmonic]:
     """Basis of the harmonic subspace of bidegree-(p, q) polynomials on C^n.

@@ -41,7 +41,7 @@ Projection paths.  Substituting u = z - w,
 
 so the kernel is known in closed form and f is read only at its own nodes.
 ``spectral_projections`` sums this u form over f's weighted samples and
-picks one of three ways from its input alone:
+picks one of two ways from its input alone:
 
 * on the grid (n = 1, targets are the field's own nodes): the kernel's
   series in the special Hermite family,
@@ -58,20 +58,20 @@ picks one of three ways from its input alone:
   FFT per degree.  The modes stop where the radial factor underflows at
   the grid's outer radius, so the table sums what the nodes' quadrature
   sums.  The special Hermite coefficients are the same table's entries;
-* at every other target on C, with or without an evaluator: the sum over
-  the nodes taken directly;
-* on C^2, at any target: ring by ring through the slot factorisation.
-  With t_s = |z_s - u_s|^2 / 2, exp(-t/2) and the twist are products over
-  the two slots and L_k^1(t_1 + t_2) = sum_(b1+b2=k) L_b1(t_1) L_b2(t_2),
-  so the kernel is a sum of products of two C slot kernels.  Each
+* at every other target, on C and C^2, with or without an evaluator:
+  ring by ring through the slot factorisation.  With
+  t_s = |z_s - u_s|^2 / 2, exp(-t/2) and the twist are products over the
+  slots and L_k^1(t_1 + t_2) = sum_(b1+b2=k) L_b1(t_1) L_b2(t_2), so the
+  C^2 kernel is a sum of products of two C slot kernels.  Each
   (radius, inclination) ring of the polar grid is the m1 x m2 product of
   its slot-1 nodes r cos(th) e^(i p1) and slot-2 nodes r sin(th) e^(i p2),
   so the sum over a ring is (slot-1 kernel) @ (samples) . (slot-2 kernel):
   one batched matrix product over the rings per slot degree
-  (``_slot_pieces``).  A slot kernel depends on its own slot value alone,
-  so both kernels and the slot-1 product are built once per distinct z1
-  and z2 of a chunk of targets (on a grid's own nodes each z1 repeats m2
-  times) and gathered back per target.
+  (``_slot_pieces``).  C is the one-slot case: its whole grid is one ring
+  and the sum is (kernel) @ (samples).  A slot kernel depends on its own
+  slot value alone, so every kernel and the slot-1 product are built once
+  per distinct slot value of a chunk of targets (on a C^2 grid's own nodes
+  each z1 repeats m2 times) and gathered back per target.
 
 On C^2, ``tensor_decompose_projection`` samples f once on a slot x slot
 grid and takes the slot pieces of the product relation from the same
@@ -84,6 +84,8 @@ it cuts phi_k off at the grid edge.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 
 import numpy as np
@@ -245,7 +247,7 @@ def mean_profile(f: SampledField, z, radii=None,
 # ---------------------------------------------------------------------------
 # twisted convolution and spectral projections
 
-# (target, node) pairs per chunk of the direct sums
+# (target, node) pairs per chunk of the w-form sum of ``convolution_values``
 _PAIR_CHUNK = 4_000_000
 
 
@@ -298,8 +300,8 @@ def _twisted_kernels(t: np.ndarray, weight: np.ndarray, degrees: list):
 
     With t = |z-u|^2 / 2 and weight = exp(-t/2) times the twist
     exp(-(i/2) Im(z . conj(u))), this is the closed-form kernel
-    phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) on C: of the direct sum, and
-    slot by slot of the C^2 sums.
+    phi_k(|z-u|) exp(-(i/2) Im(z . conj(u))) on C: slot by slot, of every
+    ring sum.
     """
     for k, lag in enumerate(laguerre_sequence(0, t, max(degrees))):
         columns = [i for i, d in enumerate(degrees) if d == k]
@@ -389,70 +391,73 @@ def _pairing_kernel_args(z: np.ndarray, u: np.ndarray):
     return t, np.exp(weight, out=weight)
 
 
-def _direct_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
-    """Q_k f at arbitrary targets on C: the u form summed directly over f's
-    weighted samples, in chunks of targets; t and the twist come from one
-    pairing product."""
-    u = f.rule.nodes
-    fw = f.values * f.rule.weights
-    out = np.empty((targets.shape[0], len(degrees)), dtype=complex)
-    chunk = max(1, _PAIR_CHUNK // u.shape[0])
-    for s in range(0, targets.shape[0], chunk):
-        t, weight = _pairing_kernel_args(targets[s:s + chunk], u)
-        for columns, kernel in _twisted_kernels(t, weight, degrees):
-            out[s:s + chunk, columns] = (kernel @ fw)[:, None]
-            del kernel   # not held while the recurrence takes its next step
-    return out
-
-
-# slot-kernel entries (both slots, every slot degree) per chunk of targets
-# in the C^2 sums: 16 MB of complex128
+# slot-kernel entries (every slot, every slot degree) per chunk of targets
+# in the ring sums: 16 MB of complex128
 _SLOT_BLOCK = 1 << 20
 
 
-def _slot_pieces(targets: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                 fw: np.ndarray, pairs: list) -> np.ndarray:
-    """Pieces (b1, b2) of the u-form sum on C^2 at targets (T, 2), one
-    column per pair in ``pairs``: (T, len(pairs)) complex.
+def _slot_pieces(targets: np.ndarray, slots: list, fw: np.ndarray, pieces: list) -> np.ndarray:
+    """Pieces (b_1, .., b_n) of the u-form sum at targets (T, n), one column
+    per degree tuple in ``pieces``: (T, len(pieces)) complex.
 
-    fw (G, m1, m2) holds the weighted samples on G rings, ring g the product
-    grid of slot nodes u1[g] (m1) and u2[g] (m2).  With the slot kernels
-    K_b of ``_twisted_kernels`` (see the module docstring)
+    fw (G, m_1, .., m_n) holds the weighted samples on G rings, ring g the
+    product grid of slot nodes slots[s][g] (m_s each).  With the slot
+    kernels K_b of ``_twisted_kernels`` (see the module docstring)
 
         piece (b1, b2) = sum_g rowsum((K_b1(z1)[g] @ fw[g]) * K_b2(z2)[g]).
 
+    Slot 1 is contracted by one batched (G, U_1, m_1) x (G, m_1, m_2 .. m_n)
+    product per slot-1 degree asked for, each further slot by the row
+    product; with one slot (C) there is none and the piece is K_b1(z1) @ fw.
     K_b(z_s) depends on its own slot value alone, so per chunk of targets
-    both slot kernels and the batched (G, U1, m1) x (G, m1, m2) product, one
-    per slot-1 degree asked for, are built on the chunk's U_s distinct
-    values of z_s only; the row sums gather their rows back per target.
+    every slot kernel and the slot-1 product are built on the chunk's U_s
+    distinct values of z_s only and gathered back per target.
     """
-    G, m1, m2 = fw.shape
-    out = np.empty((targets.shape[0], len(pairs)), dtype=complex)
-    chunk = max(1, _SLOT_BLOCK // ((max(map(max, pairs)) + 1) * G * (m1 + m2)))
+    G, m = fw.shape[0], fw.shape[1:]
+    out = np.empty((targets.shape[0], len(pieces)), dtype=complex)
+    chunk = max(1, _SLOT_BLOCK // ((max(map(max, pieces)) + 1) * G * sum(m)))
+
+    def kernels(j: int, rows: slice):
+        # slot j's kernels on the distinct z_j of targets[rows], and the gather back
+        z, at = np.unique(targets[rows, j], return_inverse=True)
+        return at, _twisted_kernels(*_pairing_kernel_args(z[:, None], slots[j].reshape(-1, 1)),
+                                    [b[j] for b in pieces])
+
     for s in range(0, targets.shape[0], chunk):
-        z1, at1 = np.unique(targets[s:s + chunk, 0], return_inverse=True)
-        z2, at2 = np.unique(targets[s:s + chunk, 1], return_inverse=True)
-        K2 = {pairs[cols[0]][1]: kernel.reshape(-1, G, m2)[at2] for cols, kernel in
-              _twisted_kernels(*_pairing_kernel_args(z2[:, None], u2.reshape(-1, 1)),
-                               [b2 for _, b2 in pairs])}
-        for cols, K1 in _twisted_kernels(*_pairing_kernel_args(z1[:, None], u1.reshape(-1, 1)),
-                                         [b1 for b1, _ in pairs]):
-            P = np.matmul(K1.reshape(-1, G, m1).transpose(1, 0, 2), fw).transpose(1, 0, 2)[at1]
-            for col in cols:
-                out[s:s + chunk, col] = np.sum(P * K2[pairs[col][1]], axis=(1, 2))
+        rows = slice(s, s + chunk)
+        further = []        # slot j >= 2 on its own axis of (T, G, m_2, .., m_n), by degree
+        for j in range(1, len(slots)):
+            at, ks = kernels(j, rows)
+            shape = (-1, G) + tuple(mi if i == j else 1 for i, mi in enumerate(m) if i)
+            further.append({pieces[cols[0]][j]: kernel.reshape(shape)[at] for cols, kernel in ks})
+        at1, ks1 = kernels(0, rows)
+        for cols, K1 in ks1:
+            P = np.matmul(K1.reshape(-1, G, m[0]).transpose(1, 0, 2), fw.reshape(G, m[0], -1))
+            del K1   # not held while the recurrence takes its next step
+            P = P.transpose(1, 0, 2)[at1].reshape((-1, G) + m[1:])
+            for col in cols:      # each row product is freed by its sum, not held
+                factors = [K[b] for K, b in zip(further, pieces[col][1:])]
+                out[rows, col] = np.sum(functools.reduce(np.multiply, factors, P),
+                                        axis=tuple(range(1, P.ndim)))
     return out
 
 
 def _ring_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
-    """Q_k f at arbitrary targets on C^2: the sum of ``_slot_pieces`` with
-    b1 + b2 = k.  Each (radius, inclination) ring of f's polar rule is the
-    m1 x m2 product grid of slot nodes r cos(th) e^(i p1) and r sin(th) e^(i p2)."""
-    R, nt, m1, m2 = f.rule.shape
-    u = f.rule.nodes.reshape(R * nt, m1, m2, 2)
-    fw = (f.values * f.rule.weights).reshape(R * nt, m1, m2)
-    pairs = sorted({(b1, k - b1) for k in degrees for b1 in range(k + 1)})
-    pieces = _slot_pieces(targets, u[:, :, 0, 0], u[:, 0, :, 1], fw, pairs)
-    return np.stack([sum(pieces[:, pairs.index((b1, k - b1))] for b1 in range(k + 1))
+    """Q_k f at arbitrary targets: the sum of ``_slot_pieces`` with
+    b_1 + .. + b_n = k.  On C the whole grid is one ring of one slot; on
+    C^2 each (radius, inclination) ring of f's polar rule is the m1 x m2
+    product grid of slot nodes r cos(th) e^(i p1) and r sin(th) e^(i p2)."""
+    u, fw = f.rule.nodes, f.values * f.rule.weights
+    if f.dimension == 1:
+        slots, fw = [u.T], fw[None]
+    else:
+        R, nt, m1, m2 = f.rule.shape
+        u = u.reshape(R * nt, m1, m2, 2)
+        slots, fw = [u[:, :, 0, 0], u[:, 0, :, 1]], fw.reshape(R * nt, m1, m2)
+    pieces = [b for b in itertools.product(range(max(degrees) + 1), repeat=f.dimension)
+              if sum(b) in degrees]
+    vals = _slot_pieces(targets, slots, fw, pieces)
+    return np.stack([sum(vals[:, i] for i, b in enumerate(pieces) if sum(b) == k)
                      for k in degrees], axis=1)
 
 
@@ -470,9 +475,9 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
 
     Only f's samples are read, so fields with and without an evaluator take
     the same path.  The input picks it (see the module docstring): on C,
-    targets None or equal to ``f.rule.nodes`` take the per-mode table, all
-    others the direct sum, all degrees from one Laguerre recurrence; on C^2
-    every target takes the ring-factored sum.
+    targets None or equal to ``f.rule.nodes`` take the per-mode table; all
+    other targets, and every target on C^2, take the ring sum of
+    ``_slot_pieces``, all degrees from one Laguerre recurrence per slot.
     """
     degrees = [_degree(k, f"degrees[{i}]") for i, k in enumerate(degrees)]
     if not degrees:
@@ -480,12 +485,10 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     w = f.rule.nodes
     if targets is not None:
         targets = np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
-    if f.dimension == 2:
-        return _ring_projections(f, degrees, w if targets is None else targets)
-    if targets is None or np.array_equal(targets, w):
+    if f.dimension == 1 and (targets is None or np.array_equal(targets, w)):
         rho, sums = _mode_table(f, max(degrees), grid_modes=True)
         return _table_projections(rho, sums, f.rule.shape[1], degrees)
-    return _direct_projections(f, degrees, targets)
+    return _ring_projections(f, degrees, w if targets is None else targets)
 
 
 def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray:
@@ -598,7 +601,7 @@ def tensor_decompose_projection(f: SampledField, k: int) -> list[SampledField]:
 
     def piece_values(targets, pairs: list) -> np.ndarray:
         targets = np.asarray(targets, dtype=complex).reshape(-1, 2)
-        return _slot_pieces(targets, u.T, u.T, F[None], pairs)
+        return _slot_pieces(targets, [u.T, u.T], F[None], pairs)
 
     pairs = [(b1, k - b1) for b1 in range(k + 1)]
     vals = piece_values(lattice.nodes, pairs)

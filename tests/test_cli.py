@@ -82,6 +82,16 @@ def test_invalid_value_exits_2(tmp_path):
     code = main(["--experiment", "probe", "--out", str(tmp_path / "y"),
                  "--override", "probe.kind=hexagon"])
     assert code == 2
+    for experiment, override in [
+            ("counterexample", "mean.sphere3_t=0"), ("counterexample", "mean.sphere3_phi1=0"),
+            ("counterexample", "mean.sphere3_phi2=-3"), ("project", "field.degree=-1"),
+            ("probe", "probe.r_min=7")]:
+        out = tmp_path / override.split("=")[0]
+        code = main(["--experiment", experiment, "--out", str(out), "--override", override,
+                     "--override", "counterexample.engine=twisted",
+                     "--override", "field.kind=laguerre"])
+        assert code == 2, override
+        assert not out.exists(), override
 
 
 FAST_GRID = ["--override", "grid.radial_points=32",

@@ -404,6 +404,9 @@ def test_probe_report_structure():
     assert rep.sigma_curve[6] < rep.sigma_curve[4]   # tighter truncation
     assert rep.caveat == INJECTIVITY_CAVEAT
     json.dumps(rep.as_dict())                        # serializable as-is
+    # a single nonzero step is the wider truncation, not the base degree
+    alone = injectivity_probe(op, degree_steps=(2,))
+    assert alone.sigma_curve == {6: rep.sigma_curve[6]}
 
 
 def test_probe_decomposes_each_truncation_once(monkeypatch):

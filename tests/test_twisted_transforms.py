@@ -373,12 +373,13 @@ def test_on_grid_projections_fold_aliased_modes(m):
     """On a coarse grid the m phases under-resolve the kernel: its phase
     modes p <= k reach past m at k >= m, and its modes below -m/2 are far
     from negligible.  The table folds every mode mod m, so it still sums
-    exactly what the u form sums over the nodes."""
+    exactly what the u form sums over the nodes: the ring sum, with the
+    whole grid as its one ring."""
     rule = plane_rule(1, extent=8.0, radial_points=16, angular_points=m)
     f = SampledField.from_function(ENGINE_FIELDS["offcentre"], rule)
     degrees = list(range(31))
     got = spectral_projections(f, degrees)
-    ref = twisted_transforms._direct_projections(f, degrees, rule.nodes)
+    ref = twisted_transforms._ring_projections(f, degrees, rule.nodes)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -662,16 +663,32 @@ def _repeating_targets(case: str, lattice: np.ndarray) -> np.ndarray:
     return lattice[37:38]
 
 
-@pytest.mark.parametrize("case", ["lattice", "shuffled", "duplicated", "single"])
-def test_c2_batched_reads_match_per_target_reads(c2_offcentre, case):
-    """The C^2 slot kernels are built once per distinct slot value of a
-    chunk of targets and gathered back per target.  Ring projections and
-    tensor piece evaluators over a batch of such targets against one call
-    per target, to 1e-14 of the peak."""
+@pytest.fixture(scope="module")
+def c1_offcentre(rule_c1_small):
+    return SampledField.from_function(ENGINE_FIELDS["offcentre"], rule_c1_small)
+
+
+@pytest.mark.parametrize("field_name, case", [
+    ("c2_offcentre", "lattice"), ("c2_offcentre", "shuffled"),
+    ("c2_offcentre", "duplicated"), ("c2_offcentre", "single"),
+    ("c1_offcentre", "shuffled"), ("c1_offcentre", "duplicated"),
+    ("c1_offcentre", "single")],
+    ids=["lattice", "shuffled", "duplicated", "single",
+         "c1-shuffled", "c1-duplicated", "c1-single"])
+def test_c2_batched_reads_match_per_target_reads(c2_offcentre, field_name, case, request):
+    """The slot kernels are built once per distinct slot value of a chunk
+    of targets and gathered back per target.  Ring projections (and on C^2
+    the tensor piece evaluators) over a batch of such targets against one
+    call per target, to 1e-14 of the peak.  On C the targets are the
+    lattice's z1 column: 24 distinct values, each listed four times."""
     k = 2
+    f = request.getfixturevalue(field_name)
     pieces = tensor_decompose_projection(c2_offcentre, k)
-    targets = _repeating_targets(case, pieces[0].rule.nodes)
-    reads = [lambda pts: projection_values(c2_offcentre, k, pts)] + [p.evaluate for p in pieces]
+    lattice = pieces[0].rule.nodes[:, :f.dimension]
+    targets = _repeating_targets(case, lattice)
+    reads = [lambda pts: projection_values(f, k, pts)]
+    if f.dimension == 2:
+        reads += [p.evaluate for p in pieces]
     for read in reads:
         got = read(targets)
         ref = np.array([read(z[None])[0] for z in targets])
@@ -693,10 +710,12 @@ def test_on_grid_c2_projections_match_one_node_at_a_time():
     assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-14 * np.max(np.abs(ref), axis=0))
 
 
-def test_tensor_pieces_build_slot_kernels_per_distinct_slot_value(c2_offcentre, monkeypatch):
+def test_tensor_pieces_build_slot_kernels_per_distinct_slot_value(c2_offcentre, c1_offcentre,
+                                                                   monkeypatch):
     """Work count: the probe lattice's 96 targets have 24 distinct z1 and
     24 distinct z2, so the slot kernels of the pieces take 24 + 24 rows of
-    targets, not 96 + 96."""
+    targets, not 96 + 96.  A C read of duplicated targets builds one kernel
+    row per distinct target."""
     rows = []
     pairing = twisted_transforms._pairing_kernel_args
 
@@ -708,6 +727,11 @@ def test_tensor_pieces_build_slot_kernels_per_distinct_slot_value(c2_offcentre, 
     pieces = tensor_decompose_projection(c2_offcentre, 2)
     assert pieces[0].rule.nodes.shape[0] == 96
     assert rows == [24, 24]
+    rows.clear()
+    targets = _repeating_targets("duplicated", pieces[0].rule.nodes[:, :1])
+    spectral_projections(c1_offcentre, [0, 2], targets)
+    assert (targets.shape[0], np.unique(targets).size) == (53, 8)
+    assert rows == [8]
 
 
 def test_tensor_pieces_separable_product_route(c2_field):
