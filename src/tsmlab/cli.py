@@ -141,6 +141,8 @@ def _validate(cfg: dict) -> None:
     steps = cfg["probe.degree_steps"]
     if min(steps) < 0:
         raise ConfigError(f"probe.degree_steps must be >= 0, got {steps}")
+    if len(set(steps)) != len(steps):
+        raise ConfigError(f"probe.degree_steps must not repeat a step, got {steps}")
     top = cfg["probe.max_degree"] + max(steps)
     if top > 20:
         raise ConfigError(f"probe.max_degree + max(probe.degree_steps) must be <= 20, got {top}")

@@ -11,14 +11,18 @@ columns come from one basis, ``ProductHermiteBasis``: tensor products of
 special Hermite functions, one factor per slot, so C is its one-slot case
 and C^2 its two-slot case.  Twisted rows are exact: every column is an
 eigenfunction, so the product (Hecke-Bochner) relation factors its mean
-into a Laguerre factor in r_i times the column at z_j.  Euclidean rows are
-circle averages.  A function with vanishing means on S corresponds to a
-(near-)null vector of M, so sigma_min probes whether S can distinguish
-fields at the truncation: small sigma_min plus an exhibited near-null field
-certifies NON-injectivity at desk scale, while large sigma_min is evidence
-only (see the caveat string).  The certificates remeasure the candidates'
-means over the whole set by quadrature, independently of the closed form
-that found them: one mean table of its engine for all of a probe's vectors.
+into a Laguerre factor in r_i times the column at z_j, and M's singular
+values come from the triangular factors of those two tables rather than
+from M itself (see ``SamplingOperator``).  Euclidean rows are circle
+averages, decomposed as they are.  A function with vanishing means on S
+corresponds to a (near-)null vector of M, so sigma_min probes whether S
+can distinguish fields at the truncation: small sigma_min plus an
+exhibited near-null field certifies NON-injectivity at desk scale, while
+large sigma_min is evidence only (see the caveat string).  The
+certificates remeasure the candidates' means over the whole set by
+quadrature, independently of the closed form that found them: one mean
+table of its engine for all of a probe's vectors, on C^2 summed slot by
+slot (``SlotProduct``).
 
 Also here: the Hecke-Bochner type-function scans (fields a(|z|) P(z) whose
 twisted means vanish exactly on P^(-1)(0) plus possible spheres) and the
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -46,7 +50,7 @@ from .ioutil import fmt, write_csv, write_json
 from .quadrature import PlaneRule, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
                                 special_hermite_indices, special_hermite_matrix)
-from .twisted_transforms import twisted_mean_table
+from .twisted_transforms import SlotProduct, twisted_mean_table
 
 INJECTIVITY_CAVEAT = (
     "sigma_min > 0 at a finite truncation over a finite point sample is "
@@ -55,6 +59,9 @@ INJECTIVITY_CAVEAT = (
     "exhibiting a concrete near-null field with vanishing means on the set.")
 
 DEFAULT_RADII = tuple(np.geomspace(0.2, 6.0, 24))
+# type functions carry the Gaussian exp(-|z|^2 / _TYPE_GAUSSIAN) of their
+# decay class, GAUSSIAN_QUARTER
+_TYPE_GAUSSIAN = 4.0
 
 __all__ = [
     "INJECTIVITY_CAVEAT", "DEFAULT_RADII", "SamplingSet", "make_set",
@@ -414,24 +421,72 @@ class EuclideanSectorBasis:
 # operator assembly
 
 
-def _sigma_min(matrix: np.ndarray) -> float:
-    """Smallest singular value, without vectors; 0 for degenerate shapes."""
-    rows, cols = matrix.shape
-    return float(np.linalg.svd(matrix, compute_uv=False)[-1]) if rows >= cols > 0 else 0.0
+def _twisted_factors(sampling_set: SamplingSet, basis) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the product relation: the center design matrix
+    B = basis.matrix(centers) (C, ncols) and the radial table
+    F[i, k] = tsm_product_constant(n, k) L_k^(n-1)(r_i^2/2) e^(-r_i^2/4),
+    k = 0 .. max k_b (R, k_max + 1), so that M[(j, i), b] = B[j, b] F[i, k_b]."""
+    n = sampling_set.dimension
+    F = np.stack([tsm_product_constant(n, d)
+                  * laguerre_function(LaguerreSpec(d, n - 1), sampling_set.radii)
+                  for d in range(int(basis.spectral_degrees.max()) + 1)], axis=1)
+    return basis.matrix(sampling_set.centers), F
+
+
+def _face_split(r_b: np.ndarray, r_f: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """N[(l, m), b] = r_b[l, b] r_f[m, k_b] for the triangular factors of
+    ``_twisted_factors``; rows m > max k_b are zero (r_f is upper
+    triangular) and left out."""
+    r_f = r_f[:degrees.max() + 1, degrees]
+    return (r_b[:, None, :] * r_f[None]).reshape(-1, degrees.size)
+
+
+def _reduced(factors) -> tuple[np.ndarray, np.ndarray]:
+    """R_B, R_F: the triangular factors of QRs of the two factors."""
+    return tuple(np.linalg.qr(a, mode="r") for a in factors)
+
+
+def _reduced_svd(N: np.ndarray, rows: int, compute_uv: bool = True):
+    """(sigma, V^H or None) of a matrix M with ``rows`` rows whose reduced
+    matrix (``_face_split``) is N.  A rank-deficient N (fewer rows than
+    columns) gives M's exact zeros: sigma is padded with them to
+    min(rows, cols) and V^H is full."""
+    cols = N.shape[1]
+    if compute_uv:
+        _, s, vh = np.linalg.svd(N, full_matrices=N.shape[0] < cols)
+    else:
+        s, vh = np.linalg.svd(N, compute_uv=False), None
+    return np.concatenate([s, np.zeros(min(rows, cols) - s.size)]), vh
+
+
+def _degenerate(rows: int, cols: int) -> bool:
+    """No rows, no columns, or fewer rows than columns."""
+    return rows == 0 or cols == 0 or rows < cols
 
 
 @dataclass
 class SamplingOperator:
-    """Dense mean-sampling matrix; its SVD is computed on first use.
+    """Mean-sampling matrix; its SVD is computed on first use.
 
     Rows are the set's ``row_meta`` pairs, columns the basis's; the engine
     is the basis's.  sigma_min is defined as 0 for degenerate shapes (no
     rows, no columns, or fewer rows than columns -- a genuine null space
     exists then).
+
+    ``factors`` (B, F) are those of ``_twisted_factors``, set by
+    ``assemble_operator`` for twisted rows and by nothing else: they are
+    no constructor argument, so an operator built from a matrix (or a
+    ``dataclasses.replace`` of one) decomposes that matrix.  With them the
+    SVD is that of N[(l, m), b] = R_B[l, b] R_F[m, k_b], R_B and R_F the triangular
+    factors of QRs of B and F: M = (Q_B x Q_F) N with orthonormal columns,
+    so N has M's singular values and right singular vectors, with
+    min(C, ncols) (k_max + 1) rows however many centers and radii the set
+    has.  Without factors the matrix itself is decomposed.
     """
     matrix: np.ndarray
     sampling_set: SamplingSet
     basis: object
+    factors: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         want = (self.sampling_set.n_rows, self.basis.ncols)
@@ -457,8 +512,11 @@ class SamplingOperator:
         rows, cols = self.matrix.shape
         if rows == 0 or cols == 0:
             return np.zeros(0), np.eye(cols, dtype=self.matrix.dtype)
-        _, s, vh = np.linalg.svd(self.matrix, full_matrices=rows < cols)
-        return s, vh
+        if self.factors is None:
+            _, s, vh = np.linalg.svd(self.matrix, full_matrices=rows < cols)
+            return s, vh
+        return _reduced_svd(_face_split(*_reduced(self.factors), self.basis.spectral_degrees),
+                            rows)
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -470,8 +528,7 @@ class SamplingOperator:
 
     @property
     def degenerate(self) -> bool:
-        rows, cols = self.matrix.shape
-        return rows == 0 or cols == 0 or rows < cols
+        return _degenerate(*self.matrix.shape)
 
     @property
     def sigma_min(self) -> float:
@@ -499,9 +556,12 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
 
         M[(j,i), b] = B(n, k_b) L_(k_b)^(n-1)(r_i^2/2) e^(-r_i^2/4) basis_b(z_j)
 
-    with B = ``tsm_product_constant``; no quadrature is involved.  Euclidean
-    rows are plain averages over ``euclid_points`` circle nodes, one
-    ``euclidean_mean_table`` of the basis matrix.  Row order is
+    with B = ``tsm_product_constant``; no quadrature is involved.  The
+    operator keeps the two factors, the center design matrix and the
+    radial table per degree, and takes its singular values from them (see
+    ``SamplingOperator``).  Euclidean rows are plain averages over
+    ``euclid_points`` circle nodes, one ``euclidean_mean_table`` of the
+    basis matrix, and are decomposed as a dense matrix.  Row order is
     center-major; column order is the basis's documented order.
 
     Without ``basis`` the twisted engine takes the special Hermite product
@@ -525,18 +585,15 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
     if getattr(basis, "dimension", sampling_set.dimension) != sampling_set.dimension:
         raise ValueError("basis dimension does not match the set")
 
-    centers, radii = sampling_set.centers, sampling_set.radii
-    if engine == "twisted":
-        n = sampling_set.dimension
-        k = basis.spectral_degrees
-        factor = np.stack([tsm_product_constant(n, d)
-                           * laguerre_function(LaguerreSpec(d, n - 1), radii)
-                           for d in range(int(k.max()) + 1)], axis=1)[:, k]
-        M = basis.matrix(centers)[:, None, :] * factor[None, :, :]
-    else:
-        M = euclidean_mean_table(SimpleNamespace(evaluate=basis.matrix), centers, radii,
-                                 euclid_points)
-    return SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
+    if engine == "euclidean":
+        M = euclidean_mean_table(SimpleNamespace(evaluate=basis.matrix),
+                                 sampling_set.centers, sampling_set.radii, euclid_points)
+        return SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
+    B, F = factors = _twisted_factors(sampling_set, basis)
+    M = B[:, None, :] * F[None, :, basis.spectral_degrees]
+    op = SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
+    op.factors = factors
+    return op
 
 
 def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray):
@@ -544,18 +601,26 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray):
     columns of (ncols, V), and remeasure its means over the whole set by
     quadrature, never by the closed form that built the operator: one
     ``twisted_mean_table`` (sphere rules) or ``euclidean_mean_table``
-    (circle nodes) for all V.  Returns the max |mean| of each vector
-    normalized by its norm: a float, or (V,) for V columns."""
+    (circle nodes) for all V.  On a two-slot ``ProductHermiteBasis`` the
+    field is a ``SlotProduct``: one special Hermite matrix per slot,
+    coupled by the coefficients as (J_1, J_2, V) (columns run slot 1
+    outer).  Returns the max |mean| of each vector normalized by its norm:
+    a float, or (V,) for V columns."""
     v = np.asarray(coefficients)
     nv = np.linalg.norm(v, axis=0)
     if np.any(nv == 0):
         raise ValueError("zero coefficient vector")
     c = v / nv
-    sset = operator.sampling_set
+    sset, basis = operator.sampling_set, operator.basis
+    if isinstance(basis, ProductHermiteBasis) and basis.dimension == 2:
+        field = SlotProduct(tuple(functools.partial(special_hermite_matrix, max_degree=d)
+                                  for d in basis.slot_degrees),
+                            c.reshape(tuple(len(i) for i in basis.slot_indices) + c.shape[1:]))
+    else:
+        field = SimpleNamespace(dimension=sset.dimension,
+                                evaluate=lambda pts: basis.matrix(pts) @ c)
     table = twisted_mean_table if operator.engine == "twisted" else euclidean_mean_table
-    means = table(SimpleNamespace(dimension=sset.dimension,
-                                  evaluate=lambda pts: operator.basis.matrix(pts) @ c),
-                  sset.centers, sset.radii)
+    means = table(field, sset.centers, sset.radii)
     return np.max(np.abs(means), axis=(0, 1), initial=0.0)
 
 
@@ -605,28 +670,38 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
 
     The sigma-curve runs over the one-slot Hermite basis on C,
     ``ProductHermiteBasis((K,))``, whose degree K is the report's base
-    degree: the operator is reassembled once at the largest requested
-    truncation K + max(steps) and the other truncations are column subsets
-    (the rows do not depend on the basis), decomposed without vectors; the
-    base step is the operator's own sigma_min.  A step taking K below 0
-    raises ValueError.  Other bases, the C^2 product basis included, report
-    their own sigma_min only, with no base degree.  Every near-null vector
-    is certified by ``near_null_roundtrip``.
+    degree.  The factors of the product relation are built once, at the
+    largest requested truncation K + max(steps), and reduced to their
+    triangular factors (see ``SamplingOperator``); each wider truncation
+    is a column subset (the rows do not depend on the basis), so its
+    sigma_min is that of the reduced matrix's columns up to K + s, rows of
+    radial index m <= K + s, decomposed without vectors.  Each distinct
+    step is decomposed once; the base step is the operator's own
+    sigma_min.  A step taking K below 0 raises ValueError.  Other bases,
+    the C^2 product basis included, report their own sigma_min only, with
+    no base degree.  Every near-null vector is certified by
+    ``near_null_roundtrip``.
     """
     basis = operator.basis
     one_slot = isinstance(basis, ProductHermiteBasis) and basis.dimension == 1
     base_degree = basis.slot_degrees[0] if one_slot else None
-    if one_slot and base_degree + min(degree_steps, default=0) < 0:
+    steps = sorted(set(degree_steps))
+    if one_slot and base_degree + min(steps, default=0) < 0:
         raise ValueError(f"degree steps {tuple(degree_steps)} take the base "
                          f"degree {base_degree} below 0")
     curve = {}
-    if one_slot and max(degree_steps, default=0) > 0:
-        big = assemble_operator(operator.sampling_set,
-                                base_degree + max(degree_steps), engine="twisted")
-        for s in sorted(degree_steps):
-            cols = big.basis.columns_up_to(base_degree + s)
-            curve[base_degree + s] = (operator.sigma_min if s == 0
-                                      else _sigma_min(big.matrix[:, cols]))
+    if one_slot and max(steps, default=0) > 0:
+        sset = operator.sampling_set
+        big = ProductHermiteBasis((base_degree + steps[-1],))
+        r_b, r_f = _reduced(_twisted_factors(sset, big))
+        for s in steps:
+            if s == 0:
+                curve[base_degree] = operator.sigma_min
+                continue
+            cols = big.columns_up_to(base_degree + s)
+            N = _face_split(r_b[:, cols], r_f, big.spectral_degrees[cols])
+            sig, _ = _reduced_svd(N, sset.n_rows, compute_uv=False)
+            curve[base_degree + s] = 0.0 if _degenerate(sset.n_rows, cols.size) else float(sig[-1])
     else:
         curve[base_degree if base_degree is not None else 0] = operator.sigma_min
 
@@ -670,43 +745,49 @@ def plane_block_offmass(operator: SamplingOperator) -> float:
 # Hecke-Bochner type functions
 
 
-def gaussian_profile(width: float = 2.0) -> Callable:
-    """rho -> exp(-rho^2 / (2 width)); width 2 gives exp(-rho^2/4)."""
-
-    def profile(rho):
-        rho = np.asarray(rho, dtype=float)
-        return np.exp(-rho ** 2 / (2.0 * width))
-
-    return profile
-
-
 @dataclass(frozen=True)
 class TypeFunctionSpec:
-    """f(z) = profile(|z|) P(z) with P a bigraded solid harmonic."""
+    """f(z) = exp(-|z|^2 / 4) P(z) with P a bigraded solid harmonic."""
     harmonic: SolidHarmonic
-    profile: Callable = None
-    profile_name: str = "gaussian(width=2)"
     decay_class: str = GAUSSIAN_QUARTER
-
-    def __post_init__(self):
-        if self.profile is None:
-            object.__setattr__(self, "profile", gaussian_profile(2.0))
 
     @property
     def dimension(self) -> int:
         return self.harmonic.dimension
 
     def evaluator(self) -> Callable:
-        h, g = self.harmonic, self.profile
+        h = self.harmonic
 
         def fn(pts):
             pts = np.asarray(pts, dtype=complex).reshape(-1, h.dimension)
             # |z|^2 slot by slot: the sum norm(pts, axis=1) takes, without
             # its strided reduction over the two-wide last axis
             sq = (pts.conj() * pts).real
-            return g(np.sqrt(sum(sq.T[1:], sq.T[0]))) * h.evaluate(pts)
+            rho = np.sqrt(sum(sq.T[1:], sq.T[0]))
+            return np.exp(-rho ** 2 / _TYPE_GAUSSIAN) * h.evaluate(pts)
 
         return fn
+
+    def slot_product(self) -> SlotProduct:
+        """f as a ``SlotProduct`` on C^2: the Gaussian is a product over
+        the slots and each monomial z^alpha conj(z)^beta of P is one, so
+        slot s has one column exp(-|z_s|^2 / 4) z_s^alpha_s conj(z_s)^beta_s
+        per monomial, coupled by diag(c)."""
+        h = self.harmonic
+        if h.dimension != 2:
+            raise ValueError("a slot product lives on C^2")
+        monomials = list(h.coefficients)
+
+        def factor(s: int) -> Callable:
+            def columns(z):
+                z = np.asarray(z, dtype=complex)
+                g = np.exp(-(z.real ** 2 + z.imag ** 2) / _TYPE_GAUSSIAN)
+                return np.stack([g * z ** al[s] * np.conj(z) ** be[s]
+                                 for al, be in monomials], axis=1)
+            return columns
+
+        coupling = np.diag([complex(h.coefficients[mono]) for mono in monomials])
+        return SlotProduct((factor(0), factor(1)), coupling)
 
     def build_field(self, rule: PlaneRule) -> SampledField:
         if rule.dimension != self.dimension:
@@ -776,7 +857,9 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec,
                                  radii=None, tolerance: float = 1e-8,
                                  sphere_orders=None, circle_points: int | None = None):
     """Build the type function and scan its twisted means: one
-    ``twisted_mean_table`` over all scan centers and radii.
+    ``twisted_mean_table`` over all scan centers and radii, on C^2 of the
+    type function's ``slot_product`` (slot by slot, on the S^3 rules' own
+    nodes), on C of the field.
 
     Returns (field, report).  Default scan centers come from a fixed pool:
     the ``n_onset`` lexicographically first pool points with |P| ~ 0 and the
@@ -808,7 +891,8 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec,
     offset_centers = np.asarray(offset_centers, dtype=complex).reshape(-1, n)
     centers = np.concatenate([onset_centers, offset_centers], axis=0)
 
-    max_means = np.max(np.abs(twisted_mean_table(f, centers, radii, m=circle_points,
+    source = spec.slot_product() if n == 2 else f
+    max_means = np.max(np.abs(twisted_mean_table(source, centers, radii, m=circle_points,
                                                  orders=sphere_orders)), axis=1)
     hmag = np.abs(spec.harmonic.evaluate(centers))
     hscale = float(hmag.max()) or 1.0

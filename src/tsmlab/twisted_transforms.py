@@ -29,6 +29,20 @@ the values of f at z - w on the nodes of inclination t: one batched mat-vec
 per slot, T (M_1 + M_2) exponentials in place of one per node.  The circle
 on C is the one-slot case, T = 1 and sum_a e_1[a] F[a] / M_1.
 
+A field that is itself a sum of slot products (``SlotProduct``: f(z) =
+sum g1_j1(z1) C[j1, j2] g2_j2(z2), such as a Gaussian times a solid
+harmonic, or product-basis vectors) is summed with the same nodes and
+weights, grouped by slot: F[t] = G1[t] C G2[t]^T with the slot sums
+G_s[t, a] = g_s(z_s - slot_s[t, a]), so
+
+    f x mu_r(z) = sum_t w_t / (M_1 M_2) * (e_1[t]^T G1[t]) C (e_2[t]^T G2[t])^T,
+
+one-slot twisted circle sums of each slot's columns on the S^3 rule's own
+slot nodes (radius r cos t, or r sin t).  They depend on their own slot
+value alone, so they are taken once per distinct z_s among the centers,
+and f is read at no S^3 node.  Every other field on C^2, and every field
+on C, is read at the nodes as above.
+
 Degreewise structure (n = 1): Q_k f lands in span{phi_(k, m) : m >= 0} of
 the special Hermite family -- the first index is the spectral one.  In
 particular Q_k maps the angular sector z^p a(|z|) to multiples of
@@ -87,6 +101,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +116,7 @@ from .special_functions import (LaguerreSpec, laguerre_function, laguerre_sequen
 __all__ = [
     "SampledField", "MeanProfile", "SpectrumTruncation",
     "twist_phase", "twisted_translate", "twisted_spherical_mean",
-    "twisted_mean_table",
+    "twisted_mean_table", "SlotProduct",
     "mean_profile", "twisted_convolution", "convolution_values",
     "spectral_projection", "spectral_projections", "projection_values",
     "special_hermite_coefficients", "special_hermite_truncation",
@@ -153,6 +168,66 @@ def twisted_translate(f: SampledField, eta, tail_tol: float = 1e-9) -> SampledFi
 _MEAN_POINTS = {1: _CHUNK[1], 2: 16384}
 
 
+@dataclass(frozen=True)
+class SlotProduct:
+    """A field on C^2 that is a sum of slot products,
+
+        f(z) = sum_(j1, j2) g1_j1(z1) C[j1, j2] g2_j2(z2),
+
+    or V such fields when the coupling C is (J_1, J_2, V).  ``factors``
+    holds one callable per slot: slot values (P,) -> (P, J_s), the columns
+    g_s.  ``evaluate`` returns the sum, (P,) or (P, V), for every reader;
+    ``twisted_mean_table`` takes its means slot by slot (see the module
+    docstring)."""
+    factors: tuple
+    coupling: np.ndarray
+
+    dimension = 2
+
+    def evaluate(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=complex).reshape(-1, 2)
+        g1, g2 = (g(pts[:, s]) for s, g in enumerate(self.factors))
+        c = np.asarray(self.coupling)
+        t = (g1 @ c.reshape(c.shape[0], -1)).reshape((-1,) + c.shape[1:])
+        return np.einsum("pj...,pj->p...", t, g2)
+
+
+def _slot_product_means(f: SlotProduct, centers: np.ndarray, conj_slots: list,
+                        t_weights: np.ndarray) -> np.ndarray:
+    """The means of a ``SlotProduct`` at every center and radius of the
+    rules whose conjugated slot tables (R, T, M_s) and weights
+    w_t / (M_1 M_2) (R, T) are given: (C, R) or (C, R, V).
+
+    G_s (U_s, R, T, J_s) are the one-slot twisted circle sums of slot s's
+    columns over the rule's own slot nodes, sum_a g_s(z_s - node) e_s[t, a],
+    at each of the U_s distinct values z_s among the centers; then per
+    distinct z_1, f x mu_r(z) = sum_t w_t G_1[t] C G_2[t]^T for every center
+    with that z_1."""
+    G, at = [], []
+    for g, conj_nodes, values in zip(f.factors, conj_slots, centers.T):
+        distinct, inv = np.unique(values, return_inverse=True)
+        nodes = np.conj(conj_nodes)
+        sums = []
+        for zs in distinct:
+            cols = g((zs - nodes).ravel()).reshape(nodes.shape + (-1,))
+            e = np.exp(0.5j * TWIST_SIGN * (zs * conj_nodes).imag)
+            sums.append((e[..., None, :] @ cols)[..., 0, :])
+        G.append(np.stack(sums))
+        at.append(inv)
+    c = np.asarray(f.coupling)
+    R, T, J1, J2 = G[0].shape[1], G[0].shape[2], c.shape[0], c.shape[1]
+    out = np.empty(centers.shape[:1] + (R,) + c.shape[2:], dtype=complex)
+    for i, G1 in enumerate(G[0]):
+        rows = np.flatnonzero(at[0] == i)
+        # (R T, J2, V) per z1, then every center's slot-2 sums against it
+        H = (G1.reshape(R * T, J1) @ c.reshape(J1, -1)).reshape(R * T, J2, -1)
+        G2 = G[1][at[1][rows]].reshape(rows.size, R * T, J2).transpose(1, 0, 2)
+        vals = (G2 @ H).reshape(R, T, rows.size, -1)
+        vals = np.einsum("rtcv,rt->crv", vals, t_weights)
+        out[rows] = vals.reshape((rows.size,) + out.shape[1:])
+    return out
+
+
 def twisted_mean_table(f: SampledField, centers, radii,
                        m: int | None = None, orders=None) -> np.ndarray:
     """f x mu_r(z) for every center (rows, points of C^n) and radius
@@ -163,7 +238,9 @@ def twisted_mean_table(f: SampledField, centers, radii,
     on C^2) is built once per call and f is read once per center over
     blocks of radii.  Each (center, radius) sum is contracted slot by slot
     against the rule's twist factors, slot n first, then weighted over the
-    rule's inclinations (see the module docstring).  r = 0 degenerates to
+    rule's inclinations (see the module docstring).  A ``SlotProduct`` is
+    read slot by slot instead, once per distinct slot value at the rules'
+    slot nodes (``_slot_product_means``).  r = 0 degenerates to
     f(z) (continuity).  Off-grid reads of sample-only fields raise
     FieldDomainError naming the offending node.
     """
@@ -189,11 +266,15 @@ def twisted_mean_table(f: SampledField, centers, radii,
     on = np.flatnonzero(~at_zero)
     if on.size:
         rules = [sphere_rule(f.dimension, r, m=m, orders=orders) for r in radii[on]]
-        nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
         conj_slots = [np.conj(np.stack(t)) for t in zip(*(s.slot_nodes for s in rules))]
         # w_t / (M_1 .. M_n): the weight of every node at inclination t
         t_weights = np.stack([s.t_weights * (1.0 / (s.weights.size // s.t_weights.size))
                               for s in rules])                   # (R, T)
+        if isinstance(f, SlotProduct):
+            vals = _slot_product_means(f, centers, conj_slots, t_weights)
+            table(vals.shape[2:])[:, on] = vals
+            return table(())
+        nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
         block = max(1, _MEAN_POINTS[f.dimension] // nodes.shape[1])
         for j, z in enumerate(centers):
             for s in range(0, on.size, block):

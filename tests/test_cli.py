@@ -59,6 +59,16 @@ def test_probe_degree_steps_are_checked():
         load_config(None, ["probe.max_degree=17", "probe.degree_steps=0,4"])
     cfg = load_config(None, ["probe.max_degree=16", "probe.degree_steps=0,4"])
     assert cfg["probe.degree_steps"] == (0, 4)
+    with pytest.raises(ConfigError, match="must not repeat a step"):
+        load_config(None, ["probe.degree_steps=0,2,2"])
+
+
+def test_repeated_degree_step_exits_2(tmp_path):
+    out = tmp_path / "never"
+    code = main(["--experiment", "probe", "--out", str(out),
+                 "--override", "probe.degree_steps=0,2,2"])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_list_checks_exits_zero(capsys):
@@ -158,6 +168,19 @@ def test_twisted_counterexample_determinism(tmp_path):
     assert payloads[0] == payloads[1]
     report = json.loads(payloads[0])
     assert sum(report["on_zero_locus"]) == 30 and len(report["max_means"]) == 40
+
+
+def test_twisted_counterexample_one_phase_slot_fails_its_certificate(tmp_path, capsys):
+    """One slot-1 phase node cannot resolve the type function: the run
+    exits 1 with a failed certificate, not a traceback."""
+    out = tmp_path / "one"
+    code = main(["--experiment", "counterexample", "--out", str(out),
+                 "--override", "counterexample.engine=twisted",
+                 "--override", "mean.sphere3_phi1=1"])
+    assert code == 1
+    assert "FAIL certificate" in capsys.readouterr().out
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["checks"][0]["value"] > 1e-8
 
 
 def test_probe_artifacts(tmp_path):

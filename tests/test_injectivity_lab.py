@@ -1,5 +1,6 @@
 """Sampling sets, operators, probes, and the two counterexample engines."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -16,14 +17,14 @@ from tsmlab.injectivity_lab import (DEFAULT_RADII, EuclideanSectorBasis,
                                     INJECTIVITY_CAVEAT, ProductHermiteBasis,
                                     SamplingOperator, SamplingSet, TypeFunctionSpec,
                                     assemble_operator, curve_set,
-                                    fit_projection_expansion, gaussian_profile,
+                                    fit_projection_expansion,
                                     hecke_bochner_counterexample,
                                     injectivity_probe, make_set,
                                     near_null_roundtrip, operator_to_csv,
                                     plane_block_offmass, sigma_curve_to_csv)
 from tsmlab.quadrature import plane_rule, sphere_rule
 from tsmlab.special_functions import solid_harmonic_basis, special_hermite_matrix
-from tsmlab.twisted_transforms import (spectral_projection, twist_phase,
+from tsmlab.twisted_transforms import (SlotProduct, spectral_projection, twist_phase,
                                        twisted_spherical_mean)
 
 
@@ -426,6 +427,106 @@ def test_probe_decomposes_each_truncation_once(monkeypatch):
     # the operator with vectors, the two wider truncations without
     assert sorted(calls) == [False, False, True]
     assert rep.sigma_curve[2] == op.sigma_min
+    # a repeated step is decomposed once
+    calls.clear()
+    again = injectivity_probe(assemble_operator(sset, max_degree=2),
+                              degree_steps=(0, 2, 2, 4, 4))
+    assert sorted(calls) == [False, False, True]
+    assert again.sigma_curve == rep.sigma_curve
+
+
+def _dense(op: SamplingOperator) -> SamplingOperator:
+    """The oracle: the same matrix with no factors, decomposed as is."""
+    return SamplingOperator(op.matrix, op.sampling_set, op.basis)
+
+
+def _projector(null: list) -> np.ndarray:
+    V = np.stack([v for _, v in null], axis=1)
+    return V @ V.conj().T
+
+
+FACTORED_CASES = {
+    "coxeter_lines": (lambda: make_set("coxeter_lines", n_lines=3, points_per_ray=4, extent=4.0,
+                                       rotation=0.37, translation=[0.5 - 0.2j],
+                                       radii=np.geomspace(0.2, 6.0, 8)), 6),
+    # |z| = sqrt(2): L_1(1) = 0 takes phi[1,1] off the circle, a near-null column
+    "sphere": (lambda: make_set("sphere", radius=np.sqrt(2.0), n=1, m=16,
+                                radii=np.geomspace(0.2, 6.0, 8)), 3),
+    "curve": (lambda: curve_set(lambda t: 1.0 + 0.2 * t, samples=20,
+                                radii=np.geomspace(0.2, 6.0, 8)), 5),
+    "custom": (lambda: make_set("custom", centers=[[0.3 + 0.1j, -0.5 + 0.2j],
+                                                   [-0.8 + 0.4j, 0.6 - 0.3j],
+                                                   [1.1 - 0.2j, 0.2 + 0.9j]],
+                                radii=np.geomspace(0.3, 4.0, 6)), 1),
+    "plane_cross_coxeter": (lambda: make_set("plane_cross_coxeter", n_lines=2, extent=2.5,
+                                             points_per_ray=2, plane_radial=4,
+                                             plane_angular=6,
+                                             radii=np.geomspace(0.4, 3.0, 5)), 1),
+    # |z1| = 2: 18 exact null columns at K = 2
+    "sphere_cross_plane": (lambda: make_set("sphere_cross_plane", radius=2.0,
+                                            radii=np.geomspace(0.2, 6.0, 8)), 2),
+    # 2 centres, 5 degrees: N is 10 x 25 while M is 32 x 25
+    "wide_factors": (lambda: make_set("custom", centers=[[0.4 - 0.3j], [-1.2 + 0.5j]],
+                                      radii=np.geomspace(0.3, 4.0, 16)), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(FACTORED_CASES))
+def test_factored_svd_matches_dense_oracle(case):
+    build, K = FACTORED_CASES[case]
+    op = assemble_operator(build(), max_degree=K)
+    assert op.factors is not None and not op.degenerate
+    dense = _dense(op)
+    s, ref = op.singular_values, dense.singular_values
+    assert s.shape == ref.shape == (op.shape[1],)
+    assert np.max(np.abs(s - ref)) <= 1e-13 * ref[0]
+    threshold = 1e-8 * ref[0]
+    null, null_ref = op.near_null(threshold), dense.near_null(threshold)
+    assert len(null) == len(null_ref)
+    if null:
+        assert np.max(np.abs(_projector(null) - _projector(null_ref))) <= 1e-12
+    for sigma, v in null:
+        assert np.linalg.norm(op.matrix @ v) <= 1e-12 * ref[0]
+    if case == "wide_factors":
+        # rank(B) (k_max + 1) = 2 * 5 < 25 columns: M's tail is exact zeros
+        assert np.all(s[10:] == 0.0) and len(null) == 15
+    elif case == "sphere_cross_plane":
+        assert len(null) == 18
+    elif case == "sphere":
+        assert len(null) == 1
+
+
+@pytest.mark.parametrize("case", ["coxeter_lines", "sphere", "curve", "wide_factors"])
+def test_probe_curve_matches_dense_truncations(case):
+    # each wider truncation from the top factors against the dense matrix
+    # assembled at that truncation
+    build, K = FACTORED_CASES[case]
+    sset = build()
+    rep = injectivity_probe(assemble_operator(sset, max_degree=K), degree_steps=(0, 1, 2))
+    assert sorted(rep.sigma_curve) == [K, K + 1, K + 2]
+    for k, sigma in rep.sigma_curve.items():
+        M = assemble_operator(sset, max_degree=k).matrix
+        s = np.linalg.svd(M, compute_uv=False)
+        ref = s[-1] if M.shape[0] >= M.shape[1] else 0.0
+        assert abs(sigma - ref) <= 1e-13 * s[0], k
+
+
+def test_operator_without_factors_decomposes_its_matrix():
+    # a bare matrix is decomposed as given, even where the set and basis
+    # could rebuild factors: here the matrix is not their product
+    sset = make_set("coxeter_lines", n_lines=2, points_per_ray=2, extent=2.0,
+                    radii=[0.5, 1.0, 2.0])
+    op = assemble_operator(sset, max_degree=1)
+    halved = SamplingOperator(0.5 * op.matrix, sset, op.basis)
+    assert halved.factors is None
+    assert np.allclose(halved.singular_values, 0.5 * op.singular_values, rtol=1e-13)
+    # the factors are no constructor argument, and a replaced matrix does
+    # not inherit them
+    with pytest.raises(TypeError):
+        SamplingOperator(op.matrix, sset, op.basis, op.factors)
+    replaced = dataclasses.replace(op, matrix=0.5 * op.matrix)
+    assert op.factors is not None and replaced.factors is None
+    assert np.allclose(replaced.singular_values, 0.5 * op.singular_values, rtol=1e-13)
 
 
 def test_probe_rejects_steps_below_degree_zero():
@@ -488,7 +589,7 @@ def test_operator_shape_must_match_set_and_basis():
 
 def test_hecke_bochner_zero_set_detection():
     P = solid_harmonic_basis(1, 1, 2)[0]
-    spec = TypeFunctionSpec(P, profile=gaussian_profile(2.0))
+    spec = TypeFunctionSpec(P)
     f, rep = hecke_bochner_counterexample(
         spec, n_onset=6, n_offset=4, radii=np.geomspace(0.5, 2.0, 4),
         sphere_orders=(8, 16, 16))
@@ -499,12 +600,66 @@ def test_hecke_bochner_zero_set_detection():
     json.dumps(rep.as_dict())
 
 
+def test_scan_reads_slot_points_only(monkeypatch):
+    # counting factors: the scan reads each slot's columns at the S^3
+    # rules' own slot nodes, once per distinct slot value, and the type
+    # function at no S^3 node
+    reads = {0: 0, 1: 0}
+    plain = TypeFunctionSpec.slot_product
+
+    def counting(self):
+        product = plain(self)
+
+        def wrap(s, g):
+            def columns(z):
+                reads[s] += np.size(z)
+                return g(z)
+            return columns
+
+        return SlotProduct(tuple(wrap(s, g) for s, g in enumerate(product.factors)),
+                           product.coupling)
+
+    def no_node_reads(self, points):
+        raise AssertionError("the type function was read at S^3 nodes")
+
+    monkeypatch.setattr(TypeFunctionSpec, "slot_product", counting)
+    monkeypatch.setattr(SlotProduct, "evaluate", no_node_reads)
+    orders = (6, 8, 12)
+    radii = np.geomspace(0.5, 2.0, 4)
+    rule = plane_rule(2, extent=8.0, radial_points=8, sphere3_orders=(4, 8, 8),
+                      tolerance=float("inf"))
+    spec = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0])
+    f, rep = hecke_bochner_counterexample(spec, rule=rule, radii=radii, sphere_orders=orders)
+    T, M1, M2 = orders
+    distinct = [np.unique(rep.centers[:, s]).size for s in range(2)]
+    assert distinct == [16, 17] and rep.centers.shape[0] == 40
+    assert reads == {0: distinct[0] * radii.size * T * M1,
+                     1: distinct[1] * radii.size * T * M2}
+    assert rep.max_on_set <= 1e-8 * rep.field_peak
+
+
+def test_product_roundtrip_means_come_from_slot_columns(monkeypatch):
+    # a two-slot product basis is remeasured through per-slot special
+    # Hermite matrices; the face-splitting matrix is read at no S^3 node
+    sset = make_set("custom", centers=[[0.3 + 0.1j, -0.5 + 0.2j],
+                                       [-0.8 + 0.4j, 0.6 - 0.3j]], radii=[0.7, 1.9])
+    op = assemble_operator(sset, basis=ProductHermiteBasis((1, 1)))
+
+    def no_basis_reads(self, points):
+        raise AssertionError("the product matrix was read at S^3 nodes")
+
+    monkeypatch.setattr(ProductHermiteBasis, "matrix", no_basis_reads)
+    assert near_null_roundtrip(op, np.ones(op.basis.ncols)) > 0
+
+
 def test_type_function_spec_guards():
     P = solid_harmonic_basis(1, 1, 2)[0]
     spec = TypeFunctionSpec(P)
     rule1 = plane_rule(1, extent=6.0, radial_points=16, angular_points=32)
     with pytest.raises(ValueError, match="dimension"):
         spec.build_field(rule1)
+    with pytest.raises(ValueError, match="C\\^2"):
+        TypeFunctionSpec(solid_harmonic_basis(1, 0, 1)[0]).slot_product()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ drift shows up here first.
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,11 +34,11 @@ from tsmlab.twisted_transforms import (convolution_values, mean_profile,
                                        special_hermite_truncation,
                                        tensor_decompose_projection,
                                        twist_phase, twisted_convolution,
-                                       twisted_mean_table,
+                                       SlotProduct, twisted_mean_table,
                                        twisted_spherical_mean,
                                        twisted_translate)
-from tsmlab.injectivity_lab import TypeFunctionSpec
-from tsmlab.special_functions import solid_harmonic_basis
+from tsmlab.injectivity_lab import ProductHermiteBasis, TypeFunctionSpec
+from tsmlab.special_functions import solid_harmonic_basis, special_hermite_matrix
 
 
 def _phi_field(rule, k):
@@ -145,6 +146,54 @@ def test_mean_table_slot_bookkeeping_on_c2():
         table = twisted_mean_table(f, centers, radii, orders=orders)
         ref = _per_pair(f, centers, radii, orders=orders)
         assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(f.values)), orders
+
+
+# repeated slot values: the slot sums are shared between centres
+SLOT_CENTERS = np.array([[0.6 + 0.0j, 0.0j], [0.5 - 0.2j, 0.3 + 0.4j],
+                         [-1.1j, 1.6 + 0.0j], [0.6 + 0.0j, 0.3 + 0.4j]])
+SLOT_RADII = np.array([0.0, 0.3, 1.1, 3.0])
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_slot_product_means_match_generic_table_and_per_pair_oracle(which):
+    # every (1,1) harmonic: z1 conj(z2), z2 conj(z1) and the two-monomial one
+    rule = plane_rule(2, extent=8.0, radial_points=12, sphere3_orders=(4, 8, 8),
+                      tolerance=float("inf"))
+    spec = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[which])
+    f = spec.build_field(rule)
+    product = spec.slot_product()
+    peak = np.max(np.abs(f.values))
+    assert np.max(np.abs(product.evaluate(rule.nodes) - f.values)) <= 1e-15 * peak
+    for orders in [None, (5, 6, 10)]:
+        table = twisted_mean_table(product, SLOT_CENTERS, SLOT_RADII, orders=orders)
+        generic = twisted_mean_table(f, SLOT_CENTERS, SLOT_RADII, orders=orders)
+        ref = _per_pair(f, SLOT_CENTERS, SLOT_RADII, orders=orders)
+        assert table.shape == (4, 4)
+        assert np.max(np.abs(table - generic)) <= 1e-15 * peak, orders
+        assert np.max(np.abs(table - ref)) <= 1e-15 * peak, orders
+
+
+def test_slot_product_means_of_product_basis_vectors():
+    # V = 3 coefficient vectors of a (1, 2) product basis, columns slot 1 outer
+    basis = ProductHermiteBasis((1, 2))
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=(basis.ncols, 3)) + 1j * rng.normal(size=(basis.ncols, 3))
+    product = SlotProduct((lambda z: special_hermite_matrix(z, 1),
+                           lambda z: special_hermite_matrix(z, 2)), c.reshape(4, 9, 3))
+    stacked = SimpleNamespace(dimension=2, evaluate=lambda p: basis.matrix(p) @ c)
+    lattice = plane_rule(2, extent=6.0, radial_points=8, sphere3_orders=(4, 8, 8),
+                         tolerance=float("inf")).nodes
+    peak = np.max(np.abs(stacked.evaluate(lattice)))
+    assert np.max(np.abs(product.evaluate(lattice) - stacked.evaluate(lattice))) <= 1e-15 * peak
+    orders = (6, 8, 12)
+    table = twisted_mean_table(product, SLOT_CENTERS, SLOT_RADII, orders=orders)
+    assert table.shape == (4, 4, 3)
+    generic = twisted_mean_table(stacked, SLOT_CENTERS, SLOT_RADII, orders=orders)
+    assert np.max(np.abs(table - generic)) <= 1e-15 * peak
+    for v in range(3):
+        column = SimpleNamespace(dimension=2, evaluate=lambda p, _v=v: stacked.evaluate(p)[:, _v])
+        ref = _per_pair(column, SLOT_CENTERS, SLOT_RADII, orders=orders)
+        assert np.max(np.abs(table[..., v] - ref)) <= 1e-15 * peak, v
 
 
 def test_mean_table_of_csv_import_matches_per_pair_oracle(rule_c1_small, tmp_path):
