@@ -13,8 +13,15 @@ and C^2 its two-slot case.  Twisted rows are exact: every column is an
 eigenfunction, so the product (Hecke-Bochner) relation factors its mean
 into a Laguerre factor in r_i times the column at z_j, and M's singular
 values come from the triangular factors of those two tables rather than
-from M itself (see ``SamplingOperator``).  Euclidean rows are circle
-averages, decomposed as they are.  A function with vanishing means on S
+from M itself (see ``SamplingOperator``).  The paper's sets are symmetric
+-- Sigma_N under rotation by pi/N, circles and spheres under their
+rules' phase steps, the C^2 sets slot by slot -- and a rotation of slot s
+multiplies phi_(a,b) by e^(i (a - b) t) there, so on a set whose centers
+map onto themselves under z_s -> e^(2 pi i / q_s) z_s
+(``SamplingSet.rotation_orders``) columns whose frequencies differ mod q_s
+are orthogonal and M splits into independent blocks, one per rotation
+class, each decomposed on its own.  Euclidean rows are circle averages,
+decomposed as they are.  A function with vanishing means on S
 corresponds to a (near-)null vector of M, so sigma_min probes whether S
 can distinguish fields at the truncation: small sigma_min plus an
 exhibited near-null field certifies NON-injectivity at desk scale, while
@@ -153,6 +160,33 @@ class SamplingSet:
         nc, nr = self.centers.shape[0], self.radii.shape[0]
         return np.repeat(np.arange(nc), nr), np.tile(np.arange(nr), nc)
 
+    @functools.cached_property
+    def rotation_orders(self) -> tuple[int, ...]:
+        """q_s per slot: the centers map onto themselves under the rotation
+        z_s -> e^(2 pi i / q_s) z_s of slot s alone.
+
+        Declared by kind and params -- coxeter_lines 2 n_lines; sphere m on
+        C, the two S^3 phase counts on C^2; plane_cross_coxeter
+        (plane_angular, 4 n_lines); sphere_cross_plane (m, plane_angular);
+        curve, custom and any translated set 1 -- then confirmed on the
+        centers: a slot whose rotated centers do not each lie within
+        1e-12 * max(1, max |center|) of a center (max over the slots)
+        reports 1.  A twisted operator on the set splits its columns by
+        these orders (see ``SamplingOperator``), so a wrongly declared
+        order would give wrong singular values."""
+        p, n = self.params, self.dimension
+        declared = {
+            "coxeter_lines": (2 * p.get("n_lines", 0),),
+            "sphere": (p.get("m", 1),) if n == 1 else tuple(p.get("orders", (1, 1, 1))[1:]),
+            "plane_cross_coxeter": (p.get("plane_angular", 1), 4 * p.get("n_lines", 0)),
+            "sphere_cross_plane": (p.get("m", 1), p.get("plane_angular", 1)),
+        }.get(self.kind, ())
+        if len(declared) != n or np.any(np.asarray(p.get("translation", 0)) != 0):
+            return (1,) * n
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.centers), initial=0.0)))
+        return tuple(int(q) if q > 1 and _maps_onto_itself(self.centers, s, int(q), tol) else 1
+                     for s, q in enumerate(declared))
+
     def validate(self, tol: float = 1e-12) -> None:
         """Check the membership invariant: centers lie on the declared set."""
         rot = self.params.get("rotation", 0.0)
@@ -186,6 +220,25 @@ class SamplingSet:
             j = int(np.argmax(bad))
             raise ValueError(f"center {self.centers[j]} is off the declared "
                              f"{kind} locus")
+
+
+def _maps_onto_itself(centers: np.ndarray, slot: int, q: int, tol: float) -> bool:
+    """Whether every center, slot ``slot`` rotated by 2 pi / q, lies within
+    ``tol`` (max over the slots) of a center.  Candidates come from a
+    sort on one generic real projection of the centers, which moves by at
+    most tol * sum|w| between matching points; each candidate is then
+    checked exactly."""
+    moved = centers.copy()
+    moved[:, slot] *= np.exp(2j * np.pi / q)
+    w = np.sqrt([2.0, 3.0, 5.0, 7.0])[:2 * centers.shape[1]]
+    key, target = (np.concatenate([c.real, c.imag], axis=1) @ w for c in (centers, moved))
+    order = np.argsort(key)
+    lo = np.searchsorted(key[order], target - tol * w.sum(), side="left")
+    counts = np.searchsorted(key[order], target + tol * w.sum(), side="right") - lo
+    owner = np.repeat(np.arange(centers.shape[0]), counts)
+    cand = order[lo[owner] + np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)]
+    close = np.max(np.abs(moved[owner] - centers[cand]), axis=1, initial=0.0) <= tol
+    return bool(np.all(np.bincount(owner[close], minlength=centers.shape[0]) > 0))
 
 
 def _apply_motion(centers: np.ndarray, rotation: float, translation) -> np.ndarray:
@@ -237,39 +290,40 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         # weighted Gram diagnostics, so the moment self-check is waived.
         # the defaults keep the slot-1 Gram of a (1,1) product basis block
         # diagonal to ~1e-11 (extent 4 would leak its Gaussian tail)
+        angular = int(params.get("plane_angular", 8))
         pr = plane_rule(1, extent=float(params.get("plane_extent", 6.0)),
                         radial_points=int(params.get("plane_radial", 12)),
-                        angular_points=int(params.get("plane_angular", 8)),
-                        tolerance=float("inf"))
+                        angular_points=angular, tolerance=float("inf"))
         z2 = _coxeter_points(2 * n_lines, extent, ppr)
         z1 = pr.nodes[:, 0]
         centers = np.stack([np.repeat(z1, z2.size), np.tile(z2, z1.size)], axis=1)
         weights = np.repeat(pr.weights, z2.size)
-        stored.update(n_lines=n_lines, extent=extent, points_per_ray=ppr)
+        stored.update(n_lines=n_lines, extent=extent, points_per_ray=ppr,
+                      plane_angular=angular)
         n = 2
     elif kind == "sphere":
         n = int(params.get("n", 1))
         radius = float(params["radius"])
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
-        centers = sphere_rule(n, radius, m=int(params.get("m", 24)),
-                              orders=tuple(params.get("orders", (4, 8, 8)))).nodes
-        stored.update(radius=radius, n=n)
+        m, orders = int(params.get("m", 24)), tuple(params.get("orders", (4, 8, 8)))
+        centers = sphere_rule(n, radius, m=m, orders=orders).nodes
+        stored.update(radius=radius, n=n, m=m, orders=orders)
     elif kind == "sphere_cross_plane":
         radius = float(params["radius"])
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
         m = int(params.get("m", 12))
+        angular = int(params.get("plane_angular", 8))
         z1 = sphere_rule(1, radius, m=m).nodes[:, 0]
         # same carrier carve-out as plane_cross_coxeter
         pr = plane_rule(1, extent=float(params.get("plane_extent", 4.0)),
                         radial_points=int(params.get("plane_radial", 6)),
-                        angular_points=int(params.get("plane_angular", 8)),
-                        tolerance=float("inf"))
+                        angular_points=angular, tolerance=float("inf"))
         z2 = pr.nodes[:, 0]
         centers = np.stack([np.repeat(z1, z2.size), np.tile(z2, z1.size)], axis=1)
         weights = np.tile(pr.weights, z1.size)
-        stored.update(radius=radius, m=m)
+        stored.update(radius=radius, m=m, plane_angular=angular)
         n = 2
     elif kind == "curve":
         r_profile = params["r_profile"]
@@ -346,6 +400,13 @@ class ProductHermiteBasis:
     def spectral_degrees(self) -> np.ndarray:
         """Eigenspace degree per column: the sum of the slots' first indices."""
         return np.asarray([sum(i.alpha for i in col) for col in self._columns], dtype=int)
+
+    @property
+    def slot_frequencies(self) -> np.ndarray:
+        """(ncols, slots) angular frequency a_s - b_s of each column's slot
+        factors: phi_(a,b)(e^(i t) z) = e^(i (a - b) t) phi_(a,b)(z)."""
+        return np.asarray([[i.alpha - i.beta for i in col] for col in self._columns],
+                          dtype=int).reshape(self.ncols, self.dimension)
 
     def columns_up_to(self, degree: int) -> np.ndarray:
         """Column indices of the sub-basis with every index <= degree."""
@@ -441,9 +502,27 @@ def _face_split(r_b: np.ndarray, r_f: np.ndarray, degrees: np.ndarray) -> np.nda
     return (r_b[:, None, :] * r_f[None]).reshape(-1, degrees.size)
 
 
-def _reduced(factors) -> tuple[np.ndarray, np.ndarray]:
-    """R_B, R_F: the triangular factors of QRs of the two factors."""
-    return tuple(np.linalg.qr(a, mode="r") for a in factors)
+def _rotation_classes(basis: ProductHermiteBasis, orders: Sequence[int]) -> list[np.ndarray]:
+    """Column indices per rotation class: columns whose slot frequencies
+    agree mod q_s in every slot s, classes in ascending residue order.  On
+    a set invariant under z_s -> e^(2 pi i / q_s) z_s the center sum of
+    conj(phi_b) phi_b' only picks up that rotation's phase, so columns of
+    different classes are orthogonal over the centers, exactly.  All
+    orders 1 give one class of every column."""
+    residues = basis.slot_frequencies % np.asarray(orders)
+    _, label = np.unique(residues, axis=0, return_inverse=True)
+    label = label.reshape(-1)
+    return [np.flatnonzero(label == c) for c in range(label.max(initial=-1) + 1)]
+
+
+def _reduced(factors, basis: ProductHermiteBasis,
+             orders: Sequence[int]) -> tuple[list, np.ndarray]:
+    """The triangular factors per rotation class: [(columns, R_B)] with R_B
+    from a QR of B[:, columns], one per ``_rotation_classes`` class, and
+    R_F from a QR of F, which every class shares."""
+    B, F = factors
+    return ([(cols, np.linalg.qr(B[:, cols], mode="r"))
+             for cols in _rotation_classes(basis, orders)], np.linalg.qr(F, mode="r"))
 
 
 def _reduced_svd(N: np.ndarray, rows: int, compute_uv: bool = True):
@@ -457,6 +536,22 @@ def _reduced_svd(N: np.ndarray, rows: int, compute_uv: bool = True):
     else:
         s, vh = np.linalg.svd(N, compute_uv=False), None
     return np.concatenate([s, np.zeros(min(rows, cols) - s.size)]), vh
+
+
+def _merge_classes(parts: list, rows: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, V^H) of M from the (columns, sigma, V^H) of its classes,
+    whose column spaces are orthogonal: the union of the classes' sigma,
+    each padded with exact zeros to its column count, in descending order
+    (stable: class order breaks ties) and cut to min(rows, ncols); V^H is
+    block diagonal up to that row order, each row within one class."""
+    sig = np.concatenate([np.pad(s, (0, cols.size - s.size)) for cols, s, _ in parts])
+    vh = np.zeros((ncols, ncols), dtype=np.result_type(*(v for *_, v in parts)))
+    start = 0
+    for cols, _, v in parts:
+        vh[start:start + cols.size, cols] = v
+        start += cols.size
+    order = np.argsort(-sig, kind="stable")
+    return sig[order][:min(rows, ncols)], vh[order]
 
 
 def _degenerate(rows: int, cols: int) -> bool:
@@ -481,7 +576,15 @@ class SamplingOperator:
     factors of QRs of B and F: M = (Q_B x Q_F) N with orthonormal columns,
     so N has M's singular values and right singular vectors, with
     min(C, ncols) (k_max + 1) rows however many centers and radii the set
-    has.  Without factors the matrix itself is decomposed.
+    has.  N is taken per rotation class of the set's
+    ``rotation_orders`` (``_rotation_classes``): the classes' columns are
+    orthogonal in M, so M's singular values are the union of the classes'
+    and V is block diagonal; each class takes its own QR of B[:, class]
+    and shares R_F.  The union is sorted descending (class order breaks
+    ties) and cut or padded to min(rows, cols), and each right singular
+    vector, near-null ones included, lies in one class.  A set without
+    rotation symmetry is the one-class case.  Without factors the matrix
+    itself is decomposed.
     """
     matrix: np.ndarray
     sampling_set: SamplingSet
@@ -515,8 +618,10 @@ class SamplingOperator:
         if self.factors is None:
             _, s, vh = np.linalg.svd(self.matrix, full_matrices=rows < cols)
             return s, vh
-        return _reduced_svd(_face_split(*_reduced(self.factors), self.basis.spectral_degrees),
-                            rows)
+        classes, r_f = _reduced(self.factors, self.basis, self.sampling_set.rotation_orders)
+        degrees = self.basis.spectral_degrees
+        return _merge_classes([(c, *_reduced_svd(_face_split(r_b, r_f, degrees[c]), rows))
+                               for c, r_b in classes], rows, cols)
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -672,14 +777,16 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
     ``ProductHermiteBasis((K,))``, whose degree K is the report's base
     degree.  The factors of the product relation are built once, at the
     largest requested truncation K + max(steps), and reduced to their
-    triangular factors (see ``SamplingOperator``); each wider truncation
-    is a column subset (the rows do not depend on the basis), so its
-    sigma_min is that of the reduced matrix's columns up to K + s, rows of
-    radial index m <= K + s, decomposed without vectors.  Each distinct
-    step is decomposed once; the base step is the operator's own
-    sigma_min.  A step taking K below 0 raises ValueError.  Other bases,
-    the C^2 product basis included, report their own sigma_min only, with
-    no base degree.  Every near-null vector is certified by
+    triangular factors per rotation class (see ``SamplingOperator``); each
+    wider truncation is a column subset (the rows do not depend on the
+    basis), so its sigma_min is the smallest over the classes of the
+    sigma_min of each class's reduced columns up to K + s, rows of radial
+    index m <= K + s, decomposed without vectors (0 when M's truncation
+    has fewer rows than columns).  Each distinct step is decomposed once;
+    the base step is the operator's own sigma_min.  A step taking K below
+    0 raises ValueError.  Other bases, the C^2 product basis included,
+    report their own sigma_min only, with no base degree.  Every
+    near-null vector, each within one rotation class, is certified by
     ``near_null_roundtrip``.
     """
     basis = operator.basis
@@ -693,15 +800,23 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
     if one_slot and max(steps, default=0) > 0:
         sset = operator.sampling_set
         big = ProductHermiteBasis((base_degree + steps[-1],))
-        r_b, r_f = _reduced(_twisted_factors(sset, big))
+        classes, r_f = _reduced(_twisted_factors(sset, big), big, sset.rotation_orders)
+        degrees = big.spectral_degrees
         for s in steps:
             if s == 0:
                 curve[base_degree] = operator.sigma_min
                 continue
-            cols = big.columns_up_to(base_degree + s)
-            N = _face_split(r_b[:, cols], r_f, big.spectral_degrees[cols])
-            sig, _ = _reduced_svd(N, sset.n_rows, compute_uv=False)
-            curve[base_degree + s] = 0.0 if _degenerate(sset.n_rows, cols.size) else float(sig[-1])
+            keep = big.columns_up_to(base_degree + s)
+            if _degenerate(sset.n_rows, keep.size):
+                curve[base_degree + s] = 0.0
+                continue
+            mins = []
+            for cols, r_b in classes:
+                sub = np.isin(cols, keep)
+                if sub.any():
+                    N = _face_split(r_b[:, sub], r_f, degrees[cols[sub]])
+                    mins.append(_reduced_svd(N, sset.n_rows, compute_uv=False)[0][-1])
+            curve[base_degree + s] = float(min(mins))
     else:
         curve[base_degree if base_degree is not None else 0] = operator.sigma_min
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import per_pair_circular_mean, per_pair_twisted_mean, sector_basis_values
+from tsmlab.cli import main
 from tsmlab.constants import REGRESSION
 from tsmlab.errors import IllConditionedFitError
 from tsmlab.euclidean_means import (circular_mean, coxeter_odd_counterexample,
@@ -22,6 +23,7 @@ from tsmlab.injectivity_lab import (DEFAULT_RADII, EuclideanSectorBasis,
                                     injectivity_probe, make_set,
                                     near_null_roundtrip, operator_to_csv,
                                     plane_block_offmass, sigma_curve_to_csv)
+from tsmlab.injectivity_lab import _rotation_classes
 from tsmlab.quadrature import plane_rule, sphere_rule
 from tsmlab.special_functions import solid_harmonic_basis, special_hermite_matrix
 from tsmlab.twisted_transforms import (SlotProduct, spectral_projection, twist_phase,
@@ -410,28 +412,41 @@ def test_probe_report_structure():
     assert alone.sigma_curve == {6: rep.sigma_curve[6]}
 
 
-def test_probe_decomposes_each_truncation_once(monkeypatch):
-    sset = make_set("coxeter_lines", n_lines=2, points_per_ray=4, extent=4.0,
-                    radii=np.geomspace(0.3, 4.0, 12))
+def _record_svd_calls(monkeypatch) -> list:
+    """(shape, compute_uv) of every np.linalg.svd call from here on."""
     calls = []
     svd = np.linalg.svd
 
-    def counting(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
+    def recording(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+def test_probe_decomposes_each_truncation_once(monkeypatch):
+    sset = make_set("coxeter_lines", n_lines=2, points_per_ray=4, extent=4.0,
+                    radii=np.geomspace(0.3, 4.0, 12))
+    calls = _record_svd_calls(monkeypatch)
     op = assemble_operator(sset, max_degree=2)
     assert calls == []                               # decomposed on first use
     rep = injectivity_probe(op, degree_steps=(0, 2, 4))
-    # the operator with vectors, the two wider truncations without
-    assert sorted(calls) == [False, False, True]
+    # the operator with vectors, the two wider truncations without, each
+    # as one block per rotation class (Sigma_2 has q = 4): every column of
+    # a truncation once
+    assert sset.rotation_orders == (4,)
+    with_uv = [shape[1] for shape, uv in calls if uv]
+    without = [shape[1] for shape, uv in calls if not uv]
+    assert len(with_uv) == 4 and sum(with_uv) == 9
+    assert len(without) == 2 * 4 and sum(without) == 25 + 49
     assert rep.sigma_curve[2] == op.sigma_min
     # a repeated step is decomposed once
+    first = list(calls)
     calls.clear()
     again = injectivity_probe(assemble_operator(sset, max_degree=2),
                               degree_steps=(0, 2, 2, 4, 4))
-    assert sorted(calls) == [False, False, True]
+    assert calls == first
     assert again.sigma_curve == rep.sigma_curve
 
 
@@ -445,13 +460,22 @@ def _projector(null: list) -> np.ndarray:
     return V @ V.conj().T
 
 
+def _coxeter(n_lines: int, **motion) -> SamplingSet:
+    return make_set("coxeter_lines", n_lines=n_lines, points_per_ray=4, extent=4.0,
+                    radii=np.geomspace(0.2, 6.0, 8), **motion)
+
+
 FACTORED_CASES = {
-    "coxeter_lines": (lambda: make_set("coxeter_lines", n_lines=3, points_per_ray=4, extent=4.0,
-                                       rotation=0.37, translation=[0.5 - 0.2j],
-                                       radii=np.geomspace(0.2, 6.0, 8)), 6),
+    # translated: no rotation symmetry, one class
+    "coxeter_lines": (lambda: _coxeter(3, rotation=0.37, translation=[0.5 - 0.2j]), 6),
+    **{f"coxeter_{n}{'_rotated' * bool(rot)}": (lambda n=n, rot=rot: _coxeter(n, rotation=rot), 6)
+       for n in (1, 2, 3) for rot in (0.0, 0.37)},
     # |z| = sqrt(2): L_1(1) = 0 takes phi[1,1] off the circle, a near-null column
     "sphere": (lambda: make_set("sphere", radius=np.sqrt(2.0), n=1, m=16,
                                 radii=np.geomspace(0.2, 6.0, 8)), 3),
+    # the S^3 rule's nodes: eight phases per slot
+    "sphere_c2": (lambda: make_set("sphere", radius=1.5, n=2,
+                                   radii=np.geomspace(0.3, 4.0, 6)), 2),
     "curve": (lambda: curve_set(lambda t: 1.0 + 0.2 * t, samples=20,
                                 radii=np.geomspace(0.2, 6.0, 8)), 5),
     "custom": (lambda: make_set("custom", centers=[[0.3 + 0.1j, -0.5 + 0.2j],
@@ -468,6 +492,9 @@ FACTORED_CASES = {
     # 2 centres, 5 degrees: N is 10 x 25 while M is 32 x 25
     "wide_factors": (lambda: make_set("custom", centers=[[0.4 - 0.3j], [-1.2 + 0.5j]],
                                       radii=np.geomspace(0.3, 4.0, 16)), 4),
+    # {-1, 0, 1}, split in two: each class's N is wide and M (48 x 25) tall
+    "wide_symmetric": (lambda: make_set("coxeter_lines", n_lines=1, points_per_ray=1,
+                                        extent=1.0, radii=np.geomspace(0.3, 4.0, 16)), 4),
 }
 
 
@@ -494,9 +521,15 @@ def test_factored_svd_matches_dense_oracle(case):
         assert len(null) == 18
     elif case == "sphere":
         assert len(null) == 1
+    # each near-null vector lies in one rotation class
+    classes = _rotation_classes(op.basis, op.sampling_set.rotation_orders)
+    for sigma, v in null:
+        assert sum(bool(np.any(v[c] != 0)) for c in classes) == 1
 
 
-@pytest.mark.parametrize("case", ["coxeter_lines", "sphere", "curve", "wide_factors"])
+@pytest.mark.parametrize("case", ["coxeter_lines", "coxeter_2", "coxeter_3",
+                                  "coxeter_3_rotated", "sphere", "curve",
+                                  "wide_factors", "wide_symmetric"])
 def test_probe_curve_matches_dense_truncations(case):
     # each wider truncation from the top factors against the dense matrix
     # assembled at that truncation
@@ -509,6 +542,78 @@ def test_probe_curve_matches_dense_truncations(case):
         s = np.linalg.svd(M, compute_uv=False)
         ref = s[-1] if M.shape[0] >= M.shape[1] else 0.0
         assert abs(sigma - ref) <= 1e-13 * s[0], k
+
+
+SYMMETRIC_SETS = {
+    "coxeter_lines": (lambda: make_set("coxeter_lines", n_lines=3, points_per_ray=3,
+                                       extent=3.0, rotation=0.2), (6,)),
+    "sphere": (lambda: make_set("sphere", radius=2.0, m=10), (10,)),
+    "sphere_c2": (lambda: make_set("sphere", radius=1.5, n=2, orders=(3, 6, 10)), (6, 10)),
+    "plane_cross_coxeter": (lambda: make_set("plane_cross_coxeter", n_lines=2, extent=2.5,
+                                             points_per_ray=2, plane_radial=4,
+                                             plane_angular=6), (6, 8)),
+    "sphere_cross_plane": (lambda: make_set("sphere_cross_plane", radius=1.3, m=10,
+                                            plane_radial=3, plane_angular=6), (10, 6)),
+}
+
+
+@pytest.mark.parametrize("case", list(SYMMETRIC_SETS))
+def test_rotation_orders_map_the_centers_onto_themselves(case):
+    build, orders = SYMMETRIC_SETS[case]
+    sset = build()
+    assert sset.rotation_orders == orders
+    c = sset.centers
+    for s, q in enumerate(orders):
+        moved = c.copy()
+        moved[:, s] *= np.exp(2j * np.pi / q)
+        gap = np.max(np.abs(moved[:, None, :] - c[None, :, :]), axis=2).min(axis=1)
+        assert gap.max() <= 1e-12 * max(1.0, np.abs(c).max())
+
+
+@pytest.mark.parametrize("case", list(SYMMETRIC_SETS))
+def test_cross_class_gram_entries_vanish(case):
+    # columns of different rotation classes are orthogonal in M itself;
+    # normalised by sigma_0^2, as exact null columns leave the diagonal 0
+    build, orders = SYMMETRIC_SETS[case]
+    sset = build()
+    op = assemble_operator(sset, max_degree=4 if sset.dimension == 1 else 2)
+    G = op.matrix.conj().T @ op.matrix
+    res = op.basis.slot_frequencies % np.asarray(orders)
+    cross = np.any(res[:, None, :] != res[None, :, :], axis=2)
+    assert cross.any()
+    sigma0 = np.linalg.svd(op.matrix, compute_uv=False)[0]
+    assert np.max(np.abs(G[cross])) <= 1e-13 * sigma0 ** 2
+
+
+def test_sets_without_rotation_symmetry_report_order_one(monkeypatch):
+    assert _coxeter(2, translation=[0.3]).rotation_orders == (1,)
+    assert make_set("sphere", radius=1.5, n=2, translation=[0.0, 0.1j]).rotation_orders == (1, 1)
+    assert make_set("plane_cross_coxeter", n_lines=1, extent=2.0, points_per_ray=2,
+                    plane_radial=3, translation=[0.2, 0.0]).rotation_orders == (1, 1)
+    assert FACTORED_CASES["curve"][0]().rotation_orders == (1,)
+    assert FACTORED_CASES["custom"][0]().rotation_orders == (1, 1)
+    # on the lines of Sigma_2 but not symmetric: declared 4, found 1, and
+    # the operator is decomposed in one block
+    lopsided = SamplingSet("coxeter_lines", 1, [[0.0], [0.5], [1.2], [-0.7j], [2.0j]],
+                           np.geomspace(0.3, 4.0, 6), {"n_lines": 2})
+    lopsided.validate()
+    assert lopsided.rotation_orders == (1,)
+    calls = _record_svd_calls(monkeypatch)
+    op = assemble_operator(lopsided, max_degree=3)
+    dense = np.linalg.svd(op.matrix, compute_uv=False)
+    calls.clear()
+    assert np.max(np.abs(op.singular_values - dense)) <= 1e-13 * dense[0]
+    assert [shape[1] for shape, _ in calls] == [16]
+
+
+def test_cli_default_probe_decomposes_rotation_blocks(tmp_path, monkeypatch):
+    # Sigma_2 at K = 10, steps 0, 2, 4: classes of a - b mod 4
+    calls = _record_svd_calls(monkeypatch)
+    assert main(["--experiment", "probe", "--out", str(tmp_path)]) == 0
+    with_uv = [shape[1] for shape, uv in calls if uv]
+    without = [shape[1] for shape, uv in calls if not uv]
+    assert len(with_uv) == 4 and sum(with_uv) == 121 and max(with_uv) == 31
+    assert len(without) == 8 and sum(without) == 169 + 225 and max(without) == 57
 
 
 def test_operator_without_factors_decomposes_its_matrix():
