@@ -21,7 +21,9 @@ map onto themselves under z_s -> e^(2 pi i / q_s) z_s
 (``SamplingSet.rotation_orders``) columns whose frequencies differ mod q_s
 are orthogonal and M splits into independent blocks, one per rotation
 class, each decomposed on its own.  Euclidean rows are circle averages,
-decomposed as they are.  A function with vanishing means on S
+decomposed as they are; every sector column is 0 outside the basis's
+``support_radius``, so a row whose circle misses that disk is 0 and its
+circle is not read.  A function with vanishing means on S
 corresponds to a (near-)null vector of M, so sigma_min probes whether S
 can distinguish fields at the truncation: small sigma_min plus an
 exhibited near-null field certifies NON-injectivity at desk scale, while
@@ -448,12 +450,18 @@ class EuclideanSectorBasis:
     def ncols(self) -> int:
         return len(self.functions)
 
+    @property
+    def support_radius(self) -> float:
+        """The largest column support: every column is 0 outside it."""
+        return float(self._radii.max())
+
     def matrix(self, points: np.ndarray) -> np.ndarray:
         """bump(rho; R) (z/R)^s, imaginary part for sin and real part for
         cos columns: (points, ncols) float, 0 outside each support.
 
-        Per support radius: one bump read and one table of powers (z/R)^s,
-        s up to the largest order there, over the points inside rho < R.
+        Per support radius: one bump read and one power (z/R)^s per order
+        s up to the largest there, over the points inside rho < R; each
+        column is the bump times the real or imaginary part of its power.
         Each power is numpy's integer power, as in the per-column formula:
         a ladder of running products differs from it by round-off, enough
         to rotate the basis of a degenerate near-null space."""
@@ -464,10 +472,11 @@ class EuclideanSectorBasis:
             cols = np.flatnonzero(self._radii == R)
             inside = np.flatnonzero(rho < R)
             w = pts[inside] / R
-            rungs = np.stack([w ** s for s in range(self._orders[cols].max() + 1)],
-                             axis=1)[:, self._orders[cols]]
-            out[np.ix_(inside, cols)] = (bump_profile(R)(rho[inside])[:, None]
-                                         * np.where(self._sin[cols], rungs.imag, rungs.real))
+            powers = [w ** s for s in range(self._orders[cols].max() + 1)]
+            bump = bump_profile(R)(rho[inside])
+            for b in cols:
+                rung = powers[self._orders[b]]
+                out[inside, b] = bump * (rung.imag if self._sin[b] else rung.real)
         return out
 
     def index_of(self, kind: str, order: int, support_radius: float) -> int:
@@ -666,7 +675,8 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
     radial table per degree, and takes its singular values from them (see
     ``SamplingOperator``).  Euclidean rows are plain averages over
     ``euclid_points`` circle nodes, one ``euclidean_mean_table`` of the
-    basis matrix, and are decomposed as a dense matrix.  Row order is
+    basis matrix that reads only the circles meeting the basis's
+    ``support_radius``, and are decomposed as a dense matrix.  Row order is
     center-major; column order is the basis's documented order.
 
     Without ``basis`` the twisted engine takes the special Hermite product
@@ -691,8 +701,10 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
         raise ValueError("basis dimension does not match the set")
 
     if engine == "euclidean":
-        M = euclidean_mean_table(SimpleNamespace(evaluate=basis.matrix),
-                                 sampling_set.centers, sampling_set.radii, euclid_points)
+        columns = SimpleNamespace(evaluate=basis.matrix,
+                                  support_radius=getattr(basis, "support_radius", np.inf))
+        M = euclidean_mean_table(columns, sampling_set.centers, sampling_set.radii,
+                                 euclid_points)
         return SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
     B, F = factors = _twisted_factors(sampling_set, basis)
     M = B[:, None, :] * F[None, :, basis.spectral_degrees]
@@ -723,6 +735,7 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray):
                             c.reshape(tuple(len(i) for i in basis.slot_indices) + c.shape[1:]))
     else:
         field = SimpleNamespace(dimension=sset.dimension,
+                                support_radius=getattr(basis, "support_radius", np.inf),
                                 evaluate=lambda pts: basis.matrix(pts) @ c)
     table = twisted_mean_table if operator.engine == "twisted" else euclidean_mean_table
     means = table(field, sset.centers, sset.radii)

@@ -23,6 +23,7 @@ Design notes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,9 +50,21 @@ def compensated_sum(values, axis: int = -1):
     return total
 
 
+def _frozen(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple:
+    return _frozen(*np.polynomial.legendre.leggauss(n))
+
+
 def gauss_legendre(n: int, a: float, b: float):
-    """Gauss-Legendre nodes/weights mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes/weights mapped to [a, b]; numpy's ``leggauss``
+    runs once per n in a process."""
+    x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -110,6 +123,12 @@ def _product_rule(radius: float, t_weights: np.ndarray, slot_nodes: tuple) -> Sp
     return SphereRule(len(slot_nodes), radius, nodes, weights, t_weights, tuple(slot_nodes))
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_phases(m: int) -> np.ndarray:
+    """e^(2 pi i a / m), a < m."""
+    return _frozen(np.exp(1j * (2.0 * np.pi * np.arange(m) / m)))[0]
+
+
 def circle_rule(radius: float, m: int = 256) -> SphereRule:
     """m equispaced points on |w| = radius in C, weights 1/m: the one-slot
     product rule, T = 1 with t weight 1."""
@@ -117,8 +136,17 @@ def circle_rule(radius: float, m: int = 256) -> SphereRule:
         raise ValueError(f"radius must be positive, got {radius}")
     if m < 4:
         raise ValueError("circle rule needs at least 4 nodes")
-    theta = 2.0 * np.pi * np.arange(m) / m
-    return _product_rule(radius, np.ones(1), (radius * np.exp(1j * theta)[None, :],))
+    return _product_rule(radius, np.ones(1), (radius * _unit_phases(m)[None, :],))
+
+
+@functools.lru_cache(maxsize=64)
+def _sphere3_factors(orders: tuple) -> tuple:
+    """cos t, sin t, the normalized t weights and both phase rows."""
+    nt, m1, m2 = orders
+    t, wt = gauss_legendre(nt, 0.0, 0.5 * np.pi)
+    wt = wt * 2.0 * np.sin(t) * np.cos(t)
+    wt /= wt.sum()
+    return _frozen(np.cos(t), np.sin(t), wt) + (_unit_phases(m1), _unit_phases(m2))
 
 
 def sphere3_rule(radius: float, orders: tuple[int, int, int] = (16, 32, 32)) -> SphereRule:
@@ -127,17 +155,13 @@ def sphere3_rule(radius: float, orders: tuple[int, int, int] = (16, 32, 32)) -> 
     Gauss-Legendre in t on [0, pi/2] against the density 2 sin t cos t,
     uniform in both phases; t weights renormalized to sum exactly 1.  The
     slot tables are r cos(t) e^(i p1) (nt, m1) and r sin(t) e^(i p2) (nt, m2).
+    Everything but the radius is computed once per ``orders`` in a process.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    nt, m1, m2 = orders
-    t, wt = gauss_legendre(nt, 0.0, 0.5 * np.pi)
-    wt = wt * 2.0 * np.sin(t) * np.cos(t)
-    wt /= wt.sum()
-    p1 = 2.0 * np.pi * np.arange(m1) / m1
-    p2 = 2.0 * np.pi * np.arange(m2) / m2
-    return _product_rule(radius, wt, ((radius * np.cos(t))[:, None] * np.exp(1j * p1)[None, :],
-                                      (radius * np.sin(t))[:, None] * np.exp(1j * p2)[None, :]))
+    cos_t, sin_t, wt, e1, e2 = _sphere3_factors(tuple(orders))
+    return _product_rule(radius, wt.copy(), ((radius * cos_t)[:, None] * e1[None, :],
+                                             (radius * sin_t)[:, None] * e2[None, :]))
 
 
 def sphere_rule(dimension: int, radius: float, m: int | None = None,

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from tsmlab import cli
 from tsmlab.cli import DEFAULTS, load_config, main
 from tsmlab.errors import ConfigError
+from tsmlab.euclidean_means import euclidean_mean_table
+from tsmlab.injectivity_lab import EuclideanSectorBasis
 from tsmlab.ioutil import read_csv_columns
 
 
@@ -223,3 +226,25 @@ def test_manifest_config_echo(tmp_path):
     assert man["config"]["grid.radial_points"] == 32
     assert man["config"]["profile.r_count"] == 4
     assert "versions" in man and "numpy" in man["versions"]
+
+
+@pytest.mark.parametrize("run", [
+    ("probe", ["probe.engine=euclidean"], ("report.json", "sigma.csv")),
+    ("probe", ["probe.engine=euclidean", "probe.n_lines=3"], ("report.json", "sigma.csv")),
+    ("counterexample", [], ("certificate.json", "means.csv")),
+], ids=["probe-sigma2", "probe-sigma3", "counterexample"])
+def test_euclidean_runs_write_the_same_bytes_without_support_declarations(
+        run, tmp_path, monkeypatch):
+    """The mean tables read only the circles that meet a declared support;
+    with the declarations taken away they read every circle, and every
+    payload is the same byte for byte."""
+    experiment, overrides, payloads = run
+    args = ["--experiment", experiment] + [a for o in overrides for a in ("--override", o)]
+    assert main(args + ["--out", str(tmp_path / "declared")]) == 0
+    monkeypatch.delattr(EuclideanSectorBasis, "support_radius")
+    monkeypatch.setattr(cli, "euclidean_mean_table",
+                        lambda f, *a: euclidean_mean_table(SimpleNamespace(evaluate=f.evaluate), *a))
+    assert main(args + ["--out", str(tmp_path / "undeclared")]) == 0
+    for name in payloads:
+        assert ((tmp_path / "declared" / name).read_bytes()
+                == (tmp_path / "undeclared" / name).read_bytes()), name

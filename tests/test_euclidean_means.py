@@ -1,5 +1,7 @@
 """Plain circular means and the odd Coxeter counterexample."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from tsmlab.euclidean_means import (EuclideanField, SectorBasisFunction,
                                     coxeter_odd_counterexample,
                                     coxeter_odd_orders, euclidean_mean_table,
                                     euclidean_sector_basis, write_mean_table)
-from tsmlab.injectivity_lab import EuclideanSectorBasis
+from tsmlab.injectivity_lab import (EuclideanSectorBasis, assemble_operator,
+                                    make_set, near_null_roundtrip)
 from tsmlab.ioutil import read_csv_columns
 from tsmlab.quadrature import plane_rule
 
@@ -57,7 +60,7 @@ def test_mean_table_shape_and_export(tmp_path):
 
 
 def test_mean_table_matches_per_pair_circular_means():
-    # 39 radii past 0: the table reads f in blocks of 34 circles
+    # 4 centres x 39 radii past 0: the table reads f in blocks of 24 circles
     f = coxeter_odd_counterexample(2)
     centers = np.array([0.2 + 0.0j, 0.35j, 0.3 + 0.4j, -0.5 + 0.1j])
     radii = np.concatenate([[0.0], np.geomspace(0.05, 1.5, 39)])
@@ -184,3 +187,114 @@ def test_euclidean_field_rejects_slow_tail():
         # checks the boundary tail
         EuclideanField.from_function(lambda p: np.ones_like(np.abs(p)), rule,
                                      support_radius=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the support read: circles that miss a declared support are not read
+
+
+def _undeclared(f):
+    """f with no support declaration: the table reads every circle."""
+    return SimpleNamespace(evaluate=f.evaluate)
+
+
+def _bit_equal(a, b) -> bool:
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_SKIP_RADII = np.concatenate([[0.0], np.geomspace(0.2, 6.0, 12), [0.5, 2.5]])
+_SKIP_SETS = {
+    "sigma1": dict(kind="coxeter_lines", n_lines=1, extent=6.0, points_per_ray=6),
+    "sigma2": dict(kind="coxeter_lines", n_lines=2, extent=6.0, points_per_ray=6),
+    "sigma3": dict(kind="coxeter_lines", n_lines=3, extent=6.0, points_per_ray=6),
+    "sphere": dict(kind="sphere", radius=1.3, n=1, m=12),
+    "curve": dict(kind="curve", r_profile=lambda t: 3.0 * np.exp(-t / (4.0 * np.pi)),
+                  samples=16),
+    # |x| = 1.5 against radii 0.5 and 2.5: ||x| - r| = R = 1 exactly
+    "custom": dict(kind="custom", centers=np.array([[1.5], [1.5j], [-0.2 + 0.1j], [4.0]]),
+                   n=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SKIP_SETS))
+def test_declared_support_table_is_the_undeclared_table(name):
+    """Bit for bit, signs of zeros included: on every set, for V = 1 and
+    V = 10 fields of sector columns, at r = 0 and on every circle, and for
+    a declared support larger than every circle.  The columns are combined
+    by an elementwise sum, whose value at a point does not depend on how
+    many points one read holds; a BLAS product's can (OpenBLAS takes
+    another kernel for products of at most 10^6 multiply-adds)."""
+    params = dict(_SKIP_SETS[name])
+    centers = make_set(params.pop("kind"), **params).centers
+    basis = EuclideanSectorBasis(euclidean_sector_basis(6, support_radii=(1.0, 0.6)))
+    c = np.random.default_rng(5).normal(size=(basis.ncols, 10))
+    fields = [lambda p: (basis.matrix(p) * c[:, 0]).sum(axis=1),
+              lambda p: (basis.matrix(p)[:, :, None] * c).sum(axis=1)]
+    for evaluate in fields:
+        ref = euclidean_mean_table(SimpleNamespace(evaluate=evaluate), centers, _SKIP_RADII)
+        for support in (basis.support_radius, 100.0):
+            got = euclidean_mean_table(
+                SimpleNamespace(evaluate=evaluate, support_radius=support),
+                centers, _SKIP_RADII)
+            assert _bit_equal(got, ref), (name, support)
+        assert np.max(np.abs(ref)) > 1e-3
+
+
+def test_basis_support_is_its_widest_column():
+    basis = EuclideanSectorBasis(euclidean_sector_basis(3, support_radii=(0.6, 1.0)))
+    assert basis.support_radius == 1.0
+    with pytest.raises(AttributeError):
+        basis.support_radius = 2.0
+
+
+def test_table_reads_only_circles_that_meet_the_support():
+    """The default euclidean probe (Sigma_2, 41 centres, 24 radii) hands the
+    basis 279 circles of 240 nodes, of its 984."""
+    sset = make_set("coxeter_lines", radii=np.geomspace(0.2, 6.0, 24), n_lines=2,
+                    extent=6.0, points_per_ray=10)
+    basis = EuclideanSectorBasis(euclidean_sector_basis(10, support_radii=(1.0, 0.6)))
+    read = []
+    matrix = basis.matrix
+    basis.matrix = lambda p: (read.append(np.size(p)), matrix(p))[1]
+    assemble_operator(sset, engine="euclidean", basis=basis)
+    assert sset.n_rows == 984
+    assert sum(read) == 279 * 240
+
+
+def test_table_keeps_its_shape_when_every_circle_misses():
+    basis = EuclideanSectorBasis(euclidean_sector_basis(4, support_radii=(1.0,)))
+    sset = make_set("custom", radii=[0.5, 1.5], centers=np.array([[4.0], [-3.0j]]), n=1)
+    op = assemble_operator(sset, engine="euclidean", basis=basis)
+    assert op.matrix.shape == (4, basis.ncols)
+    assert not np.any(op.matrix) and not np.any(np.signbit(op.matrix))
+    got = near_null_roundtrip(op, np.eye(basis.ncols)[:, :3])
+    assert got.shape == (3,) and not np.any(got)
+
+
+def test_declared_support_zeroes_a_leak_below_the_field_tolerance():
+    """An evaluator that leaks 1e-13 of the peak past its declared support:
+    the field accepts it, and the table reads 0 on the circles that miss the
+    disk, within 1e-12 of the peak of the table that reads them."""
+    odd = coxeter_odd_counterexample(2)
+    peak = odd.max_abs()
+    leak = 1e-13 * peak
+    f = EuclideanField.from_function(
+        lambda p: odd.evaluate(p) + leak * (np.abs(p) > 1.0), odd.rule, 1.0)
+    centers = np.array([0.3 + 0.2j, 1.8, 3.0j])
+    radii = np.array([0.0, 0.4, 1.0, 2.5, 5.0])
+    got = euclidean_mean_table(f, centers, radii)
+    ref = euclidean_mean_table(_undeclared(f), centers, radii)
+    gap = np.max(np.abs(got - ref))
+    assert 0.0 < gap <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_declared_support_must_be_positive(radius):
+    """A NaN support would select no circle and read a zero table."""
+    f = coxeter_odd_counterexample(2)
+    with pytest.raises(ValueError, match="support radius"):
+        EuclideanField(f.rule, f.values, radius)
+    with pytest.raises(ValueError, match="support radius"):
+        euclidean_mean_table(SimpleNamespace(evaluate=f.evaluate, support_radius=radius),
+                             [0.1j], [0.5])

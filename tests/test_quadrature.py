@@ -145,3 +145,53 @@ def test_plane_rule_self_check_failure_raises():
 def test_plane_rule_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
         plane_rule(3)
+
+
+def _fresh_rules(r):
+    """gauss_legendre(7, 0, 2), circle_rule(r, 12) and sphere3_rule(r,
+    (5, 6, 8)), written out from numpy's leggauss and nothing cached."""
+    x, w = np.polynomial.legendre.leggauss(7)
+    gl = (0.0 + 1.0 * (x + 1.0), 1.0 * w)
+    circle = r * np.exp(1j * (2.0 * np.pi * np.arange(12) / 12))
+    t, wt = np.polynomial.legendre.leggauss(5)
+    t, wt = 0.25 * np.pi * (t + 1.0), 0.25 * np.pi * wt
+    wt = wt * 2.0 * np.sin(t) * np.cos(t)
+    wt /= wt.sum()
+    slots = ((r * np.cos(t))[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(6) / 6))[None, :],
+             (r * np.sin(t))[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(8) / 8))[None, :])
+    return gl, circle, wt, slots
+
+
+def _same(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.37])
+def test_rules_are_built_bit_for_bit_from_leggauss(r):
+    """Tables computed once per size give the rules a fresh construction
+    gives, on the first build and on every later one."""
+    gl, circle, wt, slots = _fresh_rules(r)
+    for _ in range(2):
+        x, w = gauss_legendre(7, 0.0, 2.0)
+        assert _same(x, gl[0]) and _same(w, gl[1])
+        c = circle_rule(r, 12)
+        assert _same(c.slot_nodes[0], circle[None, :]) and _same(c.nodes[:, 0], circle)
+        s = sphere3_rule(r, (5, 6, 8))
+        assert _same(s.t_weights, wt)
+        assert all(_same(a, b) for a, b in zip(s.slot_nodes, slots))
+        assert _same(s.nodes[::8, 0], slots[0].ravel())
+
+
+def test_mutating_a_rule_leaves_the_next_one_alone():
+    gl, circle, wt, slots = _fresh_rules(1.0)
+    x, w = gauss_legendre(7, 0.0, 2.0)
+    c = circle_rule(1.0, 12)
+    s = sphere3_rule(1.0, (5, 6, 8))
+    for a in (x, w, c.nodes, c.slot_nodes[0], s.t_weights, s.weights, s.nodes,
+              *s.slot_nodes):
+        a[...] = 0
+    x, w = gauss_legendre(7, 0.0, 2.0)
+    assert _same(x, gl[0]) and _same(w, gl[1])
+    assert _same(circle_rule(1.0, 12).nodes[:, 0], circle)
+    s = sphere3_rule(1.0, (5, 6, 8))
+    assert _same(s.t_weights, wt) and all(_same(a, b) for a, b in zip(s.slot_nodes, slots))
