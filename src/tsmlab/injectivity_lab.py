@@ -11,13 +11,13 @@ columns come from one basis, ``ProductHermiteBasis``: tensor products of
 special Hermite functions, one factor per slot, so C is its one-slot case
 and C^2 its two-slot case.  Twisted rows are exact: every column is an
 eigenfunction, so the product (Hecke-Bochner) relation factors its mean
-into a Laguerre factor in r_i times the column at z_j, and M's singular
-values come from the triangular factors of those two tables rather than
-from M itself (see ``SamplingOperator``).  The paper's sets are symmetric
--- Sigma_N under rotation by pi/N, circles and spheres under their
-rules' phase steps, the C^2 sets slot by slot -- and a rotation of slot s
-multiplies phi_(a,b) by e^(i (a - b) t) there, so on a set whose centers
-map onto themselves under z_s -> e^(2 pi i / q_s) z_s
+into a Laguerre factor in r_i times the column at z_j: a twisted operator
+is those two tables, M is formed only when read, and its singular values
+come from the tables' triangular factors (see ``SamplingOperator``).  The
+paper's sets are symmetric -- Sigma_N under rotation by pi/N, circles and
+spheres under their rules' phase steps, the C^2 sets slot by slot -- and
+a rotation of slot s multiplies phi_(a,b) by e^(i (a - b) t) there, so on
+a set whose centers map onto themselves under z_s -> e^(2 pi i / q_s) z_s
 (``SamplingSet.rotation_orders``) columns whose frequencies differ mod q_s
 are orthogonal and M splits into independent blocks, one per rotation
 class, each decomposed on its own.  Euclidean rows are circle averages,
@@ -526,41 +526,44 @@ def _rotation_classes(basis: ProductHermiteBasis, orders: Sequence[int]) -> list
 
 def _reduced(factors, basis: ProductHermiteBasis,
              orders: Sequence[int]) -> tuple[list, np.ndarray]:
-    """The triangular factors per rotation class: [(columns, R_B)] with R_B
-    from a QR of B[:, columns], one per ``_rotation_classes`` class, and
-    R_F from a QR of F, which every class shares."""
+    """The triangular factors per rotation class: [(columns, R_B, k_b)]
+    with R_B from a QR of B[:, columns], one per ``_rotation_classes``
+    class, and R_F from a QR of F, which every class shares."""
     B, F = factors
-    return ([(cols, np.linalg.qr(B[:, cols], mode="r"))
+    return ([(cols, np.linalg.qr(B[:, cols], mode="r"), basis.spectral_degrees[cols])
              for cols in _rotation_classes(basis, orders)], np.linalg.qr(F, mode="r"))
 
 
-def _reduced_svd(N: np.ndarray, rows: int, compute_uv: bool = True):
-    """(sigma, V^H or None) of a matrix M with ``rows`` rows whose reduced
-    matrix (``_face_split``) is N.  A rank-deficient N (fewer rows than
-    columns) gives M's exact zeros: sigma is padded with them to
-    min(rows, cols) and V^H is full."""
-    cols = N.shape[1]
-    if compute_uv:
-        _, s, vh = np.linalg.svd(N, full_matrices=N.shape[0] < cols)
-    else:
-        s, vh = np.linalg.svd(N, compute_uv=False), None
-    return np.concatenate([s, np.zeros(min(rows, cols) - s.size)]), vh
+def _class_svds(reduction, rows: int, keep: np.ndarray, compute_uv: bool = True) -> list:
+    """[(columns, sigma, V^H or None)] of M cut to the columns ``keep``,
+    one per class of the ``_reduced`` reduction that keeps any, from the
+    SVD of that class's ``_face_split`` N on those columns.  A
+    rank-deficient N (fewer rows than columns) gives M's exact zeros:
+    sigma is padded with them to min(rows, columns) and V^H is full."""
+    classes, r_f = reduction
+    parts = []
+    for cols, r_b, degrees in classes:
+        sub = np.isin(cols, keep)
+        if not sub.any():
+            continue
+        N = _face_split(r_b[:, sub], r_f, degrees[sub])
+        if compute_uv:
+            _, s, vh = np.linalg.svd(N, full_matrices=N.shape[0] < N.shape[1])
+        else:
+            s, vh = np.linalg.svd(N, compute_uv=False), None
+        parts.append((cols[sub], np.pad(s, (0, min(rows, N.shape[1]) - s.size)), vh))
+    return parts
 
 
-def _merge_classes(parts: list, rows: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma, V^H) of M from the (columns, sigma, V^H) of its classes,
-    whose column spaces are orthogonal: the union of the classes' sigma,
-    each padded with exact zeros to its column count, in descending order
-    (stable: class order breaks ties) and cut to min(rows, ncols); V^H is
-    block diagonal up to that row order, each row within one class."""
+def _merge_classes(parts: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, order) of M from the (columns, sigma, V^H) of its classes,
+    whose column spaces are orthogonal: sigma is the union of the classes'
+    sigma, each padded with exact zeros to its column count, in descending
+    order (stable: class order breaks ties) and cut to min(rows, ncols);
+    order[j] is the row of the classes' stacked V^H at position j."""
     sig = np.concatenate([np.pad(s, (0, cols.size - s.size)) for cols, s, _ in parts])
-    vh = np.zeros((ncols, ncols), dtype=np.result_type(*(v for *_, v in parts)))
-    start = 0
-    for cols, _, v in parts:
-        vh[start:start + cols.size, cols] = v
-        start += cols.size
     order = np.argsort(-sig, kind="stable")
-    return sig[order][:min(rows, ncols)], vh[order]
+    return sig[order][:min(rows, sig.size)], order
 
 
 def _degenerate(rows: int, cols: int) -> bool:
@@ -570,18 +573,20 @@ def _degenerate(rows: int, cols: int) -> bool:
 
 @dataclass
 class SamplingOperator:
-    """Mean-sampling matrix; its SVD is computed on first use.
+    """Mean-sampling operator; its SVD is computed on first use.
 
-    Rows are the set's ``row_meta`` pairs, columns the basis's; the engine
-    is the basis's.  sigma_min is defined as 0 for degenerate shapes (no
-    rows, no columns, or fewer rows than columns -- a genuine null space
-    exists then).
+    Rows are the set's ``row_meta`` pairs, columns the basis's, so
+    ``shape`` is (set rows, basis columns); the engine is the basis's.
+    sigma_min is defined as 0 for degenerate shapes (no rows, no columns,
+    or fewer rows than columns -- a genuine null space exists then).
 
-    ``factors`` (B, F) are those of ``_twisted_factors``, set by
-    ``assemble_operator`` for twisted rows and by nothing else: they are
-    no constructor argument, so an operator built from a matrix (or a
-    ``dataclasses.replace`` of one) decomposes that matrix.  With them the
-    SVD is that of N[(l, m), b] = R_B[l, b] R_F[m, k_b], R_B and R_F the triangular
+    It holds one of two representations; giving both or neither raises
+    ValueError.  ``dense``, a matrix of that shape, is decomposed as
+    given: euclidean rows, or any operator built from a bare matrix.
+    ``factors`` (B, F) are those of ``_twisted_factors``, which
+    ``assemble_operator`` gives twisted rows: M[(j, i), b] = B[j, b]
+    F[i, k_b], formed only when ``matrix`` is read.  Their SVD is that of
+    N[(l, m), b] = R_B[l, b] R_F[m, k_b], R_B and R_F the triangular
     factors of QRs of B and F: M = (Q_B x Q_F) N with orthonormal columns,
     so N has M's singular values and right singular vectors, with
     min(C, ncols) (k_max + 1) rows however many centers and radii the set
@@ -589,22 +594,22 @@ class SamplingOperator:
     ``rotation_orders`` (``_rotation_classes``): the classes' columns are
     orthogonal in M, so M's singular values are the union of the classes'
     and V is block diagonal; each class takes its own QR of B[:, class]
-    and shares R_F.  The union is sorted descending (class order breaks
-    ties) and cut or padded to min(rows, cols), and each right singular
-    vector, near-null ones included, lies in one class.  A set without
-    rotation symmetry is the one-class case.  Without factors the matrix
-    itself is decomposed.
+    and shares R_F, and keeps its own V.  The union is sorted descending
+    (class order breaks ties) and cut or padded to min(rows, cols), and
+    each right singular vector, near-null ones included, lies in one
+    class.  A set without rotation symmetry is the one-class case.
     """
-    matrix: np.ndarray
+    dense: np.ndarray | None
     sampling_set: SamplingSet
     basis: object
-    factors: tuple | None = field(default=None, init=False, repr=False)
+    factors: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        want = (self.sampling_set.n_rows, self.basis.ncols)
-        if self.matrix.shape != want:
-            raise ValueError(f"matrix shape {self.matrix.shape} is not (set rows, "
-                             f"basis columns) = {want}")
+        if (self.dense is None) == (self.factors is None):
+            raise ValueError("an operator holds its matrix or its factors, exactly one")
+        if self.dense is not None and self.dense.shape != self.shape:
+            raise ValueError(f"matrix shape {self.dense.shape} is not (set rows, "
+                             f"basis columns) = {self.shape}")
 
     @property
     def engine(self) -> str:
@@ -618,19 +623,26 @@ class SamplingOperator:
     def radius_index(self) -> np.ndarray:
         return self.sampling_set.row_meta()[1]
 
-    @functools.cached_property
-    def _svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """(singular values, V^H); no rows or no columns: none and V = I."""
-        rows, cols = self.matrix.shape
-        if rows == 0 or cols == 0:
-            return np.zeros(0), np.eye(cols, dtype=self.matrix.dtype)
+    @property
+    def matrix(self) -> np.ndarray:
+        """M: the matrix as given, or formed from the factors on each read."""
         if self.factors is None:
-            _, s, vh = np.linalg.svd(self.matrix, full_matrices=rows < cols)
-            return s, vh
-        classes, r_f = _reduced(self.factors, self.basis, self.sampling_set.rotation_orders)
-        degrees = self.basis.spectral_degrees
-        return _merge_classes([(c, *_reduced_svd(_face_split(r_b, r_f, degrees[c]), rows))
-                               for c, r_b in classes], rows, cols)
+            return self.dense
+        B, F = self.factors
+        return (B[:, None, :] * F[None, :, self.basis.spectral_degrees]).reshape(self.shape)
+
+    @functools.cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """(singular values, order) of ``_merge_classes`` and the classes'
+        [(columns, sigma, V^H)]; no rows: no sigma and V = I per class."""
+        rows, cols = self.shape
+        if self.factors is None:
+            _, s, vh = np.linalg.svd(self.dense, full_matrices=rows < cols)
+            parts = [(np.arange(cols), s, vh)]
+        else:
+            reduction = _reduced(self.factors, self.basis, self.sampling_set.rotation_orders)
+            parts = _class_svds(reduction, rows, np.arange(cols))
+        return (*_merge_classes(parts, rows), parts)
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -638,11 +650,11 @@ class SamplingOperator:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return self.sampling_set.n_rows, self.basis.ncols
 
     @property
     def degenerate(self) -> bool:
-        return _degenerate(*self.matrix.shape)
+        return _degenerate(*self.shape)
 
     @property
     def sigma_min(self) -> float:
@@ -651,12 +663,20 @@ class SamplingOperator:
         return float(self.singular_values[-1])
 
     def near_null(self, threshold: float) -> list[tuple[float, np.ndarray]]:
-        """(sigma, right singular vector) pairs with sigma <= threshold;
-        exact null directions (degenerate shapes) count with sigma 0."""
-        s, vh = self._svd
-        sig = np.concatenate([s, np.zeros(vh.shape[0] - s.size)])
-        return [(float(sig[j]), np.conj(vh[j])) for j in range(vh.shape[0])
-                if sig[j] <= threshold]
+        """(sigma, right singular vector) pairs with sigma <= threshold, in
+        descending sigma, each vector read from its class's V and embedded
+        in the columns; exact null directions (degenerate shapes) count
+        with sigma 0."""
+        sig, order, parts = self._svd
+        sig = np.concatenate([sig, np.zeros(order.size - sig.size)])
+        stacked = [(cols, row) for cols, _, vh in parts for row in vh]
+        out = []
+        for j in np.flatnonzero(sig <= threshold):
+            cols, row = stacked[order[j]]
+            v = np.zeros(order.size, dtype=row.dtype)
+            v[cols] = row
+            out.append((float(sig[j]), np.conj(v)))
+        return out
 
 
 def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
@@ -671,13 +691,14 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
         M[(j,i), b] = B(n, k_b) L_(k_b)^(n-1)(r_i^2/2) e^(-r_i^2/4) basis_b(z_j)
 
     with B = ``tsm_product_constant``; no quadrature is involved.  The
-    operator keeps the two factors, the center design matrix and the
-    radial table per degree, and takes its singular values from them (see
-    ``SamplingOperator``).  Euclidean rows are plain averages over
-    ``euclid_points`` circle nodes, one ``euclidean_mean_table`` of the
-    basis matrix that reads only the circles meeting the basis's
-    ``support_radius``, and are decomposed as a dense matrix.  Row order is
-    center-major; column order is the basis's documented order.
+    operator holds the two factors, the center design matrix and the
+    radial table per degree, takes its singular values from them and
+    forms M only when its ``matrix`` is read (see ``SamplingOperator``).
+    Euclidean rows are plain averages over ``euclid_points`` circle
+    nodes, one ``euclidean_mean_table`` of the basis matrix that reads
+    only the circles meeting the basis's ``support_radius``, and are
+    decomposed as a dense matrix.  Row order is center-major; column
+    order is the basis's documented order.
 
     Without ``basis`` the twisted engine takes the special Hermite product
     basis of ``max_degree`` in every slot, ``ProductHermiteBasis((K,) * n)``:
@@ -706,11 +727,7 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
         M = euclidean_mean_table(columns, sampling_set.centers, sampling_set.radii,
                                  euclid_points)
         return SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
-    B, F = factors = _twisted_factors(sampling_set, basis)
-    M = B[:, None, :] * F[None, :, basis.spectral_degrees]
-    op = SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
-    op.factors = factors
-    return op
+    return SamplingOperator(None, sampling_set, basis, _twisted_factors(sampling_set, basis))
 
 
 def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray):
@@ -792,9 +809,9 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
     largest requested truncation K + max(steps), and reduced to their
     triangular factors per rotation class (see ``SamplingOperator``); each
     wider truncation is a column subset (the rows do not depend on the
-    basis), so its sigma_min is the smallest over the classes of the
-    sigma_min of each class's reduced columns up to K + s, rows of radial
-    index m <= K + s, decomposed without vectors (0 when M's truncation
+    basis), so its sigma_min is the smallest of its classes' sigma, each
+    class decomposed without vectors on its columns up to K + s, as the
+    operator's own classes are on all of theirs (0 when M's truncation
     has fewer rows than columns).  Each distinct step is decomposed once;
     the base step is the operator's own sigma_min.  A step taking K below
     0 raises ValueError.  Other bases, the C^2 product basis included,
@@ -813,23 +830,16 @@ def injectivity_probe(operator: SamplingOperator, near_null_threshold: float = 1
     if one_slot and max(steps, default=0) > 0:
         sset = operator.sampling_set
         big = ProductHermiteBasis((base_degree + steps[-1],))
-        classes, r_f = _reduced(_twisted_factors(sset, big), big, sset.rotation_orders)
-        degrees = big.spectral_degrees
+        reduction = _reduced(_twisted_factors(sset, big), big, sset.rotation_orders)
         for s in steps:
+            keep = big.columns_up_to(base_degree + s)
             if s == 0:
                 curve[base_degree] = operator.sigma_min
-                continue
-            keep = big.columns_up_to(base_degree + s)
-            if _degenerate(sset.n_rows, keep.size):
+            elif _degenerate(sset.n_rows, keep.size):
                 curve[base_degree + s] = 0.0
-                continue
-            mins = []
-            for cols, r_b in classes:
-                sub = np.isin(cols, keep)
-                if sub.any():
-                    N = _face_split(r_b[:, sub], r_f, degrees[cols[sub]])
-                    mins.append(_reduced_svd(N, sset.n_rows, compute_uv=False)[0][-1])
-            curve[base_degree + s] = float(min(mins))
+            else:
+                parts = _class_svds(reduction, sset.n_rows, keep, compute_uv=False)
+                curve[base_degree + s] = float(_merge_classes(parts, sset.n_rows)[0][-1])
     else:
         curve[base_degree if base_degree is not None else 0] = operator.sigma_min
 
@@ -850,7 +860,9 @@ def plane_block_offmass(operator: SamplingOperator) -> float:
     For a plane_cross_coxeter set whose first slot rides an integration
     rule, the z1-sum in the Gram approximates the L^2(C) pairing of slot-1
     factors, so the Gram should be block diagonal over the slot-1 index up
-    to quadrature error.
+    to quadrature error.  The Gram comes from the factors (B, F) of the
+    product relation: sum_(j,i) w_j conj(M[(j,i),b]) M[(j,i),b'] =
+    (B^H diag(w) B)[b, b'] (F^H F)[k_b, k_b'].
     """
     basis = operator.basis
     if not (isinstance(basis, ProductHermiteBasis) and basis.dimension == 2):
@@ -858,9 +870,12 @@ def plane_block_offmass(operator: SamplingOperator) -> float:
     if operator.sampling_set.center_weights is None:
         raise ValueError("set carries no center weights; off-block mass "
                          "is only meaningful against rule weights")
-    w = operator.sampling_set.center_weights[operator.center_index]
-    A = operator.matrix
-    G = (A.conj().T * w[None, :]) @ A
+    if operator.factors is None:
+        raise ValueError("off-block mass is taken from a twisted operator's factors")
+    B, F = operator.factors
+    k = basis.spectral_degrees
+    w = operator.sampling_set.center_weights
+    G = ((B.conj().T * w[None, :]) @ B) * (F.conj().T @ F)[np.ix_(k, k)]
     keys = np.asarray([basis.block_key(j) for j in range(basis.ncols)])
     off = keys[:, None] != keys[None, :]
     total = float(np.sum(np.abs(G) ** 2))
@@ -1134,16 +1149,10 @@ def operator_to_csv(operator: SamplingOperator, csv_path, meta_path=None) -> Non
     twisted = operator.engine == "twisted"
     for lab in operator.basis.labels:
         header += ([f"re({lab})", f"im({lab})"] if twisted else [lab])
-    rows = []
     ci, ri = operator.sampling_set.row_meta()
-    for rix in range(operator.matrix.shape[0]):
-        row = [str(int(ci[rix])), str(int(ri[rix]))]
-        for v in operator.matrix[rix]:
-            if twisted:
-                row += [fmt(np.real(v)), fmt(np.imag(v))]
-            else:
-                row.append(fmt(float(np.real(v))))
-        rows.append(row)
+    cell = (np.real, np.imag) if twisted else (np.real,)
+    rows = [[str(int(j)), str(int(i))] + [fmt(part(v)) for v in row for part in cell]
+            for j, i, row in zip(ci, ri, operator.matrix)]
     write_csv(csv_path, header, rows)
     meta = {
         "engine": operator.engine,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -622,16 +623,40 @@ def test_operator_without_factors_decomposes_its_matrix():
     sset = make_set("coxeter_lines", n_lines=2, points_per_ray=2, extent=2.0,
                     radii=[0.5, 1.0, 2.0])
     op = assemble_operator(sset, max_degree=1)
+    assert op.dense is None and op.factors is not None
     halved = SamplingOperator(0.5 * op.matrix, sset, op.basis)
     assert halved.factors is None
     assert np.allclose(halved.singular_values, 0.5 * op.singular_values, rtol=1e-13)
-    # the factors are no constructor argument, and a replaced matrix does
-    # not inherit them
-    with pytest.raises(TypeError):
+    # an operator holds one representation: both, or neither, raise
+    with pytest.raises(ValueError, match="exactly one"):
         SamplingOperator(op.matrix, sset, op.basis, op.factors)
-    replaced = dataclasses.replace(op, matrix=0.5 * op.matrix)
-    assert op.factors is not None and replaced.factors is None
-    assert np.allclose(replaced.singular_values, 0.5 * op.singular_values, rtol=1e-13)
+    with pytest.raises(ValueError, match="exactly one"):
+        dataclasses.replace(op, dense=0.5 * op.matrix)
+    with pytest.raises(ValueError, match="exactly one"):
+        SamplingOperator(None, sset, op.basis)
+    # the factors are the twisted operator itself: halving B halves M
+    B, F = op.factors
+    scaled = SamplingOperator(None, sset, op.basis, (0.5 * B, F))
+    assert np.array_equal(scaled.matrix, 0.5 * op.matrix)
+    assert np.allclose(scaled.singular_values, halved.singular_values, rtol=1e-13)
+
+
+def test_factored_probe_stays_off_the_dense_matrix():
+    # Coxeter-4 at K = 3: M would be 76 032 x 256 complex, 311 MB; the
+    # factors and their per-class reductions peak near 15 MB
+    sset = make_set("plane_cross_coxeter", n_lines=2)
+    basis = ProductHermiteBasis((3, 3))
+    assert sset.n_rows * basis.ncols * 16 > 300e6
+    tracemalloc.start()
+    try:
+        op = assemble_operator(sset, basis=basis)
+        null = op.near_null(op.singular_values[-4])     # the four smallest
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.shape == (sset.n_rows, basis.ncols) and not op.degenerate
+    assert len(null) >= 4 and all(v.shape == (basis.ncols,) for _, v in null)
+    assert peak < 64e6, peak
 
 
 def test_probe_rejects_steps_below_degree_zero():
@@ -652,6 +677,30 @@ def test_plane_cross_block_offmass():
     sset1 = make_set("coxeter_lines", n_lines=2, points_per_ray=2, extent=2.0)
     with pytest.raises(ValueError, match="two-slot"):
         plane_block_offmass(assemble_operator(sset1, max_degree=1))
+
+
+@pytest.mark.parametrize("carrier", [{}, {"plane_radial": 3, "plane_angular": 4}],
+                         ids=["default", "coarse"])
+def test_block_offmass_from_factors_matches_dense_weighted_gram(carrier):
+    # oracle: the weighted Gram of M itself, each row weighted by its
+    # center's rule weight; the coarse carrier leaves a large off-mass
+    sset = make_set("plane_cross_coxeter", n_lines=2, extent=2.5, points_per_ray=2,
+                    rotation=0.3, radii=np.geomspace(0.4, 3.0, 4), **carrier)
+    op = assemble_operator(sset, basis=ProductHermiteBasis((1, 1)))
+    A, w = op.matrix, sset.center_weights[op.center_index]
+    G = (A.conj().T * w[None, :]) @ A
+    keys = np.asarray([op.basis.block_key(j) for j in range(op.basis.ncols)])
+    off = keys[:, None] != keys[None, :]
+    ref = np.sum(np.abs(G[off]) ** 2) / np.sum(np.abs(G) ** 2)
+    got = plane_block_offmass(op)
+    # the off-block part's norm relative to the Gram's: round-off of the
+    # Gram, not of the off-mass, which is 1.8e-14 on the default carrier
+    assert abs(np.sqrt(got) - np.sqrt(ref)) <= 1e-12
+    if carrier:
+        assert ref > 1e-2 and abs(got - ref) <= 1e-12 * ref
+    # an operator given its matrix has no factors to take the Gram from
+    with pytest.raises(ValueError, match="factors"):
+        plane_block_offmass(SamplingOperator(A, sset, op.basis))
 
 
 def test_probe_curve_is_for_the_one_slot_basis():
@@ -831,3 +880,30 @@ def test_operator_and_sigma_csv(tmp_path, euclid_odd_operator):
     sig_p = tmp_path / "sigma.csv"
     sigma_curve_to_csv(rep, sig_p)
     assert len(sig_p.read_text().strip().splitlines()) == len(rep.sigma_curve) + 1
+
+
+def test_operator_csv_cells_are_the_factor_products(tmp_path):
+    # a twisted operator's M is formed from its factors once per export
+    sset = make_set("coxeter_lines", n_lines=2, points_per_ray=2, extent=2.0,
+                    radii=[0.5, 1.0, 2.0])
+    op = assemble_operator(sset, max_degree=2)
+    reads = []
+
+    class Counting(SamplingOperator):
+        @property
+        def matrix(self):
+            reads.append(1)
+            return super().matrix
+
+    counted = Counting(None, sset, op.basis, op.factors)
+    operator_to_csv(counted, tmp_path / "operator.csv")
+    assert len(reads) == 1
+    B, F = op.factors
+    k = op.basis.spectral_degrees
+    lines = (tmp_path / "operator.csv").read_text().strip().splitlines()
+    assert len(lines) == op.shape[0] + 1
+    for line in lines[1:]:
+        cells = line.split(",")
+        j, i = int(cells[0]), int(cells[1])
+        parts = np.asarray(cells[2:], dtype=float)
+        assert np.array_equal(parts[0::2] + 1j * parts[1::2], B[j] * F[i, k])
