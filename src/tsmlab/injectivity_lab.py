@@ -426,7 +426,7 @@ class ProductHermiteBasis:
         out = special_hermite_matrix(pts[:, 0], self.slot_degrees[0])
         for s in range(1, self.dimension):
             m = special_hermite_matrix(pts[:, s], self.slot_degrees[s])
-            out = (out[:, :, None] * m[:, None, :]).reshape(pts.shape[0], -1)
+            out = (out[:, :, None] * m[:, None, :]).reshape(pts.shape[0], out.shape[1] * m.shape[1])
         return out
 
 

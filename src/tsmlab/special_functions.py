@@ -207,7 +207,7 @@ def special_hermite_matrix(z, max_degree: int) -> np.ndarray:
         vals = (phases[:K + 1 - a] * rho[:K + 1 - a]).T     # columns (a, a), .., (a, K)
         out[:, a, a:] = vals
         out[:, a + 1:, a] = np.conj(vals[:, 1:])
-    return out.reshape(zz.shape[0], -1)
+    return out.reshape(zz.shape[0], (K + 1) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,17 @@ picks one of two ways from its input alone:
   C^2 kernel is a sum of products of two C slot kernels.  Each
   (radius, inclination) ring of the polar grid is the m1 x m2 product of
   its slot-1 nodes r cos(th) e^(i p1) and slot-2 nodes r sin(th) e^(i p2),
-  so the sum over a ring is (slot-1 kernel) @ (samples) . (slot-2 kernel):
-  one batched matrix product over the rings per slot degree
-  (``_slot_pieces``).  C is the one-slot case: its whole grid is one ring
-  and the sum is (kernel) @ (samples).  A slot kernel depends on its own
-  slot value alone, so every kernel and the slot-1 product are built once
-  per distinct slot value of a chunk of targets (on a C^2 grid's own nodes
-  each z1 repeats m2 times) and gathered back per target.
+  so the sum over a ring is (slot-1 kernel) @ (samples) @ (slot-2 kernel)^T.
+  A slot kernel depends on its own slot value alone, so a block of targets
+  builds each kernel once per distinct slot value and ring, takes the
+  slot-1 products in one batched matrix product over the rings per slot-1
+  degree, and contracts them with the slot-2 kernels into one U1 x U2
+  table per piece, a BLAS product per ring, read at each target's (z1, z2)
+  (``_slot_pieces``).  That pays off when slot values repeat among the
+  targets: the 96 targets of the C^2 probe lattice have 24 distinct z1 and
+  24 distinct z2, and the m1 m2 targets of a ring of a C^2 grid's own nodes
+  have m1 + m2.  C is the one-slot case: its whole grid is one ring and the
+  table is (kernel) @ (samples).
 
 On C^2, ``tensor_decompose_projection`` samples f once on a slot x slot
 grid and takes the slot pieces of the product relation from the same
@@ -472,54 +476,123 @@ def _pairing_kernel_args(z: np.ndarray, u: np.ndarray):
     return t, np.exp(weight, out=weight)
 
 
-# slot-kernel entries (every slot, every slot degree) per chunk of targets
-# in the ring sums: 16 MB of complex128
+# slot-kernel entries (every slot, every slot degree) that the ring sums hold
+# at once: 16 MB of complex128.  Kernels are built, and slot 2 contracted
+# into U_1 x U_2 tables, once per distinct slot value of a block of targets,
+# so blocks are cut by their distinct values, not by their targets (the 96
+# targets of the C^2 probe lattice, 24 + 24 values, are one block), and the
+# rings are taken in blocks that depend on the rule and the degrees alone,
+# sized so that the m_1 + m_2 values of one ring's own nodes fill the budget
 _SLOT_BLOCK = 1 << 20
+
+# slot-2 nodes per BLAS product of a ring sum's tables: a product sums each
+# entry along its whole inner axis, and over thousands of nodes that sum
+# loses digits that per-ring tables, summed pairwise, keep
+_RUN = 48
+
+# table entries per target that a block of targets may compute.  A block's
+# tables cover every pair of its distinct z1 and z2: 6 entries per target on
+# the C^2 probe lattice, 1 on a ring of a C^2 grid's own nodes, but as many
+# as the block has targets when no slot value repeats
+_TABLE_PER_TARGET = 8
+
+
+def _target_blocks(at: tuple, m: tuple, budget: int):
+    """Cut the targets, in order, into blocks for ``_slot_pieces``; at[s]
+    (T,) holds each target's index among the U_s distinct values of slot s.
+    A block ends before the target that would take its kernels,
+    sum_s U_s m_s rows x nodes, past ``budget``, or its table, prod_s U_s
+    entries, past ``_TABLE_PER_TARGET`` per target or past the ring
+    products it contracts (U_2 <= m_2, so a C^2 grid's own nodes come one
+    ring a block); it holds one target at least."""
+    T, prev = at[0].size, []
+    for a in at:    # the target before each one with the same slot value, or -1
+        order = np.argsort(a, kind="stable")
+        same = a[order[1:]] == a[order[:-1]]
+        p = np.full(T, -1)
+        p[order[1:][same]] = order[:-1][same]
+        prev.append(p)
+    start, width = 0, 1
+    while start < T:
+        while True:        # widen the window until the block ends inside it
+            stop = min(T, start + width)
+            U = [np.cumsum(p[start:stop] < start) for p in prev]
+            table = functools.reduce(np.multiply, U)
+            fits = ((sum(mi * u for mi, u in zip(m, U)) <= budget)
+                    & (table <= _TABLE_PER_TARGET * np.arange(1, stop - start + 1))
+                    & (table <= U[0] * np.prod(m[1:], dtype=int)))
+            n = int(np.argmin(fits)) if not fits.all() else stop - start
+            if n < stop - start or stop == T:
+                break
+            width *= 2
+        n = max(n, 1)
+        yield slice(start, start + n)
+        start, width = start + n, n
 
 
 def _slot_pieces(targets: np.ndarray, slots: list, fw: np.ndarray, pieces: list) -> np.ndarray:
-    """Pieces (b_1, .., b_n) of the u-form sum at targets (T, n), one column
-    per degree tuple in ``pieces``: (T, len(pieces)) complex.
+    """Pieces (b_1, .., b_n) of the u-form sum at targets (T, n), n <= 2, one
+    column per degree tuple in ``pieces``: (T, len(pieces)) complex.
 
     fw (G, m_1, .., m_n) holds the weighted samples on G rings, ring g the
     product grid of slot nodes slots[s][g] (m_s each).  With the slot
-    kernels K_b of ``_twisted_kernels`` (see the module docstring)
+    kernels K_b of ``_twisted_kernels`` (see the module docstring) on the
+    U_s distinct values of z_s, piece (b1, b2) is read, at each target's
+    (z1, z2) indices, from the U_1 x U_2 table
 
-        piece (b1, b2) = sum_g rowsum((K_b1(z1)[g] @ fw[g]) * K_b2(z2)[g]).
+        sum_g (K_b1[g] @ fw[g]) @ K_b2[g]^T:
 
-    Slot 1 is contracted by one batched (G, U_1, m_1) x (G, m_1, m_2 .. m_n)
-    product per slot-1 degree asked for, each further slot by the row
-    product; with one slot (C) there is none and the piece is K_b1(z1) @ fw.
-    K_b(z_s) depends on its own slot value alone, so per chunk of targets
-    every slot kernel and the slot-1 product are built on the chunk's U_s
-    distinct values of z_s only and gathered back per target.
+    one batched (G, U_1, m_1) x (G, m_1, m_2) ring product P per slot-1
+    degree, then per piece one U_1 x U_2 BLAS product per ring (per run of
+    ``_RUN`` slot-2 nodes on longer rings), summed over the rings.  With one
+    slot (C) the table is P = K_b1 @ fw itself.  The tables pay off when
+    slot values repeat: the 96 targets of the C^2 probe lattice have 24
+    distinct z1 and 24 distinct z2, and the m_1 m_2 targets of a ring of a
+    C^2 grid's own nodes have m_1 + m_2.  The targets are cut into blocks
+    by ``_target_blocks`` (see ``_SLOT_BLOCK``) and each block builds its
+    kernels once per distinct slot value and ring; the rings are taken in
+    blocks that do not depend on the targets.
     """
     G, m = fw.shape[0], fw.shape[1:]
+    degrees = max(map(max, pieces)) + 1
+    # one ring's own nodes as targets take sum_s m_s^2 kernel rows x nodes
+    ring_block = min(G, max(1, _SLOT_BLOCK // (degrees * sum(mi * mi for mi in m))))
+    values, at = zip(*(np.unique(z, return_inverse=True) for z in targets.T))
     out = np.empty((targets.shape[0], len(pieces)), dtype=complex)
-    chunk = max(1, _SLOT_BLOCK // ((max(map(max, pieces)) + 1) * G * sum(m)))
 
-    def kernels(j: int, rows: slice):
-        # slot j's kernels on the distinct z_j of targets[rows], and the gather back
-        z, at = np.unique(targets[rows, j], return_inverse=True)
-        return at, _twisted_kernels(*_pairing_kernel_args(z[:, None], slots[j].reshape(-1, 1)),
-                                    [b[j] for b in pieces])
+    def kernels(j: int, z: np.ndarray, ring: slice):
+        # slot j's kernels on the slot values z, over a block of rings
+        return _twisted_kernels(*_pairing_kernel_args(z[:, None], slots[j][ring].reshape(-1, 1)),
+                                [b[j] for b in pieces])
 
-    for s in range(0, targets.shape[0], chunk):
-        rows = slice(s, s + chunk)
-        further = []        # slot j >= 2 on its own axis of (T, G, m_2, .., m_n), by degree
-        for j in range(1, len(slots)):
-            at, ks = kernels(j, rows)
-            shape = (-1, G) + tuple(mi if i == j else 1 for i, mi in enumerate(m) if i)
-            further.append({pieces[cols[0]][j]: kernel.reshape(shape)[at] for cols, kernel in ks})
-        at1, ks1 = kernels(0, rows)
-        for cols, K1 in ks1:
-            P = np.matmul(K1.reshape(-1, G, m[0]).transpose(1, 0, 2), fw.reshape(G, m[0], -1))
-            del K1   # not held while the recurrence takes its next step
-            P = P.transpose(1, 0, 2)[at1].reshape((-1, G) + m[1:])
-            for col in cols:      # each row product is freed by its sum, not held
-                factors = [K[b] for K, b in zip(further, pieces[col][1:])]
-                out[rows, col] = np.sum(functools.reduce(np.multiply, factors, P),
-                                        axis=tuple(range(1, P.ndim)))
+    for rows in _target_blocks(at, m, _SLOT_BLOCK // (degrees * ring_block)):
+        used, idx = zip(*(np.unique(a[rows], return_inverse=True) for a in at))
+        z = [v[i] for v, i in zip(values, used)]      # the block's distinct slot values
+        cells = (idx[0], idx[1] if len(m) == 2 else 0)
+        tables = [None] * len(pieces)
+        for g in range(0, G, ring_block):
+            ring = slice(g, g + ring_block)
+            w = fw[ring]
+            rings = w.shape[0]
+            # slot-2 kernels per degree as (rings, m_2, U_2)
+            K2 = {pieces[cols[0]][1]: K.reshape(-1, rings, m[1]).transpose(1, 2, 0)
+                  for cols, K in (kernels(1, z[1], ring) if len(m) == 2 else ())}
+            for cols, K1 in kernels(0, z[0], ring):
+                P = np.matmul(K1.reshape(-1, rings, m[0]).transpose(1, 0, 2),
+                              w.reshape(rings, m[0], -1))
+                del K1   # not held while the recurrence takes its next step
+                for col in cols:
+                    if K2:
+                        K = K2[pieces[col][1]]
+                        # (rings x runs, U_1, U_2) partial tables, summed pairwise
+                        part = np.concatenate([np.matmul(P[..., s:s + _RUN], K[:, s:s + _RUN])
+                                               for s in range(0, m[1], _RUN)])
+                        part = np.ascontiguousarray(np.moveaxis(part, 0, -1)).sum(axis=-1)
+                    else:
+                        part = P[0]
+                    tables[col] = part if tables[col] is None else tables[col] + part
+        for col, table in enumerate(tables):
+            out[rows, col] = table[cells]
     return out
 
 
@@ -656,13 +729,13 @@ def tensor_decompose_projection(f: SampledField, k: int) -> list[SampledField]:
 
     with x_i the twisted convolution in slot i alone.  f is sampled once on
     the slot x slot product grid of ``_default_slot_rule`` (in blocks of
-    rows) and weighted to F; with the u-form slot kernel
-    K_b(z)[t, u] = phi_b(|z_t - u|) exp(-(i/2) Im(z_t conj(u))), piece
-    (b1, b2) is rowsum((K_b1(z1) @ F) * K_b2(z2)): ``_slot_pieces`` with
-    the grid as its one ring.  Fields without an evaluator raise
-    FieldDomainError: the product grid reaches past their extent.  Returns
-    the pieces, b1 ascending, as fields on a small probe lattice of C^2
-    whose evaluators sum the same F.
+    rows, through one point buffer) and weighted to F; with the u-form slot
+    kernel K_b(z)[t, u] = phi_b(|z_t - u|) exp(-(i/2) Im(z_t conj(u))),
+    piece (b1, b2) is the table (K_b1(z1) @ F) @ K_b2(z2)^T read at each
+    target's (z1, z2): ``_slot_pieces`` with the grid as its one ring.
+    Fields without an evaluator raise FieldDomainError: the product grid
+    reaches past their extent.  Returns the pieces, b1 ascending, as fields
+    on a small probe lattice of C^2 whose evaluators sum the same F.
     Summing the pieces reproduces ``spectral_projection(f, k)``.
     """
     if f.dimension != 2:
@@ -674,11 +747,15 @@ def tensor_decompose_projection(f: SampledField, k: int) -> list[SampledField]:
                          tolerance=float("inf"))
     slot = _default_slot_rule()
     u, w = slot.nodes, slot.weights
-    F = np.empty((u.shape[0], u.shape[0]), dtype=complex)
-    rows = max(1, _GRID_POINTS // u.shape[0])
-    for s in range(0, u.shape[0], rows):
-        F[s:s + rows] = f.evaluate(np.stack(np.broadcast_arrays(u[s:s + rows], u.T), axis=-1))
-        F[s:s + rows] *= np.outer(w[s:s + rows], w)
+    N = u.shape[0]
+    F = np.empty((N, N), dtype=complex)
+    rows = max(1, _GRID_POINTS // N)
+    pts = np.empty((min(rows, N), N, 2), dtype=complex)   # one buffer of slot x slot points
+    pts[..., 1] = u.T
+    for s in range(0, N, rows):
+        block = pts[:min(rows, N - s)]
+        block[..., 0] = u[s:s + rows]
+        np.multiply(f.evaluate(block), np.outer(w[s:s + rows], w), out=F[s:s + rows])
 
     def piece_values(targets, pairs: list) -> np.ndarray:
         targets = np.asarray(targets, dtype=complex).reshape(-1, 2)

@@ -271,6 +271,31 @@ def test_degenerate_operator_reports_exact_null():
     assert np.linalg.norm(op.matrix @ v) < 1e-12
 
 
+@pytest.mark.parametrize("engine, dimension", [("twisted", 1), ("twisted", 2),
+                                               ("euclidean", 1)])
+def test_operator_on_a_set_with_no_centres(engine, dimension):
+    """No centres, no rows: both engines return a (0, ncols) operator whose
+    every column is an exact null direction, each listed once with sigma 0."""
+    sset = SamplingSet("custom", dimension, np.zeros((0, dimension), dtype=complex),
+                       np.array([0.5, 1.0]), {})
+    if engine == "twisted":
+        basis = ProductHermiteBasis((2,) * dimension)
+    else:
+        basis = EuclideanSectorBasis(euclidean_sector_basis(4, support_radii=(1.0,),
+                                                            orders=[2, 4]))
+    op = assemble_operator(sset, engine=engine, basis=basis)
+    assert op.shape == op.matrix.shape == (0, basis.ncols)
+    assert op.degenerate and op.sigma_min == 0.0
+    null = op.near_null(0.0)
+    assert [sigma for sigma, _ in null] == [0.0] * basis.ncols
+    # the null vectors are the coordinate vectors, in some order: one entry
+    # of modulus 1 per vector, each column hit once
+    mags = np.abs(np.array([v for _, v in null]))
+    assert np.count_nonzero(mags) == basis.ncols
+    assert np.array_equal(mags.sum(axis=0), np.ones(basis.ncols))
+    assert np.array_equal(mags.sum(axis=1), np.ones(basis.ncols))
+
+
 # ---------------------------------------------------------------------------
 # euclidean engine and the twisted contrast
 

@@ -336,6 +336,7 @@ def test_spectral_projections_batch_matches_singles(gauss_field, probe_targets):
     for i, k in enumerate([0, 2, 5]):
         single = projection_values(gauss_field, k, probe_targets)
         assert np.max(np.abs(batch[:, i] - single)) < 1e-13
+    assert spectral_projections(gauss_field, [0, 2, 5], probe_targets[:0]).shape == (0, 3)
 
 
 # fields for the on-grid engine: radial, the p = 1 sector, and an
@@ -612,14 +613,16 @@ def test_direct_sum_matches_direct_oracle_on_c2(c2_field):
     ref = direct_projection_table(c2_field, range(3), targets)
     for k in range(3):
         assert np.max(np.abs(got[:, k] - ref[:, k])) <= 1e-6 * scale, k
+    assert spectral_projections(c2_field, range(3), targets[:0]).shape == (0, 3)
 
 
 def test_ring_sum_matches_pairwise_scipy_oracle(monkeypatch):
     """The ring-factored C^2 sum against the pairwise u-form sum over every
     node, with scipy's L_k^1 in place of the library's recurrence.  The rule
     has m1 != m2 and n_t != radial_points, so a swapped ring axis shows; the
-    degrees are unsorted and repeated; the 11 targets span four chunks of
-    three.  Same quadrature, regrouped: to 1e-12 of the peak."""
+    degrees are unsorted and repeated; the 11 scattered targets span three
+    blocks (4, 4 and 3 targets), each summed over 120 ring blocks of one
+    ring.  Same quadrature, regrouped: to 1e-12 of the peak."""
     from scipy.special import eval_genlaguerre
     rule = plane_rule(2, extent=8.0, radial_points=20, sphere3_orders=(6, 12, 20))
     fn = lambda p: np.exp(-(np.abs(p[:, 0] - (0.4 - 0.3j)) ** 2 / 3.0
@@ -628,8 +631,8 @@ def test_ring_sum_matches_pairwise_scipy_oracle(monkeypatch):
     degrees = [3, 0, 3, 1]
     rng = np.random.default_rng(11)
     targets = (rng.uniform(-2.0, 2.0, (11, 2)) + 1j * rng.uniform(-2.0, 2.0, (11, 2)))
-    # ring count x (m1 + m2) x (max degree + 1) slot-kernel entries per target
-    monkeypatch.setattr(twisted_transforms, "_SLOT_BLOCK", 3 * (20 * 6) * (12 + 20) * 4)
+    # the slot kernels of 4 targets over one ring: 4 x (m1 + m2) x (max degree + 1)
+    monkeypatch.setattr(twisted_transforms, "_SLOT_BLOCK", 4 * (12 + 20) * 4)
     got = spectral_projections(f, degrees, targets)
 
     u = rule.nodes
@@ -725,11 +728,12 @@ def c1_offcentre(rule_c1_small):
     ids=["lattice", "shuffled", "duplicated", "single",
          "c1-shuffled", "c1-duplicated", "c1-single"])
 def test_c2_batched_reads_match_per_target_reads(c2_offcentre, field_name, case, request):
-    """The slot kernels are built once per distinct slot value of a chunk
-    of targets and gathered back per target.  Ring projections (and on C^2
-    the tensor piece evaluators) over a batch of such targets against one
-    call per target, to 1e-14 of the peak.  On C the targets are the
-    lattice's z1 column: 24 distinct values, each listed four times."""
+    """The slot kernels are built once per distinct slot value of a block
+    of targets and each target is read from the block's tables.  Ring
+    projections (and on C^2 the tensor piece evaluators) over a batch of
+    such targets against one call per target, to 1e-14 of the peak.  On C
+    the targets are the lattice's z1 column: 24 distinct values, each
+    listed four times."""
     k = 2
     f = request.getfixturevalue(field_name)
     pieces = tensor_decompose_projection(c2_offcentre, k)
@@ -763,8 +767,9 @@ def test_tensor_pieces_build_slot_kernels_per_distinct_slot_value(c2_offcentre, 
                                                                    monkeypatch):
     """Work count: the probe lattice's 96 targets have 24 distinct z1 and
     24 distinct z2, so the slot kernels of the pieces take 24 + 24 rows of
-    targets, not 96 + 96.  A C read of duplicated targets builds one kernel
-    row per distinct target."""
+    targets, not 96 + 96, and so do those of the ring sum on C^2 (one
+    block of targets, one block of rings).  A C read of duplicated targets
+    builds one kernel row per distinct target."""
     rows = []
     pairing = twisted_transforms._pairing_kernel_args
 
@@ -781,6 +786,26 @@ def test_tensor_pieces_build_slot_kernels_per_distinct_slot_value(c2_offcentre, 
     spectral_projections(c1_offcentre, [0, 2], targets)
     assert (targets.shape[0], np.unique(targets).size) == (53, 8)
     assert rows == [8]
+    rows.clear()
+    projection_values(c2_offcentre, 2, pieces[0].rule.nodes)
+    assert rows == [24, 24]
+
+
+def test_c2_ring_sum_memory_budget(c2_offcentre):
+    """The ring sums on C^2 hold one block of targets' slot kernels over one
+    block of rings, and its tables: on a small C^2 grid, reads at the probe
+    lattice and at the grid's own nodes (8192 targets, 512 distinct z1 and
+    512 distinct z2: all-pairs tables would take 42 MB) stay within the
+    _SLOT_BLOCK budget plus the output."""
+    rule = plane_rule(2, extent=6.0, radial_points=8, sphere3_orders=(4, 16, 16),
+                      tolerance=float("inf"))
+    f = SampledField.from_function(c2_offcentre.evaluate, rule)
+    lattice = tensor_decompose_projection(c2_offcentre, 0)[0].rule.nodes
+    budget = twisted_transforms._SLOT_BLOCK * np.dtype(complex).itemsize / 2 ** 20
+    for read in (lambda: spectral_projections(f, range(4), lattice),
+                 lambda: spectral_projections(f, range(4))):
+        out_mb = read().nbytes / 2 ** 20
+        assert _peak_mb(read) <= budget + out_mb
 
 
 def test_tensor_pieces_separable_product_route(c2_field):
