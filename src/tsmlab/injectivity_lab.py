@@ -11,27 +11,29 @@ columns come from one basis, ``ProductHermiteBasis``: tensor products of
 special Hermite functions, one factor per slot, so C is its one-slot case
 and C^2 its two-slot case.  Twisted rows are exact: every column is an
 eigenfunction, so the product (Hecke-Bochner) relation factors its mean
-into a Laguerre factor in r_i times the column at z_j: a twisted operator
-is those two tables, M is formed only when read, and its singular values
-come from the tables' triangular factors (see ``SamplingOperator``).  The
+into a Laguerre factor in r_i times the column at z_j, and the column is
+a product over the slots: a twisted operator is one special Hermite table
+per slot at the centers plus the Laguerre table, the design matrix and M
+are formed only when read, and its singular values come from triangular
+factors of the tables' blocks (see ``SamplingOperator``).  The
 paper's sets are symmetric -- Sigma_N under rotation by pi/N, circles and
 spheres under their rules' phase steps, the C^2 sets slot by slot -- and
 a rotation of slot s multiplies phi_(a,b) by e^(i (a - b) t) there, so on
 a set whose centers map onto themselves under z_s -> e^(2 pi i / q_s) z_s
 (``SamplingSet.rotation_orders``) columns whose frequencies differ mod q_s
 are orthogonal and M splits into independent blocks, one per rotation
-class, each decomposed on its own.  Euclidean rows are circle averages,
-decomposed as they are; every sector column is 0 outside the basis's
-``support_radius``, so a row whose circle misses that disk is 0 and its
-circle is not read.  A function with vanishing means on S
-corresponds to a (near-)null vector of M, so sigma_min probes whether S
-can distinguish fields at the truncation: small sigma_min plus an
-exhibited near-null field certifies NON-injectivity at desk scale, while
-large sigma_min is evidence only (see the caveat string).  The
-certificates remeasure the candidates' means over the whole set by
-quadrature, independently of the closed form that found them: one mean
-table of its engine for all of a probe's vectors, on C^2 summed slot by
-slot (``SlotProduct``).
+class -- a residue class per slot -- each decomposed on its own.
+Euclidean rows are circle averages, decomposed as they are; every sector
+column is 0 outside the basis's ``support_radius``, so a row whose circle
+misses that disk is 0 and its circle is not read.  A function with
+vanishing means on S corresponds to a (near-)null vector of M, so
+sigma_min probes whether S can distinguish fields at the truncation: small
+sigma_min plus an exhibited near-null field certifies NON-injectivity at
+desk scale, while large sigma_min is evidence only (see the caveat
+string).  The certificates remeasure the candidates' means over the whole
+set by quadrature, independently of the closed form that found them: one
+mean table of its engine for all of a probe's vectors, on C^2 summed slot
+by slot (``SlotProduct``).
 
 Also here: the Hecke-Bochner type-function scans (fields a(|z|) P(z) whose
 twisted means vanish exactly on P^(-1)(0) plus possible spheres) and the
@@ -58,7 +60,8 @@ from .fields import GAUSSIAN_QUARTER, SampledField
 from .ioutil import fmt, write_csv, write_json
 from .quadrature import PlaneRule, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
-                                special_hermite_indices, special_hermite_matrix)
+                                laguerre_sequence, special_hermite_indices,
+                                special_hermite_matrix)
 from .twisted_transforms import SlotProduct, twisted_mean_table
 
 INJECTIVITY_CAVEAT = (
@@ -150,8 +153,8 @@ class SamplingSet:
             raise ValueError(f"centers must live in C^{self.dimension}")
         if not np.all(np.isfinite(c.view(float))):
             raise ValueError("centers must be finite")
-        if r.size and (np.any(r <= 0) or np.any(np.diff(r) <= 0)):
-            raise ValueError("radii must be positive and strictly increasing")
+        if r.size and (not np.all((r > 0) & (r < np.inf)) or np.any(np.diff(r) <= 0)):
+            raise ValueError("radii must be finite, positive and strictly increasing")
 
     @property
     def n_rows(self) -> int:
@@ -398,17 +401,10 @@ class ProductHermiteBasis:
     def ncols(self) -> int:
         return len(self._columns)
 
-    @property
+    @functools.cached_property
     def spectral_degrees(self) -> np.ndarray:
         """Eigenspace degree per column: the sum of the slots' first indices."""
         return np.asarray([sum(i.alpha for i in col) for col in self._columns], dtype=int)
-
-    @property
-    def slot_frequencies(self) -> np.ndarray:
-        """(ncols, slots) angular frequency a_s - b_s of each column's slot
-        factors: phi_(a,b)(e^(i t) z) = e^(i (a - b) t) phi_(a,b)(z)."""
-        return np.asarray([[i.alpha - i.beta for i in col] for col in self._columns],
-                          dtype=int).reshape(self.ncols, self.dimension)
 
     def columns_up_to(self, degree: int) -> np.ndarray:
         """Column indices of the sub-basis with every index <= degree."""
@@ -419,15 +415,15 @@ class ProductHermiteBasis:
         """Index of the slot-1 factor: the documented block grouping."""
         return col // (self.ncols // len(self.slot_indices[0]))
 
-    def matrix(self, points: np.ndarray) -> np.ndarray:
-        """The face-splitting (row-wise Kronecker) product of each slot's
-        ``special_hermite_matrix``; one slot returns its matrix as is."""
+    def slot_tables(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each slot's ``special_hermite_matrix`` at the points' values in
+        that slot: (P, (d_s + 1)^2) per slot."""
         pts = np.asarray(points, dtype=complex).reshape(-1, self.dimension)
-        out = special_hermite_matrix(pts[:, 0], self.slot_degrees[0])
-        for s in range(1, self.dimension):
-            m = special_hermite_matrix(pts[:, s], self.slot_degrees[s])
-            out = (out[:, :, None] * m[:, None, :]).reshape(pts.shape[0], out.shape[1] * m.shape[1])
-        return out
+        return tuple(special_hermite_matrix(pts[:, s], d) for s, d in enumerate(self.slot_degrees))
+
+    def matrix(self, points: np.ndarray) -> np.ndarray:
+        """The ``_face_split`` product of the ``slot_tables``."""
+        return _face_split(self.slot_tables(points))
 
 
 class EuclideanSectorBasis:
@@ -491,53 +487,73 @@ class EuclideanSectorBasis:
 # operator assembly
 
 
-def _twisted_factors(sampling_set: SamplingSet, basis) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of the product relation: the center design matrix
-    B = basis.matrix(centers) (C, ncols) and the radial table
+def _face_split(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The face-splitting (row-wise Kronecker) product of per-slot tables
+    (P, c_s), slot 1 major: out[p, (i_1, .., i_n)] = prod_s tables[s][p, i_s].
+    One table is returned as is."""
+    out = tables[0]
+    for t in tables[1:]:
+        out = (out[:, :, None] * t[:, None, :]).reshape(out.shape[0], out.shape[1] * t.shape[1])
+    return out
+
+
+def _twisted_factors(sampling_set: SamplingSet, basis) -> tuple[tuple, np.ndarray]:
+    """The factors of the product relation: the basis's ``slot_tables`` at
+    the centers, T_s (C, (d_s + 1)^2) per slot, and the radial table
     F[i, k] = tsm_product_constant(n, k) L_k^(n-1)(r_i^2/2) e^(-r_i^2/4),
-    k = 0 .. max k_b (R, k_max + 1), so that M[(j, i), b] = B[j, b] F[i, k_b]."""
+    k = 0 .. max k_b (R, k_max + 1), every degree from one
+    ``laguerre_sequence`` run, so that M[(j, i), b] = B[j, b] F[i, k_b]
+    with B the ``_face_split`` of the T_s (B itself is not formed)."""
     n = sampling_set.dimension
-    F = np.stack([tsm_product_constant(n, d)
-                  * laguerre_function(LaguerreSpec(d, n - 1), sampling_set.radii)
-                  for d in range(int(basis.spectral_degrees.max()) + 1)], axis=1)
-    return basis.matrix(sampling_set.centers), F
+    t = 0.5 * sampling_set.radii * sampling_set.radii
+    lags = laguerre_sequence(n - 1, t, int(basis.spectral_degrees.max()))
+    F = np.stack([tsm_product_constant(n, d) * (lag * np.exp(-0.5 * t))
+                  for d, lag in enumerate(lags)], axis=1)
+    return basis.slot_tables(sampling_set.centers), F
 
 
-def _face_split(r_b: np.ndarray, r_f: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+def _khatri_rao(r_b: np.ndarray, r_f: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """N[(l, m), b] = r_b[l, b] r_f[m, k_b] for the triangular factors of
-    ``_twisted_factors``; rows m > max k_b are zero (r_f is upper
-    triangular) and left out."""
+    ``_reduced``; rows m > max k_b are zero (r_f is upper triangular) and
+    left out."""
     r_f = r_f[:degrees.max() + 1, degrees]
     return (r_b[:, None, :] * r_f[None]).reshape(-1, degrees.size)
 
 
-def _rotation_classes(basis: ProductHermiteBasis, orders: Sequence[int]) -> list[np.ndarray]:
-    """Column indices per rotation class: columns whose slot frequencies
-    agree mod q_s in every slot s, classes in ascending residue order.  On
-    a set invariant under z_s -> e^(2 pi i / q_s) z_s the center sum of
-    conj(phi_b) phi_b' only picks up that rotation's phase, so columns of
-    different classes are orthogonal over the centers, exactly.  All
-    orders 1 give one class of every column."""
-    residues = basis.slot_frequencies % np.asarray(orders)
-    _, label = np.unique(residues, axis=0, return_inverse=True)
-    label = label.reshape(-1)
-    return [np.flatnonzero(label == c) for c in range(label.max(initial=-1) + 1)]
+def _rotation_classes(basis: ProductHermiteBasis, orders: Sequence[int]) -> list[tuple]:
+    """(columns, (I_1, .., I_n)) per rotation class: the slot-s indices I_s
+    of one residue class of the slot frequency a_s - b_s mod q_s
+    (phi_(a,b)(e^(i t) z) = e^(i (a - b) t) phi_(a,b)(z)), and the
+    columns (i_1, .., i_n), i_s in I_s, slot 1 major, so B[:, columns] is
+    the ``_face_split`` of the T_s[:, I_s].  Classes run over the slots'
+    residues in ascending order, slot 1 outer.  On a set invariant under
+    z_s -> e^(2 pi i / q_s) z_s the center sum of conj(phi_b) phi_b' only
+    picks up that rotation's phase, so columns of different classes are
+    orthogonal over the centers, exactly.  All orders 1 give one class of
+    every column."""
+    residues = [np.asarray([i.alpha - i.beta for i in idx]) % q
+                for idx, q in zip(basis.slot_indices, orders)]
+    per_slot = [[np.flatnonzero(res == r) for r in np.unique(res)] for res in residues]
+    return [(np.ravel_multi_index(np.ix_(*slots), [r.size for r in residues]).ravel(), slots)
+            for slots in itertools.product(*per_slot)]
 
 
 def _reduced(factors, basis: ProductHermiteBasis,
              orders: Sequence[int]) -> tuple[list, np.ndarray]:
     """The triangular factors per rotation class: [(columns, R_B, k_b)]
-    with R_B from a QR of B[:, columns], one per ``_rotation_classes``
-    class, and R_F from a QR of F, which every class shares."""
-    B, F = factors
-    return ([(cols, np.linalg.qr(B[:, cols], mode="r"), basis.spectral_degrees[cols])
-             for cols in _rotation_classes(basis, orders)], np.linalg.qr(F, mode="r"))
+    with R_B from a QR of the class's block B[:, columns], built from the
+    slot tables (see ``_rotation_classes``), one per class, and R_F from a
+    QR of F, which every class shares."""
+    tables, F = factors
+    return ([(cols, np.linalg.qr(_face_split([t[:, i] for t, i in zip(tables, slots)]), mode="r"),
+              basis.spectral_degrees[cols]) for cols, slots in _rotation_classes(basis, orders)],
+            np.linalg.qr(F, mode="r"))
 
 
 def _class_svds(reduction, rows: int, keep: np.ndarray, compute_uv: bool = True) -> list:
     """[(columns, sigma, V^H or None)] of M cut to the columns ``keep``,
     one per class of the ``_reduced`` reduction that keeps any, from the
-    SVD of that class's ``_face_split`` N on those columns.  A
+    SVD of that class's ``_khatri_rao`` N on those columns.  A
     rank-deficient N (fewer rows than columns) gives M's exact zeros:
     sigma is padded with them to min(rows, columns) and V^H is full."""
     classes, r_f = reduction
@@ -546,7 +562,7 @@ def _class_svds(reduction, rows: int, keep: np.ndarray, compute_uv: bool = True)
         sub = np.isin(cols, keep)
         if not sub.any():
             continue
-        N = _face_split(r_b[:, sub], r_f, degrees[sub])
+        N = _khatri_rao(r_b[:, sub], r_f, degrees[sub])
         if compute_uv:
             _, s, vh = np.linalg.svd(N, full_matrices=N.shape[0] < N.shape[1])
         else:
@@ -583,9 +599,11 @@ class SamplingOperator:
     It holds one of two representations; giving both or neither raises
     ValueError.  ``dense``, a matrix of that shape, is decomposed as
     given: euclidean rows, or any operator built from a bare matrix.
-    ``factors`` (B, F) are those of ``_twisted_factors``, which
-    ``assemble_operator`` gives twisted rows: M[(j, i), b] = B[j, b]
-    F[i, k_b], formed only when ``matrix`` is read.  Their SVD is that of
+    ``factors`` ((T_1, .., T_n), F) are those of ``_twisted_factors``,
+    which ``assemble_operator`` gives twisted rows: the per-slot tables at
+    the centers and the radial table, M[(j, i), b] = B[j, b] F[i, k_b]
+    with B = ``_face_split``(T_s).  Neither B nor M is held: both are
+    formed only when ``matrix`` is read.  The SVD is that of
     N[(l, m), b] = R_B[l, b] R_F[m, k_b], R_B and R_F the triangular
     factors of QRs of B and F: M = (Q_B x Q_F) N with orthonormal columns,
     so N has M's singular values and right singular vectors, with
@@ -593,8 +611,9 @@ class SamplingOperator:
     has.  N is taken per rotation class of the set's
     ``rotation_orders`` (``_rotation_classes``): the classes' columns are
     orthogonal in M, so M's singular values are the union of the classes'
-    and V is block diagonal; each class takes its own QR of B[:, class]
-    and shares R_F, and keeps its own V.  The union is sorted descending
+    and V is block diagonal; each class takes its own QR of its block
+    B[:, class], the face split of the slot tables' class columns, and
+    shares R_F, and keeps its own V.  The union is sorted descending
     (class order breaks ties) and cut or padded to min(rows, cols), and
     each right singular vector, near-null ones included, lies in one
     class.  A set without rotation symmetry is the one-class case.
@@ -628,7 +647,8 @@ class SamplingOperator:
         """M: the matrix as given, or formed from the factors on each read."""
         if self.factors is None:
             return self.dense
-        B, F = self.factors
+        tables, F = self.factors
+        B = _face_split(tables)
         return (B[:, None, :] * F[None, :, self.basis.spectral_degrees]).reshape(self.shape)
 
     @functools.cached_property
@@ -691,9 +711,10 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
         M[(j,i), b] = B(n, k_b) L_(k_b)^(n-1)(r_i^2/2) e^(-r_i^2/4) basis_b(z_j)
 
     with B = ``tsm_product_constant``; no quadrature is involved.  The
-    operator holds the two factors, the center design matrix and the
-    radial table per degree, takes its singular values from them and
-    forms M only when its ``matrix`` is read (see ``SamplingOperator``).
+    operator holds the factors, one special Hermite table per slot at the
+    centers and the radial table per degree, takes its singular values
+    from them and forms M only when its ``matrix`` is read (see
+    ``SamplingOperator``).
     Euclidean rows are plain averages over ``euclid_points`` circle
     nodes, one ``euclidean_mean_table`` of the basis matrix that reads
     only the circles meeting the basis's ``support_radius``, and are
@@ -860,9 +881,10 @@ def plane_block_offmass(operator: SamplingOperator) -> float:
     For a plane_cross_coxeter set whose first slot rides an integration
     rule, the z1-sum in the Gram approximates the L^2(C) pairing of slot-1
     factors, so the Gram should be block diagonal over the slot-1 index up
-    to quadrature error.  The Gram comes from the factors (B, F) of the
-    product relation: sum_(j,i) w_j conj(M[(j,i),b]) M[(j,i),b'] =
-    (B^H diag(w) B)[b, b'] (F^H F)[k_b, k_b'].
+    to quadrature error.  The Gram comes from the factors of the product
+    relation: sum_(j,i) w_j conj(M[(j,i),b]) M[(j,i),b'] =
+    (B^H diag(w) B)[b, b'] (F^H F)[k_b, k_b'], B formed from the slot
+    tables for the call.
     """
     basis = operator.basis
     if not (isinstance(basis, ProductHermiteBasis) and basis.dimension == 2):
@@ -872,7 +894,8 @@ def plane_block_offmass(operator: SamplingOperator) -> float:
                          "is only meaningful against rule weights")
     if operator.factors is None:
         raise ValueError("off-block mass is taken from a twisted operator's factors")
-    B, F = operator.factors
+    tables, F = operator.factors
+    B = _face_split(tables)
     k = basis.spectral_degrees
     w = operator.sampling_set.center_weights
     G = ((B.conj().T * w[None, :]) @ B) * (F.conj().T @ F)[np.ix_(k, k)]

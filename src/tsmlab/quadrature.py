@@ -132,8 +132,8 @@ def _unit_phases(m: int) -> np.ndarray:
 def circle_rule(radius: float, m: int = 256) -> SphereRule:
     """m equispaced points on |w| = radius in C, weights 1/m: the one-slot
     product rule, T = 1 with t weight 1."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if m < 4:
         raise ValueError("circle rule needs at least 4 nodes")
     return _product_rule(radius, np.ones(1), (radius * _unit_phases(m)[None, :],))
@@ -157,8 +157,8 @@ def sphere3_rule(radius: float, orders: tuple[int, int, int] = (16, 32, 32)) -> 
     slot tables are r cos(t) e^(i p1) (nt, m1) and r sin(t) e^(i p2) (nt, m2).
     Everything but the radius is computed once per ``orders`` in a process.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     cos_t, sin_t, wt, e1, e2 = _sphere3_factors(tuple(orders))
     return _product_rule(radius, wt.copy(), ((radius * cos_t)[:, None] * e1[None, :],
                                              (radius * sin_t)[:, None] * e2[None, :]))

@@ -236,7 +236,9 @@ def twisted_mean_table(f: SampledField, centers, radii,
                        m: int | None = None, orders=None) -> np.ndarray:
     """f x mu_r(z) for every center (rows, points of C^n) and radius
     (columns): (C, R) complex, or (C, R, V) when ``f.evaluate`` returns
-    (P, V) on P points.  f needs only ``dimension`` and ``evaluate``.
+    (P, V) on P points; V is learnt from one read of no points (from
+    the coupling of a ``SlotProduct``, which is read at no point of the
+    sphere rules).  f needs only ``dimension`` and ``evaluate``.
 
     Each radius's ``sphere_rule`` (``m`` circle nodes on C, S^3 ``orders``
     on C^2) is built once per call and f is read once per center over
@@ -255,18 +257,13 @@ def twisted_mean_table(f: SampledField, centers, radii,
     radii = np.asarray(radii, dtype=float).reshape(-1)
     if np.any(radii < 0):
         raise ValueError(f"radius must be >= 0, got {radii.min()}")
-    out = None      # made on the first read, once the number of fields is known
-
-    def table(tail: tuple) -> np.ndarray:
-        nonlocal out
-        if out is None:
-            out = np.empty(centers.shape[:1] + radii.shape + tail, dtype=complex)
-        return out
+    tail = (np.shape(f.coupling)[2:] if isinstance(f, SlotProduct)
+            else np.shape(f.evaluate(np.empty((0, f.dimension), dtype=complex)))[1:])
+    out = np.empty(centers.shape[:1] + radii.shape + tail, dtype=complex)
 
     at_zero = radii == 0.0
     if at_zero.any():
-        f0 = f.evaluate(centers)
-        table(f0.shape[1:])[:, at_zero] = f0[:, None]
+        out[:, at_zero] = f.evaluate(centers)[:, None]
     on = np.flatnonzero(~at_zero)
     if on.size:
         rules = [sphere_rule(f.dimension, r, m=m, orders=orders) for r in radii[on]]
@@ -275,9 +272,8 @@ def twisted_mean_table(f: SampledField, centers, radii,
         t_weights = np.stack([s.t_weights * (1.0 / (s.weights.size // s.t_weights.size))
                               for s in rules])                   # (R, T)
         if isinstance(f, SlotProduct):
-            vals = _slot_product_means(f, centers, conj_slots, t_weights)
-            table(vals.shape[2:])[:, on] = vals
-            return table(())
+            out[:, on] = _slot_product_means(f, centers, conj_slots, t_weights)
+            return out
         nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
         block = max(1, _MEAN_POINTS[f.dimension] // nodes.shape[1])
         for j, z in enumerate(centers):
@@ -298,8 +294,8 @@ def twisted_mean_table(f: SampledField, centers, radii,
                     e = np.exp(0.5j * TWIST_SIGN * (zs * conj_nodes[s:s + block]).imag)
                     vals = vals.reshape(vals.shape[:-2] + (-1, e.shape[-1])) @ e[..., None]
                 vals = vals.reshape(vals.shape[:-3] + (1, -1)) @ tw[..., None]
-                table(vals.shape[:-3])[j, on[s:s + block]] = vals[..., 0, 0].T
-    return table(())
+                out[j, on[s:s + block]] = vals[..., 0, 0].T
+    return out
 
 
 def twisted_spherical_mean(f: SampledField, z, r: float,

@@ -97,6 +97,11 @@ def test_mean_table_input_validation():
         euclidean_mean_table(f, [[0.1j, 0.2 + 0.0j]], [0.5])
     with pytest.raises(ValueError, match=">= 0"):
         circular_mean(f, 0.1j, -0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            circular_mean(f, 0.3, bad)
+        with pytest.raises(ValueError, match="finite"):
+            euclidean_mean_table(f, [0.1j], [0.5, bad])
 
 
 @pytest.mark.parametrize("n_lines", [1, 2, 3])

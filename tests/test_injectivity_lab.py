@@ -1,6 +1,7 @@
 """Sampling sets, operators, probes, and the two counterexample engines."""
 
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -70,6 +71,11 @@ def test_sampling_set_radius_validation():
         make_set("coxeter_lines", n_lines=1, radii=[1.0, 0.5])
     with pytest.raises(ValueError, match="radii"):
         make_set("coxeter_lines", n_lines=1, radii=[-1.0, 0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="radii must be finite"):
+            make_set("coxeter_lines", n_lines=1, radii=[0.5, bad])
+        with pytest.raises(ValueError, match="radii must be finite"):
+            SamplingSet("custom", 2, [[0.1, 0.2j]], [bad], {})
 
 
 def test_sphere_and_curve_sets():
@@ -550,7 +556,35 @@ def test_factored_svd_matches_dense_oracle(case):
     # each near-null vector lies in one rotation class
     classes = _rotation_classes(op.basis, op.sampling_set.rotation_orders)
     for sigma, v in null:
-        assert sum(bool(np.any(v[c] != 0)) for c in classes) == 1
+        assert sum(bool(np.any(v[c] != 0)) for c, _ in classes) == 1
+
+
+@pytest.mark.parametrize("case", list(FACTORED_CASES))
+def test_class_blocks_are_the_design_matrix_columns(case, monkeypatch):
+    # oracle: the dense design matrix B, formed only here; each class's QR
+    # reads its block B[:, class], built from the slot tables, bit for bit
+    build, K = FACTORED_CASES[case]
+    op = assemble_operator(build(), max_degree=K)
+    blocks, qr = [], np.linalg.qr
+
+    def recording(a, *args, **kwargs):
+        blocks.append(np.array(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    op.singular_values
+    B = op.basis.matrix(op.sampling_set.centers)
+    classes = _rotation_classes(op.basis, op.sampling_set.rotation_orders)
+    assert len(blocks) == len(classes) + 1                 # the last is F's
+    for (cols, _), block in zip(classes, blocks):
+        assert np.array_equal(block, B[:, cols])
+    # the classes partition the columns by their residues mod q_s
+    assert np.array_equal(np.sort(np.concatenate([c for c, _ in classes])),
+                          np.arange(op.shape[1]))
+    res = _frequencies(op.basis) % np.asarray(op.sampling_set.rotation_orders)
+    labels = [{tuple(r) for r in res[cols]} for cols, _ in classes]
+    assert all(len(lab) == 1 for lab in labels)
+    assert len(set.union(*labels)) == len(classes)
 
 
 @pytest.mark.parametrize("case", ["coxeter_lines", "coxeter_2", "coxeter_3",
@@ -596,6 +630,13 @@ def test_rotation_orders_map_the_centers_onto_themselves(case):
         assert gap.max() <= 1e-12 * max(1.0, np.abs(c).max())
 
 
+def _frequencies(basis: ProductHermiteBasis) -> np.ndarray:
+    """(ncols, slots) angular frequency a_s - b_s of each column's slot
+    factors, in the basis's column order (slot 1 major)."""
+    return np.array([[i.alpha - i.beta for i in col]
+                     for col in itertools.product(*basis.slot_indices)])
+
+
 @pytest.mark.parametrize("case", list(SYMMETRIC_SETS))
 def test_cross_class_gram_entries_vanish(case):
     # columns of different rotation classes are orthogonal in M itself;
@@ -604,7 +645,7 @@ def test_cross_class_gram_entries_vanish(case):
     sset = build()
     op = assemble_operator(sset, max_degree=4 if sset.dimension == 1 else 2)
     G = op.matrix.conj().T @ op.matrix
-    res = op.basis.slot_frequencies % np.asarray(orders)
+    res = _frequencies(op.basis) % np.asarray(orders)
     cross = np.any(res[:, None, :] != res[None, :, :], axis=2)
     assert cross.any()
     sigma0 = np.linalg.svd(op.matrix, compute_uv=False)[0]
@@ -659,19 +700,19 @@ def test_operator_without_factors_decomposes_its_matrix():
         dataclasses.replace(op, dense=0.5 * op.matrix)
     with pytest.raises(ValueError, match="exactly one"):
         SamplingOperator(None, sset, op.basis)
-    # the factors are the twisted operator itself: halving B halves M
-    B, F = op.factors
-    scaled = SamplingOperator(None, sset, op.basis, (0.5 * B, F))
+    # the factors are the twisted operator itself: halving the slot-1 table
+    # halves M
+    (T1, *others), F = op.factors
+    scaled = SamplingOperator(None, sset, op.basis, ((0.5 * T1, *others), F))
     assert np.array_equal(scaled.matrix, 0.5 * op.matrix)
     assert np.allclose(scaled.singular_values, halved.singular_values, rtol=1e-13)
 
 
-def test_factored_probe_stays_off_the_dense_matrix():
-    # Coxeter-4 at K = 3: M would be 76 032 x 256 complex, 311 MB; the
-    # factors and their per-class reductions peak near 15 MB
+def _traced_coxeter4_probe(K: int) -> tuple:
+    """(set, basis, tracemalloc peak) of assembling Coxeter-4 at (K, K)
+    and reading the vectors of its four smallest sigma."""
     sset = make_set("plane_cross_coxeter", n_lines=2)
-    basis = ProductHermiteBasis((3, 3))
-    assert sset.n_rows * basis.ncols * 16 > 300e6
+    basis = ProductHermiteBasis((K, K))
     tracemalloc.start()
     try:
         op = assemble_operator(sset, basis=basis)
@@ -681,7 +722,24 @@ def test_factored_probe_stays_off_the_dense_matrix():
         tracemalloc.stop()
     assert op.shape == (sset.n_rows, basis.ncols) and not op.degenerate
     assert len(null) >= 4 and all(v.shape == (basis.ncols,) for _, v in null)
+    return sset, basis, peak
+
+
+def test_factored_probe_stays_off_the_dense_matrix():
+    # Coxeter-4 at K = 3: M would be 76 032 x 256 complex, 311 MB; the
+    # factors and their per-class reductions peak near 15 MB
+    sset, basis, peak = _traced_coxeter4_probe(3)
+    assert sset.n_rows * basis.ncols * 16 > 300e6
     assert peak < 64e6, peak
+
+
+def test_factored_probe_stays_off_the_design_matrix():
+    # Coxeter-4 at K = 5: B alone would be 3 168 x 1 296 complex, 66 MB;
+    # the slot tables (3 168 x 36 each) and one class block at a time peak
+    # near 9 MB
+    sset, basis, peak = _traced_coxeter4_probe(5)
+    assert sset.centers.shape[0] * basis.ncols * 16 > 63e6
+    assert peak < 16e6, peak
 
 
 def test_probe_rejects_steps_below_degree_zero():
@@ -923,7 +981,8 @@ def test_operator_csv_cells_are_the_factor_products(tmp_path):
     counted = Counting(None, sset, op.basis, op.factors)
     operator_to_csv(counted, tmp_path / "operator.csv")
     assert len(reads) == 1
-    B, F = op.factors
+    # one slot: the slot table is the design matrix
+    (T,), F = op.factors
     k = op.basis.spectral_degrees
     lines = (tmp_path / "operator.csv").read_text().strip().splitlines()
     assert len(lines) == op.shape[0] + 1
@@ -931,4 +990,4 @@ def test_operator_csv_cells_are_the_factor_products(tmp_path):
         cells = line.split(",")
         j, i = int(cells[0]), int(cells[1])
         parts = np.asarray(cells[2:], dtype=float)
-        assert np.array_equal(parts[0::2] + 1j * parts[1::2], B[j] * F[i, k])
+        assert np.array_equal(parts[0::2] + 1j * parts[1::2], T[j] * F[i, k])

@@ -49,6 +49,11 @@ def test_circle_rule_rejects_bad_input():
         circle_rule(0.0)
     with pytest.raises(ValueError):
         circle_rule(1.0, m=3)
+    # non-finite radii, on the circle and on S^3
+    for rule in (circle_rule, sphere3_rule):
+        for radius in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                rule(radius)
 
 
 def test_sphere3_moments():

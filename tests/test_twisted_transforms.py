@@ -67,6 +67,9 @@ def test_mean_at_radius_zero_is_evaluation(gauss_field):
 def test_mean_input_validation(gauss_field):
     with pytest.raises(ValueError, match=">= 0"):
         twisted_spherical_mean(gauss_field, np.array([0j]), -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            twisted_spherical_mean(gauss_field, np.array([0j]), bad)
     with pytest.raises(ValueError, match="center"):
         twisted_spherical_mean(gauss_field, np.array([0j, 0j]), 1.0)
 
@@ -232,6 +235,8 @@ def test_vector_table_equals_scalar_tables(case, gauss_field, rule_c1_small, tmp
 def test_mean_table_input_validation(gauss_field):
     with pytest.raises(ValueError, match=">= 0"):
         twisted_mean_table(gauss_field, [[0j]], [1.0, -0.5])
+    with pytest.raises(ValueError, match="finite"):
+        twisted_mean_table(gauss_field, [[0j]], [1.0, np.nan])
     with pytest.raises(ValueError, match="center"):
         twisted_mean_table(gauss_field, [[0j, 0j]], [1.0])
     with pytest.raises(ValueError, match="center"):
