@@ -235,12 +235,14 @@ def run_verify_identities(cfg: dict, out: Path) -> list[Check]:
     probes = centers[:, None]
     rows = []
 
+    # phi_k on the grid, for the product relation (k <= kmax) and orthogonality (k <= 2)
+    phis = [SampledField.from_function(
+        lambda p, _s=LaguerreSpec(k, 0): laguerre_function(_s, np.abs(p[:, 0])).astype(complex),
+        rule, name=f"phi_{k}") for k in range(max(kmax, 2) + 1)]
     worst = 0.0
     for k in range(kmax + 1):
         spec = LaguerreSpec(k, 0)
-        fn = lambda p, _s=spec: laguerre_function(_s, np.abs(p[:, 0])).astype(complex)
-        f = SampledField.from_function(fn, rule, name=f"phi_{k}")
-        got = twisted_mean_table(f, probes, radii, m=m)
+        got = twisted_mean_table(phis[k], probes, radii, m=m)
         want = (constants.tsm_product_constant(1, k)
                 * laguerre_function(spec, radii)[None, :]
                 * laguerre_function(spec, np.abs(centers))[:, None])
@@ -253,12 +255,9 @@ def run_verify_identities(cfg: dict, out: Path) -> list[Check]:
     worst_orth = 0.0
     worst_const = 0.0
     for k in range(3):
-        spec = LaguerreSpec(k, 0)
-        fn = lambda p, _s=spec: laguerre_function(_s, np.abs(p[:, 0])).astype(complex)
-        f = SampledField.from_function(fn, rule, name=f"phi_{k}")
-        proj = spectral_projections(f, list(range(3)), probes)
+        proj = spectral_projections(phis[k], list(range(3)), probes)
         for mdeg in range(3):
-            ref = (2.0 * np.pi) * laguerre_function(spec, np.abs(probes[:, 0])) \
+            ref = (2.0 * np.pi) * laguerre_function(LaguerreSpec(k, 0), np.abs(probes[:, 0])) \
                 if mdeg == k else np.zeros(len(probes))
             err = float(np.max(np.abs(proj[:, mdeg] - ref)))
             if mdeg == k:
@@ -278,10 +277,9 @@ def run_verify_identities(cfg: dict, out: Path) -> list[Check]:
     worst = 0.0
     for z in centers[:2]:
         prof = mean_profile(fgauss, [z], radial_rule=rrule, m=m)
-        pv = projection_values(fgauss, 0, np.array([[z]]))[0]
-        for k in range(5):
+        row = spectral_projections(fgauss, list(range(5)), [[z]])[0]
+        for k, direct in enumerate(row):
             bridged = polar_bridge(prof, k, 1)
-            direct = projection_values(fgauss, k, np.array([[z]]))[0] if k else pv
             err = abs(bridged - direct) / (1.0 + abs(direct))
             worst = max(worst, err)
             rows.append(["polar_vs_projection", str(k), fmt(abs(z)), fmt(err)])
@@ -377,7 +375,7 @@ def run_counterexample(cfg: dict, out: Path) -> list[Check]:
     if cfg["counterexample.engine"] == "twisted":
         P = solid_harmonic_basis(1, 1, 2)[0]
         spec = TypeFunctionSpec(P)
-        f, report = hecke_bochner_counterexample(
+        report = hecke_bochner_counterexample(
             spec, sphere_orders=(cfg["mean.sphere3_t"], cfg["mean.sphere3_phi1"],
                                  cfg["mean.sphere3_phi2"]))
         write_json(out / "vanishing.json", report.as_dict())

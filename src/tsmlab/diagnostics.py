@@ -27,14 +27,14 @@ _D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72,
                 8 / 5, -1 / 5, 8 / 315, -1 / 560])
 
 
-def radial_operator_residual(fn, n: int, eigenvalue: float,
-                             rho=None, h: float = 1e-2) -> float:
-    """Max relative residual of (A - eigenvalue) fn over the probe radii.
+def radial_operator_residual(fn, n: int, eigenvalue: float) -> float:
+    """Max relative residual of (A - eigenvalue) fn over the probe radii,
+    45 equispaced on [0.5, 6] (away from the rho = 0 coordinate
+    singularity), with 8th-order stencils of step 1e-2.
 
-    ``fn`` maps a float array of radii to values; probe radii stay away
-    from the rho = 0 coordinate singularity.
+    ``fn`` maps a float array of radii to values.
     """
-    rho = np.linspace(0.5, 6.0, 45) if rho is None else np.asarray(rho, dtype=float)
+    rho, h = np.linspace(0.5, 6.0, 45), 1e-2
     offsets = (np.arange(-4, 5) * h)[None, :]
     grid = rho[:, None] + offsets
     vals = np.asarray(fn(grid.ravel())).reshape(grid.shape)
@@ -48,14 +48,14 @@ def radial_operator_residual(fn, n: int, eigenvalue: float,
     return float(np.max(np.abs(applied - eigenvalue * center)) / scale)
 
 
-def transport_residual(value_fn, n: int, eigenvalue: float, points,
-                       h: float = 0.05) -> float:
+def transport_residual(value_fn, n: int, eigenvalue: float, points) -> float:
     """Max relative residual of (L - eigenvalue) at the probe points.
 
     ``value_fn`` maps an (M, n) complex array to (M,) complex values; it is
     typically an exact projection evaluator, so 4th-order stencils at a
-    moderate h keep the FD truncation below quadrature noise.
+    moderate step h = 0.05 keep the FD truncation below quadrature noise.
     """
+    h = 0.05
     points = np.asarray(points, dtype=complex).reshape(-1, n)
     m = points.shape[0]
     # batch all stencil evaluations: per point, per real axis (2n of them),

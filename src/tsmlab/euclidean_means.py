@@ -207,10 +207,10 @@ def euclidean_mean_table(f, centers, radii, m: int = CIRCLE_POINTS) -> np.ndarra
     return out
 
 
-def circular_mean(f, x, r: float, m: int = CIRCLE_POINTS) -> float:
+def circular_mean(f, x, r: float) -> float:
     """Average of f over the circle of radius r about x (a complex point):
     the 1 x 1 ``euclidean_mean_table``.  r = 0 degenerates to f(x)."""
-    return float(euclidean_mean_table(f, [x], [r], m)[0, 0])
+    return float(euclidean_mean_table(f, [x], [r])[0, 0])
 
 
 def write_mean_table(path, centers, radii, table) -> None:
@@ -223,29 +223,22 @@ def write_mean_table(path, centers, radii, table) -> None:
     write_csv(path, ["re_center", "im_center", "r", "mean"], rows)
 
 
-def _default_plane(support_radius: float) -> PlaneRule:
-    return plane_rule(1, extent=2.0 * support_radius, radial_points=48,
-                      angular_points=CIRCLE_POINTS)
-
-
-def coxeter_odd_counterexample(n_lines: int,
-                               radial_profile: Callable | None = None,
-                               support_radius: float = 1.0,
-                               rule: PlaneRule | None = None) -> EuclideanField:
+def coxeter_odd_counterexample(n_lines: int) -> EuclideanField:
     """The compactly supported field g(|x|) Im((x1+ix2)^N), odd across every
-    line of Sigma_N, whose circular means vanish at all centers on Sigma_N."""
+    line of Sigma_N, whose circular means vanish at all centers on Sigma_N:
+    g the unit ``bump_profile``, support radius 1, sampled on the polar
+    rule of extent 2."""
     if n_lines < 1:
         raise ValueError("need at least one line")
-    g = radial_profile if radial_profile is not None else bump_profile(support_radius)
+    g = bump_profile()
     N = int(n_lines)
 
     def f(p):
         p = np.asarray(p, dtype=complex)
         return g(np.abs(p)) * np.imag(p ** N)
 
-    return EuclideanField.from_function(
-        f, rule or _default_plane(support_radius), support_radius,
-        name=f"odd_sigma{N}")
+    rule = plane_rule(1, extent=2.0, radial_points=48, angular_points=CIRCLE_POINTS)
+    return EuclideanField.from_function(f, rule, 1.0, name=f"odd_sigma{N}")
 
 
 def coxeter_odd_orders(n_lines: int, max_order: int) -> list[int]:

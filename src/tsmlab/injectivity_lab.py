@@ -131,9 +131,9 @@ class SamplingSet:
     """A finite center set on a declared geometric locus plus a radius grid.
 
     ``center_weights`` (optional) carry quadrature weights when the centers
-    come from an integration rule; operator-level Gram computations use
-    them.  Rows of an operator built on this set are (center-major) pairs
-    (center j, radius i).
+    come from an integration rule, one finite positive weight per center;
+    operator-level Gram computations use them.  Rows of an operator built
+    on this set are (center-major) pairs (center j, radius i).
     """
     kind: str
     dimension: int
@@ -155,6 +155,12 @@ class SamplingSet:
             raise ValueError("centers must be finite")
         if r.size and (not np.all((r > 0) & (r < np.inf)) or np.any(np.diff(r) <= 0)):
             raise ValueError("radii must be finite, positive and strictly increasing")
+        if self.center_weights is not None:
+            w = np.asarray(self.center_weights, dtype=float)
+            if w.shape != c.shape[:1] or not np.all((w > 0) & (w < np.inf)):
+                raise ValueError("center_weights must hold one finite, positive "
+                                 "weight per center")
+            object.__setattr__(self, "center_weights", w)
 
     @property
     def n_rows(self) -> int:
@@ -192,8 +198,10 @@ class SamplingSet:
         return tuple(int(q) if q > 1 and _maps_onto_itself(self.centers, s, int(q), tol) else 1
                      for s, q in enumerate(declared))
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check the membership invariant: centers lie on the declared set."""
+    def validate(self) -> None:
+        """Check the membership invariant: centers lie on the declared set,
+        to 1e-12 relative."""
+        tol = 1e-12
         rot = self.params.get("rotation", 0.0)
         tr = np.asarray(self.params.get("translation", np.zeros(self.dimension)),
                         dtype=complex).reshape(self.dimension)
@@ -257,47 +265,49 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
 
     kinds and their parameters:
       coxeter_lines        n_lines, extent=6.0, points_per_ray=10      (C)
-      plane_cross_coxeter  n_lines, extent, points_per_ray,
+      plane_cross_coxeter  n_lines, extent=3.0, points_per_ray=4,
                            plane_extent=6.0, plane_radial=12,
                            plane_angular=8                             (C^2,
                            Sigma_(2 n_lines) in the second slot, first slot
                            on an integration rule whose weights ride along)
-      sphere               radius, n=1, m=24 | orders=(4, 8, 8)
-      sphere_cross_plane   radius, m=12, plane_extent, plane_radial,
-                           plane_angular                               (C^2)
-      curve                r_profile, t_range=(0, 4pi), samples=64     (C)
+      sphere               radius, n=1, m=24, orders=(4, 8, 8)
+      sphere_cross_plane   radius, m=12, plane_extent=4.0, plane_radial=6,
+                           plane_angular=8                             (C^2)
+      curve                r_profile, samples=64 (t in [0, 4 pi])      (C)
       custom               centers, n
 
+    A parameter that the kind does not read raises ValueError naming it.
     Optional rigid motion: centers -> e^(i rotation) c + translation.
     Radii default to a geometric grid on [0.2, 6] with 24 points.
     """
     radii = np.asarray(DEFAULT_RADII if radii is None else radii, dtype=float)
     weights = None
     stored = dict(params)
+    take = params.pop       # what the kind leaves in params it does not read
     if kind == "coxeter_lines":
-        n_lines = int(params["n_lines"])
+        n_lines = int(take("n_lines"))
         if n_lines < 1:
             raise ValueError("need n_lines >= 1")
-        extent = float(params.get("extent", 6.0))
-        ppr = int(params.get("points_per_ray", 10))
+        extent = float(take("extent", 6.0))
+        ppr = int(take("points_per_ray", 10))
         if extent <= 0 or ppr < 1:
             raise ValueError("coxeter_lines needs extent > 0, points_per_ray >= 1")
         centers = _coxeter_points(n_lines, extent, ppr)[:, None]
         stored.update(n_lines=n_lines, extent=extent, points_per_ray=ppr)
         n = 1
     elif kind == "plane_cross_coxeter":
-        n_lines = int(params["n_lines"])
-        extent = float(params.get("extent", 3.0))
-        ppr = int(params.get("points_per_ray", 4))
+        n_lines = int(take("n_lines"))
+        extent = float(take("extent", 3.0))
+        ppr = int(take("points_per_ray", 4))
         if n_lines < 1 or extent <= 0 or ppr < 1:
             raise ValueError("bad plane_cross_coxeter parameters")
         # center carrier, not an integrator: its weights only feed the
         # weighted Gram diagnostics, so the moment self-check is waived.
         # the defaults keep the slot-1 Gram of a (1,1) product basis block
         # diagonal to ~1e-11 (extent 4 would leak its Gaussian tail)
-        angular = int(params.get("plane_angular", 8))
-        pr = plane_rule(1, extent=float(params.get("plane_extent", 6.0)),
-                        radial_points=int(params.get("plane_radial", 12)),
+        angular = int(take("plane_angular", 8))
+        pr = plane_rule(1, extent=float(take("plane_extent", 6.0)),
+                        radial_points=int(take("plane_radial", 12)),
                         angular_points=angular, tolerance=float("inf"))
         z2 = _coxeter_points(2 * n_lines, extent, ppr)
         z1 = pr.nodes[:, 0]
@@ -307,23 +317,23 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
                       plane_angular=angular)
         n = 2
     elif kind == "sphere":
-        n = int(params.get("n", 1))
-        radius = float(params["radius"])
+        n = int(take("n", 1))
+        radius = float(take("radius"))
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
-        m, orders = int(params.get("m", 24)), tuple(params.get("orders", (4, 8, 8)))
+        m, orders = int(take("m", 24)), tuple(take("orders", (4, 8, 8)))
         centers = sphere_rule(n, radius, m=m, orders=orders).nodes
         stored.update(radius=radius, n=n, m=m, orders=orders)
     elif kind == "sphere_cross_plane":
-        radius = float(params["radius"])
+        radius = float(take("radius"))
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
-        m = int(params.get("m", 12))
-        angular = int(params.get("plane_angular", 8))
+        m = int(take("m", 12))
+        angular = int(take("plane_angular", 8))
         z1 = sphere_rule(1, radius, m=m).nodes[:, 0]
         # same carrier carve-out as plane_cross_coxeter
-        pr = plane_rule(1, extent=float(params.get("plane_extent", 4.0)),
-                        radial_points=int(params.get("plane_radial", 6)),
+        pr = plane_rule(1, extent=float(take("plane_extent", 4.0)),
+                        radial_points=int(take("plane_radial", 6)),
                         angular_points=angular, tolerance=float("inf"))
         z2 = pr.nodes[:, 0]
         centers = np.stack([np.repeat(z1, z2.size), np.tile(z2, z1.size)], axis=1)
@@ -331,12 +341,11 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         stored.update(radius=radius, m=m, plane_angular=angular)
         n = 2
     elif kind == "curve":
-        r_profile = params["r_profile"]
-        t0, t1 = params.get("t_range", (0.0, 4.0 * np.pi))
-        samples = int(params.get("samples", 64))
+        r_profile = take("r_profile")
+        samples = int(take("samples", 64))
         if samples < 2:
             raise ValueError("need at least 2 curve samples")
-        ts = np.linspace(float(t0), float(t1), samples)
+        ts = np.linspace(0.0, 4.0 * np.pi, samples)
         rv = np.asarray(r_profile(ts), dtype=float)
         if np.any(rv <= 0):
             raise ValueError("curve radius profile must stay positive")
@@ -345,13 +354,15 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         stored.pop("r_profile", None)
         n = 1
     elif kind == "custom":
-        centers = np.asarray(params["centers"], dtype=complex)
+        centers = np.asarray(take("centers"), dtype=complex)
         if centers.ndim == 1:
             centers = centers[:, None]
-        n = int(params.get("n", centers.shape[1]))
+        n = int(take("n", centers.shape[1]))
         stored = {"n": n}
     else:
         raise ValueError(f"unknown set kind {kind!r}")
+    if params:
+        raise ValueError(f"{kind} sets do not read {', '.join(sorted(params))}")
 
     centers = _apply_motion(np.asarray(centers, dtype=complex), rotation,
                             np.zeros(n) if translation is None else translation)
@@ -367,11 +378,9 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
     return out
 
 
-def curve_set(r_profile: Callable, t_range=(0.0, 4.0 * np.pi), samples: int = 64,
-              radii=None) -> SamplingSet:
-    """Centers on the curve gamma(t) = r(t) e^(it)."""
-    return make_set("curve", radii=radii, r_profile=r_profile,
-                    t_range=t_range, samples=samples)
+def curve_set(r_profile: Callable, samples: int = 64, radii=None) -> SamplingSet:
+    """Centers on the curve gamma(t) = r(t) e^(it), t in [0, 4 pi]."""
+    return make_set("curve", radii=radii, r_profile=r_profile, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +922,8 @@ def plane_block_offmass(operator: SamplingOperator) -> float:
 
 @dataclass(frozen=True)
 class TypeFunctionSpec:
-    """f(z) = exp(-|z|^2 / 4) P(z) with P a bigraded solid harmonic."""
+    """f(z) = exp(-|z|^2 / 4) P(z) with P a bigraded solid harmonic; a
+    field as the mean tables read one (``dimension``, ``evaluate``)."""
     harmonic: SolidHarmonic
     decay_class: str = GAUSSIAN_QUARTER
 
@@ -921,18 +931,14 @@ class TypeFunctionSpec:
     def dimension(self) -> int:
         return self.harmonic.dimension
 
-    def evaluator(self) -> Callable:
-        h = self.harmonic
-
-        def fn(pts):
-            pts = np.asarray(pts, dtype=complex).reshape(-1, h.dimension)
-            # |z|^2 slot by slot: the sum norm(pts, axis=1) takes, without
-            # its strided reduction over the two-wide last axis
-            sq = (pts.conj() * pts).real
-            rho = np.sqrt(sum(sq.T[1:], sq.T[0]))
-            return np.exp(-rho ** 2 / _TYPE_GAUSSIAN) * h.evaluate(pts)
-
-        return fn
+    def evaluate(self, points) -> np.ndarray:
+        """f at points (P, n) complex: (P,) complex."""
+        pts = np.asarray(points, dtype=complex).reshape(-1, self.dimension)
+        # |z|^2 slot by slot: the sum norm(pts, axis=1) takes, without
+        # its strided reduction over the two-wide last axis
+        sq = (pts.conj() * pts).real
+        rho = np.sqrt(sum(sq.T[1:], sq.T[0]))
+        return np.exp(-rho ** 2 / _TYPE_GAUSSIAN) * self.harmonic.evaluate(pts)
 
     def slot_product(self) -> SlotProduct:
         """f as a ``SlotProduct`` on C^2: the Gaussian is a product over
@@ -959,7 +965,7 @@ class TypeFunctionSpec:
         if rule.dimension != self.dimension:
             raise ValueError("rule dimension does not match the harmonic")
         return SampledField.from_function(
-            self.evaluator(), rule, decay_class=self.decay_class,
+            self.evaluate, rule, decay_class=self.decay_class,
             name=f"type_p{self.harmonic.p}q{self.harmonic.q}")
 
 
@@ -1016,58 +1022,52 @@ def _scan_pool(dimension: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def hecke_bochner_counterexample(spec: TypeFunctionSpec,
-                                 rule: PlaneRule | None = None,
-                                 onset_centers=None, offset_centers=None,
+def hecke_bochner_counterexample(spec: TypeFunctionSpec, rule: PlaneRule | None = None,
                                  n_onset: int = 30, n_offset: int = 10,
-                                 radii=None, tolerance: float = 1e-8,
-                                 sphere_orders=None, circle_points: int | None = None):
-    """Build the type function and scan its twisted means: one
-    ``twisted_mean_table`` over all scan centers and radii, on C^2 of the
-    type function's ``slot_product`` (slot by slot, on the S^3 rules' own
-    nodes), on C of the field.
+                                 radii=None, sphere_orders=None) -> VanishingSetReport:
+    """Scan the type function's twisted means: one ``twisted_mean_table``
+    over all scan centers and radii, on C^2 of the type function's
+    ``slot_product`` (slot by slot, on the S^3 rules' own nodes), on C of
+    the spec itself, read at the circle nodes.
 
-    Returns (field, report).  Default scan centers come from a fixed pool:
-    the ``n_onset`` lexicographically first pool points with |P| ~ 0 and the
-    ``n_offset`` pool points with the largest |P|.  The headline contract:
-    every scanned center on P^(-1)(0) measures max_r |f x mu_r| below
-    ``tolerance`` times the field's peak.
+    Returns the report.  The field's peak is max |f| over the nodes of
+    ``rule`` (default: the polar rule of extent 12, on C with 64 radial
+    nodes and 256 phases, on C^2 with 40 and S^3 orders (10, 20, 20)).
+    The scan centers come from a fixed pool: the ``n_onset``
+    lexicographically first pool points with |P| ~ 0 and the ``n_offset``
+    pool points with the largest |P|.  The headline contract: every
+    scanned center on P^(-1)(0) measures max_r |f x mu_r| below 1e-8 times
+    the field's peak.
     """
     n = spec.dimension
     if rule is None:
         rule = (plane_rule(1, extent=12.0, radial_points=64, angular_points=256)
                 if n == 1 else
                 plane_rule(2, extent=12.0, radial_points=40, sphere3_orders=(10, 20, 20)))
-    f = spec.build_field(rule)
-    peak = float(np.max(np.abs(f.values)))
+    if rule.dimension != n:
+        raise ValueError("rule dimension does not match the harmonic")
+    peak = float(np.max(np.abs(spec.evaluate(rule.nodes))))
     if radii is None:
         radii = np.geomspace(0.3, 3.0, 10)
     radii = np.asarray(radii, dtype=float)
 
-    if onset_centers is None or offset_centers is None:
-        pool = _scan_pool(n)
-        hv = np.abs(spec.harmonic.evaluate(pool))
-        scale = float(hv.max()) or 1.0
-        if onset_centers is None:
-            onset_centers = pool[hv <= 1e-12 * scale][:n_onset]
-        if offset_centers is None:
-            order = np.argsort(-hv, kind="stable")
-            offset_centers = pool[order[:n_offset]]
-    onset_centers = np.asarray(onset_centers, dtype=complex).reshape(-1, n)
-    offset_centers = np.asarray(offset_centers, dtype=complex).reshape(-1, n)
-    centers = np.concatenate([onset_centers, offset_centers], axis=0)
+    pool = _scan_pool(n)
+    hv = np.abs(spec.harmonic.evaluate(pool))
+    scale = float(hv.max()) or 1.0
+    order = np.argsort(-hv, kind="stable")
+    centers = np.concatenate([pool[hv <= 1e-12 * scale][:n_onset], pool[order[:n_offset]]])
 
-    source = spec.slot_product() if n == 2 else f
-    max_means = np.max(np.abs(twisted_mean_table(source, centers, radii, m=circle_points,
+    source = spec.slot_product() if n == 2 else spec
+    max_means = np.max(np.abs(twisted_mean_table(source, centers, radii,
                                                  orders=sphere_orders)), axis=1)
     hmag = np.abs(spec.harmonic.evaluate(centers))
     hscale = float(hmag.max()) or 1.0
-    report = VanishingSetReport(
+    tolerance = 1e-8
+    return VanishingSetReport(
         centers=centers, max_means=max_means, harmonic_magnitude=hmag,
         on_zero_locus=hmag <= 1e-10 * hscale,
         detected_zero=max_means <= tolerance * peak,
         field_peak=peak, tolerance=tolerance, radii=radii)
-    return f, report
 
 
 # ---------------------------------------------------------------------------

@@ -190,11 +190,11 @@ class RadialRule:
     def integrate(self, values) -> complex:
         return complex(compensated_sum(self.weights * np.asarray(values)))
 
-    def moment_errors(self, max_power: int | None = None) -> np.ndarray:
-        """Relative errors on int_0^inf r^m exp(-r^2/2) r^(2n-1) dr."""
-        mp = self.declared_degree if max_power is None else max_power
+    def moment_errors(self) -> np.ndarray:
+        """Relative errors on int_0^inf r^m exp(-r^2/2) r^(2n-1) dr,
+        m = 0 .. declared_degree."""
         errs = []
-        for m in range(mp + 1):
+        for m in range(self.declared_degree + 1):
             a = m + 2 * self.dimension - 1
             exact = 2.0 ** ((a - 1) / 2.0) * math.gamma((a + 1) / 2.0)
             got = float(np.real(self.integrate(self.nodes ** m * np.exp(-0.5 * self.nodes ** 2))))

@@ -138,11 +138,11 @@ def twist_phase(z, w):
     return np.exp(0.5j * TWIST_SIGN * im)
 
 
-def twisted_translate(f: SampledField, eta, tail_tol: float = 1e-9) -> SampledField:
+def twisted_translate(f: SampledField, eta) -> SampledField:
     """Twisted translate of a field, resampled on its own grid.
 
-    Warns (TranslateTailWarning) when the translate moves more than
-    ``tail_tol`` of the field's absolute mass outside the grid.
+    Warns (TranslateTailWarning) when the translate moves more than 1e-9
+    of the field's absolute mass outside the grid.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=complex))
     if eta.shape != (f.dimension,):
@@ -152,7 +152,7 @@ def twisted_translate(f: SampledField, eta, tail_tol: float = 1e-9) -> SampledFi
     mass = np.abs(f.values) * f.rule.weights
     total = float(mass.sum())
     lost = float(mass[shifted > f.rule.extent].sum())
-    if total > 0 and lost > tail_tol * total:
+    if total > 0 and lost > 1e-9 * total:
         warnings.warn(
             f"twisted translate by {eta} pushes {lost / total:.2e} of the "
             f"field's mass off the grid (extent {f.rule.extent})",
@@ -298,19 +298,18 @@ def twisted_mean_table(f: SampledField, centers, radii,
     return out
 
 
-def twisted_spherical_mean(f: SampledField, z, r: float,
-                           m: int | None = None, orders=None) -> complex:
+def twisted_spherical_mean(f: SampledField, z, r: float, m: int | None = None) -> complex:
     """f x mu_r(z) over the normalized sphere of radius r centered at z:
-    the 1 x 1 ``twisted_mean_table``."""
+    the 1 x 1 ``twisted_mean_table`` (the default S^3 rule on C^2)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))[None, :]
-    return complex(twisted_mean_table(f, z, [r], m, orders)[0, 0])
+    return complex(twisted_mean_table(f, z, [r], m)[0, 0])
 
 
 def mean_profile(f: SampledField, z, radii=None,
                  radial_rule: RadialRule | None = None,
-                 m: int | None = None, orders=None, name: str = "") -> MeanProfile:
+                 m: int | None = None, name: str = "") -> MeanProfile:
     """Means of f at one center over a radius grid: one row of
-    ``twisted_mean_table``.
+    ``twisted_mean_table`` (the default S^3 rule on C^2).
 
     Pass ``radial_rule`` (its nodes become the radii) when the profile is
     destined for ``polar_bridge``; an explicit ``radii`` array works for
@@ -321,7 +320,7 @@ def mean_profile(f: SampledField, z, radii=None,
             raise ValueError("need radii or a radial_rule")
         radii = radial_rule.nodes
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    vals = twisted_mean_table(f, z[None, :], radii, m, orders)[0]
+    vals = twisted_mean_table(f, z[None, :], radii, m)[0]
     return MeanProfile(z, radii, vals, radial_rule=radial_rule, name=name)
 
 

@@ -230,7 +230,7 @@ def test_criterion_06_twisted_contrast():
 
 def test_criterion_07_vanishing_set():
     P = solid_harmonic_basis(1, 1, 2)[0]          # z1 * conj(z2)
-    f, rep = hecke_bochner_counterexample(TypeFunctionSpec(P))
+    rep = hecke_bochner_counterexample(TypeFunctionSpec(P))
     assert int(rep.on_zero_locus.sum()) == 30
     assert int((~rep.on_zero_locus).sum()) == 10
     _gate("07 means vanish on P^(-1)(0), survive off it",

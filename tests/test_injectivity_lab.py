@@ -78,6 +78,31 @@ def test_sampling_set_radius_validation():
             SamplingSet("custom", 2, [[0.1, 0.2j]], [bad], {})
 
 
+@pytest.mark.parametrize("weights", [[2.0], [1.0, np.nan, 1.0], [1.0, -5.0, 1.0],
+                                     [1.0, 1.0, 1.0, 1.0]],
+                         ids=["broadcast", "nan", "negative", "too_many"])
+def test_sampling_set_weight_validation(weights):
+    # one finite, positive weight per center, or no set: a weight vector
+    # that broadcasts, or a NaN or negative weight, would reach the
+    # weighted Gram of plane_block_offmass as a number
+    centers = [[0.3 + 0.1j, -0.5 + 0.2j], [-0.8 + 0.4j, 0.6 - 0.3j], [0.2j, 0.9]]
+    with pytest.raises(ValueError, match="center_weights"):
+        SamplingSet("custom", 2, centers, [0.7, 1.9], {}, np.asarray(weights))
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("coxeter_lines", {"n_lines": 2, "points_per_rays": 20}, "points_per_rays"),
+    ("plane_cross_coxeter", {"n_lines": 1, "plane_angualr": 16}, "plane_angualr"),
+    ("sphere", {"radius": 2.0, "order": (3, 4, 4)}, "order"),
+    ("sphere_cross_plane", {"radius": 1.3, "plane_radail": 4}, "plane_radail"),
+    ("curve", {"r_profile": lambda t: 1.0 + 0.1 * t, "sample": 20}, "sample"),
+    ("custom", {"centers": [[0.1 + 0.2j]], "dim": 1}, "dim"),
+])
+def test_make_set_rejects_unread_keys(kind, params, key):
+    with pytest.raises(ValueError, match=f"{kind} sets do not read {key}"):
+        make_set(kind, **params)
+
+
 def test_sphere_and_curve_sets():
     s = make_set("sphere", radius=2.0, n=2, orders=(3, 4, 4))
     s.validate()
@@ -827,10 +852,10 @@ def test_operator_shape_must_match_set_and_basis():
 def test_hecke_bochner_zero_set_detection():
     P = solid_harmonic_basis(1, 1, 2)[0]
     spec = TypeFunctionSpec(P)
-    f, rep = hecke_bochner_counterexample(
+    rep = hecke_bochner_counterexample(
         spec, n_onset=6, n_offset=4, radii=np.geomspace(0.5, 2.0, 4),
         sphere_orders=(8, 16, 16))
-    assert f.dimension == 2
+    assert rep.centers.shape[1] == 2
     assert rep.max_on_set <= 1e-8 * rep.field_peak
     assert rep.min_off_set >= 1e-3 * rep.field_peak
     assert rep.sphere_candidates.size == 0
@@ -866,7 +891,7 @@ def test_scan_reads_slot_points_only(monkeypatch):
     rule = plane_rule(2, extent=8.0, radial_points=8, sphere3_orders=(4, 8, 8),
                       tolerance=float("inf"))
     spec = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0])
-    f, rep = hecke_bochner_counterexample(spec, rule=rule, radii=radii, sphere_orders=orders)
+    rep = hecke_bochner_counterexample(spec, rule=rule, radii=radii, sphere_orders=orders)
     T, M1, M2 = orders
     distinct = [np.unique(rep.centers[:, s]).size for s in range(2)]
     assert distinct == [16, 17] and rep.centers.shape[0] == 40

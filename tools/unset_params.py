@@ -1,0 +1,109 @@
+"""Defaulted parameters of the library that no call sets.
+
+    python3 tools/unset_params.py [REPO]        (default: the current directory)
+
+Every function and method defined at module or class level in
+``REPO/src/tsmlab`` is read, and each of its parameters with a default is
+looked for among the calls in ``src/``, ``tests/`` and ``bench/``.  A call
+is matched by name alone (``f(..)``, ``obj.f(..)``; a class name stands for
+its ``__init__``), so two functions of one name share their callers.  A
+call sets a parameter when it names it as a keyword, when it passes enough
+positional arguments to reach it (a method's first parameter, ``self`` or
+``cls``, is not counted), or when it passes ``*args`` or ``**kwargs``,
+which count as setting every parameter.
+
+The parameters no call sets are printed as ``module.qualname.parameter``.
+Those in ``KEPT`` are printed with the reason they stay; any other makes
+the exit status 1.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+KEPT = {
+    "injectivity_lab.assemble_operator.euclid_points":
+        "read by name and through inspect.signature by the benchmark's span counters",
+    "fields.SampledField.to_csv.header_path": "file paths stay configurable",
+    "fields.SampledField.from_csv.header_path": "file paths stay configurable",
+}
+
+CALLER_DIRS = ("src", "tests", "bench")
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> tuple[list[str], set[str]]:
+    """(positional parameter names after self/cls, defaulted parameter names)."""
+    a = fn.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    defaulted = set(positional[len(positional) - len(a.defaults):])
+    defaulted |= {p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+    return (positional[1:] if is_method else positional), defaulted
+
+
+def definitions(package: Path) -> list[tuple]:
+    """(qualified name, call name, positional names, defaulted names) per
+    function and method of the package."""
+    out = []
+    for path in sorted(package.rglob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                out.append((f"{module}.{node.name}", node.name, *_defaulted(node, False)))
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        call = node.name if fn.name == "__init__" else fn.name
+                        out.append((f"{module}.{node.name}.{fn.name}", call,
+                                    *_defaulted(fn, True)))
+    return out
+
+
+def calls(repo: Path) -> dict[str, list[ast.Call]]:
+    """Every call under the caller directories, keyed by the called name."""
+    out: dict[str, list[ast.Call]] = {}
+    for sub in CALLER_DIRS:
+        for path in sorted((repo / sub).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name is not None:
+                        out.setdefault(name, []).append(node)
+    return out
+
+
+def _sets(call: ast.Call, positional: list[str], name: str) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return name in positional[:len(call.args)]
+
+
+def unset(repo: Path) -> list[str]:
+    """Qualified names of the defaulted parameters that no call sets."""
+    by_name = calls(repo)
+    out = []
+    for qual, call_name, positional, defaulted in definitions(repo / "src" / "tsmlab"):
+        for name in sorted(defaulted):
+            if not any(_sets(c, positional, name) for c in by_name.get(call_name, [])):
+                out.append(f"{qual}.{name}")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    repo = Path(argv[0]) if argv else Path(".")
+    if not (repo / "src" / "tsmlab").is_dir():
+        print(f"no src/tsmlab under {repo}", file=sys.stderr)
+        return 2
+    found = unset(repo)
+    extra = [q for q in found if q not in KEPT]
+    for q in found:
+        print(f"{q}  (kept: {KEPT[q]})" if q in KEPT else q)
+    print(f"{len(found)} unset, {len(found) - len(extra)} kept, {len(extra)} to remove")
+    return 1 if extra else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
