@@ -24,18 +24,16 @@ __version__ = "0.1.0"
 
 from .constants import (TWIST_SIGN, expansion_constant, sphere_surface_area,
                         tsm_product_constant)
-from .errors import (ConfigError, DecayError, FieldDomainError,
-                     GridMismatchError, IllConditionedFitError,
-                     QuadratureError, TranslateTailWarning,
-                     TruncationTailWarning, TsmlabError)
+from .errors import (ConfigError, FieldDomainError, GridMismatchError,
+                     IllConditionedFitError, QuadratureError,
+                     TranslateTailWarning, TruncationTailWarning, TsmlabError)
 from .special_functions import (LaguerreSpec, SolidHarmonic,
                                 SpecialHermiteIndex, laguerre_function,
                                 laguerre_polynomial, solid_harmonic_basis)
 from .quadrature import (PlaneRule, RadialRule, SphereRule, circle_rule,
                          compensated_sum, gauss_legendre, plane_rule,
                          radial_rule, sphere3_rule, sphere_rule)
-from .fields import (GAUSSIAN_QUARTER, SCHWARTZ_LIKE, MeanProfile,
-                     SampledField, SpectrumTruncation)
+from .fields import MeanProfile, SampledField, SpectrumTruncation
 from .twisted_transforms import (mean_profile, polar_bridge,
                                  spectral_projection, spectral_projections,
                                  special_hermite_coefficients,

@@ -347,7 +347,7 @@ def run_expand_qk(cfg: dict, out: Path) -> list[Check]:
     fn = lambda pts: pts[:, 0] ** p * np.exp(-np.abs(pts[:, 0]) ** 2 / w)
     f = SampledField.from_function(fn, rule, name=f"sector_p{p}")
     qvals = spectral_projections(f, [k])[:, 0]
-    qk = SampledField(1, rule, qvals, name=f"Q{k}")
+    qk = SampledField(rule, qvals, name=f"Q{k}")
     exp_fit = fit_projection_expansion(qk, k, q_max=cfg["expand.q_max"])
     write_json(out / "expansion.json", exp_fit.as_dict())
 

@@ -21,10 +21,6 @@ class FieldDomainError(TsmlabError):
         self.points = points
 
 
-class DecayError(TsmlabError):
-    """A field violates the decay hypothesis declared at construction."""
-
-
 class IllConditionedFitError(TsmlabError):
     """A least-squares fit too ill-conditioned to report silently."""
 

@@ -85,7 +85,7 @@ class EuclideanField:
     support_radius: float
     evaluator: Callable | None = None
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rule.dimension != 1:
@@ -257,7 +257,6 @@ class SectorBasisFunction:
     kind: str              # "sin" | "cos"
     order: int
     support_radius: float
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in ("sin", "cos"):
@@ -267,10 +266,10 @@ class SectorBasisFunction:
         if not (math.isfinite(self.support_radius) and self.support_radius > 0):
             raise ValueError(f"support radius must be positive and finite, "
                              f"got {self.support_radius}")
-        if not self.name:
-            object.__setattr__(
-                self, "name",
-                f"{self.kind}{self.order}_R{self.support_radius:g}")
+
+    @property
+    def name(self) -> str:
+        return f"{self.kind}{self.order}_R{self.support_radius:g}"
 
 
 def euclidean_sector_basis(max_order: int,

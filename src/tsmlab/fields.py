@@ -1,7 +1,7 @@
 """Sampled fields on plane rules, their interpolation, and export formats.
 
-A field is a vector of complex samples bound to a ``PlaneRule`` grid plus a
-declared decay class.  Fields built from closed forms keep their evaluator
+A field is a vector of complex samples bound to a ``PlaneRule`` grid; its
+dimension is the rule's.  Fields built from closed forms keep their evaluator
 (closed-form evaluation is exact and cheap and every operator prefers it);
 fields reconstructed from raw samples (CSV import, hand-built arrays) fall
 back to interpolation on the polar grid:
@@ -27,18 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecayError, FieldDomainError, GridMismatchError
+from .errors import FieldDomainError, GridMismatchError
 from .ioutil import fmt, read_csv_columns, write_csv, write_json
 from .quadrature import PlaneRule, RadialRule, plane_rule_from_params
-
-SCHWARTZ_LIKE = "schwartz_like"
-GAUSSIAN_QUARTER = "gaussian_quarter_weighted"
-DECAY_CLASSES = (SCHWARTZ_LIKE, GAUSSIAN_QUARTER)
 
 _CHUNK = {1: 2048, 2: 512}
 
@@ -189,17 +184,13 @@ def interpolate_on_rule(rule: PlaneRule, values: np.ndarray, points: np.ndarray,
 class SampledField:
     """Complex samples of a field on C^n bound to a plane rule."""
 
-    dimension: int
     rule: PlaneRule
     values: np.ndarray
-    decay_class: str = SCHWARTZ_LIKE
     evaluator: object = None     # callable (Q, n) complex -> (Q,) complex, or None
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.decay_class not in DECAY_CLASSES:
-            raise ValueError(f"unknown decay class {self.decay_class!r}")
         self.values = np.asarray(self.values, dtype=complex).ravel()
         if self.values.shape[0] != self.rule.nodes.shape[0]:
             raise GridMismatchError(
@@ -207,14 +198,13 @@ class SampledField:
         if not np.all(np.isfinite(self.values.view(float))):
             raise ValueError("field values must be finite")
 
+    @property
+    def dimension(self) -> int:
+        return self.rule.dimension
+
     @classmethod
-    def from_function(cls, fn, rule: PlaneRule, decay_class: str = SCHWARTZ_LIKE,
-                      name: str = "") -> "SampledField":
-        vals = np.asarray(fn(rule.nodes), dtype=complex)
-        f = cls(rule.dimension, rule, vals, decay_class, evaluator=fn, name=name)
-        if decay_class == GAUSSIAN_QUARTER:
-            f.check_decay()
-        return f
+    def from_function(cls, fn, rule: PlaneRule, name: str = "") -> "SampledField":
+        return cls(rule, np.asarray(fn(rule.nodes), dtype=complex), evaluator=fn, name=name)
 
     def evaluate(self, points, out_of_domain: str = "raise") -> np.ndarray:
         """Field values at points of shape (..., n) complex.
@@ -236,26 +226,6 @@ class SampledField:
 
     # -- diagnostics -------------------------------------------------------
 
-    def check_decay(self) -> float:
-        """Measured decay bound for the declared class.
-
-        gaussian_quarter_weighted: sup of |f| e^(|z|^2/4) over the grid
-        (must be finite; raises DecayError otherwise).
-        schwartz_like: largest |f| on the outer tenth of the grid radius.
-        """
-        absv = np.abs(self.values)
-        rad = np.linalg.norm(self.rule.nodes, axis=1)
-        if self.decay_class == GAUSSIAN_QUARTER:
-            with np.errstate(over="ignore"):
-                bound = float(np.max(absv * np.exp(0.25 * rad ** 2)))
-            if not math.isfinite(bound):
-                raise DecayError(
-                    "field declared gaussian_quarter_weighted but "
-                    "|f| exp(|z|^2/4) overflows on the grid")
-            return bound
-        tail = absv[rad >= 0.9 * self.rule.extent]
-        return float(tail.max()) if tail.size else 0.0
-
     def grid_norm(self) -> float:
         """Plain l2 norm of the sample vector."""
         return _norm(self.values)
@@ -268,8 +238,7 @@ class SampledField:
 
     def scaled(self, a: complex) -> "SampledField":
         ev = None if self.evaluator is None else (lambda p, _e=self.evaluator: a * np.asarray(_e(p)))
-        return SampledField(self.dimension, self.rule, a * self.values,
-                            self.decay_class, ev, self.name)
+        return SampledField(self.rule, a * self.values, ev, self.name)
 
     def __add__(self, other: "SampledField") -> "SampledField":
         if not self.rule.compatible(other.rule):
@@ -278,8 +247,7 @@ class SampledField:
         if self.evaluator is not None and other.evaluator is not None:
             e1, e2 = self.evaluator, other.evaluator
             ev = lambda p: np.asarray(e1(p)) + np.asarray(e2(p))
-        return SampledField(self.dimension, self.rule, self.values + other.values,
-                            self.decay_class, ev, self.name)
+        return SampledField(self.rule, self.values + other.values, ev, self.name)
 
     # -- serialization -----------------------------------------------------
 
@@ -297,7 +265,6 @@ class SampledField:
         write_json(header_path, {
             "schema": "tsmlab.sampled_field.v1",
             "dimension": self.dimension,
-            "decay_class": self.decay_class,
             "name": self.name,
             "points": int(self.values.shape[0]),
             "rule": self.rule.params,
@@ -305,6 +272,8 @@ class SampledField:
 
     @classmethod
     def from_csv(cls, csv_path, header_path=None) -> "SampledField":
+        """Read ``to_csv`` output; header keys it does not use (such as the
+        decay class of older files) are ignored."""
         header_path = header_path or str(csv_path) + ".json"
         with open(header_path, encoding="utf-8") as fh:
             head = json.load(fh)
@@ -315,8 +284,7 @@ class SampledField:
         vals = np.asarray(data["re_f"]) + 1j * np.asarray(data["im_f"])
         if vals.shape[0] != head["points"]:
             raise ValueError("CSV row count disagrees with header")
-        return cls(head["dimension"], rule, vals, head["decay_class"],
-                   evaluator=None, name=head.get("name", ""))
+        return cls(rule, vals, name=head.get("name", ""))
 
 
 @dataclass

@@ -20,7 +20,8 @@ paper's sets are symmetric -- Sigma_N under rotation by pi/N, circles and
 spheres under their rules' phase steps, the C^2 sets slot by slot -- and
 a rotation of slot s multiplies phi_(a,b) by e^(i (a - b) t) there, so on
 a set whose centers map onto themselves under z_s -> e^(2 pi i / q_s) z_s
-(``SamplingSet.rotation_orders``) columns whose frequencies differ mod q_s
+(``SamplingSet.rotation_orders``, found on the centers whatever the kind,
+so custom and translated sets split too) columns whose frequencies differ mod q_s
 are orthogonal and M splits into independent blocks, one per rotation
 class -- a residue class per slot -- each decomposed on its own.
 Euclidean rows are circle averages, decomposed as they are; every sector
@@ -56,7 +57,7 @@ from .constants import tsm_product_constant
 from .errors import IllConditionedFitError
 from .euclidean_means import (CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction,
                               bump_profile, euclidean_mean_table)
-from .fields import GAUSSIAN_QUARTER, SampledField
+from .fields import SampledField
 from .ioutil import fmt, write_csv, write_json
 from .quadrature import PlaneRule, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
@@ -71,8 +72,7 @@ INJECTIVITY_CAVEAT = (
     "exhibiting a concrete near-null field with vanishing means on the set.")
 
 DEFAULT_RADII = tuple(np.geomspace(0.2, 6.0, 24))
-# type functions carry the Gaussian exp(-|z|^2 / _TYPE_GAUSSIAN) of their
-# decay class, GAUSSIAN_QUARTER
+# type functions carry the Gaussian exp(-|z|^2 / _TYPE_GAUSSIAN)
 _TYPE_GAUSSIAN = 4.0
 
 __all__ = [
@@ -173,30 +173,30 @@ class SamplingSet:
 
     @functools.cached_property
     def rotation_orders(self) -> tuple[int, ...]:
-        """q_s per slot: the centers map onto themselves under the rotation
-        z_s -> e^(2 pi i / q_s) z_s of slot s alone.
+        """q_s per slot: the largest q for which the centers map onto
+        themselves under the rotation z_s -> e^(2 pi i / q) z_s of slot s
+        alone, found on the centers.
 
-        Declared by kind and params -- coxeter_lines 2 n_lines; sphere m on
-        C, the two S^3 phase counts on C^2; plane_cross_coxeter
-        (plane_angular, 4 n_lines); sphere_cross_plane (m, plane_angular);
-        curve, custom and any translated set 1 -- then confirmed on the
-        centers: a slot whose rotated centers do not each lie within
-        1e-12 * max(1, max |center|) of a center (max over the slots)
-        reports 1.  A twisted operator on the set splits its columns by
-        these orders (see ``SamplingOperator``), so a wrongly declared
-        order would give wrong singular values."""
-        p, n = self.params, self.dimension
-        declared = {
-            "coxeter_lines": (2 * p.get("n_lines", 0),),
-            "sphere": (p.get("m", 1),) if n == 1 else tuple(p.get("orders", (1, 1, 1))[1:]),
-            "plane_cross_coxeter": (p.get("plane_angular", 1), 4 * p.get("n_lines", 0)),
-            "sphere_cross_plane": (p.get("m", 1), p.get("plane_angular", 1)),
-        }.get(self.kind, ())
-        if len(declared) != n or np.any(np.asarray(p.get("translation", 0)) != 0):
-            return (1,) * n
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.centers), initial=0.0)))
-        return tuple(int(q) if q > 1 and _maps_onto_itself(self.centers, s, int(q), tol) else 1
-                     for s, q in enumerate(declared))
+        Take a center with the largest |z_s|: the n centers that share its
+        |z_s| and its other slots lie on one circle that every such rotation
+        maps onto itself, so q_s divides n, and q_s is the largest divisor
+        of n whose rotation ``_maps_onto_itself`` accepts, to 1e-12 * max(1,
+        max |center|) (max over the slots).  A slot whose centers all sit at
+        its origin, and every slot of a set without centers, reports 1.  A
+        twisted operator on the set splits its columns by these orders (see
+        ``SamplingOperator``)."""
+        c = self.centers
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(c), initial=0.0)))
+        orders = []
+        for s in range(self.dimension):
+            mod, n = np.abs(c[:, s]), 0
+            if mod.size and mod.max() > tol:
+                others = np.delete(c - c[np.argmax(mod)], s, axis=1)
+                n = int(np.sum((mod >= mod.max() - tol)
+                               & (np.max(np.abs(others), axis=1, initial=0.0) <= tol)))
+            orders.append(next((q for q in range(n, 1, -1)
+                                if n % q == 0 and _maps_onto_itself(c, s, q, tol)), 1))
+        return tuple(orders)
 
     def validate(self) -> None:
         """Check the membership invariant: centers lie on the declared set,
@@ -270,7 +270,7 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
                            plane_angular=8                             (C^2,
                            Sigma_(2 n_lines) in the second slot, first slot
                            on an integration rule whose weights ride along)
-      sphere               radius, n=1, m=24, orders=(4, 8, 8)
+      sphere               radius, n=1, m=24 (C) or orders=(4, 8, 8) (C^2)
       sphere_cross_plane   radius, m=12, plane_extent=4.0, plane_radial=6,
                            plane_angular=8                             (C^2)
       curve                r_profile, samples=64 (t in [0, 4 pi])      (C)
@@ -321,9 +321,14 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         radius = float(take("radius"))
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
-        m, orders = int(take("m", 24)), tuple(take("orders", (4, 8, 8)))
-        centers = sphere_rule(n, radius, m=m, orders=orders).nodes
-        stored.update(radius=radius, n=n, m=m, orders=orders)
+        if n == 1:
+            m = int(take("m", 24))
+            centers = sphere_rule(1, radius, m=m).nodes
+            stored.update(radius=radius, n=n, m=m)
+        else:
+            orders = tuple(take("orders", (4, 8, 8)))
+            centers = sphere_rule(n, radius, orders=orders).nodes
+            stored.update(radius=radius, n=n, orders=orders)
     elif kind == "sphere_cross_plane":
         radius = float(take("radius"))
         if radius <= 0:
@@ -804,7 +809,7 @@ class InjectivityReport:
     sigma_curve: dict
     singular_values: np.ndarray
     near_null: list
-    caveat: str = INJECTIVITY_CAVEAT
+    caveat = INJECTIVITY_CAVEAT
 
     @property
     def sigma_min(self) -> float:
@@ -925,7 +930,6 @@ class TypeFunctionSpec:
     """f(z) = exp(-|z|^2 / 4) P(z) with P a bigraded solid harmonic; a
     field as the mean tables read one (``dimension``, ``evaluate``)."""
     harmonic: SolidHarmonic
-    decay_class: str = GAUSSIAN_QUARTER
 
     @property
     def dimension(self) -> int:
@@ -961,13 +965,6 @@ class TypeFunctionSpec:
         coupling = np.diag([complex(h.coefficients[mono]) for mono in monomials])
         return SlotProduct((factor(0), factor(1)), coupling)
 
-    def build_field(self, rule: PlaneRule) -> SampledField:
-        if rule.dimension != self.dimension:
-            raise ValueError("rule dimension does not match the harmonic")
-        return SampledField.from_function(
-            self.evaluate, rule, decay_class=self.decay_class,
-            name=f"type_p{self.harmonic.p}q{self.harmonic.q}")
-
 
 @dataclass(frozen=True)
 class VanishingSetReport:
@@ -976,10 +973,10 @@ class VanishingSetReport:
     max_means: np.ndarray
     harmonic_magnitude: np.ndarray
     on_zero_locus: np.ndarray        # |P(center)| ~ 0
-    detected_zero: np.ndarray        # measured means below tolerance
+    detected_zero: np.ndarray        # measured means below tolerance * field_peak
     field_peak: float
-    tolerance: float
     radii: np.ndarray
+    tolerance = 1e-8
 
     @property
     def max_on_set(self) -> float:
@@ -1062,12 +1059,11 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec, rule: PlaneRule | None 
                                                  orders=sphere_orders)), axis=1)
     hmag = np.abs(spec.harmonic.evaluate(centers))
     hscale = float(hmag.max()) or 1.0
-    tolerance = 1e-8
     return VanishingSetReport(
         centers=centers, max_means=max_means, harmonic_magnitude=hmag,
         on_zero_locus=hmag <= 1e-10 * hscale,
-        detected_zero=max_means <= tolerance * peak,
-        field_peak=peak, tolerance=tolerance, radii=radii)
+        detected_zero=max_means <= VanishingSetReport.tolerance * peak,
+        field_peak=peak, radii=radii)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ class RadialRule:
     extent: float
     nodes: np.ndarray      # (m,) ascending, in (0, extent)
     weights: np.ndarray    # (m,) gl weight * r^(2n-1)
-    declared_degree: int   # polynomial-times-Gaussian degree the self-test covers
+    declared_degree = 12   # polynomial-times-Gaussian degree the self-test covers
 
     def integrate(self, values) -> complex:
         return complex(compensated_sum(self.weights * np.asarray(values)))
@@ -207,7 +207,7 @@ def radial_rule(dimension: int, extent: float = 12.0, points: int = 64) -> Radia
         raise ValueError("radial rule needs extent > 0 and points >= 2")
     r, w = gauss_legendre(points, 0.0, extent)
     jac = r ** (2 * dimension - 1)
-    return RadialRule(dimension, extent, r, w * jac, declared_degree=12)
+    return RadialRule(dimension, extent, r, w * jac)
 
 
 @dataclass
@@ -229,8 +229,8 @@ class PlaneRule:
     angular_counts: tuple            # (m,) or (m1, m2)
     params: dict
     tolerance: float
-    moment_error: float = 0.0
-    _bary: dict = field(default_factory=dict, repr=False)
+    moment_error: float = field(default=0.0, init=False)   # measured by plane_rule
+    _bary: dict = field(default_factory=dict, init=False, repr=False)
 
     def integrate(self, values) -> complex:
         return complex(compensated_sum(self.weights * np.asarray(values)))

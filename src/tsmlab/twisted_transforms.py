@@ -163,8 +163,7 @@ def twisted_translate(f: SampledField, eta) -> SampledField:
     if f.evaluator is not None:
         ev = lambda pts, _b=f.evaluator: (np.asarray(_b(np.asarray(pts, dtype=complex) - eta))
                                           * twist_phase(eta, pts))
-    return SampledField(f.dimension, f.rule, vals, f.decay_class, ev,
-                        name=f.name and f"{f.name}|translated")
+    return SampledField(f.rule, vals, ev, name=f.name and f"{f.name}|translated")
 
 
 # points per f.evaluate call in a mean table: one interpolate_on_rule chunk
@@ -353,7 +352,7 @@ def twisted_convolution(f: SampledField, g: SampledField) -> SampledField:
     """f x g resampled on the shared grid, with a lazy exact evaluator."""
     vals = convolution_values(f, g, f.rule.nodes)
     ev = lambda pts: convolution_values(f, g, pts)
-    return SampledField(f.dimension, f.rule, vals, f.decay_class, ev,
+    return SampledField(f.rule, vals, ev,
                         name=f"({f.name})x({g.name})" if f.name or g.name else "")
 
 
@@ -369,8 +368,7 @@ def spectral_projection(f: SampledField, k: int) -> SampledField:
     off-grid reads."""
     vals = spectral_projections(f, [k])[:, 0]
     ev = lambda pts: projection_values(f, k, pts)
-    return SampledField(f.dimension, f.rule, vals, f.decay_class, ev,
-                        name=f"({f.name})x(phi_{k})")
+    return SampledField(f.rule, vals, ev, name=f"({f.name})x(phi_{k})")
 
 
 def _twisted_kernels(t: np.ndarray, weight: np.ndarray, degrees: list):
@@ -667,7 +665,7 @@ def special_hermite_truncation(f: SampledField, max_degree: int) -> SpectrumTrun
         vals = _table_projections(rho, sums, f.rule.shape[1], degrees)
     else:
         coeffs, vals = None, spectral_projections(f, degrees)
-    projections = [SampledField(f.dimension, f.rule, vals[:, k], f.decay_class,
+    projections = [SampledField(f.rule, vals[:, k],
                                 lambda pts, _k=k: projection_values(f, _k, pts),
                                 name=f"Q{k}") for k in degrees]
     return SpectrumTruncation(f.dimension, K, projections, coeffs)
@@ -758,6 +756,6 @@ def tensor_decompose_projection(f: SampledField, k: int) -> list[SampledField]:
 
     pairs = [(b1, k - b1) for b1 in range(k + 1)]
     vals = piece_values(lattice.nodes, pairs)
-    return [SampledField(2, lattice, vals[:, b1], f.decay_class,
+    return [SampledField(lattice, vals[:, b1],
                          lambda pts, _p=p: piece_values(pts, [_p])[:, 0],
                          name=f"piece_b1={p[0]}_b2={p[1]}") for b1, p in enumerate(pairs)]

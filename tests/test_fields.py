@@ -1,5 +1,6 @@
-"""Sampled fields: evaluation, interpolation, serialization, decay checks."""
+"""Sampled fields: evaluation, interpolation, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ def test_interpolation_accuracy_off_grid(rule_c1):
     Fourier-angular interpolation; smooth fields come back ~machine.  The
     read spans two full chunks and a partial one."""
     fn = lambda p: (p[:, 0] ** 2 * np.exp(-np.abs(p[:, 0]) ** 2 / 2.0))
-    f = SampledField(1, rule_c1, fn(rule_c1.nodes))
+    f = SampledField(rule_c1, fn(rule_c1.nodes))
     assert f.evaluator is None
     rng = np.random.default_rng(9)
     count = 5000
@@ -47,14 +48,14 @@ def test_interpolation_accuracy_off_grid(rule_c1):
 def test_interpolation_on_c2_rule():
     rule = plane_rule(2, extent=6.0, radial_points=24, sphere3_orders=(8, 16, 16))
     fn = lambda p: np.exp(-np.sum(np.abs(p) ** 2, axis=1) / 3.0).astype(complex)
-    f = SampledField(2, rule, fn(rule.nodes))
+    f = SampledField(rule, fn(rule.nodes))
     rng = np.random.default_rng(4)
     pts = rng.normal(scale=0.9, size=(15, 2)) + 1j * rng.normal(scale=0.9, size=(15, 2))
     assert np.max(np.abs(f.evaluate(pts) - fn(pts))) < 1e-6
 
 
 def test_out_of_domain_modes(rule_c1, gauss_field):
-    f = SampledField(1, rule_c1, GAUSS3(rule_c1.nodes))
+    f = SampledField(rule_c1, GAUSS3(rule_c1.nodes))
     outside = np.array([[15.0 + 0.0j]])
     with pytest.raises(FieldDomainError, match="outside"):
         f.evaluate(outside)
@@ -147,7 +148,7 @@ def test_interpolation_across_chunks_c2():
     rule = plane_rule(2, extent=8.0, radial_points=32, sphere3_orders=(12, 24, 24))
     c = np.array([0.25 - 0.1j, -0.2 + 0.3j])
     fn = lambda p: np.exp(-np.sum(np.abs(p - c) ** 2, axis=1) / 3.0).astype(complex)
-    f = SampledField(2, rule, fn(rule.nodes))
+    f = SampledField(rule, fn(rule.nodes))
     rng = np.random.default_rng(4)
     count = 1100
     assert count > 2 * _CHUNK[2]
@@ -157,7 +158,7 @@ def test_interpolation_across_chunks_c2():
 
 def test_values_node_count_mismatch(rule_c1):
     with pytest.raises(GridMismatchError):
-        SampledField(1, rule_c1, np.ones(7))
+        SampledField(rule_c1, np.ones(7))
 
 
 def test_csv_round_trip(tmp_path, rule_c1_small):
@@ -179,18 +180,30 @@ def test_norms_against_closed_form(gauss_field):
         float(np.linalg.norm(gauss_field.values)))
 
 
-def test_decay_bounds(rule_c1):
-    f = SampledField.from_function(GAUSS3, rule_c1,
-                                   decay_class="gaussian_quarter_weighted")
-    # |f| e^(|z|^2/4) = e^(-|z|^2/12) peaks at the origin; the grid sup sits
-    # at the innermost radial node, slightly inside
-    assert f.check_decay() == pytest.approx(1.0, abs=1e-5)
-    g = SampledField.from_function(GAUSS3, rule_c1)    # schwartz_like default
-    assert g.check_decay() < 1e-15                      # outer-tenth tail
+def test_dimension_follows_the_rule(rule_c1_small):
+    f = SampledField.from_function(GAUSS3, rule_c1_small)
+    assert f.dimension == rule_c1_small.dimension == 1
+    rule2 = plane_rule(2, extent=6.0, radial_points=12, sphere3_orders=(4, 8, 8),
+                       tolerance=float("inf"))
+    g = SampledField(rule2, np.ones(rule2.nodes.shape[0]))
+    assert g.dimension == 2
+    with pytest.raises(AttributeError):
+        g.dimension = 1
 
-    with pytest.raises(ValueError):
-        SampledField(1, rule_c1, np.ones(rule_c1.nodes.shape[0]),
-                     decay_class="compact")
+
+def test_csv_header_with_decay_class_loads(tmp_path, rule_c1_small):
+    # headers written before fields dropped their decay class carry the key
+    f = SampledField.from_function(GAUSS3, rule_c1_small, name="old")
+    p = tmp_path / "field.csv"
+    f.to_csv(p)
+    head_path = tmp_path / "field.csv.json"
+    head = json.loads(head_path.read_text())
+    assert "decay_class" not in head
+    head["decay_class"] = "gaussian_quarter_weighted"
+    head_path.write_text(json.dumps(head))
+    g = SampledField.from_csv(p)
+    assert g.name == "old" and g.dimension == 1
+    assert np.max(np.abs(g.values - f.values)) < 1e-15
 
 
 def test_linear_structure(rule_c1, gauss_field):
@@ -211,4 +224,4 @@ def test_nonfinite_values_rejected(rule_c1_small):
     vals = np.ones(rule_c1_small.nodes.shape[0], dtype=complex)
     vals[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        SampledField(1, rule_c1_small, vals)
+        SampledField(rule_c1_small, vals)

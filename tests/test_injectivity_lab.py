@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -97,6 +98,9 @@ def test_sampling_set_weight_validation(weights):
     ("sphere_cross_plane", {"radius": 1.3, "plane_radail": 4}, "plane_radail"),
     ("curve", {"r_profile": lambda t: 1.0 + 0.1 * t, "sample": 20}, "sample"),
     ("custom", {"centers": [[0.1 + 0.2j]], "dim": 1}, "dim"),
+    # a sphere reads only the size key of its own dimension
+    ("sphere", {"radius": 2.0, "n": 2, "m": 5}, "m"),
+    ("sphere", {"radius": 2.0, "n": 1, "orders": (2, 3, 3)}, "orders"),
 ])
 def test_make_set_rejects_unread_keys(kind, params, key):
     with pytest.raises(ValueError, match=f"{kind} sets do not read {key}"):
@@ -196,7 +200,7 @@ def test_operator_entries_match_direct_means():
         e = np.zeros(basis.ncols)
         e[col] = 1.0
         fn = lambda p, _e=e: basis.matrix(p) @ _e
-        f = SampledField(1, carrier, fn(carrier.nodes[:, 0]), evaluator=
+        f = SampledField(carrier, fn(carrier.nodes[:, 0]), evaluator=
                          lambda p, _fn=fn: _fn(np.asarray(p)[:, 0]))
         ref = twisted_spherical_mean(f, sset.centers[j], sset.radii[i], m=128)
         assert abs(op.matrix[row, col] - ref) < 1e-12
@@ -434,7 +438,7 @@ def test_twisted_roundtrip_equals_per_pair_means(n):
     refs = []
     for v in vs:
         fn = lambda p, _e=v / np.linalg.norm(v): op.basis.matrix(p) @ _e
-        f = SampledField(n, carrier, fn(carrier.nodes), evaluator=fn)
+        f = SampledField(carrier, fn(carrier.nodes), evaluator=fn)
         refs.append(max(abs(per_pair_twisted_mean(f, z, r))
                         for z in sset.centers for r in sset.radii))
     assert abs(near_null_roundtrip(op, vs[0]) - refs[0]) <= 1e-15 * refs[0]
@@ -679,12 +683,12 @@ def test_cross_class_gram_entries_vanish(case):
 
 def test_sets_without_rotation_symmetry_report_order_one(monkeypatch):
     assert _coxeter(2, translation=[0.3]).rotation_orders == (1,)
-    assert make_set("sphere", radius=1.5, n=2, translation=[0.0, 0.1j]).rotation_orders == (1, 1)
-    assert make_set("plane_cross_coxeter", n_lines=1, extent=2.0, points_per_ray=2,
-                    plane_radial=3, translation=[0.2, 0.0]).rotation_orders == (1, 1)
+    # translated in one slot: the other slot keeps its order
+    assert FOUND_ORDER_SETS["sphere_c2_translated"][0]().rotation_orders == (8, 1)
+    assert FOUND_ORDER_SETS["plane_cross_coxeter_translated"][0]().rotation_orders == (1, 4)
     assert FACTORED_CASES["curve"][0]().rotation_orders == (1,)
     assert FACTORED_CASES["custom"][0]().rotation_orders == (1, 1)
-    # on the lines of Sigma_2 but not symmetric: declared 4, found 1, and
+    # on the lines of Sigma_2 but not symmetric: order 1, and
     # the operator is decomposed in one block
     lopsided = SamplingSet("coxeter_lines", 1, [[0.0], [0.5], [1.2], [-0.7j], [2.0j]],
                            np.geomspace(0.3, 4.0, 6), {"n_lines": 2})
@@ -696,6 +700,44 @@ def test_sets_without_rotation_symmetry_report_order_one(monkeypatch):
     calls.clear()
     assert np.max(np.abs(op.singular_values - dense)) <= 1e-13 * dense[0]
     assert [shape[1] for shape, _ in calls] == [16]
+
+
+FOUND_ORDER_SETS = {
+    "sphere_c2_translated": (lambda: make_set("sphere", radius=1.5, n=2,
+                                              translation=[0.0, 0.1j],
+                                              radii=np.geomspace(0.3, 4.0, 6)), (8, 1)),
+    "plane_cross_coxeter_translated": (lambda: make_set(
+        "plane_cross_coxeter", n_lines=1, extent=2.0, points_per_ray=2, plane_radial=3,
+        translation=[0.2, 0.0], radii=np.geomspace(0.4, 3.0, 5)), (1, 4)),
+    "custom_sigma2": (lambda: make_set("custom", centers=make_set(
+        "coxeter_lines", n_lines=2, points_per_ray=4, extent=4.0).centers,
+        radii=np.geomspace(0.2, 6.0, 8)), (4,)),
+    "custom_empty": (lambda: SamplingSet("custom", 1, np.zeros((0, 1)),
+                                         np.geomspace(0.3, 4.0, 6), {}), (1,)),
+    "custom_empty_c2": (lambda: SamplingSet("custom", 2, np.zeros((0, 2)),
+                                            np.geomspace(0.3, 4.0, 6), {}), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", list(FOUND_ORDER_SETS))
+def test_found_rotation_orders_split_the_svd(case, monkeypatch):
+    # the orders come from the centers, whatever the kind or motion
+    # declares; each class is decomposed once and the union of their
+    # singular values is the dense SVD's
+    build, orders = FOUND_ORDER_SETS[case]
+    sset = build()
+    assert sset.rotation_orders == orders
+    basis = ProductHermiteBasis((4,) if sset.dimension == 1 else (2, 2))
+    op = assemble_operator(sset, basis=basis)
+    calls = _record_svd_calls(monkeypatch)
+    s = op.singular_values
+    # slot s has frequencies -d_s..d_s: min(q_s, 2 d_s + 1) residues
+    assert len(calls) == math.prod(min(q, 2 * d + 1)
+                                   for d, q in zip(basis.slot_degrees, orders))
+    dense = np.linalg.svd(op.matrix, compute_uv=False)
+    assert s.shape == dense.shape
+    if dense.size:
+        assert np.max(np.abs(s - dense)) <= 1e-13 * dense[0]
 
 
 def test_cli_default_probe_decomposes_rotation_blocks(tmp_path, monkeypatch):
@@ -919,7 +961,7 @@ def test_type_function_spec_guards():
     spec = TypeFunctionSpec(P)
     rule1 = plane_rule(1, extent=6.0, radial_points=16, angular_points=32)
     with pytest.raises(ValueError, match="dimension"):
-        spec.build_field(rule1)
+        hecke_bochner_counterexample(spec, rule=rule1)
     with pytest.raises(ValueError, match="C\\^2"):
         TypeFunctionSpec(solid_harmonic_basis(1, 0, 1)[0]).slot_product()
 

@@ -122,7 +122,8 @@ def test_mean_table_matches_per_pair_oracle_on_c2():
     # criterion 7's type function, z1 conj(z2) exp(-|z|^2/4)
     rule = plane_rule(2, extent=8.0, radial_points=12, sphere3_orders=(4, 8, 8),
                       tolerance=float("inf"))
-    f = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0]).build_field(rule)
+    f = SampledField.from_function(
+        TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0]).evaluate, rule)
     centers = np.array([[0.6 + 0.0j, 0.0j], [0.5 - 0.2j, 0.3 + 0.4j],
                         [-1.1j, 1.6 + 0.0j]])
     radii = np.array([0.3, 1.1, 3.0])
@@ -163,7 +164,7 @@ def test_slot_product_means_match_generic_table_and_per_pair_oracle(which):
     rule = plane_rule(2, extent=8.0, radial_points=12, sphere3_orders=(4, 8, 8),
                       tolerance=float("inf"))
     spec = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[which])
-    f = spec.build_field(rule)
+    f = SampledField.from_function(spec.evaluate, rule)
     product = spec.slot_product()
     peak = np.max(np.abs(f.values))
     assert np.max(np.abs(product.evaluate(rule.nodes) - f.values)) <= 1e-15 * peak
@@ -215,7 +216,8 @@ def test_vector_table_equals_scalar_tables(case, gauss_field, rule_c1_small, tmp
     if case == "c2":
         rule = plane_rule(2, extent=8.0, radial_points=12, sphere3_orders=(4, 8, 8),
                           tolerance=float("inf"))
-        fields = [TypeFunctionSpec(h).build_field(rule) for h in solid_harmonic_basis(1, 1, 2)]
+        fields = [SampledField.from_function(TypeFunctionSpec(h).evaluate, rule)
+                  for h in solid_harmonic_basis(1, 1, 2)]
         centers = np.array([[0.6 + 0.0j, 0.0j], [0.5 - 0.2j, 0.3 + 0.4j]])
         radii = np.array([0.0, 0.3, 1.1, 3.0])
     else:
@@ -579,7 +581,7 @@ def test_eigenvalue_transport_through_projection(rule_c1_small):
         rule_c1_small)
     pts = np.array([[0.4 + 0.1j], [1.0 - 0.6j]])
     q1 = spectral_projections(f, [1], targets=None)          # on the grid
-    qf = SampledField(1, rule_c1_small, q1[:, 0],
+    qf = SampledField(rule_c1_small, q1[:, 0],
                       evaluator=lambda p: projection_values(f, 1, p))
     again = projection_values(qf, 1, pts)
     once = projection_values(f, 1, pts)
@@ -761,7 +763,7 @@ def test_on_grid_c2_projections_match_one_node_at_a_time():
                       tolerance=float("inf"))
     fn = lambda p: np.exp(-(np.abs(p[:, 0] - (0.4 - 0.3j)) ** 2 / 3.0
                             + 1.3 * np.abs(p[:, 1] + 0.2j) ** 2 / 4.0)) * (1.0 + p[:, 0] * p[:, 1])
-    f = SampledField(2, rule, fn(rule.nodes))
+    f = SampledField(rule, fn(rule.nodes))
     degrees = [0, 1, 3]
     got = spectral_projections(f, degrees)
     ref = np.concatenate([spectral_projections(f, degrees, z[None]) for z in rule.nodes])

@@ -4,13 +4,16 @@
 
 Every function and method defined at module or class level in
 ``REPO/src/tsmlab`` is read, and each of its parameters with a default is
-looked for among the calls in ``src/``, ``tests/`` and ``bench/``.  A call
-is matched by name alone (``f(..)``, ``obj.f(..)``; a class name stands for
-its ``__init__``), so two functions of one name share their callers.  A
-call sets a parameter when it names it as a keyword, when it passes enough
-positional arguments to reach it (a method's first parameter, ``self`` or
-``cls``, is not counted), or when it passes ``*args`` or ``**kwargs``,
-which count as setting every parameter.
+looked for among the calls in ``src/``, ``tests/`` and ``bench/``.  A class
+decorated with ``dataclass`` counts as the ``__init__`` it generates: its
+annotated fields, in order, are the parameters, those with a default (or
+``default_factory``) the defaulted ones, and a ``field(init=False)`` is
+none.  A call is matched by name alone (``f(..)``, ``obj.f(..)``; a class
+name stands for its ``__init__``), so two functions of one name share their
+callers.  A call sets a parameter when it names it as a keyword, when it
+passes enough positional arguments to reach it (a method's first
+parameter, ``self`` or ``cls``, is not counted), or when it passes
+``*args`` or ``**kwargs``, which count as setting every parameter.
 
 The parameters no call sets are printed as ``module.qualname.parameter``.
 Those in ``KEPT`` are printed with the reason they stay; any other makes
@@ -42,6 +45,33 @@ def _defaulted(fn: ast.FunctionDef, is_method: bool) -> tuple[list[str], set[str
     return (positional[1:] if is_method else positional), defaulted
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(node: ast.ClassDef) -> tuple[list[str], set[str]]:
+    """(``__init__`` parameter names, defaulted names) of a dataclass."""
+    positional, defaulted = [], set()
+    for st in node.body:
+        if not (isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)):
+            continue
+        has_default = st.value is not None
+        if (isinstance(st.value, ast.Call)
+                and getattr(st.value.func, "id", getattr(st.value.func, "attr", None)) == "field"):
+            kw = {k.arg: k.value for k in st.value.keywords}
+            if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+                continue
+            has_default = "default" in kw or "default_factory" in kw
+        positional.append(st.target.id)
+        if has_default:
+            defaulted.add(st.target.id)
+    return positional, defaulted
+
+
 def definitions(package: Path) -> list[tuple]:
     """(qualified name, call name, positional names, defaulted names) per
     function and method of the package."""
@@ -52,6 +82,9 @@ def definitions(package: Path) -> list[tuple]:
             if isinstance(node, ast.FunctionDef):
                 out.append((f"{module}.{node.name}", node.name, *_defaulted(node, False)))
             elif isinstance(node, ast.ClassDef):
+                if _is_dataclass(node):
+                    out.append((f"{module}.{node.name}.__init__", node.name,
+                                *_dataclass_fields(node)))
                 for fn in node.body:
                     if isinstance(fn, ast.FunctionDef):
                         call = node.name if fn.name == "__init__" else fn.name
