@@ -11,12 +11,18 @@ back to interpolation on the polar grid:
 * barycentric polynomial interpolation through the Gauss-Legendre radial
   (and, for n = 2, inclination) nodes.
 
-The angular DFT of the samples is taken once per field and cached.  A read
-then runs, per chunk of points, one real GEMM over the radial nodes, on C^2
-one batched matmul over the inclination nodes, and each phase angle's sum
-from two small tables of running products of three exponentials (see
-``interpolate_on_rule``).  On the default C rule (64 x 256) a point costs 3
-exponentials and about 70 kflop, nearly all of it in the GEMM.
+The angular DFT of the samples is taken once per field and cached, cut on
+each phase axis to the band of frequencies [-F, F] whose columns reach
+above eps times its largest magnitude, the FFT's own round-off (all m
+columns when no narrower band holds them).  A read then runs, per chunk of
+points, one real GEMM over the radial nodes, on C^2 one batched matmul over
+the inclination nodes, and each phase angle's sum from two small tables of
+running products of two exponentials built outward from frequency 0 (see
+``interpolate_on_rule``).  On C a point costs about 4 N_r A'B' flop, nearly
+all of it in the GEMM, where A'B' >= 2F + 1 is the band's laid-out column
+count: about 67 kflop on the default rule (64 x 256) when every column is
+kept, 12-20 kflop for an off-centre Gaussian exp(-(x^2/a + y^2/b)) with
+widths a, b in [2, 4] (F = 22-38).
 
 The combined interpolation budget for smooth rapidly-decaying fields on the
 default rules is ~1e-8 relative and is pinned by tests; it is the accuracy
@@ -25,6 +31,7 @@ folded into operators that read fields off-grid.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -59,55 +66,89 @@ def _polar_coordinates(rule: PlaneRule, pts: np.ndarray):
 def _bary_matrix(x: np.ndarray, nodes: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """Second-form barycentric weight rows on ascending nodes; a point
     within 1e-14 (times the largest |node|, at least 1) of its nearest node
-    snaps to that node's one-hot row."""
+    snaps to that node's one-hot row.  The rows are built in place in one
+    (Q, N) array."""
+    w = np.subtract.outer(x, nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = bw[None, :] / (x[:, None] - nodes[None, :])
+        np.divide(bw, w, out=w)
     right = np.clip(np.searchsorted(nodes, x), 1, nodes.size - 1)
     near = right - (x - nodes[right - 1] < nodes[right] - x)
     hit = np.flatnonzero(np.abs(x - nodes[near]) < 1e-14 * max(1.0, float(np.abs(nodes).max())))
     w[hit] = 0.0
     w[hit, near[hit]] = 1.0
-    return w / w.sum(axis=1)[:, None]
+    w /= w.sum(axis=1)[:, None]
+    return w
 
 
-def _phase_factors(m: int):
-    """(A, B) with B = ceil(sqrt(m)) and A = ceil(m / B)."""
-    b = math.isqrt(m - 1) + 1
-    return -(-m // b), b
+@functools.lru_cache(maxsize=256)
+def _phase_factors(n: int):
+    """(K, B) laying the band of n frequencies -(n//2) .. n - 1 - n//2 out
+    as f = B a + b with |a| <= K, |b| <= B // 2 and B odd, in column
+    (a + K) B + b + B // 2 of (2K + 1) B.  B K <= F = n // 2 <= B K + B // 2,
+    so no |B a| or |b| passes F.  Of those layouts, the one with the fewest
+    columns (at least 2F + 1) plus table entries 2K + 1 + B, then the fewest
+    columns, then the fewest rows 2K + 1."""
+    F = n // 2
+    fits = [(2 * (F // b) + 1, b) for b in range(1, 2 * F + 2, 2) if F % b <= b // 2]
+    A, B = min(fits, key=lambda ab: (ab[0] * ab[1] + ab[0] + ab[1], ab[0] * ab[1], ab[0]))
+    return A // 2, B
 
 
-def _angular_coefficients(tensor: np.ndarray, axes) -> np.ndarray:
-    """DFT of the samples over the phase-angle ``axes``, divided by the
-    number of angles, in fftshift order (frequency -(m//2) in column 0) and
-    zero-padded on each of those axes from m to A * B columns."""
-    coef = np.fft.fftn(tensor, axes=axes) / math.prod(tensor.shape[a] for a in axes)
+def _angular_coefficients(tensor: np.ndarray, axes):
+    """(coef, bands): the DFT of the samples over the phase-angle ``axes``,
+    divided by the number of angles, cut on each of those axes to a band of
+    n frequencies -(n//2) .. n - 1 - n//2 and laid out by
+    ``_phase_factors(n)``, other columns 0; one band count n per axis.
+
+    An axis's band is the smallest [-F, F], n = 2F + 1, that holds every
+    frequency whose column (all other axes) reaches above eps * max|coef|,
+    the FFT's own round-off; when n would not be below the m angles, the
+    band is all of them, n = m."""
+    coef = np.fft.fftn(tensor, axes=axes)
+    coef /= math.prod(tensor.shape[a] for a in axes)
+    # fftshift order: frequency f in column f + m//2
     coef = np.fft.fftshift(coef, axes=axes)
-    pad = [(0, 0)] * coef.ndim
-    for a in axes:
-        A, B = _phase_factors(coef.shape[a])
-        pad[a] = (0, A * B - coef.shape[a])
-    return np.pad(coef, pad)
+    mag = np.abs(coef)
+    floor = np.finfo(float).eps * mag.max(initial=0.0)
+    bands, cut, pad = [], [slice(None)] * coef.ndim, [(0, 0)] * coef.ndim
+    for ax in axes:
+        m = coef.shape[ax]
+        peak = mag.max(axis=tuple(a for a in range(mag.ndim) if a != ax))
+        F = int(np.abs(np.flatnonzero(peak > floor) - m // 2).max(initial=0))
+        n = min(2 * F + 1, m)
+        K, B = _phase_factors(n)
+        left = B * K + B // 2 - n // 2
+        cut[ax] = slice(m // 2 - n // 2, m // 2 - n // 2 + n)
+        pad[ax] = (left, (2 * K + 1) * B - left - n)
+        bands.append(n)
+    return np.pad(coef[tuple(cut)], pad), tuple(bands)
 
 
-def _angular_sum(t: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
-    """Sum the last axis of t (Q, ..., A * B) against exp(i theta_q f), f =
-    j - m//2 in column j: (Q, ...).
+def _angular_sum(t: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
+    """Sum the last axis of t (Q, ..., (2K + 1) B), laid out by
+    ``_phase_factors(n)``, against exp(i theta_q f): (Q, ...).
 
-    With j = B a + b the phase factors into exp(i theta b) exp(i theta
-    (B a - m//2)), so each point needs the A + B entries of two tables,
-    both running products of exp(i theta), exp(i B theta) and
-    exp(-i (m//2) theta): 3 exponentials per point, not m."""
-    A, B = _phase_factors(m)
+    exp(i theta f) factors into exp(i theta B a) exp(i theta b), so each
+    point needs the 2K + 1 + B entries of two tables: the powers of
+    exp(i theta) and of exp(i B theta), running products outward from
+    frequency 0 and their conjugates for the negative powers.  That is 2
+    exponentials per point, not n; no phase above F is formed, and those
+    next to frequency 0, where a smooth field's coefficients are largest,
+    take the fewest products."""
+    K, B = _phase_factors(n)
     q = t.shape[0]
-    e = np.exp(1j * (theta[:, None] * np.array([1.0, B, -(m // 2)])))       # (Q, 3)
-    eb = np.empty((q, B), dtype=complex)
-    eb[:, 0], eb[:, 1:] = 1.0, e[:, :1]
-    ea = np.empty((q, A), dtype=complex)
-    ea[:, 0], ea[:, 1:] = e[:, 2], e[:, 1:2]
-    np.cumprod(eb, axis=1, out=eb)
-    np.cumprod(ea, axis=1, out=ea)
-    u = t.reshape(q, -1, B) @ eb[:, :, None]                                # (Q, ... A, 1)
-    return (u.reshape(q, -1, A) @ ea[:, :, None]).reshape(t.shape[:-1])
+    e = np.exp(1j * (theta[None, :] * np.array([[1.0], [B]])))             # (2, Q)
+    tables = []
+    for w, k in zip(e, (B // 2, K)):
+        p = np.empty((2 * k + 1, q), dtype=complex)                          # powers -k .. k
+        p[k] = 1.0
+        for j in range(k + 1, 2 * k + 1):
+            np.multiply(p[j - 1], w, out=p[j])
+        np.conjugate(p[:k:-1], out=p[:k])
+        tables.append(p.T)
+    eb, ea = tables
+    u = t.reshape(q, -1, B) @ eb[:, :, None]                                # (Q, ... 2K + 1, 1)
+    return (u.reshape(q, -1, 2 * K + 1) @ ea[:, :, None]).reshape(t.shape[:-1])
 
 
 def _check_mode(out_of_domain: str):
@@ -125,18 +166,21 @@ def interpolate_on_rule(rule: PlaneRule, values: np.ndarray, points: np.ndarray,
     angular coefficients (``_angular_coefficients``) between calls, so
     ``values`` is read only when it is empty.
 
-    Per chunk of ``_CHUNK`` points, in order:
+    Per chunk of ``_CHUNK`` points, in order, with A'B' >= n the
+    laid-out columns of a phase axis whose band holds n frequencies
+    (``_phase_factors``):
 
     * the radial barycentric rows (Q, N_r) times the coefficients viewed as
       real numbers: one real GEMM, 4 N_r flop per point and coefficient;
     * on C^2, the inclination rows: one batched (1, N_t) x (N_t, 2 P1 P2)
-      matmul, 4 N_t P1 P2 flop per point;
-    * each phase angle through ``_angular_sum``: 3 exponentials, A + B
-      running products and about A * B complex multiply-adds per point and
-      remaining column.
+      matmul, 4 N_t P1 P2 flop per point, P_s = A_s'B_s';
+    * each phase angle through ``_angular_sum``: 2 exponentials, A' + B'
+      table entries and A'B' complex multiply-adds per point and remaining
+      column.
 
-    On the default C rule (64 x 256) a point costs 3 exponentials and
-    about 70 kflop.
+    On C a point costs 2 exponentials and about 4 N_r A'B' flop: 4 N_r
+    (2F + 1) or a little more when the band is [-F, F], 67 kflop on the
+    default 64 x 256 rule when it keeps all 256 columns (A'B' = 261).
     """
     _check_mode(out_of_domain)
     pts = np.asarray(points, dtype=complex)
@@ -157,24 +201,27 @@ def interpolate_on_rule(rule: PlaneRule, values: np.ndarray, points: np.ndarray,
         tensor = np.asarray(values, dtype=complex).reshape(rule.shape)
         # the phase angles are the last ``dimension`` axes of the grid
         phase_axes = tuple(range(tensor.ndim - rule.dimension, tensor.ndim))
-        cache["coef"] = _angular_coefficients(tensor, phase_axes)
-    coef = cache["coef"]
+        cache["coef"], cache["bands"] = _angular_coefficients(tensor, phase_axes)
+    coef, bands = cache["coef"], cache["bands"]
     radial = coef.reshape(coef.shape[0], -1).view(float)
     vals = np.empty(coords[0].shape[0], dtype=complex)
     step = _CHUNK[rule.dimension]
     for s in range(0, vals.shape[0], step):
         sl = slice(s, s + step)
-        wr = _bary_matrix(np.clip(coords[0][sl], 0.0, rule.extent), rule.radial_nodes,
-                          rule.barycentric("radial"))
-        q = wr.shape[0]
-        t = (wr @ radial).view(complex).reshape((q,) + coef.shape[1:])
+        r = np.clip(coords[0][sl], 0.0, rule.extent)
+        q = r.shape[0]
+        # the radial rows are a temporary of the GEMM, freed before the phase
+        # tables: kept to the chunk's end they raise each read's heap peak,
+        # which glibc then trims and page-faults back on the next read
+        t = _bary_matrix(r, rule.radial_nodes, rule.barycentric("radial")) @ radial
+        t = t.view(complex).reshape((q,) + coef.shape[1:])
         if rule.dimension == 2:
             wt = _bary_matrix(coords[1][sl], rule.theta_nodes, rule.barycentric("theta"))
             t = wt[:, None, :] @ t.reshape(q, coef.shape[1], -1).view(float)
             t = _angular_sum(t.view(complex).reshape((q,) + coef.shape[2:]),
-                             coords[3][sl], rule.angular_counts[1])
+                             coords[3][sl], bands[1])
         # coords[-n] is the first phase angle: arg z on C, arg z1 on C^2
-        vals[sl] = _angular_sum(t, coords[-rule.dimension][sl], rule.angular_counts[0])
+        vals[sl] = _angular_sum(t, coords[-rule.dimension][sl], bands[0])
     out = np.zeros(pts.shape[0], dtype=complex)
     out[keep] = vals
     return out

@@ -937,7 +937,10 @@ class TypeFunctionSpec:
 
     def evaluate(self, points) -> np.ndarray:
         """f at points (P, n) complex: (P,) complex."""
-        pts = np.asarray(points, dtype=complex).reshape(-1, self.dimension)
+        pts = np.asarray(points, dtype=complex)
+        if pts.ndim == 0 or pts.shape[-1] != self.dimension:
+            raise ValueError(f"points must have last axis {self.dimension}, the spec's dimension")
+        pts = pts.reshape(-1, self.dimension)
         # |z|^2 slot by slot: the sum norm(pts, axis=1) takes, without
         # its strided reduction over the two-wide last axis
         sq = (pts.conj() * pts).real

@@ -85,13 +85,21 @@ def _oracle_points(rule, rng, count):
                            1.5 * rule.extent * unit])
 
 
-@pytest.mark.parametrize("dimension, sizes", [
-    (1, 256), (1, 96), (1, 63), (2, (6.0, 24, (8, 16, 16))),
-    (2, (10.0, 28, (10, 40, 40)))],
-    ids=["c1_m256", "c1_m96", "c1_m63", "c2_16x16", "c2_40x40"])
-def test_interpolation_matches_phase_matrix_oracle(dimension, sizes):
-    """The factored phases and the real GEMM give the same trigonometric
-    polynomial as the per-point table of all m phases."""
+@pytest.mark.parametrize("dimension, sizes, samples, band", [
+    (1, 256, "smooth", "cut"), (1, 96, "smooth", "cut"), (1, 63, "smooth", "cut"),
+    (2, (6.0, 24, (8, 16, 16)), "smooth", "full"),
+    (2, (10.0, 28, (10, 40, 40)), "smooth", "cut"),
+    (1, 256, "normal", "full"), (2, (6.0, 24, (8, 16, 16)), "normal", "full"),
+    (1, 256, "gauss_offcentre", "cut")],
+    ids=["c1_m256", "c1_m96", "c1_m63", "c2_16x16", "c2_40x40",
+         "c1_m256_normal", "c2_16x16_normal", "c1_m256_gauss_offcentre"])
+def test_interpolation_matches_phase_matrix_oracle(dimension, sizes, samples, band):
+    """The factored phases over the cached band and the real GEMM give the
+    same trigonometric polynomial as the per-point table of all m phases
+    against the whole DFT.  Normal random samples keep all m columns on
+    every phase axis; a smooth field keeps only the band above the DFT's
+    round-off, cut on every phase axis (the benchmark's off-centre Gaussian
+    among them), except on the 16 x 16 C^2 rule, which has no band to cut."""
     if dimension == 1:
         rule = plane_rule(1, extent=12.0, radial_points=64, angular_points=sizes)
         fn = lambda p: p[:, 0] ** 2 * np.exp(-np.abs(p[:, 0] - 0.4 + 0.3j) ** 2 / 2.0)
@@ -100,9 +108,21 @@ def test_interpolation_matches_phase_matrix_oracle(dimension, sizes):
         rule = plane_rule(2, extent=extent, radial_points=nr, sphere3_orders=orders)
         c = np.array([0.25 - 0.1j, -0.2 + 0.3j])
         fn = lambda p: p[:, 0] * np.exp(-np.sum(np.abs(p - c) ** 2, axis=1) / 3.0)
-    vals = fn(rule.nodes)
+    if samples == "normal":
+        rng = np.random.default_rng(3)
+        vals = rng.normal(size=rule.nodes.shape[0]) + 1j * rng.normal(size=rule.nodes.shape[0])
+    elif samples == "gauss_offcentre":
+        z = rule.nodes[:, 0]
+        vals = np.exp(-((z.real - 0.3) ** 2 / 2.5 + (z.imag + 0.5) ** 2 / 3.5)).astype(complex)
+    else:
+        vals = fn(rule.nodes)
     pts = _oracle_points(rule, np.random.default_rng(11), 60)
-    got = interpolate_on_rule(rule, vals, pts, out_of_domain="zero")
+    cache = {}
+    got = interpolate_on_rule(rule, vals, pts, out_of_domain="zero", cache=cache)
+    if band == "full":
+        assert cache["bands"] == rule.angular_counts
+    else:
+        assert all(n < m for n, m in zip(cache["bands"], rule.angular_counts))
     want = phase_matrix_interpolate(rule, vals, pts)
     assert np.all(got[-4:] == 0.0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(vals))

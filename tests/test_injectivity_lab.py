@@ -964,6 +964,12 @@ def test_type_function_spec_guards():
         hecke_bochner_counterexample(spec, rule=rule1)
     with pytest.raises(ValueError, match="C\\^2"):
         TypeFunctionSpec(solid_harmonic_basis(1, 0, 1)[0]).slot_product()
+    # four C points are not two C^2 points
+    with pytest.raises(ValueError, match="last axis 2"):
+        spec.evaluate(np.ones((4, 1), dtype=complex))
+    with pytest.raises(ValueError, match="last axis 2"):
+        spec.evaluate(np.ones(4, dtype=complex))
+    assert spec.evaluate(np.ones((3, 2), dtype=complex)).shape == (3,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The repository's source checks in ``tools/``: every defaulted parameter
-of the library, dataclass fields included, has a call that sets it."""
+of the library, dataclass fields included, has a call that sets it, and
+``src_stats`` counts as settable only what a caller can pass."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +38,6 @@ def test_dataclass_fields_count_as_init_parameters(tmp_path):
     tool = _tool("unset_params")
     assert tool.unset(tmp_path) == ["m.Rec.__init__.c"]
     assert tool.main([str(tmp_path)]) == 1
+    # src_stats counts the same four fields as settable: not the
+    # init=False one, which no caller can pass, nor the unannotated one
+    assert _tool("src_stats").stats(pkg)["settable"] == 4

@@ -11,7 +11,8 @@ Every ``*.py`` file under ROOT is read.  Each line is counted once:
 Settable values are every function and method parameter (positional,
 keyword-only, ``*args`` and ``**kwargs``; nested functions included)
 except ``self`` and ``cls``, plus every annotated field of a class
-decorated with ``dataclass``.  Lambdas are not counted.
+decorated with ``dataclass`` other than a ``field(init=False)``, which no
+caller can set.  Lambdas are not counted.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _init_false(st: ast.AnnAssign) -> bool:
+    """A ``field(init=False)``: no caller can set it."""
+    v = st.value
+    return (isinstance(v, ast.Call)
+            and getattr(v.func, "id", getattr(v.func, "attr", None)) == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in v.keywords))
+
+
 def _settable(tree: ast.Module) -> int:
     count = 0
     for node in ast.walk(tree):
@@ -63,7 +73,8 @@ def _settable(tree: ast.Module) -> int:
             names += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
             count += sum(1 for n in names if n not in ("self", "cls"))
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(1 for s in node.body if isinstance(s, ast.AnnAssign))
+            count += sum(1 for s in node.body
+                         if isinstance(s, ast.AnnAssign) and not _init_false(s))
     return count
 
 
