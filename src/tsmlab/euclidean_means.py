@@ -15,13 +15,16 @@ angles pi l / N never determines compactly supported functions: the field
 
 is odd across every line of Sigma_N yet not identically zero.
 
-Every circular mean comes from ``euclidean_mean_table`` (centers x radii,
-each radius's circle nodes built once); ``circular_mean`` is its 1 x 1 case
-and the euclidean sampling operator its table of the basis matrix.  Every
-field here is compactly supported, and a field or basis that declares
-``support_radius`` R is 0 outside the disk |z| <= R by that declaration: a
-circle about x of radius r with ||x| - r| >= R misses the disk, its mean is
-0, and the table does not read it.
+The circular mean is the twisted spherical mean on C with the twist set
+to 1 (w -> -w maps the circle onto itself), so every circular mean comes
+from ``twisted_transforms.twisted_mean_table`` with ``twist=False``:
+``euclidean_mean_table`` is that table on ``CIRCLE_POINTS`` circle nodes
+and ``circular_mean`` its 1 x 1 case.  Fields here speak the table's
+point protocol, (..., 1) complex points of the plane.  Every field here
+is compactly supported, and a field or basis that declares
+``support_radius`` R is 0 outside the disk |z| <= R by that declaration:
+a circle about x of radius r with ||x| - r| >= R misses the disk, its
+mean is 0, and the table does not read it.
 Sector basis columns come only from ``injectivity_lab.EuclideanSectorBasis``
 ``.matrix``; ``SectorBasisFunction`` names a column and holds no evaluator.
 
@@ -32,6 +35,7 @@ with N | s; the counterexample occupies the lowest rung s = N.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,7 +44,8 @@ import numpy as np
 from .errors import FieldDomainError
 from .fields import interpolate_on_rule
 from .ioutil import fmt, write_csv
-from .quadrature import PlaneRule, circle_rule, compensated_sum, plane_rule
+from .quadrature import PlaneRule, plane_rule
+from .twisted_transforms import twisted_mean_table
 
 CIRCLE_POINTS = 240      # divisible by 1..6: reflection pairs nodes exactly
 
@@ -76,9 +81,10 @@ class EuclideanField:
     is 0 at every |z| > R.  Construction rejects samples above 1e-12 of
     the peak outside R (1 + 1e-12); smaller ones are accepted, and
     ``evaluate`` returns 0 past that radius for a field without an
-    evaluator.  ``euclidean_mean_table`` reads no circle that misses the
-    disk, so a mean there is 0 with an evaluator too, even one that leaks
-    past R.
+    evaluator.  The mean table reads no circle that misses the disk, so a
+    mean there is 0 with an evaluator too, even one that leaks past R.
+    The evaluator takes flat complex points and returns one real value
+    each.
     """
     rule: PlaneRule
     values: np.ndarray
@@ -86,6 +92,8 @@ class EuclideanField:
     evaluator: Callable | None = None
     name: str = ""
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    dimension = 1
 
     def __post_init__(self):
         if self.rule.dimension != 1:
@@ -115,8 +123,10 @@ class EuclideanField:
         return cls(rule, vals, support_radius, evaluator=fn, name=name)
 
     def evaluate(self, points) -> np.ndarray:
-        """Values at complex plane points (any shape)."""
+        """Values at points of the plane, (..., 1) complex: (...) float."""
         pts = np.asarray(points, dtype=complex)
+        if pts.ndim == 0 or pts.shape[-1] != 1:
+            raise ValueError("points must have last axis 1")
         flat = pts.reshape(-1)
         if self.evaluator is not None:
             out = np.asarray(self.evaluator(flat), dtype=float)
@@ -126,85 +136,31 @@ class EuclideanField:
             out = np.zeros(flat.shape[0], dtype=float)
             r = np.abs(flat)
             inside = r <= self.support_radius * (1 + 1e-12)
+            off = inside & (r > self.rule.extent * (1 + 1e-12))
+            if off.any():
+                raise FieldDomainError(
+                    "circular mean reads inside the declared support but "
+                    "off the grid", points=flat[off][:8])
             if inside.any():
-                if np.any(r[inside] > self.rule.extent * (1 + 1e-12)):
-                    bad = flat[inside][r[inside] > self.rule.extent * (1 + 1e-12)]
-                    raise FieldDomainError(
-                        "circular mean reads inside the declared support but "
-                        "off the grid", points=bad[:8])
                 out[inside] = interpolate_on_rule(
                     self.rule, self.values, flat[inside, None],
                     cache=self._cache).real
-        return out.reshape(pts.shape)
+        return out.reshape(pts.shape[:-1])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def scaled(self, a: float) -> "EuclideanField":
-        ev = None if self.evaluator is None else \
-            (lambda p, _e=self.evaluator, _a=a: _a * np.asarray(_e(p)))
-        return EuclideanField(self.rule, a * self.values, self.support_radius,
-                              ev, name=self.name)
 
-
-# points per f.evaluate call in a mean table: 24 circles of 240 nodes.  A
-# 42-column sector basis read of this size is 1.9 MB; on a Xeon with 2 MB
-# of L2 per core, both tables of the default euclidean probe ran fastest at
-# this size among blocks of 1440 to 8192 points (52 ms against 58 ms)
-_MEAN_POINTS = 5760
-
-
-def euclidean_mean_table(f, centers, radii, m: int = CIRCLE_POINTS) -> np.ndarray:
+def euclidean_mean_table(f, centers, radii) -> np.ndarray:
     """Circular means M_r f(x) for every center (rows, complex points of the
-    plane) and radius (columns): (C, R) float.
-
-    Any object with an ``evaluate`` accepting P complex points works; if it
-    returns (P, V) the table is (C, R, V), column v field v's to round-off
-    (numpy sums one field's circle pairwise, V fields' node by node).  V is
-    learnt from one read of no points.  Each radius's ``circle_rule`` is
-    built once per call; f is read over blocks of (center, circle) pairs,
-    center-major, at most ``_MEAN_POINTS`` points each.  r = 0 columns hold
-    f(x), read at every center.
-
-    An object that declares ``support_radius`` R says it is 0 at every
-    |z| > R.  Only the circles with ||x| - r| < R (1 + 1e-9) can meet that
-    disk, so only they are read; every other entry is +0.0, what the sum of
-    their zero node values gives.  A circle that is read sums its m node
-    values in the same order as without the declaration, so its mean is
-    the same bit for bit whenever f's value at a point does not depend on
-    how many points one read holds.  The 1e-9 margin exceeds the node
-    round-off and the 1e-12 slack of ``EuclideanField``, so no node that
-    may be nonzero is skipped.  Without the attribute every circle is read.
-    """
+    plane, (C,) or (C, 1)) and radius (columns): (C, R), or (C, R, V) when
+    f returns (P, V).  The untwisted ``twisted_mean_table`` on
+    ``CIRCLE_POINTS`` circle nodes, which reads only the circles that meet
+    a declared ``support_radius``; real values give a real table."""
     centers = np.asarray(centers, dtype=complex)
-    if centers.ndim > 1 and centers.shape[1:] != (1,):
-        raise ValueError(f"centers must be complex points of the plane, "
-                         f"got shape {centers.shape}")
-    centers = centers.reshape(-1)
-    radii = np.asarray(radii, dtype=float).reshape(-1)
-    if np.any(radii < 0):
-        raise ValueError(f"radius must be >= 0, got {radii.min()}")
-    support = getattr(f, "support_radius", np.inf)
-    if not support > 0:
-        raise ValueError(f"support radius must be positive, got {support}")
-    tail = np.shape(np.real(f.evaluate(np.empty(0, dtype=complex))))[1:]
-    out = np.zeros(centers.shape + radii.shape + tail)
-
-    at_zero = radii == 0.0
-    if at_zero.any():
-        out[:, at_zero] = np.real(f.evaluate(centers))[:, None]
-    on = np.flatnonzero(~at_zero)
-    if on.size:
-        ring = np.stack([circle_rule(r, m).nodes[:, 0] for r in radii[on]])   # (R, m)
-        rows, cols = np.nonzero(np.abs(np.abs(centers)[:, None] - radii[on])
-                                < support * (1 + 1e-9))
-        block = max(1, _MEAN_POINTS // m)
-        for s in range(0, rows.size, block):
-            j, i = rows[s:s + block], cols[s:s + block]
-            vals = np.real(f.evaluate((centers[j, None] + ring[i]).reshape(-1)))
-            vals = vals.reshape((-1, m) + vals.shape[1:])
-            out[j, on[i]] = compensated_sum(vals, axis=1) / m
-    return out
+    if centers.ndim == 1:
+        centers = centers[:, None]
+    return twisted_mean_table(f, centers, radii, m=CIRCLE_POINTS, twist=False)
 
 
 def circular_mean(f, x, r: float) -> float:
@@ -261,6 +217,8 @@ class SectorBasisFunction:
     def __post_init__(self):
         if self.kind not in ("sin", "cos"):
             raise ValueError(f"unknown sector kind {self.kind!r}")
+        if not isinstance(self.order, numbers.Integral):
+            raise ValueError(f"angular order must be an integer, got {self.order!r}")
         if self.order < 0 or (self.kind == "sin" and self.order == 0):
             raise ValueError("bad angular order")
         if not (math.isfinite(self.support_radius) and self.support_radius > 0):

@@ -6,7 +6,8 @@ basis elements b, and
 
     M[(j, i), b] = (b x mu_(r_i))(z_j)
 
-(twisted engine) or the plain circular mean (euclidean engine).  Twisted
+(twisted engine) or the plain circular mean, the same mean with the twist
+set to 1 (euclidean engine).  Twisted
 columns come from one basis, ``ProductHermiteBasis``: tensor products of
 special Hermite functions, one factor per slot, so C is its one-slot case
 and C^2 its two-slot case.  Twisted rows are exact: every column is an
@@ -24,17 +25,21 @@ a set whose centers map onto themselves under z_s -> e^(2 pi i / q_s) z_s
 so custom and translated sets split too) columns whose frequencies differ mod q_s
 are orthogonal and M splits into independent blocks, one per rotation
 class -- a residue class per slot -- each decomposed on its own.
-Euclidean rows are circle averages, decomposed as they are; every sector
-column is 0 outside the basis's ``support_radius``, so a row whose circle
-misses that disk is 0 and its circle is not read.  A function with
-vanishing means on S corresponds to a (near-)null vector of M, so
+Euclidean rows are circle averages, one untwisted ``twisted_mean_table``
+of the basis matrix on ``EUCLID_POINTS`` circle nodes, decomposed as they
+are; every sector column is 0 outside the basis's ``support_radius``, so a
+row whose circle misses that disk is 0 and its circle is not read.  A
+function with vanishing means on S corresponds to a (near-)null vector of M, so
 sigma_min probes whether S can distinguish fields at the truncation: small
 sigma_min plus an exhibited near-null field certifies NON-injectivity at
 desk scale, while large sigma_min is evidence only (see the caveat
 string).  The certificates remeasure the candidates' means over the whole
-set by quadrature, independently of the closed form that found them: one
-mean table of its engine for all of a probe's vectors, on C^2 summed slot
-by slot (``SlotProduct``).
+set by quadrature, independently of what found them: twisted vectors by
+sphere quadrature against the closed form, euclidean ones on
+``CERTIFICATE_CIRCLE_POINTS`` circle nodes against assembly's
+``EUCLID_POINTS``, so a fault in assembly's quadrature shows.  One
+``twisted_mean_table`` call takes all of a probe's vectors, on C^2 summed
+slot by slot (``SlotProduct``).
 
 Also here: the Hecke-Bochner type-function scans (fields a(|z|) P(z) whose
 twisted means vanish exactly on P^(-1)(0) plus possible spheres) and the
@@ -55,8 +60,7 @@ import numpy as np
 
 from .constants import tsm_product_constant
 from .errors import IllConditionedFitError
-from .euclidean_means import (CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction,
-                              bump_profile, euclidean_mean_table)
+from .euclidean_means import CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction, bump_profile
 from .fields import SampledField
 from .ioutil import fmt, write_csv, write_json
 from .quadrature import PlaneRule, plane_rule, sphere_rule
@@ -72,6 +76,10 @@ INJECTIVITY_CAVEAT = (
     "exhibiting a concrete near-null field with vanishing means on the set.")
 
 DEFAULT_RADII = tuple(np.geomspace(0.2, 6.0, 24))
+# circle nodes of the euclidean certificates: not assembly's EUCLID_POINTS,
+# so a certificate does not re-read the quadrature it certifies, and
+# divisible by 1..6, so a reflection across Sigma_N (N <= 6) pairs nodes
+CERTIFICATE_CIRCLE_POINTS = 300
 # type functions carry the Gaussian exp(-|z|^2 / _TYPE_GAUSSIAN)
 _TYPE_GAUSSIAN = 4.0
 
@@ -452,9 +460,16 @@ class EuclideanSectorBasis:
         if not self.functions:
             raise ValueError("empty basis")
         self.labels = [f.name for f in self.functions]
-        self._radii = np.asarray([f.support_radius for f in self.functions], dtype=float)
-        self._orders = np.asarray([f.order for f in self.functions])
-        self._sin = np.asarray([f.kind == "sin" for f in self.functions])
+        radii = np.asarray([f.support_radius for f in self.functions], dtype=float)
+        orders = np.asarray([f.order for f in self.functions])
+        sin = np.asarray([f.kind == "sin" for f in self.functions])
+        # per support radius, ascending: its columns, their orders, which are
+        # sin columns, and the exponents 0 .. top order of its power table
+        self._groups = []
+        for R in np.unique(radii):
+            cols = np.flatnonzero(radii == R)
+            self._groups.append((R, cols, orders[cols], sin[cols, None],
+                                 np.arange(orders[cols].max() + 1)[:, None]))
 
     @property
     def ncols(self) -> int:
@@ -463,31 +478,27 @@ class EuclideanSectorBasis:
     @property
     def support_radius(self) -> float:
         """The largest column support: every column is 0 outside it."""
-        return float(self._radii.max())
+        return float(self._groups[-1][0])
 
     def matrix(self, points: np.ndarray) -> np.ndarray:
         """bump(rho; R) (z/R)^s, imaginary part for sin and real part for
         cos columns: (points, ncols) float, 0 outside each support.
 
-        Per support radius: one bump read and one power (z/R)^s per order
-        s up to the largest there, over the points inside rho < R; each
-        column is the bump times the real or imaginary part of its power.
-        Each power is numpy's integer power, as in the per-column formula:
-        a ladder of running products differs from it by round-off, enough
-        to rotate the basis of a degenerate near-null space."""
+        Per support radius, over the points inside rho < R: one bump read
+        and one ``np.power`` table of (z/R)^s, s = 0 .. the largest order
+        there, in one call; the radius's columns, the bump times the real
+        or imaginary part of their rows, are written together as rows of
+        the transposed result (the matrix is returned in Fortran order,
+        each column contiguous, the layout the mean table sums)."""
         pts = np.asarray(points, dtype=complex).reshape(-1)
         rho = np.abs(pts)
-        out = np.zeros((pts.shape[0], self.ncols))
-        for R in np.unique(self._radii):
-            cols = np.flatnonzero(self._radii == R)
+        out = np.zeros((self.ncols, pts.shape[0]))
+        for R, cols, orders, sin, exponents in self._groups:
             inside = np.flatnonzero(rho < R)
-            w = pts[inside] / R
-            powers = [w ** s for s in range(self._orders[cols].max() + 1)]
-            bump = bump_profile(R)(rho[inside])
-            for b in cols:
-                rung = powers[self._orders[b]]
-                out[inside, b] = bump * (rung.imag if self._sin[b] else rung.real)
-        return out
+            rungs = np.power(pts[inside] / R, exponents)[orders]
+            out[cols[:, None], inside] = bump_profile(R)(rho[inside]) * np.where(
+                sin, rungs.imag, rungs.real)
+        return out.T
 
     def index_of(self, kind: str, order: int, support_radius: float) -> int:
         for j, f in enumerate(self.functions):
@@ -730,9 +741,9 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
     from them and forms M only when its ``matrix`` is read (see
     ``SamplingOperator``).
     Euclidean rows are plain averages over ``euclid_points`` circle
-    nodes, one ``euclidean_mean_table`` of the basis matrix that reads
-    only the circles meeting the basis's ``support_radius``, and are
-    decomposed as a dense matrix.  Row order is center-major; column
+    nodes, one untwisted ``twisted_mean_table`` of the basis matrix that
+    reads only the circles meeting the basis's ``support_radius``, and
+    are decomposed as a dense matrix.  Row order is center-major; column
     order is the basis's documented order.
 
     Without ``basis`` the twisted engine takes the special Hermite product
@@ -757,10 +768,10 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
         raise ValueError("basis dimension does not match the set")
 
     if engine == "euclidean":
-        columns = SimpleNamespace(evaluate=basis.matrix,
+        columns = SimpleNamespace(dimension=1, evaluate=basis.matrix,
                                   support_radius=getattr(basis, "support_radius", np.inf))
-        M = euclidean_mean_table(columns, sampling_set.centers, sampling_set.radii,
-                                 euclid_points)
+        M = twisted_mean_table(columns, sampling_set.centers, sampling_set.radii,
+                               m=euclid_points, twist=False)
         return SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
     return SamplingOperator(None, sampling_set, basis, _twisted_factors(sampling_set, basis))
 
@@ -768,9 +779,10 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
 def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray):
     """Reconstruct the field of each coefficient vector, (ncols,) or the V
     columns of (ncols, V), and remeasure its means over the whole set by
-    quadrature, never by the closed form that built the operator: one
-    ``twisted_mean_table`` (sphere rules) or ``euclidean_mean_table``
-    (circle nodes) for all V.  On a two-slot ``ProductHermiteBasis`` the
+    quadrature, never by what built the operator: one ``twisted_mean_table``
+    for all V, twisted on the default sphere rules, or untwisted on
+    ``CERTIFICATE_CIRCLE_POINTS`` circle nodes, a rule euclidean assembly
+    does not read.  On a two-slot ``ProductHermiteBasis`` the
     field is a ``SlotProduct``: one special Hermite matrix per slot,
     coupled by the coefficients as (J_1, J_2, V) (columns run slot 1
     outer).  Returns the max |mean| of each vector normalized by its norm:
@@ -789,8 +801,9 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray):
         field = SimpleNamespace(dimension=sset.dimension,
                                 support_radius=getattr(basis, "support_radius", np.inf),
                                 evaluate=lambda pts: basis.matrix(pts) @ c)
-    table = twisted_mean_table if operator.engine == "twisted" else euclidean_mean_table
-    means = table(field, sset.centers, sset.radii)
+    twisted = operator.engine == "twisted"
+    means = twisted_mean_table(field, sset.centers, sset.radii,
+                               m=None if twisted else CERTIFICATE_CIRCLE_POINTS, twist=twisted)
     return np.max(np.abs(means), axis=(0, 1), initial=0.0)
 
 
@@ -1037,8 +1050,11 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec, rule: PlaneRule | None 
     lexicographically first pool points with |P| ~ 0 and the ``n_offset``
     pool points with the largest |P|.  The headline contract: every
     scanned center on P^(-1)(0) measures max_r |f x mu_r| below 1e-8 times
-    the field's peak.
+    the field's peak.  A negative count raises ValueError.
     """
+    if n_onset < 0 or n_offset < 0:
+        raise ValueError(f"scan counts must be >= 0, got n_onset={n_onset}, "
+                         f"n_offset={n_offset}")
     n = spec.dimension
     if rule is None:
         rule = (plane_rule(1, extent=12.0, radial_points=64, angular_points=256)

@@ -14,10 +14,15 @@ and the polar bridge ties them together: with omega = sphere_surface_area(n),
 
     omega * int_0^inf (f x mu_r)(z) phi_k(r) r^(2n-1) dr = (f x phi_k)(z).
 
-Means.  Every spherical mean comes from ``twisted_mean_table``: a centers x
-radii table that builds each radius's ``sphere_rule`` once and reads f once
-per center over blocks of radii.  A single mean is its 1 x 1 case, a
-profile one row, and V fields read together its V columns, bit for bit.
+Means.  Every spherical mean in the library comes from
+``twisted_mean_table``: a centers x radii table that builds each radius's
+``sphere_rule`` once and reads f over blocks of (center, radius) pairs.  A
+single mean is its 1 x 1 case, a profile one row, and V fields read
+together its V columns, bit for bit.  With ``twist=False`` it is the plain
+spherical mean, the twist set to 1: on C that is the circular mean of
+``euclidean_means`` (w -> -w maps the circle onto itself).  A field that
+declares ``support_radius`` is read only on the spheres that meet its
+support.
 The sum over a sphere is contracted through the rule's factors: node
 (t, a_1, .., a_n) is (slot_1[t, a_1], .., slot_n[t, a_n]) with weight
 w_t / (M_1 .. M_n), and the twist is a product over slots, so
@@ -231,23 +236,39 @@ def _slot_product_means(f: SlotProduct, centers: np.ndarray, conj_slots: list,
     return out
 
 
-def twisted_mean_table(f: SampledField, centers, radii,
-                       m: int | None = None, orders=None) -> np.ndarray:
+def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
+                       orders=None, twist: bool = True) -> np.ndarray:
     """f x mu_r(z) for every center (rows, points of C^n) and radius
-    (columns): (C, R) complex, or (C, R, V) when ``f.evaluate`` returns
-    (P, V) on P points; V is learnt from one read of no points (from
-    the coupling of a ``SlotProduct``, which is read at no point of the
-    sphere rules).  f needs only ``dimension`` and ``evaluate``.
+    (columns): (C, R), or (C, R, V) when ``f.evaluate`` returns (P, V) on
+    P points; V is learnt from one read of no points (from the coupling
+    of a ``SlotProduct``, which is read at no point of the sphere rules).
+    f needs only ``dimension`` and ``evaluate``.  ``twist=False`` takes
+    the plain spherical mean, with weight 1 in place of the twist: each
+    slot's twist factor is skipped and the table's dtype is the values'
+    (real values give a real table); a twisted table is complex.
 
     Each radius's ``sphere_rule`` (``m`` circle nodes on C, S^3 ``orders``
-    on C^2) is built once per call and f is read once per center over
-    blocks of radii.  Each (center, radius) sum is contracted slot by slot
-    against the rule's twist factors, slot n first, then weighted over the
-    rule's inclinations (see the module docstring).  A ``SlotProduct`` is
-    read slot by slot instead, once per distinct slot value at the rules'
-    slot nodes (``_slot_product_means``).  r = 0 degenerates to
-    f(z) (continuity).  Off-grid reads of sample-only fields raise
+    on C^2) is built once per call.  f is read over blocks of (center,
+    radius) pairs, center-major, at most ``_MEAN_POINTS[n]`` points each,
+    so a single center's reads are its radii in blocks.  Each pair's sum
+    is contracted slot by slot against the rule's twist factors, slot n
+    first, then weighted over the rule's inclinations (see the module
+    docstring); untwisted, each inclination's contiguous node values are
+    summed in numpy's pairwise order, then weighted.  A twisted
+    ``SlotProduct`` is read slot by slot instead, once per distinct slot
+    value at the rules' slot nodes (``_slot_product_means``).  r = 0 degenerates to f(z) (continuity),
+    read at every center.  Off-grid reads of sample-only fields raise
     FieldDomainError naming the offending node.
+
+    An f that declares ``support_radius`` R says it is 0 at every
+    |z| > R.  Only the spheres with ||z| - r| < R (1 + 1e-9) can meet
+    that ball, so only they are read; every other entry is +0.0, what the
+    sum of their zero node values gives.  A sphere that is read sums its
+    node values in the same order as without the declaration, so its mean
+    is the same bit for bit whenever f's value at a point does not depend
+    on how many points one read holds.  The 1e-9 margin exceeds the node
+    round-off and the 1e-12 slack of ``EuclideanField``, so no node that
+    may be nonzero is skipped.  Without the attribute every sphere is read.
     """
     centers = np.asarray(centers, dtype=complex)
     if centers.ndim != 2 or centers.shape[1] != f.dimension:
@@ -256,9 +277,16 @@ def twisted_mean_table(f: SampledField, centers, radii,
     radii = np.asarray(radii, dtype=float).reshape(-1)
     if np.any(radii < 0):
         raise ValueError(f"radius must be >= 0, got {radii.min()}")
-    tail = (np.shape(f.coupling)[2:] if isinstance(f, SlotProduct)
-            else np.shape(f.evaluate(np.empty((0, f.dimension), dtype=complex)))[1:])
-    out = np.empty(centers.shape[:1] + radii.shape + tail, dtype=complex)
+    support = getattr(f, "support_radius", np.inf)
+    if not support > 0:
+        raise ValueError(f"support radius must be positive, got {support}")
+    slotwise = twist and isinstance(f, SlotProduct)
+    if slotwise:
+        tail, dtype = np.shape(f.coupling)[2:], complex
+    else:
+        empty = f.evaluate(np.empty((0, f.dimension), dtype=complex))
+        tail, dtype = empty.shape[1:], (complex if twist else np.result_type(empty, float))
+    out = np.zeros(centers.shape[:1] + radii.shape + tail, dtype=dtype)
 
     at_zero = radii == 0.0
     if at_zero.any():
@@ -270,30 +298,35 @@ def twisted_mean_table(f: SampledField, centers, radii,
         # w_t / (M_1 .. M_n): the weight of every node at inclination t
         t_weights = np.stack([s.t_weights * (1.0 / (s.weights.size // s.t_weights.size))
                               for s in rules])                   # (R, T)
-        if isinstance(f, SlotProduct):
+        if slotwise:
             out[:, on] = _slot_product_means(f, centers, conj_slots, t_weights)
             return out
         nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
+        rows, cols = np.nonzero(np.abs(np.linalg.norm(centers, axis=1)[:, None] - radii[on])
+                                < support * (1 + 1e-9))
         block = max(1, _MEAN_POINTS[f.dimension] // nodes.shape[1])
-        for j, z in enumerate(centers):
-            for s in range(0, on.size, block):
-                w = nodes[s:s + block]
-                # z - w one slot column at a time: a broadcast over the n-wide
-                # last axis runs numpy's inner loop n elements at a time
-                pts = np.empty(w.shape, dtype=complex)
-                for k in range(f.dimension):
-                    np.subtract(z[k], w[..., k], out=pts[..., k])
-                vals = f.evaluate(pts.reshape(-1, f.dimension))
-                # fields first, contiguous; each radius's values as (T, M_1 * .. * M_n, 1)
-                tw = t_weights[s:s + block]
-                vals = np.ascontiguousarray(vals.T).reshape(vals.shape[1:] + tw.shape + (-1, 1))
-                # slot n first: one mat-vec per (radius, t) with the slot's twist
+        for s in range(0, rows.size, block):
+            j, i = rows[s:s + block], cols[s:s + block]
+            z, w = centers[j], nodes[i]
+            # z - w one slot column at a time: a broadcast over the n-wide
+            # last axis runs numpy's inner loop n elements at a time
+            pts = np.empty(w.shape, dtype=complex)
+            for k in range(f.dimension):
+                np.subtract(z[:, k, None], w[..., k], out=pts[..., k])
+            vals = f.evaluate(pts.reshape(-1, f.dimension))
+            # fields first, contiguous; each pair's values as (T, M_1 * .. * M_n, 1)
+            tw = t_weights[i]
+            vals = np.ascontiguousarray(vals.T).reshape(vals.shape[1:] + tw.shape + (-1, 1))
+            if twist:
+                # slot n first: one mat-vec per (pair, t) with the slot's twist
                 # e[t, a] = exp(i/2 Im(z_s conj(node))), so (.., T, 1, 1) is left
-                for zs, conj_nodes in zip(z[::-1], conj_slots[::-1]):
-                    e = np.exp(0.5j * TWIST_SIGN * (zs * conj_nodes[s:s + block]).imag)
+                for zs, conj_nodes in zip(z.T[::-1], conj_slots[::-1]):
+                    e = np.exp(0.5j * TWIST_SIGN * (zs[:, None, None] * conj_nodes[i]).imag)
                     vals = vals.reshape(vals.shape[:-2] + (-1, e.shape[-1])) @ e[..., None]
-                vals = vals.reshape(vals.shape[:-3] + (1, -1)) @ tw[..., None]
-                out[j, on[s:s + block]] = vals[..., 0, 0].T
+            else:
+                vals = vals.sum(axis=-2, keepdims=True)
+            vals = vals.reshape(vals.shape[:-3] + (1, -1)) @ tw[..., None]
+            out[j, on[i]] = vals[..., 0, 0].T
     return out
 
 

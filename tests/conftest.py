@@ -145,15 +145,15 @@ def per_pair_twisted_mean(f, z, r, m=None, orders=None) -> complex:
 
 def per_pair_circular_mean(f, x, r, m=240) -> float:
     """Oracle for one entry of ``euclidean_mean_table``: the plain average
-    of f over m equispaced nodes of one circle."""
+    of f over m equispaced nodes of one circle, read as (m, 1) points."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     x = complex(x)
     if r == 0.0:
-        return float(np.real(f.evaluate(np.array([x]))[0]))
+        return float(np.real(f.evaluate(np.array([[x]]))[0]))
     theta = 2.0 * np.pi * np.arange(m) / m
     pts = x + r * np.exp(1j * theta)
-    vals = np.asarray(f.evaluate(pts), dtype=float)
+    vals = np.asarray(f.evaluate(pts[:, None]), dtype=float)
     return float(compensated_sum(vals) / m)
 
 

@@ -243,7 +243,8 @@ def test_euclidean_runs_write_the_same_bytes_without_support_declarations(
     assert main(args + ["--out", str(tmp_path / "declared")]) == 0
     monkeypatch.delattr(EuclideanSectorBasis, "support_radius")
     monkeypatch.setattr(cli, "euclidean_mean_table",
-                        lambda f, *a: euclidean_mean_table(SimpleNamespace(evaluate=f.evaluate), *a))
+                        lambda f, *a: euclidean_mean_table(
+                            SimpleNamespace(dimension=1, evaluate=f.evaluate), *a))
     assert main(args + ["--out", str(tmp_path / "undeclared")]) == 0
     for name in payloads:
         assert ((tmp_path / "declared" / name).read_bytes()

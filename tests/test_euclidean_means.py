@@ -1,5 +1,6 @@
 """Plain circular means and the odd Coxeter counterexample."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from tsmlab.injectivity_lab import (EuclideanSectorBasis, assemble_operator,
                                     make_set, near_null_roundtrip)
 from tsmlab.ioutil import read_csv_columns
 from tsmlab.quadrature import plane_rule
+from tsmlab.twisted_transforms import twisted_mean_table
 
 
 def test_bump_profile_support_and_smoothness():
@@ -135,7 +137,8 @@ def test_counterexample_is_odd_under_the_reflection_group():
     for l in range(2):
         axis = np.exp(1j * np.pi * l / 2)
         reflected = axis * np.conj(pts / axis)
-        assert np.allclose(f.evaluate(reflected), -f.evaluate(pts), atol=1e-13)
+        assert np.allclose(f.evaluate(reflected[:, None]), -f.evaluate(pts[:, None]),
+                           atol=1e-13)
 
 
 def test_coxeter_odd_orders():
@@ -159,6 +162,12 @@ def test_sector_basis_functions():
 def test_sector_support_radius_must_be_positive_and_finite(radius):
     with pytest.raises(ValueError, match="support radius"):
         SectorBasisFunction("sin", 1, radius)
+    # a non-integer order is no Fourier mode (the basis matrix would raise
+    # TypeError on it); numpy integers are integers
+    for order in (1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SectorBasisFunction("sin", order, 1.0)
+    assert SectorBasisFunction("cos", np.int64(2), 1.0).order == 2
     with pytest.raises(ValueError, match="support radius"):
         euclidean_sector_basis(3, support_radii=(radius,))
 
@@ -177,12 +186,16 @@ def test_sector_basis_collection():
 def test_euclidean_field_domain_guard():
     f = coxeter_odd_counterexample(2)
     sampled = EuclideanField(f.rule, f.values, f.support_radius, None, f.name)
-    inside = np.array([0.3 + 0.3j])
+    inside = np.array([[0.3 + 0.3j]])
     # the bump profile has an essential singularity at the support edge;
     # polynomial-radial interpolation tops out around 1e-5 there
     assert abs(sampled.evaluate(inside)[0] - f.evaluate(inside)[0]) < 1e-4
-    far = np.array([2.5 + 0.1j])       # outside support: defined as zero
+    far = np.array([[2.5 + 0.1j]])     # outside support: defined as zero
     assert sampled.evaluate(far)[0] == 0.0
+    # inside a declared support that reaches past the grid (extent 2): undefined
+    wide = EuclideanField(f.rule, f.values, 3.0)
+    with pytest.raises(FieldDomainError, match="off the grid"):
+        wide.evaluate(np.concatenate([inside, far]))
 
 
 def test_euclidean_field_rejects_slow_tail():
@@ -200,12 +213,13 @@ def test_euclidean_field_rejects_slow_tail():
 
 def _undeclared(f):
     """f with no support declaration: the table reads every circle."""
-    return SimpleNamespace(evaluate=f.evaluate)
+    return SimpleNamespace(dimension=1, evaluate=f.evaluate)
 
 
 def _bit_equal(a, b) -> bool:
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
+    """Equal values, dtype and bytes: signs of zeros included, real or complex."""
+    return (a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+            and a.tobytes() == b.tobytes())
 
 
 _SKIP_RADII = np.concatenate([[0.0], np.geomspace(0.2, 6.0, 12), [0.5, 2.5]])
@@ -225,8 +239,9 @@ _SKIP_SETS = {
 @pytest.mark.parametrize("name", sorted(_SKIP_SETS))
 def test_declared_support_table_is_the_undeclared_table(name):
     """Bit for bit, signs of zeros included: on every set, for V = 1 and
-    V = 10 fields of sector columns, at r = 0 and on every circle, and for
-    a declared support larger than every circle.  The columns are combined
+    V = 10 fields of sector columns, at r = 0 and on every circle, for a
+    declared support larger than every circle, and for the circular table
+    and the twisted one on C (256 nodes, complex).  The columns are combined
     by an elementwise sum, whose value at a point does not depend on how
     many points one read holds; a BLAS product's can (OpenBLAS takes
     another kernel for products of at most 10^6 multiply-adds)."""
@@ -236,13 +251,13 @@ def test_declared_support_table_is_the_undeclared_table(name):
     c = np.random.default_rng(5).normal(size=(basis.ncols, 10))
     fields = [lambda p: (basis.matrix(p) * c[:, 0]).sum(axis=1),
               lambda p: (basis.matrix(p)[:, :, None] * c).sum(axis=1)]
-    for evaluate in fields:
-        ref = euclidean_mean_table(SimpleNamespace(evaluate=evaluate), centers, _SKIP_RADII)
+    for table, evaluate in itertools.product((euclidean_mean_table, twisted_mean_table),
+                                             fields):
+        ref = table(SimpleNamespace(dimension=1, evaluate=evaluate), centers, _SKIP_RADII)
         for support in (basis.support_radius, 100.0):
-            got = euclidean_mean_table(
-                SimpleNamespace(evaluate=evaluate, support_radius=support),
-                centers, _SKIP_RADII)
-            assert _bit_equal(got, ref), (name, support)
+            got = table(SimpleNamespace(dimension=1, evaluate=evaluate, support_radius=support),
+                        centers, _SKIP_RADII)
+            assert _bit_equal(got, ref), (name, table.__name__, support)
         assert np.max(np.abs(ref)) > 1e-3
 
 
@@ -285,7 +300,7 @@ def test_declared_support_zeroes_a_leak_below_the_field_tolerance():
     peak = odd.max_abs()
     leak = 1e-13 * peak
     f = EuclideanField.from_function(
-        lambda p: odd.evaluate(p) + leak * (np.abs(p) > 1.0), odd.rule, 1.0)
+        lambda p: odd.evaluate(p[:, None]) + leak * (np.abs(p) > 1.0), odd.rule, 1.0)
     centers = np.array([0.3 + 0.2j, 1.8, 3.0j])
     radii = np.array([0.0, 0.4, 1.0, 2.5, 5.0])
     got = euclidean_mean_table(f, centers, radii)
@@ -301,5 +316,6 @@ def test_declared_support_must_be_positive(radius):
     with pytest.raises(ValueError, match="support radius"):
         EuclideanField(f.rule, f.values, radius)
     with pytest.raises(ValueError, match="support radius"):
-        euclidean_mean_table(SimpleNamespace(evaluate=f.evaluate, support_radius=radius),
-                             [0.1j], [0.5])
+        euclidean_mean_table(
+            SimpleNamespace(dimension=1, evaluate=f.evaluate, support_radius=radius),
+            [0.1j], [0.5])

@@ -14,10 +14,11 @@ from conftest import per_pair_circular_mean, per_pair_twisted_mean, sector_basis
 from tsmlab.cli import main
 from tsmlab.constants import REGRESSION
 from tsmlab.errors import IllConditionedFitError
-from tsmlab.euclidean_means import (circular_mean, coxeter_odd_counterexample,
-                                   euclidean_sector_basis)
+from tsmlab import quadrature
+from tsmlab.euclidean_means import CIRCLE_POINTS, euclidean_sector_basis
 from tsmlab.fields import SampledField
-from tsmlab.injectivity_lab import (DEFAULT_RADII, EuclideanSectorBasis,
+from tsmlab.injectivity_lab import (CERTIFICATE_CIRCLE_POINTS, DEFAULT_RADII,
+                                    EuclideanSectorBasis,
                                     INJECTIVITY_CAVEAT, ProductHermiteBasis,
                                     SamplingOperator, SamplingSet, TypeFunctionSpec,
                                     assemble_operator, curve_set,
@@ -390,7 +391,7 @@ def test_near_null_roundtrip_remeasures_means(euclid_odd_operator):
 
 
 class _RealPart:
-    """What circular_mean reads: any object with an ``evaluate``."""
+    """What the circle oracle reads: any object with an ``evaluate``."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -400,7 +401,8 @@ class _RealPart:
 
 
 def test_euclidean_roundtrip_equals_per_pair_circular_means(euclid_odd_operator):
-    # reference: one circular_mean call per (centre, radius) pair
+    # reference: one circle average per (centre, radius) pair, on the
+    # certificate's own circle rule
     op = euclid_odd_operator
     sset = op.sampling_set
     near_null = op.near_null(1e-10)[0][1]
@@ -408,13 +410,33 @@ def test_euclidean_roundtrip_equals_per_pair_circular_means(euclid_odd_operator)
     refs = []
     for v in (near_null, generic):
         fn = lambda p, _e=v / np.linalg.norm(v): op.basis.matrix(p) @ _e
-        refs.append(max(abs(circular_mean(_RealPart(fn), z, r))
+        refs.append(max(abs(per_pair_circular_mean(_RealPart(fn), z, r,
+                                                   m=CERTIFICATE_CIRCLE_POINTS))
                         for z in sset.centers[:, 0] for r in sset.radii))
         assert abs(near_null_roundtrip(op, v) - refs[-1]) <= 1e-15
     # both vectors as the columns of one matrix: one table call
     got = near_null_roundtrip(op, np.stack([near_null, generic], axis=1))
     assert got.shape == (2,)
     assert np.max(np.abs(got - refs)) <= 1e-15
+
+
+def test_euclidean_certificate_does_not_reread_the_assembly_rule(monkeypatch):
+    """Assembly on a faulty circle rule, each of its 240 nodes a repeat of
+    w = r or w = -r: the Sigma_2 operator gains spurious near-null vectors,
+    and their certificates, read on the certificate's own circle rule, show
+    their true means far above the 1e-8 threshold."""
+    sset = make_set("coxeter_lines", n_lines=2, points_per_ray=10, extent=6.0)
+    basis = EuclideanSectorBasis(euclidean_sector_basis(10, support_radii=(1.0, 0.6)))
+    true_null = len(assemble_operator(sset, engine="euclidean", basis=basis).near_null(1e-8))
+    phases = quadrature._unit_phases
+    half = CIRCLE_POINTS // 2
+    monkeypatch.setattr(quadrature, "_unit_phases", lambda m: (
+        phases(m)[np.arange(m) // half * half] if m == CIRCLE_POINTS else phases(m)))
+    op = assemble_operator(sset, engine="euclidean", basis=basis)
+    null = op.near_null(1e-8)
+    assert len(null) > true_null
+    means = near_null_roundtrip(op, np.stack([v for _, v in null], axis=1))
+    assert np.sum(means > 1e-6) >= len(null) - true_null
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -902,6 +924,15 @@ def test_hecke_bochner_zero_set_detection():
     assert rep.min_off_set >= 1e-3 * rep.field_peak
     assert rep.sphere_candidates.size == 0
     json.dumps(rep.as_dict())
+
+
+@pytest.mark.parametrize("counts", [(-1, 4), (6, -1), (-1, -1)])
+def test_hecke_bochner_scan_rejects_negative_counts(counts):
+    # a negative count would slice the pool from its end (n_onset =
+    # n_offset = -1 on C^2 would take 320 centres)
+    spec = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0])
+    with pytest.raises(ValueError, match="scan counts must be >= 0"):
+        hecke_bochner_counterexample(spec, n_onset=counts[0], n_offset=counts[1])
 
 
 def test_scan_reads_slot_points_only(monkeypatch):

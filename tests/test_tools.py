@@ -41,3 +41,38 @@ def test_dataclass_fields_count_as_init_parameters(tmp_path):
     # src_stats counts the same four fields as settable: not the
     # init=False one, which no caller can pass, nor the unannotated one
     assert _tool("src_stats").stats(pkg)["settable"] == 4
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
+def test_payload_diff_reports_the_largest_change_per_file(tmp_path, capsys):
+    tool = _tool("payload_diff")
+    base = {"probe/manifest.json": '{"timestamp": "t1", "checks": [{"value": 1.0}]}',
+            "probe/sigma.csv": "K,sigma_min\n10,0.5\n12,0.25\n",
+            "probe/report.json": '{"sigma": [3.0, 2.0], "engine": "twisted"}'}
+    a = _tree(tmp_path / "a", base)
+    same = dict(base, **{"probe/manifest.json":
+                         '{"timestamp": "t2", "checks": [{"value": 1.0}]}'})
+    b = _tree(tmp_path / "b", same)
+    assert tool.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.strip() == "identical"
+
+    changed = dict(base, **{"probe/sigma.csv": "K,sigma_min\n10,0.5\n12,0.2500001\n",
+                            "probe/report.json": '{"sigma": [3.5, 2.0], "engine": "euclid"}',
+                            "extra/means.csv": "r,mean\n"})
+    c = _tree(tmp_path / "c", changed)
+    assert tool.main([str(a), str(c)]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "only in B: extra/means.csv"
+    assert lines[1].startswith("probe/report.json: differs: /engine")
+    assert lines[2].startswith("probe/sigma.csv: max |change| 1e-07 at [2][1]")
+    assert len(lines) == 3
+    # numbers alone: the largest change is named with its path
+    d = _tree(tmp_path / "d", dict(base, **{"probe/report.json":
+                                            '{"sigma": [3.5, 2.0001], "engine": "twisted"}'}))
+    assert tool.compare(a, d) == ["probe/report.json: max |change| 0.5 at /sigma[0] (3.0 -> 3.5)"]

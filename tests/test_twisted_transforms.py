@@ -152,6 +152,28 @@ def test_mean_table_slot_bookkeeping_on_c2():
         assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(f.values)), orders
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_untwisted_table_is_the_plain_spherical_mean(n):
+    """twist=False: the plain average of |z - w|^2 over |w| = r is
+    |z|^2 + r^2, and a real field gives a real table.  On C^2 a
+    ``SlotProduct`` of the same field is read at the S^3 nodes like any
+    field."""
+    norm2 = lambda p: np.sum(np.abs(p) ** 2, axis=-1)
+    centers = (np.array([[0.6 - 0.2j], [1.5j]]) if n == 1
+               else np.array([[0.6 - 0.2j, 0.3j], [-1.1j, 1.6 + 0.0j]]))
+    radii = np.array([0.0, 0.4, 2.5])
+    ref = norm2(centers)[:, None] + radii ** 2
+    fields = [SimpleNamespace(dimension=n, evaluate=norm2)]
+    if n == 2:
+        fields.append(SlotProduct((lambda z: np.stack([np.abs(z) ** 2, np.ones(z.shape)], axis=1),
+                                   lambda z: np.stack([np.ones(z.shape), np.abs(z) ** 2], axis=1)),
+                                  np.eye(2)))
+    for f in fields:
+        table = twisted_mean_table(f, centers, radii, twist=False)
+        assert table.dtype == float
+        assert np.max(np.abs(table - ref)) <= 1e-14 * np.max(ref)
+
+
 # repeated slot values: the slot sums are shared between centres
 SLOT_CENTERS = np.array([[0.6 + 0.0j, 0.0j], [0.5 - 0.2j, 0.3 + 0.4j],
                          [-1.1j, 1.6 + 0.0j], [0.6 + 0.0j, 0.3 + 0.4j]])
