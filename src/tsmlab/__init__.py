@@ -30,9 +30,8 @@ from .errors import (ConfigError, FieldDomainError, GridMismatchError,
 from .special_functions import (LaguerreSpec, SolidHarmonic,
                                 SpecialHermiteIndex, laguerre_function,
                                 laguerre_polynomial, solid_harmonic_basis)
-from .quadrature import (PlaneRule, RadialRule, SphereRule, circle_rule,
-                         compensated_sum, gauss_legendre, plane_rule,
-                         radial_rule, sphere3_rule, sphere_rule)
+from .quadrature import (PlaneRule, RadialRule, SphereRule, compensated_sum,
+                         gauss_legendre, plane_rule, radial_rule, sphere_rule)
 from .fields import MeanProfile, SampledField, SpectrumTruncation
 from .twisted_transforms import (mean_profile, polar_bridge,
                                  spectral_projection, spectral_projections,

@@ -6,6 +6,10 @@ Design notes
 * Sphere rules carry *normalized* surface measure: weights sum to 1.  They
   also carry the factors they are the product of (t weights, one node
   table per slot), which ``twisted_mean_table`` contracts against.
+* A sphere rule is its radius times the unit rule, the one sphere
+  construction (the circle on C is its one-slot case).  The unit rule is
+  built once per dimension and size in a process and is read-only;
+  ``sphere_rule`` returns fresh arrays.
 * A plane rule is a radius times a sphere rule: node (r, w) is r w with
   r a Gauss-Legendre node on [0, extent] and w a node of the unit
   ``sphere_rule`` (the circle on C, S^3 on C^2), weight
@@ -113,67 +117,50 @@ class SphereRule:
             raise QuadratureError(f"sphere rule nodes off the sphere by {err:.3e}")
 
 
-def _product_rule(radius: float, t_weights: np.ndarray, slot_nodes: tuple) -> SphereRule:
-    """The sphere rule of its factors: node (t, a_1, .., a_n) takes slot s
-    from slot_nodes[s][t, a_s], weight t_weights[t] / (M_1 .. M_n)."""
-    phases = np.indices([s.shape[1] for s in slot_nodes]).reshape(len(slot_nodes), -1)
-    nodes = np.stack([s[:, a].ravel() for s, a in zip(slot_nodes, phases)], axis=1)
-    size = phases.shape[1]
-    weights = (t_weights[:, None] * np.full((1, size), 1.0 / size)).ravel()
-    return SphereRule(len(slot_nodes), radius, nodes, weights, t_weights, tuple(slot_nodes))
-
-
 @functools.lru_cache(maxsize=64)
-def _unit_phases(m: int) -> np.ndarray:
-    """e^(2 pi i a / m), a < m."""
-    return _frozen(np.exp(1j * (2.0 * np.pi * np.arange(m) / m)))[0]
-
-
-def circle_rule(radius: float, m: int = 256) -> SphereRule:
-    """m equispaced points on |w| = radius in C, weights 1/m: the one-slot
-    product rule, T = 1 with t weight 1."""
-    if not 0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    if m < 4:
-        raise ValueError("circle rule needs at least 4 nodes")
-    return _product_rule(radius, np.ones(1), (radius * _unit_phases(m)[None, :],))
-
-
-@functools.lru_cache(maxsize=64)
-def _sphere3_factors(orders: tuple) -> tuple:
-    """cos t, sin t, the normalized t weights and both phase rows."""
-    nt, m1, m2 = orders
-    t, wt = gauss_legendre(nt, 0.0, 0.5 * np.pi)
-    wt = wt * 2.0 * np.sin(t) * np.cos(t)
-    wt /= wt.sum()
-    return _frozen(np.cos(t), np.sin(t), wt) + (_unit_phases(m1), _unit_phases(m2))
-
-
-def sphere3_rule(radius: float, orders: tuple[int, int, int] = (16, 32, 32)) -> SphereRule:
-    """Product rule on S^3 = {(r cos(t) e^(i p1), r sin(t) e^(i p2))}.
-
-    Gauss-Legendre in t on [0, pi/2] against the density 2 sin t cos t,
-    uniform in both phases; t weights renormalized to sum exactly 1.  The
-    slot tables are r cos(t) e^(i p1) (nt, m1) and r sin(t) e^(i p2) (nt, m2).
-    Everything but the radius is computed once per ``orders`` in a process.
-    """
-    if not 0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    cos_t, sin_t, wt, e1, e2 = _sphere3_factors(tuple(orders))
-    return _product_rule(radius, wt.copy(), ((radius * cos_t)[:, None] * e1[None, :],
-                                             (radius * sin_t)[:, None] * e2[None, :]))
+def _unit_rule(dimension: int, size: tuple) -> SphereRule:
+    """The read-only rule on the unit sphere: ``size`` is (m,) on C, m
+    equispaced phases e^(2 pi i a / m) and T = 1 with t weight 1, or the
+    S^3 orders (T, m1, m2) on C^2, slot tables cos(t) e^(i p1) and
+    sin(t) e^(i p2) with t Gauss-Legendre on [0, pi/2] against the density
+    2 sin t cos t, uniform in both phases, t weights renormalized to sum
+    exactly 1.  Node (t, a_1, .., a_n) takes slot s from
+    slot_nodes[s][t, a_s], weight t_weights[t] / (M_1 .. M_n)."""
+    phases = [np.exp(1j * (2.0 * np.pi * np.arange(m) / m)) for m in size[dimension - 1:]]
+    if dimension == 1:
+        t_weights, slot_nodes = np.ones(1), (phases[0][None, :],)
+    else:
+        t, t_weights = gauss_legendre(size[0], 0.0, 0.5 * np.pi)
+        t_weights = t_weights * 2.0 * np.sin(t) * np.cos(t)
+        t_weights /= t_weights.sum()
+        slot_nodes = (np.cos(t)[:, None] * phases[0][None, :],
+                      np.sin(t)[:, None] * phases[1][None, :])
+    index = np.indices([s.shape[1] for s in slot_nodes]).reshape(dimension, -1)
+    nodes = np.stack([s[:, a].ravel() for s, a in zip(slot_nodes, index)], axis=1)
+    weights = (t_weights[:, None] * np.full((1, index.shape[1]), 1.0 / index.shape[1])).ravel()
+    _frozen(nodes, weights, t_weights, *slot_nodes)
+    return SphereRule(dimension, 1.0, nodes, weights, t_weights, slot_nodes)
 
 
 def sphere_rule(dimension: int, radius: float, m: int | None = None,
                 orders: tuple[int, int, int] | None = None) -> SphereRule:
-    """The sphere rule of every twisted mean: ``m`` circle nodes on C,
-    the S^3 product rule of ``orders`` on C^2; None takes the default size,
-    256 nodes and (16, 32, 32)."""
+    """The sphere rule of every twisted mean, radius times the unit rule
+    (``_unit_rule``) in fresh arrays: ``m`` circle nodes on C, the S^3
+    product rule of ``orders`` on C^2; None takes the default size, 256
+    nodes and (16, 32, 32)."""
+    if dimension not in (1, 2):
+        raise ValueError("sphere rules implemented for n in {1, 2}")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if dimension == 1:
-        return circle_rule(radius, 256 if m is None else m)
-    if dimension == 2:
-        return sphere3_rule(radius, (16, 32, 32) if orders is None else tuple(orders))
-    raise ValueError("sphere rules implemented for n in {1, 2}")
+        size = (256 if m is None else m,)
+        if size[0] < 4:
+            raise ValueError("circle rule needs at least 4 nodes")
+    else:
+        size = (16, 32, 32) if orders is None else tuple(orders)
+    unit = _unit_rule(dimension, size)
+    return SphereRule(dimension, radius, radius * unit.nodes, unit.weights.copy(),
+                      unit.t_weights.copy(), tuple(radius * s for s in unit.slot_nodes))
 
 
 @dataclass

@@ -15,8 +15,9 @@ and the polar bridge ties them together: with omega = sphere_surface_area(n),
     omega * int_0^inf (f x mu_r)(z) phi_k(r) r^(2n-1) dr = (f x phi_k)(z).
 
 Means.  Every spherical mean in the library comes from
-``twisted_mean_table``: a centers x radii table that builds each radius's
-``sphere_rule`` once and reads f over blocks of (center, radius) pairs.  A
+``twisted_mean_table``: a centers x radii table that reads one unit
+``sphere_rule`` per call, the rule of radius r being r times it, and reads
+f over blocks of (center, radius) pairs.  A
 single mean is its 1 x 1 case, a profile one row, and V fields read
 together its V columns, bit for bit.  With ``twist=False`` it is the plain
 spherical mean, the twist set to 1: on C that is the circular mean of
@@ -200,11 +201,11 @@ class SlotProduct:
         return np.einsum("pj...,pj->p...", t, g2)
 
 
-def _slot_product_means(f: SlotProduct, centers: np.ndarray, conj_slots: list,
+def _slot_product_means(f: SlotProduct, centers: np.ndarray, slots: list,
                         t_weights: np.ndarray) -> np.ndarray:
     """The means of a ``SlotProduct`` at every center and radius of the
-    rules whose conjugated slot tables (R, T, M_s) and weights
-    w_t / (M_1 M_2) (R, T) are given: (C, R) or (C, R, V).
+    rules whose slot tables (R, T, M_s) and weights w_t / (M_1 M_2) (T,),
+    the same at every radius, are given: (C, R) or (C, R, V).
 
     G_s (U_s, R, T, J_s) are the one-slot twisted circle sums of slot s's
     columns over the rule's own slot nodes, sum_a g_s(z_s - node) e_s[t, a],
@@ -212,9 +213,9 @@ def _slot_product_means(f: SlotProduct, centers: np.ndarray, conj_slots: list,
     distinct z_1, f x mu_r(z) = sum_t w_t G_1[t] C G_2[t]^T for every center
     with that z_1."""
     G, at = [], []
-    for g, conj_nodes, values in zip(f.factors, conj_slots, centers.T):
+    for g, nodes, values in zip(f.factors, slots, centers.T):
         distinct, inv = np.unique(values, return_inverse=True)
-        nodes = np.conj(conj_nodes)
+        conj_nodes = np.conj(nodes)
         sums = []
         for zs in distinct:
             cols = g((zs - nodes).ravel()).reshape(nodes.shape + (-1,))
@@ -231,7 +232,7 @@ def _slot_product_means(f: SlotProduct, centers: np.ndarray, conj_slots: list,
         H = (G1.reshape(R * T, J1) @ c.reshape(J1, -1)).reshape(R * T, J2, -1)
         G2 = G[1][at[1][rows]].reshape(rows.size, R * T, J2).transpose(1, 0, 2)
         vals = (G2 @ H).reshape(R, T, rows.size, -1)
-        vals = np.einsum("rtcv,rt->crv", vals, t_weights)
+        vals = np.einsum("rtcv,t->crv", vals, t_weights)
         out[rows] = vals.reshape((rows.size,) + out.shape[1:])
     return out
 
@@ -247,8 +248,11 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
     slot's twist factor is skipped and the table's dtype is the values'
     (real values give a real table); a twisted table is complex.
 
-    Each radius's ``sphere_rule`` (``m`` circle nodes on C, S^3 ``orders``
-    on C^2) is built once per call.  f is read over blocks of (center,
+    One unit ``sphere_rule`` (``m`` circle nodes on C, S^3 ``orders`` on
+    C^2) is read per call; the rule of radius r is r times it, slot tables
+    and nodes, and its t weights are the unit rule's at every r.  Centers
+    and radii must be finite: a non-finite center meets no sphere, so it
+    would read as a zero mean.  f is read over blocks of (center,
     radius) pairs, center-major, at most ``_MEAN_POINTS[n]`` points each,
     so a single center's reads are its radii in blocks.  Each pair's sum
     is contracted slot by slot against the rule's twist factors, slot n
@@ -274,9 +278,13 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
     if centers.ndim != 2 or centers.shape[1] != f.dimension:
         raise ValueError(f"centers must be points of C^{f.dimension}, "
                          f"shape (C, {f.dimension}); got {centers.shape}")
+    bad = np.flatnonzero(~np.isfinite(centers).all(axis=1))
+    if bad.size:
+        raise ValueError(f"centers must be finite, got {centers[bad[0]]} at row {bad[0]}")
     radii = np.asarray(radii, dtype=float).reshape(-1)
-    if np.any(radii < 0):
-        raise ValueError(f"radius must be >= 0, got {radii.min()}")
+    bad = np.flatnonzero(~(np.isfinite(radii) & (radii >= 0)))
+    if bad.size:
+        raise ValueError(f"radius must be >= 0 and finite, got {radii[bad[0]]}")
     support = getattr(f, "support_radius", np.inf)
     if not support > 0:
         raise ValueError(f"support radius must be positive, got {support}")
@@ -293,30 +301,31 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
         out[:, at_zero] = f.evaluate(centers)[:, None]
     on = np.flatnonzero(~at_zero)
     if on.size:
-        rules = [sphere_rule(f.dimension, r, m=m, orders=orders) for r in radii[on]]
-        conj_slots = [np.conj(np.stack(t)) for t in zip(*(s.slot_nodes for s in rules))]
-        # w_t / (M_1 .. M_n): the weight of every node at inclination t
-        t_weights = np.stack([s.t_weights * (1.0 / (s.weights.size // s.t_weights.size))
-                              for s in rules])                   # (R, T)
+        unit, radii_on = sphere_rule(f.dimension, 1.0, m=m, orders=orders), radii[on]
+        # the rule of radius r is r times the unit rule: its slot tables
+        # (R, T, M_s) and, per block, its nodes; w_t / (M_1 .. M_n), the
+        # weight of every node at inclination t, is the same at every r
+        slots = [radii_on[:, None, None] * s for s in unit.slot_nodes]
+        t_weights = unit.t_weights * (1.0 / (unit.weights.size // unit.t_weights.size))
         if slotwise:
-            out[:, on] = _slot_product_means(f, centers, conj_slots, t_weights)
+            out[:, on] = _slot_product_means(f, centers, slots, t_weights)
             return out
-        nodes = np.stack([s.nodes for s in rules])               # (R, N, n)
-        rows, cols = np.nonzero(np.abs(np.linalg.norm(centers, axis=1)[:, None] - radii[on])
+        conj_slots = [np.conj(s) for s in slots]
+        rows, cols = np.nonzero(np.abs(np.linalg.norm(centers, axis=1)[:, None] - radii_on)
                                 < support * (1 + 1e-9))
-        block = max(1, _MEAN_POINTS[f.dimension] // nodes.shape[1])
+        block = max(1, _MEAN_POINTS[f.dimension] // unit.weights.size)
         for s in range(0, rows.size, block):
             j, i = rows[s:s + block], cols[s:s + block]
-            z, w = centers[j], nodes[i]
-            # z - w one slot column at a time: a broadcast over the n-wide
+            z, r = centers[j], radii_on[i, None]
+            # z - r w one slot column at a time: a broadcast over the n-wide
             # last axis runs numpy's inner loop n elements at a time
-            pts = np.empty(w.shape, dtype=complex)
+            pts = np.empty((j.size,) + unit.nodes.shape, dtype=complex)
             for k in range(f.dimension):
-                np.subtract(z[:, k, None], w[..., k], out=pts[..., k])
+                np.subtract(z[:, k, None], r * unit.nodes[:, k], out=pts[..., k])
             vals = f.evaluate(pts.reshape(-1, f.dimension))
             # fields first, contiguous; each pair's values as (T, M_1 * .. * M_n, 1)
-            tw = t_weights[i]
-            vals = np.ascontiguousarray(vals.T).reshape(vals.shape[1:] + tw.shape + (-1, 1))
+            vals = np.ascontiguousarray(vals.T).reshape(
+                vals.shape[1:] + (j.size,) + t_weights.shape + (-1, 1))
             if twist:
                 # slot n first: one mat-vec per (pair, t) with the slot's twist
                 # e[t, a] = exp(i/2 Im(z_s conj(node))), so (.., T, 1, 1) is left
@@ -325,7 +334,7 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
                     vals = vals.reshape(vals.shape[:-2] + (-1, e.shape[-1])) @ e[..., None]
             else:
                 vals = vals.sum(axis=-2, keepdims=True)
-            vals = vals.reshape(vals.shape[:-3] + (1, -1)) @ tw[..., None]
+            vals = vals.reshape(vals.shape[:-3] + (1, -1)) @ t_weights[:, None]
             out[j, on[i]] = vals[..., 0, 0].T
     return out
 

@@ -106,6 +106,19 @@ def test_mean_table_input_validation():
             euclidean_mean_table(f, [0.1j], [0.5, bad])
 
 
+def test_non_finite_centers_are_rejected():
+    """A non-finite center meets no circle of the support, so it would
+    read a zero mean, which is what a certificate looks for."""
+    f = coxeter_odd_counterexample(2)
+    for bad in (np.inf, np.nan, complex(0.2, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            circular_mean(f, bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            circular_mean(f, bad, 0.0)
+        with pytest.raises(ValueError, match=r"finite, got .* at row 1"):
+            euclidean_mean_table(f, [0.1j, bad], [0.0, 0.5])
+
+
 @pytest.mark.parametrize("n_lines", [1, 2, 3])
 def test_counterexample_annihilates_on_coxeter_lines(n_lines):
     """Means of the odd bump vanish at every center on Sigma_N, at every

@@ -428,10 +428,17 @@ def test_euclidean_certificate_does_not_reread_the_assembly_rule(monkeypatch):
     sset = make_set("coxeter_lines", n_lines=2, points_per_ray=10, extent=6.0)
     basis = EuclideanSectorBasis(euclidean_sector_basis(10, support_radii=(1.0, 0.6)))
     true_null = len(assemble_operator(sset, engine="euclidean", basis=basis).near_null(1e-8))
-    phases = quadrature._unit_phases
-    half = CIRCLE_POINTS // 2
-    monkeypatch.setattr(quadrature, "_unit_phases", lambda m: (
-        phases(m)[np.arange(m) // half * half] if m == CIRCLE_POINTS else phases(m)))
+    unit_rule = quadrature._unit_rule
+    faulty = np.arange(CIRCLE_POINTS) // (CIRCLE_POINTS // 2) * (CIRCLE_POINTS // 2)
+
+    def patched(dimension, size):
+        rule = unit_rule(dimension, size)
+        if size != (CIRCLE_POINTS,):
+            return rule
+        return quadrature.SphereRule(1, 1.0, rule.nodes[faulty], rule.weights,
+                                     rule.t_weights, (rule.slot_nodes[0][:, faulty],))
+
+    monkeypatch.setattr(quadrature, "_unit_rule", patched)
     op = assemble_operator(sset, engine="euclidean", basis=basis)
     null = op.near_null(1e-8)
     assert len(null) > true_null

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from tsmlab.errors import QuadratureError
-from tsmlab.quadrature import (circle_rule, compensated_sum, gauss_legendre,
-                               plane_rule, radial_rule, sphere3_rule)
+from tsmlab.quadrature import (compensated_sum, gauss_legendre, plane_rule,
+                               radial_rule, sphere_rule)
 
 
 def test_compensated_sum_matches_fsum():
@@ -35,7 +35,7 @@ def test_gauss_legendre_polynomial_exactness():
 
 
 def test_circle_rule_trig_moments():
-    rule = circle_rule(1.7, m=32)
+    rule = sphere_rule(1, 1.7, m=32)
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)
     rule.validate()
     th = np.angle(rule.nodes[:, 0])
@@ -46,14 +46,16 @@ def test_circle_rule_trig_moments():
 
 def test_circle_rule_rejects_bad_input():
     with pytest.raises(ValueError):
-        circle_rule(0.0)
+        sphere_rule(1, 0.0)
     with pytest.raises(ValueError):
-        circle_rule(1.0, m=3)
+        sphere_rule(1, 1.0, m=3)
+    with pytest.raises(ValueError):
+        sphere_rule(3, 1.0)
     # non-finite radii, on the circle and on S^3
-    for rule in (circle_rule, sphere3_rule):
+    for n in (1, 2):
         for radius in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
-                rule(radius)
+                sphere_rule(n, radius)
 
 
 def test_sphere3_moments():
@@ -61,7 +63,7 @@ def test_sphere3_moments():
     r = 1.3
     # the t factor is Gauss-Legendre against a trig integrand, not exact;
     # order 20 puts its error well below the tolerance
-    rule = sphere3_rule(r, orders=(20, 8, 8))
+    rule = sphere_rule(2, r, orders=(20, 8, 8))
     rule.validate()
     a1 = np.abs(rule.nodes[:, 0])
     a2 = np.abs(rule.nodes[:, 1])
@@ -75,7 +77,7 @@ def test_sphere3_moments():
 
 
 def test_sphere3_phase_moments_vanish():
-    rule = sphere3_rule(1.0, orders=(6, 8, 8))
+    rule = sphere_rule(2, 1.0, orders=(6, 8, 8))
     w1, w2 = rule.nodes[:, 0], rule.nodes[:, 1]
     for (j, k) in [(1, 0), (0, 1), (2, 1), (1, 3)]:
         assert abs(rule.integrate(w1 ** j * np.conj(w2) ** k)) < 1e-14
@@ -88,9 +90,10 @@ def test_sphere_rule_is_product_of_its_factors(case):
     r sin(t) e^(i p2) on C^2, r e^(i p) on C."""
     r = 1.7
     if case == "circle":
-        rules = [((1, m), circle_rule(r, m)) for m in (4, 7, 64)]
+        rules = [((1, m), sphere_rule(1, r, m=m)) for m in (4, 7, 64)]
     else:
-        rules = [(o, sphere3_rule(r, o)) for o in [(5, 6, 10), (3, 8, 4), (16, 32, 32)]]
+        rules = [(o, sphere_rule(2, r, orders=o))
+                 for o in [(5, 6, 10), (3, 8, 4), (16, 32, 32)]]
     for (nt, *counts), rule in rules:
         slots, tw = rule.slot_nodes, rule.t_weights
         assert [s.shape for s in slots] == [(nt, m) for m in counts] and tw.shape == (nt,)
@@ -153,8 +156,9 @@ def test_plane_rule_rejects_unsupported_dimension():
 
 
 def _fresh_rules(r):
-    """gauss_legendre(7, 0, 2), circle_rule(r, 12) and sphere3_rule(r,
-    (5, 6, 8)), written out from numpy's leggauss and nothing cached."""
+    """gauss_legendre(7, 0, 2) and the sphere rules of radius r of 12
+    circle nodes and of S^3 orders (5, 6, 8), written out from numpy's
+    leggauss and nothing cached: r times the unit rule's tables."""
     x, w = np.polynomial.legendre.leggauss(7)
     gl = (0.0 + 1.0 * (x + 1.0), 1.0 * w)
     circle = r * np.exp(1j * (2.0 * np.pi * np.arange(12) / 12))
@@ -162,8 +166,8 @@ def _fresh_rules(r):
     t, wt = 0.25 * np.pi * (t + 1.0), 0.25 * np.pi * wt
     wt = wt * 2.0 * np.sin(t) * np.cos(t)
     wt /= wt.sum()
-    slots = ((r * np.cos(t))[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(6) / 6))[None, :],
-             (r * np.sin(t))[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(8) / 8))[None, :])
+    slots = (r * (np.cos(t)[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(6) / 6))[None, :]),
+             r * (np.sin(t)[:, None] * np.exp(1j * (2.0 * np.pi * np.arange(8) / 8))[None, :]))
     return gl, circle, wt, slots
 
 
@@ -179,9 +183,9 @@ def test_rules_are_built_bit_for_bit_from_leggauss(r):
     for _ in range(2):
         x, w = gauss_legendre(7, 0.0, 2.0)
         assert _same(x, gl[0]) and _same(w, gl[1])
-        c = circle_rule(r, 12)
+        c = sphere_rule(1, r, m=12)
         assert _same(c.slot_nodes[0], circle[None, :]) and _same(c.nodes[:, 0], circle)
-        s = sphere3_rule(r, (5, 6, 8))
+        s = sphere_rule(2, r, orders=(5, 6, 8))
         assert _same(s.t_weights, wt)
         assert all(_same(a, b) for a, b in zip(s.slot_nodes, slots))
         assert _same(s.nodes[::8, 0], slots[0].ravel())
@@ -190,13 +194,28 @@ def test_rules_are_built_bit_for_bit_from_leggauss(r):
 def test_mutating_a_rule_leaves_the_next_one_alone():
     gl, circle, wt, slots = _fresh_rules(1.0)
     x, w = gauss_legendre(7, 0.0, 2.0)
-    c = circle_rule(1.0, 12)
-    s = sphere3_rule(1.0, (5, 6, 8))
+    c = sphere_rule(1, 1.0, m=12)
+    s = sphere_rule(2, 1.0, orders=(5, 6, 8))
     for a in (x, w, c.nodes, c.slot_nodes[0], s.t_weights, s.weights, s.nodes,
               *s.slot_nodes):
         a[...] = 0
     x, w = gauss_legendre(7, 0.0, 2.0)
     assert _same(x, gl[0]) and _same(w, gl[1])
-    assert _same(circle_rule(1.0, 12).nodes[:, 0], circle)
-    s = sphere3_rule(1.0, (5, 6, 8))
+    assert _same(sphere_rule(1, 1.0, m=12).nodes[:, 0], circle)
+    s = sphere_rule(2, 1.0, orders=(5, 6, 8))
     assert _same(s.t_weights, wt) and all(_same(a, b) for a, b in zip(s.slot_nodes, slots))
+
+
+@pytest.mark.parametrize("n, size", [(1, {"m": 12}), (1, {}), (2, {"orders": (5, 6, 8)}), (2, {})])
+def test_sphere_rule_is_its_radius_times_the_unit_rule(n, size):
+    """Every array of sphere_rule(n, r) is r times, or for the weights
+    equal to, that of sphere_rule(n, 1.0), bit for bit."""
+    unit = sphere_rule(n, 1.0, **size)
+    for r in (0.37, 1.0, 2.9):
+        rule = sphere_rule(n, r, **size)
+        assert rule.radius == r
+        assert _same(rule.nodes, r * unit.nodes)
+        assert _same(rule.weights, unit.weights) and _same(rule.t_weights, unit.t_weights)
+        assert len(rule.slot_nodes) == n
+        assert all(_same(a, r * b) for a, b in zip(rule.slot_nodes, unit.slot_nodes))
+        rule.validate()

@@ -1,8 +1,10 @@
 """The repository's source checks in ``tools/``: every defaulted parameter
-of the library, dataclass fields included, has a call that sets it, and
-``src_stats`` counts as settable only what a caller can pass."""
+of the library, dataclass fields included, has a call that sets it,
+``src_stats`` counts as settable only what a caller can pass, and the
+payload tools run and compare the standard CLI runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -76,3 +78,19 @@ def test_payload_diff_reports_the_largest_change_per_file(tmp_path, capsys):
     d = _tree(tmp_path / "d", dict(base, **{"probe/report.json":
                                             '{"sigma": [3.5, 2.0001], "engine": "twisted"}'}))
     assert tool.compare(a, d) == ["probe/report.json: max |change| 0.5 at /sigma[0] (3.0 -> 3.5)"]
+
+
+def test_cli_runs_writes_one_passing_run_per_subdirectory(tmp_path, capsys):
+    tool = _tool("cli_runs")
+    assert tool.main([str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(tool.RUNS)
+    assert len(tool.RUNS) == 16
+    for name, (experiment, overrides) in tool.RUNS.items():
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["experiment"] == experiment and manifest["all_passed"], name
+        for ov in overrides:
+            key, value = ov.split("=")
+            assert str(manifest["config"][key]).lower() == value, (name, key)
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == [f"{name}: exit 0" for name in tool.RUNS]
+    assert tool.main([]) == 2

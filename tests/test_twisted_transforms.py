@@ -268,6 +268,74 @@ def test_mean_table_input_validation(gauss_field):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_centers_are_rejected(n, bad, gauss_field):
+    """A non-finite center meets no sphere, so it would read +0.0 (NaN at
+    r = 0): every mean entry raises ValueError naming it instead."""
+    if n == 1:
+        fields = [gauss_field, SampledField(gauss_field.rule, gauss_field.values)]
+    else:
+        fields = [SimpleNamespace(dimension=2, evaluate=lambda p: np.ones(len(p))),
+                  SlotProduct((lambda v: np.ones((v.size, 1)),) * 2, np.ones((1, 1)))]
+    good = np.full(n, 0.3 + 0.1j)
+    bad_center = good.copy()
+    bad_center[-1] = bad
+    for f in fields:
+        for twist in (True, False):
+            with pytest.raises(ValueError, match=r"finite, got .* at row 1"):
+                twisted_mean_table(f, [good, bad_center], [0.0, 0.5, 1.0], twist=twist)
+        with pytest.raises(ValueError, match="finite"):
+            twisted_spherical_mean(f, bad_center, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            mean_profile(f, bad_center, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("twist", [True, False])
+def test_means_of_radial_gaussians_match_their_closed_form(n, twist):
+    """For f = exp(-|z|^2/w), w < 4, and rho = |z|: f x mu_r(z) is
+    exp(-(rho^2 + r^2)/w) I_0(s) on C and exp(-(rho^2 + r^2)/w) 2 I_1(s)/s
+    on C^2, with s = r rho sqrt(4/w^2 - 1/4) twisted and s = 2 r rho / w
+    untwisted; Bessel values from scipy."""
+    iv = pytest.importorskip("scipy.special").iv
+    centers = {1: [[0.3 + 0.2j], [-1.1 + 0.4j], [0.05 - 1.7j]],
+               2: [[0.3 + 0.2j, -0.4 + 0.1j], [1.0 - 0.5j, 0.2 + 0.7j], [0j, 1.2 - 0.3j]]}[n]
+    radii = np.array([0.4, 1.3, 2.2, 3.1])
+    rho = np.linalg.norm(centers, axis=1)[:, None]
+    for w in (1.0, 2.0, 3.5):
+        f = SimpleNamespace(dimension=n, evaluate=lambda p, _w=w: np.exp(
+            -np.sum(np.abs(p) ** 2, axis=1) / _w))
+        s = radii * rho * (math.sqrt(4.0 / w ** 2 - 0.25) if twist else 2.0 / w)
+        exact = np.exp(-(rho ** 2 + radii ** 2) / w) * (iv(0, s) if n == 1 else 2.0 * iv(1, s) / s)
+        table = twisted_mean_table(f, centers, radii, twist=twist)
+        assert np.max(np.abs(table - exact) / exact) < 1e-13, w
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_table_builds_one_unit_rule(n, monkeypatch):
+    """A table call reads one sphere rule, of radius 1, however many radii
+    it has; the rule of radius r is r times it."""
+    calls = []
+    rule = twisted_transforms.sphere_rule
+
+    def counted(*args, **kw):
+        calls.append(args[:2])
+        return rule(*args, **kw)
+
+    monkeypatch.setattr(twisted_transforms, "sphere_rule", counted)
+    f = SimpleNamespace(dimension=n, evaluate=lambda p: np.exp(-np.sum(np.abs(p) ** 2, axis=1)))
+    slot = SlotProduct((lambda v: np.exp(-np.abs(v) ** 2)[:, None],) * 2, np.ones((1, 1)))
+    for radii in ([0.7], np.geomspace(0.1, 5.0, 24), [0.0, 1.0]):
+        for g in ([f, slot] if n == 2 else [f]):
+            calls.clear()
+            twisted_mean_table(g, [[0.2 - 0.1j] * n], radii)
+            assert calls == [(n, 1.0)]
+    calls.clear()
+    twisted_mean_table(f, [[0.2 - 0.1j] * n], [0.0])
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_product_relation(n, probe_targets):
     """phi_k x mu_r(z) = B(n,k) phi_k(r) phi_k(|z|) with
     B(n,k) = k! (n-1)! / (k+n-1)!."""
