@@ -63,7 +63,7 @@ from .errors import IllConditionedFitError
 from .euclidean_means import CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction, bump_profile
 from .fields import SampledField
 from .ioutil import fmt, write_csv, write_json
-from .quadrature import PlaneRule, plane_rule, sphere_rule
+from .quadrature import PlaneRule, gauss_legendre, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
                                 laguerre_sequence, special_hermite_indices,
                                 special_hermite_matrix)
@@ -1045,7 +1045,11 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec, rule: PlaneRule | None 
 
     Returns the report.  The field's peak is max |f| over the nodes of
     ``rule`` (default: the polar rule of extent 12, on C with 64 radial
-    nodes and 256 phases, on C^2 with 40 and S^3 orders (10, 20, 20)).
+    nodes and 256 phases, on C^2 with 40 and S^3 orders (10, 20, 20)),
+    read one radial ring at a time: views of ``rule.nodes``, or, for the
+    default, r_i times the unit ``sphere_rule``, as ``plane_rule`` forms
+    ring i, so the peak is the same bit for bit and the default rule is
+    never built.
     The scan centers come from a fixed pool: the ``n_onset``
     lexicographically first pool points with |P| ~ 0 and the ``n_offset``
     pool points with the largest |P|.  The headline contract: every
@@ -1057,12 +1061,13 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec, rule: PlaneRule | None 
                          f"n_offset={n_offset}")
     n = spec.dimension
     if rule is None:
-        rule = (plane_rule(1, extent=12.0, radial_points=64, angular_points=256)
-                if n == 1 else
-                plane_rule(2, extent=12.0, radial_points=40, sphere3_orders=(10, 20, 20)))
-    if rule.dimension != n:
+        unit = sphere_rule(n, 1.0, m=256, orders=(10, 20, 20)).nodes
+        rings = (r * unit for r in gauss_legendre(64 if n == 1 else 40, 0.0, 12.0)[0])
+    elif rule.dimension != n:
         raise ValueError("rule dimension does not match the harmonic")
-    peak = float(np.max(np.abs(spec.evaluate(rule.nodes))))
+    else:
+        rings = rule.nodes.reshape(rule.radial_nodes.size, -1, n)
+    peak = float(np.max([np.max(np.abs(spec.evaluate(ring))) for ring in rings]))
     if radii is None:
         radii = np.geomspace(0.3, 3.0, 10)
     radii = np.asarray(radii, dtype=float)

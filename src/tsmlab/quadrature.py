@@ -7,12 +7,13 @@ Design notes
   also carry the factors they are the product of (t weights, one node
   table per slot), which ``twisted_mean_table`` contracts against.
 * A sphere rule is its radius times the unit rule, the one sphere
-  construction (the circle on C is its one-slot case).  The unit rule is
-  built once per dimension and size in a process and is read-only;
-  ``sphere_rule`` returns fresh arrays.
+  construction (the circle on C is its one-slot case).  The unit rule of
+  the mean tables is built once per dimension and size in a process and
+  is read-only; ``sphere_rule`` returns fresh arrays.
 * A plane rule is a radius times a sphere rule: node (r, w) is r w with
-  r a Gauss-Legendre node on [0, extent] and w a node of the unit
-  ``sphere_rule`` (the circle on C, S^3 on C^2), weight
+  r a Gauss-Legendre node on [0, extent] and w a node of the unit sphere
+  rule (the circle on C, S^3 on C^2; built for the plane rule alone, not
+  cached), weight
   ``w_r r^(2n-1) * omega_(2n-1) w_w`` -- Lebesgue measure in the polar
   factorization ``dz = omega_(2n-1) r^(2n-1) dr dmu_r``.  One construction
   serves both n.
@@ -117,15 +118,17 @@ class SphereRule:
             raise QuadratureError(f"sphere rule nodes off the sphere by {err:.3e}")
 
 
-@functools.lru_cache(maxsize=64)
-def _unit_rule(dimension: int, size: tuple) -> SphereRule:
+def _build_unit_rule(dimension: int, size: tuple) -> SphereRule:
     """The read-only rule on the unit sphere: ``size`` is (m,) on C, m
     equispaced phases e^(2 pi i a / m) and T = 1 with t weight 1, or the
     S^3 orders (T, m1, m2) on C^2, slot tables cos(t) e^(i p1) and
     sin(t) e^(i p2) with t Gauss-Legendre on [0, pi/2] against the density
     2 sin t cos t, uniform in both phases, t weights renormalized to sum
     exactly 1.  Node (t, a_1, .., a_n) takes slot s from
-    slot_nodes[s][t, a_s], weight t_weights[t] / (M_1 .. M_n)."""
+    slot_nodes[s][t, a_s], weight t_weights[t] / (M_1 .. M_n).  A circle
+    of fewer than 4 nodes raises ValueError."""
+    if dimension == 1 and size[0] < 4:
+        raise ValueError("circle rule needs at least 4 nodes")
     phases = [np.exp(1j * (2.0 * np.pi * np.arange(m) / m)) for m in size[dimension - 1:]]
     if dimension == 1:
         t_weights, slot_nodes = np.ones(1), (phases[0][None, :],)
@@ -142,6 +145,10 @@ def _unit_rule(dimension: int, size: tuple) -> SphereRule:
     return SphereRule(dimension, 1.0, nodes, weights, t_weights, slot_nodes)
 
 
+# the unit rules of the mean tables, built once per (dimension, size)
+_unit_rule = functools.lru_cache(maxsize=64)(_build_unit_rule)
+
+
 def sphere_rule(dimension: int, radius: float, m: int | None = None,
                 orders: tuple[int, int, int] | None = None) -> SphereRule:
     """The sphere rule of every twisted mean, radius times the unit rule
@@ -154,8 +161,6 @@ def sphere_rule(dimension: int, radius: float, m: int | None = None,
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if dimension == 1:
         size = (256 if m is None else m,)
-        if size[0] < 4:
-            raise ValueError("circle rule needs at least 4 nodes")
     else:
         size = (16, 32, 32) if orders is None else tuple(orders)
     unit = _unit_rule(dimension, size)
@@ -250,7 +255,9 @@ def plane_rule(dimension: int,
         raise ValueError("extent must be positive")
     n = dimension
     r, wr = gauss_legendre(radial_points, 0.0, extent)
-    sph = sphere_rule(n, 1.0, m=angular_points, orders=sphere3_orders)
+    # the unit rule built for this grid alone, not kept with the mean
+    # tables' cached rules: a plane grid is mostly built once
+    sph = _build_unit_rule(n, (angular_points,) if n == 1 else tuple(sphere3_orders))
     nodes = (r[:, None, None] * sph.nodes[None, :, :]).reshape(-1, n)
     weights = (wr * r ** (2 * n - 1))[:, None] * (sphere_surface_area(n) * sph.weights)[None, :]
     if n == 1:

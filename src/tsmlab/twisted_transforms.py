@@ -272,7 +272,8 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
     is the same bit for bit whenever f's value at a point does not depend
     on how many points one read holds.  The 1e-9 margin exceeds the node
     round-off and the 1e-12 slack of ``EuclideanField``, so no node that
-    may be nonzero is skipped.  Without the attribute every sphere is read.
+    may be nonzero is skipped.  Without the attribute, or with R infinite,
+    every pair is read, center-major, and no cull is computed.
     """
     centers = np.asarray(centers, dtype=complex)
     if centers.ndim != 2 or centers.shape[1] != f.dimension:
@@ -311,8 +312,11 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
             out[:, on] = _slot_product_means(f, centers, slots, t_weights)
             return out
         conj_slots = [np.conj(s) for s in slots]
-        rows, cols = np.nonzero(np.abs(np.linalg.norm(centers, axis=1)[:, None] - radii_on)
-                                < support * (1 + 1e-9))
+        if support < np.inf:
+            rows, cols = np.nonzero(np.abs(np.linalg.norm(centers, axis=1)[:, None] - radii_on)
+                                    < support * (1 + 1e-9))
+        else:
+            rows, cols = np.indices((centers.shape[0], on.size)).reshape(2, -1)
         block = max(1, _MEAN_POINTS[f.dimension] // unit.weights.size)
         for s in range(0, rows.size, block):
             j, i = rows[s:s + block], cols[s:s + block]

@@ -942,6 +942,54 @@ def test_hecke_bochner_scan_rejects_negative_counts(counts):
         hecke_bochner_counterexample(spec, n_onset=counts[0], n_offset=counts[1])
 
 
+def _plane_rule_peak(spec, rule) -> float:
+    """The field peak as the scan read it once: max |f| over every node of
+    the plane rule, in one evaluation."""
+    return float(np.max(np.abs(spec.evaluate(rule.nodes))))
+
+
+# (harmonic (p, q, n), the scan's default plane rule)
+DEFAULT_PEAK_RULES = {
+    1: ((2, 0, 1), dict(extent=12.0, radial_points=64, angular_points=256)),
+    2: ((1, 1, 2), dict(extent=12.0, radial_points=40, sphere3_orders=(10, 20, 20))),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_field_peak_is_the_plane_rule_peak(n, monkeypatch):
+    """The peak read ring by ring equals max |f| over the plane rule's
+    nodes bit for bit: on the default rule, which the scan does not build,
+    and on a rule passed in."""
+    pqn, params = DEFAULT_PEAK_RULES[n]
+    spec = TypeFunctionSpec(solid_harmonic_basis(*pqn)[0])
+    default = plane_rule(n, **params)
+    small = plane_rule(n, extent=8.0, radial_points=8, angular_points=16,
+                       sphere3_orders=(4, 8, 8), tolerance=float("inf"))
+    scan = dict(n_onset=2, n_offset=2, radii=[0.5, 1.5], sphere_orders=(4, 8, 8))
+    got = hecke_bochner_counterexample(spec, rule=small, **scan).field_peak
+    assert got == _plane_rule_peak(spec, small)
+
+    def no_plane_rule(*args, **kw):
+        raise AssertionError("the default scan built a plane rule")
+
+    monkeypatch.setattr(quadrature.PlaneRule, "__init__", no_plane_rule)
+    got = hecke_bochner_counterexample(spec, **scan).field_peak
+    assert got == _plane_rule_peak(spec, default)
+
+
+def test_default_c2_scan_stays_small():
+    # a peak read over the whole 160 000-node default plane rule takes 20.8 MB
+    spec = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0])
+    hecke_bochner_counterexample(spec)          # caches built outside the trace
+    tracemalloc.start()
+    try:
+        hecke_bochner_counterexample(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak
+
+
 def test_scan_reads_slot_points_only(monkeypatch):
     # counting factors: the scan reads each slot's columns at the S^3
     # rules' own slot nodes, once per distinct slot value, and the type
@@ -1000,6 +1048,10 @@ def test_type_function_spec_guards():
     rule1 = plane_rule(1, extent=6.0, radial_points=16, angular_points=32)
     with pytest.raises(ValueError, match="dimension"):
         hecke_bochner_counterexample(spec, rule=rule1)
+    rule2 = plane_rule(2, extent=6.0, radial_points=16, sphere3_orders=(4, 8, 8))
+    with pytest.raises(ValueError, match="rule dimension"):
+        hecke_bochner_counterexample(TypeFunctionSpec(solid_harmonic_basis(2, 0, 1)[0]),
+                                     rule=rule2)
     with pytest.raises(ValueError, match="C\\^2"):
         TypeFunctionSpec(solid_harmonic_basis(1, 0, 1)[0]).slot_product()
     # four C points are not two C^2 points

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tsmlab import quadrature
 from tsmlab.errors import QuadratureError
 from tsmlab.quadrature import (compensated_sum, gauss_legendre, plane_rule,
                                radial_rule, sphere_rule)
@@ -219,3 +220,21 @@ def test_sphere_rule_is_its_radius_times_the_unit_rule(n, size):
         assert len(rule.slot_nodes) == n
         assert all(_same(a, r * b) for a, b in zip(rule.slot_nodes, unit.slot_nodes))
         rule.validate()
+
+
+@pytest.mark.parametrize("n, size", [(1, {"angular_points": 12}),
+                                     (2, {"sphere3_orders": (5, 6, 8)})])
+def test_plane_rule_keeps_no_cached_unit_rule(n, size):
+    """Ring i of a plane rule is r_i times the unit sphere rule, bit for
+    bit, and the plane rule builds that unit rule itself: the mean tables'
+    cache is neither read nor filled, so a one-off grid's tables do not
+    stay resident.  Its sizes are checked as sphere_rule checks them."""
+    before = quadrature._unit_rule.cache_info()
+    rule = plane_rule(n, extent=8.0, radial_points=7, tolerance=float("inf"), **size)
+    after = quadrature._unit_rule.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    unit = sphere_rule(n, 1.0, m=size.get("angular_points"), orders=size.get("sphere3_orders"))
+    for r, ring in zip(rule.radial_nodes, rule.nodes.reshape(7, -1, n)):
+        assert _same(ring, r * unit.nodes)
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        plane_rule(1, angular_points=3)

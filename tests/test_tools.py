@@ -5,6 +5,7 @@ payload tools run and compare the standard CLI runs."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -92,5 +93,8 @@ def test_cli_runs_writes_one_passing_run_per_subdirectory(tmp_path, capsys):
             key, value = ov.split("=")
             assert str(manifest["config"][key]).lower() == value, (name, key)
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines == [f"{name}: exit 0" for name in tool.RUNS]
+    # each run's exit code, then its tracemalloc peak in MB
+    assert len(lines) == len(tool.RUNS)
+    for name, line in zip(tool.RUNS, lines):
+        assert re.fullmatch(rf"{name}: exit 0, peak \d+\.\d MB", line), line
     assert tool.main([]) == 2

@@ -19,6 +19,7 @@ from conftest import (StackedFields, design_matrix_coefficients,
                       special_hermite_basis)
 from tsmlab import twisted_transforms
 from tsmlab.constants import TWIST_SIGN, sphere_surface_area
+from tsmlab.euclidean_means import bump_profile
 from tsmlab.errors import (FieldDomainError, GridMismatchError,
                            TranslateTailWarning, TruncationTailWarning)
 from tsmlab.fields import SampledField
@@ -309,6 +310,73 @@ def test_means_of_radial_gaussians_match_their_closed_form(n, twist):
         exact = np.exp(-(rho ** 2 + radii ** 2) / w) * (iv(0, s) if n == 1 else 2.0 * iv(1, s) / s)
         table = twisted_mean_table(f, centers, radii, twist=twist)
         assert np.max(np.abs(table - exact) / exact) < 1e-13, w
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fields_without_a_support_skip_the_cull(n, monkeypatch):
+    """A field that declares no support, or an infinite one, has every
+    (center, radius) pair read, center-major, and no cull computed: its
+    means are those of the same field declaring a support that every
+    sphere meets, bit for bit."""
+    rng = np.random.default_rng(3)
+    centers = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    radii = [0.0, 0.4, 1.3, 2.7]
+
+    def g(p):
+        return np.exp(-np.sum(np.abs(p) ** 2, axis=1)) * (1.0 + p[:, 0])
+
+    wide = SimpleNamespace(dimension=n, evaluate=g, support_radius=1e300)
+    refs = [twisted_mean_table(wide, centers, radii, twist=t) for t in (True, False)]
+
+    def no_norm(*args, **kw):
+        raise AssertionError("the support cull was computed")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    for f in (SimpleNamespace(dimension=n, evaluate=g),
+              SimpleNamespace(dimension=n, evaluate=g, support_radius=np.inf)):
+        for twist, ref in zip((True, False), refs):
+            assert np.array_equal(twisted_mean_table(f, centers, radii, twist=twist), ref)
+
+
+# the circle rule's own error on the means of a radial bump, which is
+# smooth but not analytic across its support's edge: measured 4.5e-8
+# (R = 1) and 1.7e-7 (R = 0.6) at 240 nodes, 1.3e-13 and 1.3e-12 at 960
+CIRCLE_RULE_ERROR = {240: 5e-7, 960: 5e-12}
+
+
+@pytest.mark.parametrize("R", [1.0, 0.6])
+@pytest.mark.parametrize("m", sorted(CIRCLE_RULE_ERROR))
+def test_means_of_radial_bumps_match_quad(R, m):
+    """The untwisted means of g = bump_profile(R), a field declaring its
+    support, against quad of (1/2 pi) int g(|x0 + r e^(i theta)|) d theta,
+    on circles well inside, crossing, grazing and just missing the
+    support's edge.  The circles the support cull skips are not read and
+    are exactly 0.0."""
+    quad = pytest.importorskip("scipy.integrate").quad
+    g = bump_profile(R)
+    read = []
+
+    def evaluate(p):
+        read.append(len(p))
+        return g(np.abs(p[:, 0]))
+
+    f = SimpleNamespace(dimension=1, support_radius=R, evaluate=evaluate)
+    centers = np.array([0.0, 0.3 * np.exp(0.4j), 0.8 * np.exp(2.1j), 1.7 * np.exp(-0.9j)])
+    rho = np.abs(centers)
+    # ||x0| - r| = R (1 + d): the circle crosses the support's edge
+    # (d < 0), touches it (d = 0) or passes just outside (d > 0)
+    graze = [c + s * R * (1 + d) for c in rho for s in (1, -1) for d in (-0.05, -1e-3, 0.0, 1e-3)]
+    radii = np.unique([r for r in [0.2, 0.5, 0.9, 1.4, 2.2] + graze if r > 0])
+    table = twisted_mean_table(f, centers[:, None], radii, m=m, twist=False)
+    exact = np.array([[quad(lambda t: g(abs(z + r * np.exp(1j * t))), 0.0, 2.0 * np.pi,
+                            epsabs=1e-15, epsrel=1e-13, limit=400)[0] / (2.0 * np.pi)
+                       for r in radii] for z in centers])
+    assert table.dtype == float
+    assert np.max(np.abs(table - exact)) <= CIRCLE_RULE_ERROR[m]
+    culled = np.abs(rho[:, None] - radii) >= R * (1 + 1e-9)
+    assert 0 < culled.sum() < culled.size
+    assert np.all(table[culled] == 0.0) and np.all(exact[culled] == 0.0)
+    assert sum(read) == m * np.sum(~culled)
 
 
 @pytest.mark.parametrize("n", [1, 2])

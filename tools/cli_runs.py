@@ -18,8 +18,11 @@ The runs, by subdirectory (``--experiment`` and ``--override`` values of
 
 Runs in this process with the ``tsmlab`` on the import path, so the same
 tool runs any checkout (``PYTHONPATH=<checkout>/src``).  Prints one line
-per run, with the run's own output when it fails, and exits 1 if any run
-exits non-zero.  Two trees are compared with ``tools/payload_diff.py``.
+per run, its exit code and its tracemalloc peak (MB, above what was
+allocated when it started; caches it fills count towards the first run
+that fills them), with the run's own output when it fails, and exits 1
+if any run exits non-zero.  Two trees are compared with
+``tools/payload_diff.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tracemalloc
 from pathlib import Path
 
 RUNS = {
@@ -54,16 +58,26 @@ def run_all(out: Path) -> dict[str, int]:
     from tsmlab.cli import main
 
     codes = {}
-    for name, (experiment, overrides) in RUNS.items():
-        argv = ["--experiment", experiment, "--out", str(out / name)]
-        for ov in overrides:
-            argv += ["--override", ov]
-        log = io.StringIO()
-        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-            codes[name] = main(argv)
-        print(f"{name}: exit {codes[name]}")
-        if codes[name]:
-            print(log.getvalue(), end="")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for name, (experiment, overrides) in RUNS.items():
+            argv = ["--experiment", experiment, "--out", str(out / name)]
+            for ov in overrides:
+                argv += ["--override", ov]
+            log = io.StringIO()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                codes[name] = main(argv)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+            print(f"{name}: exit {codes[name]}, peak {peak:.1f} MB")
+            if codes[name]:
+                print(log.getvalue(), end="")
+    finally:
+        if not tracing:
+            tracemalloc.stop()
     return codes
 
 
