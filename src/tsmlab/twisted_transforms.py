@@ -85,7 +85,8 @@ picks one of two ways from its input alone:
   C^2 kernel is a sum of products of two C slot kernels.  Each
   (radius, inclination) ring of the polar grid is the m1 x m2 product of
   its slot-1 nodes r cos(th) e^(i p1) and slot-2 nodes r sin(th) e^(i p2),
-  so the sum over a ring is (slot-1 kernel) @ (samples) @ (slot-2 kernel)^T.
+  so the sum over a ring is (slot-1 kernel) @ (samples) @ (slot-2 kernel)^T,
+  each block of rings weighting its own samples when it is read.
   A slot kernel depends on its own slot value alone, so a block of targets
   builds each kernel once per distinct slot value and ring, takes the
   slot-1 products in one batched matrix product over the rings per slot-1
@@ -97,13 +98,14 @@ picks one of two ways from its input alone:
   have m1 + m2.  C is the one-slot case: its whole grid is one ring and the
   table is (kernel) @ (samples).
 
-On C^2, ``tensor_decompose_projection`` samples f once on a slot x slot
-grid and takes the slot pieces of the product relation from the same
-``_slot_pieces``, with that grid as its one ring.  Every path off the C
-grid builds the kernel through ``_twisted_kernels``.  The w form, reading
-f at z - w against phi_k sampled on the grid (``convolution_values``;
-slot by slot for the pieces), is their independent oracle in the tests;
-it cuts phi_k off at the grid edge.
+On C^2, ``tensor_decompose_projection`` takes the slot pieces of the
+product relation from the same ``_slot_pieces``, with a slot x slot grid
+as its one ring: f is read on it in blocks of slot-1 rows and each block's
+slot-1 products are summed as it is read, so the grid is not held whole.
+Every path off the C grid builds the kernel through ``_twisted_kernels``.
+The w form, reading f at z - w against phi_k sampled on the grid
+(``convolution_values``; slot by slot for the pieces), is their
+independent oracle in the tests; it cuts phi_k off at the grid edge.
 """
 
 from __future__ import annotations
@@ -237,6 +239,15 @@ def _slot_product_means(f: SlotProduct, centers: np.ndarray, slots: list,
     return out
 
 
+def _finite(points: np.ndarray, name: str) -> np.ndarray:
+    """points (P, n), after checking that they are finite: ValueError
+    naming the first non-finite one and its row otherwise."""
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {points[bad[0]]} at row {bad[0]}")
+    return points
+
+
 def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
                        orders=None, twist: bool = True) -> np.ndarray:
     """f x mu_r(z) for every center (rows, points of C^n) and radius
@@ -279,9 +290,7 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
     if centers.ndim != 2 or centers.shape[1] != f.dimension:
         raise ValueError(f"centers must be points of C^{f.dimension}, "
                          f"shape (C, {f.dimension}); got {centers.shape}")
-    bad = np.flatnonzero(~np.isfinite(centers).all(axis=1))
-    if bad.size:
-        raise ValueError(f"centers must be finite, got {centers[bad[0]]} at row {bad[0]}")
+    _finite(centers, "centers")
     radii = np.asarray(radii, dtype=float).reshape(-1)
     bad = np.flatnonzero(~(np.isfinite(radii) & (radii >= 0)))
     if bad.size:
@@ -569,12 +578,16 @@ def _target_blocks(at: tuple, m: tuple, budget: int):
         start, width = start + n, n
 
 
-def _slot_pieces(targets: np.ndarray, slots: list, fw: np.ndarray, pieces: list) -> np.ndarray:
+def _slot_pieces(targets: np.ndarray, slots: list, weighted, pieces: list,
+                 row_blocks=(slice(None),)) -> np.ndarray:
     """Pieces (b_1, .., b_n) of the u-form sum at targets (T, n), n <= 2, one
     column per degree tuple in ``pieces``: (T, len(pieces)) complex.
 
-    fw (G, m_1, .., m_n) holds the weighted samples on G rings, ring g the
-    product grid of slot nodes slots[s][g] (m_s each).  With the slot
+    The weighted samples fw lie on G rings, ring g the product grid of
+    slot nodes slots[s][g] (G, m_s), and are read block by block:
+    ``weighted(ring, rows)`` gives those of a slice of the rings and a
+    slice of the slot-1 nodes, (rings, rows, m_2 ..), for each slice in
+    ``row_blocks`` (default: all the slot-1 nodes at once).  With the slot
     kernels K_b of ``_twisted_kernels`` (see the module docstring) on the
     U_s distinct values of z_s, piece (b1, b2) is read, at each target's
     (z1, z2) indices, from the U_1 x U_2 table
@@ -582,17 +595,19 @@ def _slot_pieces(targets: np.ndarray, slots: list, fw: np.ndarray, pieces: list)
         sum_g (K_b1[g] @ fw[g]) @ K_b2[g]^T:
 
     one batched (G, U_1, m_1) x (G, m_1, m_2) ring product P per slot-1
-    degree, then per piece one U_1 x U_2 BLAS product per ring (per run of
-    ``_RUN`` slot-2 nodes on longer rings), summed over the rings.  With one
-    slot (C) the table is P = K_b1 @ fw itself.  The tables pay off when
-    slot values repeat: the 96 targets of the C^2 probe lattice have 24
-    distinct z1 and 24 distinct z2, and the m_1 m_2 targets of a ring of a
-    C^2 grid's own nodes have m_1 + m_2.  The targets are cut into blocks
-    by ``_target_blocks`` (see ``_SLOT_BLOCK``) and each block builds its
+    degree (over several row blocks, the block products summed in their
+    order, each block read once against every slot-1 degree), then per
+    piece one U_1 x U_2 BLAS product per ring (per run of ``_RUN`` slot-2
+    nodes on longer rings), summed over the rings.  With one slot (C) the
+    table is P = K_b1 @ fw itself.  The tables pay off when slot values
+    repeat: the 96 targets of the C^2 probe lattice have 24 distinct z1
+    and 24 distinct z2, and the m_1 m_2 targets of a ring of a C^2 grid's
+    own nodes have m_1 + m_2.  The targets are cut into blocks by
+    ``_target_blocks`` (see ``_SLOT_BLOCK``) and each block builds its
     kernels once per distinct slot value and ring; the rings are taken in
     blocks that do not depend on the targets.
     """
-    G, m = fw.shape[0], fw.shape[1:]
+    G, m = slots[0].shape[0], tuple(s.shape[1] for s in slots)
     degrees = max(map(max, pieces)) + 1
     # one ring's own nodes as targets take sum_s m_s^2 kernel rows x nodes
     ring_block = min(G, max(1, _SLOT_BLOCK // (degrees * sum(mi * mi for mi in m))))
@@ -604,6 +619,30 @@ def _slot_pieces(targets: np.ndarray, slots: list, fw: np.ndarray, pieces: list)
         return _twisted_kernels(*_pairing_kernel_args(z[:, None], slots[j][ring].reshape(-1, 1)),
                                 [b[j] for b in pieces])
 
+    def products(z: np.ndarray, ring: slice, rings: int):
+        # (columns, P) per slot-1 degree, P (rings, U_1, m_2) from (rings, U_1, m_1) kernels
+        shape = lambda K: K.reshape(-1, rings, m[0]).transpose(1, 0, 2)
+        if len(row_blocks) == 1:
+            w = weighted(ring, row_blocks[0])
+            w = w.reshape(w.shape[:2] + (-1,))
+            for cols, K in kernels(0, z, ring):
+                P = np.matmul(shape(K), w)
+                del K   # not held while the recurrence takes its next step
+                yield cols, P
+            return
+        # every slot-1 degree's kernels stacked, (rings, degrees x U_1, m_1):
+        # one product per block of rows
+        K1 = [(cols, shape(K)) for cols, K in kernels(0, z, ring)]
+        columns, K1 = [cols for cols, _ in K1], np.concatenate([K for _, K in K1], axis=1)
+        P = None
+        for block in row_blocks:
+            w = weighted(ring, block)
+            p = np.matmul(K1[..., block], w.reshape(w.shape[:2] + (-1,)))
+            P = p if P is None else np.add(P, p, out=P)
+            del w, p    # not held while the next block is read
+        U = P.shape[1] // len(columns)
+        yield from ((cols, P[:, i * U:(i + 1) * U]) for i, cols in enumerate(columns))
+
     for rows in _target_blocks(at, m, _SLOT_BLOCK // (degrees * ring_block)):
         used, idx = zip(*(np.unique(a[rows], return_inverse=True) for a in at))
         z = [v[i] for v, i in zip(values, used)]      # the block's distinct slot values
@@ -611,15 +650,11 @@ def _slot_pieces(targets: np.ndarray, slots: list, fw: np.ndarray, pieces: list)
         tables = [None] * len(pieces)
         for g in range(0, G, ring_block):
             ring = slice(g, g + ring_block)
-            w = fw[ring]
-            rings = w.shape[0]
+            rings = min(G, g + ring_block) - g
             # slot-2 kernels per degree as (rings, m_2, U_2)
             K2 = {pieces[cols[0]][1]: K.reshape(-1, rings, m[1]).transpose(1, 2, 0)
                   for cols, K in (kernels(1, z[1], ring) if len(m) == 2 else ())}
-            for cols, K1 in kernels(0, z[0], ring):
-                P = np.matmul(K1.reshape(-1, rings, m[0]).transpose(1, 0, 2),
-                              w.reshape(rings, m[0], -1))
-                del K1   # not held while the recurrence takes its next step
+            for cols, P in products(z[0], ring, rings):
                 for col in cols:
                     if K2:
                         K = K2[pieces[col][1]]
@@ -637,19 +672,24 @@ def _slot_pieces(targets: np.ndarray, slots: list, fw: np.ndarray, pieces: list)
 
 def _ring_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np.ndarray:
     """Q_k f at arbitrary targets: the sum of ``_slot_pieces`` with
-    b_1 + .. + b_n = k.  On C the whole grid is one ring of one slot; on
-    C^2 each (radius, inclination) ring of f's polar rule is the m1 x m2
-    product grid of slot nodes r cos(th) e^(i p1) and r sin(th) e^(i p2)."""
-    u, fw = f.rule.nodes, f.values * f.rule.weights
+    b_1 + .. + b_n = k.  On C the whole grid is one ring of one slot, its
+    weighted samples formed once; on C^2 each (radius, inclination) ring of
+    f's polar rule is the m1 x m2 product grid of slot nodes r cos(th) e^(i p1)
+    and r sin(th) e^(i p2), and each block of rings weights its own samples
+    when it is read, so no whole weighted copy of f's values is made."""
+    u = f.rule.nodes
     if f.dimension == 1:
-        slots, fw = [u.T], fw[None]
+        slots, fw = [u.T], (f.values * f.rule.weights)[None]
+        weighted = lambda ring, rows: fw
     else:
         R, nt, m1, m2 = f.rule.shape
         u = u.reshape(R * nt, m1, m2, 2)
-        slots, fw = [u[:, :, 0, 0], u[:, 0, :, 1]], fw.reshape(R * nt, m1, m2)
+        slots = [u[:, :, 0, 0], u[:, 0, :, 1]]
+        samples, wts = (a.reshape(R * nt, m1, m2) for a in (f.values, f.rule.weights))
+        weighted = lambda ring, rows: samples[ring] * wts[ring]
     pieces = [b for b in itertools.product(range(max(degrees) + 1), repeat=f.dimension)
               if sum(b) in degrees]
-    vals = _slot_pieces(targets, slots, fw, pieces)
+    vals = _slot_pieces(targets, slots, weighted, pieces)
     return np.stack([sum(vals[:, i] for i, b in enumerate(pieces) if sum(b) == k)
                      for k in degrees], axis=1)
 
@@ -671,13 +711,15 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     targets None or equal to ``f.rule.nodes`` take the per-mode table; all
     other targets, and every target on C^2, take the ring sum of
     ``_slot_pieces``, all degrees from one Laguerre recurrence per slot.
+    Targets must be finite: a non-finite one raises ValueError naming it
+    and its row.
     """
     degrees = [_degree(k, f"degrees[{i}]") for i, k in enumerate(degrees)]
     if not degrees:
         raise ValueError("degrees must be a non-empty list of integers >= 0, got []")
     w = f.rule.nodes
     if targets is not None:
-        targets = np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
+        targets = _finite(np.asarray(targets, dtype=complex).reshape(-1, f.dimension), "targets")
     if f.dimension == 1 and (targets is None or np.array_equal(targets, w)):
         rho, sums = _mode_table(f, max(degrees), grid_modes=True)
         return _table_projections(rho, sums, f.rule.shape[1], degrees)
@@ -766,16 +808,22 @@ def tensor_decompose_projection(f: SampledField, k: int) -> list[SampledField]:
 
         f x phi_k^(1) = sum_(b1+b2=k) (f x_2 phi_b2^(0)) x_1 phi_b1^(0)
 
-    with x_i the twisted convolution in slot i alone.  f is sampled once on
-    the slot x slot product grid of ``_default_slot_rule`` (in blocks of
-    rows, through one point buffer) and weighted to F; with the u-form slot
-    kernel K_b(z)[t, u] = phi_b(|z_t - u|) exp(-(i/2) Im(z_t conj(u))),
-    piece (b1, b2) is the table (K_b1(z1) @ F) @ K_b2(z2)^T read at each
-    target's (z1, z2): ``_slot_pieces`` with the grid as its one ring.
-    Fields without an evaluator raise FieldDomainError: the product grid
-    reaches past their extent.  Returns the pieces, b1 ascending, as fields
-    on a small probe lattice of C^2 whose evaluators sum the same F.
-    Summing the pieces reproduces ``spectral_projection(f, k)``.
+    with x_i the twisted convolution in slot i alone.  With the u-form slot
+    kernel K_b(z)[t, u] = phi_b(|z_t - u|) exp(-(i/2) Im(z_t conj(u))) and
+    F f's weighted samples on the slot x slot product grid of
+    ``_default_slot_rule``, piece (b1, b2) is the table
+    (K_b1(z1) @ F) @ K_b2(z2)^T read at each target's (z1, z2):
+    ``_slot_pieces`` with the grid as its one ring.  f is read on the grid
+    in blocks of slot-1 rows, at most ``_GRID_POINTS`` points each, and
+    K_b1 @ F is summed over the blocks as they are read, so building the
+    pieces forms no N x N array.  Fields without an evaluator raise
+    FieldDomainError: the product grid reaches past their extent.  Returns the pieces, b1 ascending, as fields on a
+    small probe lattice of C^2.  The pieces hold f: the first read of any
+    piece's evaluator forms F whole, in place, once per decomposition, and
+    every read sums its row blocks in the same order, so a read at the
+    lattice returns the piece's values bit for bit.  Targets must be
+    finite, as in ``spectral_projections``.  Summing the pieces reproduces
+    ``spectral_projection(f, k)``.
     """
     if f.dimension != 2:
         raise ValueError("tensor decomposition applies to fields on C^2")
@@ -787,21 +835,36 @@ def tensor_decompose_projection(f: SampledField, k: int) -> list[SampledField]:
     slot = _default_slot_rule()
     u, w = slot.nodes, slot.weights
     N = u.shape[0]
-    F = np.empty((N, N), dtype=complex)
-    rows = max(1, _GRID_POINTS // N)
-    pts = np.empty((min(rows, N), N, 2), dtype=complex)   # one buffer of slot x slot points
-    pts[..., 1] = u.T
-    for s in range(0, N, rows):
-        block = pts[:min(rows, N - s)]
-        block[..., 0] = u[s:s + rows]
-        np.multiply(f.evaluate(block), np.outer(w[s:s + rows], w), out=F[s:s + rows])
+    step = max(1, _GRID_POINTS // N)
+    row_blocks = [slice(s, min(s + step, N)) for s in range(0, N, step)]
 
-    def piece_values(targets, pairs: list) -> np.ndarray:
-        targets = np.asarray(targets, dtype=complex).reshape(-1, 2)
-        return _slot_pieces(targets, [u.T, u.T], F[None], pairs)
+    def sampler():
+        # F's rows, read from f at their slot x slot points through one buffer
+        pts = np.empty((min(step, N), N, 2), dtype=complex)
+        pts[..., 1] = u.T
+
+        def sampled(ring: slice, rows: slice) -> np.ndarray:
+            block = pts[:rows.stop - rows.start]
+            block[..., 0] = u[rows]
+            return (f.evaluate(block) * np.outer(w[rows], w))[None]
+        return sampled
+
+    @functools.cache
+    def whole() -> np.ndarray:
+        # the whole F, filled in place on the first evaluator read
+        F, sampled = np.empty((1, N, N), dtype=complex), sampler()
+        for block in row_blocks:
+            F[:, block] = sampled(None, block)
+        return F
+
+    formed = lambda ring, rows: whole()[:, rows]
+
+    def piece_values(targets, pairs: list, weighted) -> np.ndarray:
+        targets = _finite(np.asarray(targets, dtype=complex).reshape(-1, 2), "targets")
+        return _slot_pieces(targets, [u.T, u.T], weighted, pairs, row_blocks)
 
     pairs = [(b1, k - b1) for b1 in range(k + 1)]
-    vals = piece_values(lattice.nodes, pairs)
+    vals = piece_values(lattice.nodes, pairs, sampler())
     return [SampledField(lattice, vals[:, b1],
-                         lambda pts, _p=p: piece_values(pts, [_p])[:, 0],
+                         lambda pts, _p=p: piece_values(pts, [_p], formed)[:, 0],
                          name=f"piece_b1={p[0]}_b2={p[1]}") for b1, p in enumerate(pairs)]

@@ -3,6 +3,7 @@ oracles. Heavy grids are session-scoped so the suite builds each one
 exactly once."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,18 @@ from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
                                       laguerre_function, laguerre_polynomial,
                                       special_hermite_matrix)
 from tsmlab.constants import TWIST_SIGN
-from tsmlab.twisted_transforms import twist_phase
+from tsmlab.twisted_transforms import (_GRID_POINTS, _default_slot_rule, _slot_pieces,
+                                       twist_phase)
+
+
+def peak_mb(fn) -> float:
+    """The tracemalloc peak of one call fn(), in MB (2^20 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def special_hermite_basis(idx: SpecialHermiteIndex, z):
@@ -239,6 +251,31 @@ def nested_piece_values(f, k, targets, slot):
         for b1 in range(k + 1):
             out[s:s + chunk, b1] = allp[:, b1, k - b1]
     return out
+
+
+def whole_grid_pieces(f, k, targets):
+    """Regrouping oracle for the C^2 tensor pieces of Q_k f: all (b1, b2 =
+    k - b1) pieces at the targets, (T, k+1) complex.
+
+    f's weighted samples F on the whole slot x slot grid of the default
+    slot rule, read in blocks of ``_GRID_POINTS`` points, then contracted
+    in slot 1 by one product over all its nodes: ``_slot_pieces`` with the
+    whole F as one block of one ring.  The library sums the products of
+    F's row blocks instead; the two differ only in that grouping."""
+    slot = _default_slot_rule()
+    u, w = slot.nodes, slot.weights
+    N = u.shape[0]
+    step = max(1, _GRID_POINTS // N)
+    F = np.empty((N, N), dtype=complex)
+    pts = np.empty((step, N, 2), dtype=complex)
+    pts[..., 1] = u.T
+    for s in range(0, N, step):
+        block = pts[:min(step, N - s)]
+        block[..., 0] = u[s:s + step]
+        F[s:s + step] = f.evaluate(block) * np.outer(w[s:s + step], w)
+    targets = np.asarray(targets, dtype=complex).reshape(-1, 2)
+    return _slot_pieces(targets, [u.T, u.T], lambda ring, rows: F[None],
+                        [(b1, k - b1) for b1 in range(k + 1)])
 
 
 @pytest.fixture(scope="session")

@@ -4,13 +4,13 @@ import dataclasses
 import itertools
 import json
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import per_pair_circular_mean, per_pair_twisted_mean, sector_basis_values
+from conftest import (peak_mb, per_pair_circular_mean, per_pair_twisted_mean,
+                      sector_basis_values)
 from tsmlab.cli import main
 from tsmlab.constants import REGRESSION
 from tsmlab.errors import IllConditionedFitError
@@ -809,13 +809,14 @@ def _traced_coxeter4_probe(K: int) -> tuple:
     and reading the vectors of its four smallest sigma."""
     sset = make_set("plane_cross_coxeter", n_lines=2)
     basis = ProductHermiteBasis((K, K))
-    tracemalloc.start()
-    try:
+    held = []
+
+    def probe():
         op = assemble_operator(sset, basis=basis)
-        null = op.near_null(op.singular_values[-4])     # the four smallest
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        held.append((op, op.near_null(op.singular_values[-4])))    # the four smallest
+
+    peak = peak_mb(probe) * 2 ** 20
+    (op, null), = held
     assert op.shape == (sset.n_rows, basis.ncols) and not op.degenerate
     assert len(null) >= 4 and all(v.shape == (basis.ncols,) for _, v in null)
     return sset, basis, peak
@@ -981,13 +982,8 @@ def test_default_c2_scan_stays_small():
     # a peak read over the whole 160 000-node default plane rule takes 20.8 MB
     spec = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0])
     hecke_bochner_counterexample(spec)          # caches built outside the trace
-    tracemalloc.start()
-    try:
-        hecke_bochner_counterexample(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20, peak
+    peak = peak_mb(lambda: hecke_bochner_counterexample(spec))
+    assert peak <= 4.0, peak
 
 
 def test_scan_reads_slot_points_only(monkeypatch):

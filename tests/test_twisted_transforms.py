@@ -7,7 +7,6 @@ drift shows up here first.
 """
 
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +14,8 @@ import pytest
 
 from conftest import (StackedFields, design_matrix_coefficients,
                       direct_projection_table, direct_projection_values,
-                      nested_piece_values, per_pair_twisted_mean,
-                      special_hermite_basis)
+                      nested_piece_values, peak_mb, per_pair_twisted_mean,
+                      special_hermite_basis, whole_grid_pieces)
 from tsmlab import twisted_transforms
 from tsmlab.constants import TWIST_SIGN, sphere_surface_area
 from tsmlab.euclidean_means import bump_profile
@@ -289,6 +288,31 @@ def test_non_finite_centers_are_rejected(n, bad, gauss_field):
             twisted_spherical_mean(f, bad_center, 0.5)
         with pytest.raises(ValueError, match="finite"):
             mean_profile(f, bad_center, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_targets_are_rejected(n, bad):
+    """A non-finite target reads NaN from every kernel: the projections at
+    it, of fields with and without an evaluator, raise ValueError naming
+    the first one and its row instead."""
+    if n == 1:
+        rule = plane_rule(1, extent=8.0, radial_points=16, angular_points=24)
+    else:
+        rule = plane_rule(2, extent=6.0, radial_points=6, sphere3_orders=(3, 6, 8),
+                          tolerance=float("inf"))
+    fn = lambda p: np.exp(-np.sum(np.abs(p - 0.2j) ** 2, axis=1) / 3.0).astype(complex)
+    targets = np.full((3, n), 0.3 + 0.1j)
+    targets[1, -1] = bad
+    targets[2, 0] = np.nan
+    for f in (SampledField.from_function(fn, rule), SampledField(rule, fn(rule.nodes))):
+        reads = [lambda t: projection_values(f, 1, t),
+                 lambda t: spectral_projections(f, [0, 2], t)]
+        if n == 1:
+            reads.append(spectral_projection(f, 1).evaluate)
+        for read in reads:
+            with pytest.raises(ValueError, match=r"targets must be finite, got .* at row 1"):
+                read(targets)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -574,15 +598,6 @@ def test_off_grid_projection_keeps_the_kernel_past_the_grid_edge(rule_c1_small):
     assert np.max(np.abs(got - ref)) <= 3e-6 * np.max(np.abs(ref))
 
 
-def _peak_mb(fn) -> float:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("m", [24, 25])
 def test_on_grid_projections_fold_aliased_modes(m):
     """On a coarse grid the m phases under-resolve the kernel: its phase
@@ -602,9 +617,9 @@ def test_projection_memory_budget(gauss_field, probe_targets):
     # the on-grid table holds (orders, degrees, radii) floats, and the
     # off-grid path a few (targets, nodes) arrays: neither may grow with
     # the square of the grid
-    on_grid = _peak_mb(lambda: spectral_projections(gauss_field, range(13)))
+    on_grid = peak_mb(lambda: spectral_projections(gauss_field, range(13)))
     assert on_grid < 48.0
-    off_grid = _peak_mb(lambda: spectral_projections(gauss_field, range(13),
+    off_grid = peak_mb(lambda: spectral_projections(gauss_field, range(13),
                                                      probe_targets[:3]))
     assert off_grid < 8.0
 
@@ -653,7 +668,7 @@ def test_coefficients_match_design_matrix_oracle(request, rule_name, K):
 def test_truncation_memory_budget(gauss_field):
     # the coefficients come from the mode table, with no (nodes, (K+1)^2)
     # design matrix: 440 MB at K = 40 on the default grid
-    assert _peak_mb(lambda: special_hermite_truncation(gauss_field, 40)) < 64.0
+    assert peak_mb(lambda: special_hermite_truncation(gauss_field, 40)) < 64.0
 
 
 def test_special_hermite_coefficients_pick_out_basis(rule_c1):
@@ -852,6 +867,20 @@ def test_tensor_pieces_match_nested_oracle(field_name, request):
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), k
 
 
+@pytest.mark.parametrize("field_name", ["c2_field", "c2_offcentre"])
+def test_tensor_pieces_match_whole_grid_oracle(field_name, request):
+    """The pieces sum the slot-1 products of the sampled grid's row blocks
+    as they are read; against one product over the whole grid, k <= 2, at
+    every lattice node: the same quadrature regrouped, to 1e-14 of the
+    largest piece."""
+    f = request.getfixturevalue(field_name)
+    for k in range(3):
+        pieces = tensor_decompose_projection(f, k)
+        ref = whole_grid_pieces(f, k, pieces[0].rule.nodes)
+        got = np.stack([p.values for p in pieces], axis=1)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), k
+
+
 def test_tensor_piece_evaluators(c2_offcentre):
     """On the lattice each piece's evaluator returns its values exactly;
     off the lattice it matches the nested oracle to 1e-10 of the largest
@@ -865,6 +894,51 @@ def test_tensor_piece_evaluators(c2_offcentre):
     ref = nested_piece_values(c2_offcentre, k, pts, _slot_rule())
     got = np.stack([p.evaluate(pts) for p in pieces], axis=1)
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_tensor_piece_evaluators_reject_non_finite_targets(c2_offcentre):
+    pieces = tensor_decompose_projection(c2_offcentre, 1)
+    for bad in (np.nan, np.inf):
+        for p in pieces:
+            with pytest.raises(ValueError, match=r"targets must be finite, got .* at row 1"):
+                p.evaluate(np.array([[0.3, 0.1j], [0.2, bad]]))
+
+
+def test_tensor_pieces_read_the_slot_grid_in_blocks(c2_offcentre):
+    """Work count: f is read at the 1536 x 1536 slot grid's points once to
+    build the pieces, once more on the first evaluator read off the
+    lattice, which forms the grid, and never after, by any piece."""
+    reads = []
+
+    def counted(p):
+        reads.append(len(p))
+        return c2_offcentre.evaluate(p)
+
+    f = SampledField(c2_offcentre.rule, c2_offcentre.values, counted)
+    grid = twisted_transforms._default_slot_rule().weights.size ** 2
+    pieces = tensor_decompose_projection(f, 2)
+    assert sum(reads) == grid == 2_359_296
+    assert max(reads) <= twisted_transforms._GRID_POINTS
+    off = np.array([[0.3 + 0.2j, -0.5 + 0.1j], [1.1 - 0.4j, 0.2 + 0.7j]])
+    first = pieces[1].evaluate(off)
+    assert sum(reads) == 2 * grid
+    assert np.array_equal(pieces[1].evaluate(off), first)
+    for p in pieces:
+        assert np.array_equal(p.evaluate(p.rule.nodes), p.values)
+    assert sum(reads) == 2 * grid
+
+
+def test_tensor_decomposition_memory_budget(c2_offcentre):
+    """A decomposition read at the lattice alone forms no slot x slot array
+    (the 1536 x 1536 complex grid is 36 MB): it holds one block of grid
+    rows and the slot kernels, within 12 MB traced.  The first evaluator
+    read forms the grid, within the 42.8 MB that building the pieces took
+    when it held the grid whole; a second read forms nothing."""
+    pieces = []
+    assert peak_mb(lambda: pieces.extend(tensor_decompose_projection(c2_offcentre, 2))) <= 12.0
+    off = np.array([[0.3 + 0.2j, -0.5 + 0.1j], [1.1 - 0.4j, 0.2 + 0.7j]])
+    assert peak_mb(lambda: pieces[0].evaluate(off)) <= 42.8
+    assert peak_mb(lambda: pieces[2].evaluate(off)) <= 1.0
 
 
 def _repeating_targets(case: str, lattice: np.ndarray) -> np.ndarray:
@@ -961,7 +1035,10 @@ def test_c2_ring_sum_memory_budget(c2_offcentre):
     block of rings, and its tables: on a small C^2 grid, reads at the probe
     lattice and at the grid's own nodes (8192 targets, 512 distinct z1 and
     512 distinct z2: all-pairs tables would take 42 MB) stay within the
-    _SLOT_BLOCK budget plus the output."""
+    _SLOT_BLOCK budget plus the output.  Each block of rings weights its
+    own samples: on the 448 000-node (28, 10, 40, 40) rule, where all of
+    them take 7.2 MB, a read at the lattice stays within the budget plus
+    one ring block's weighted samples and the output."""
     rule = plane_rule(2, extent=6.0, radial_points=8, sphere3_orders=(4, 16, 16),
                       tolerance=float("inf"))
     f = SampledField.from_function(c2_offcentre.evaluate, rule)
@@ -970,7 +1047,19 @@ def test_c2_ring_sum_memory_budget(c2_offcentre):
     for read in (lambda: spectral_projections(f, range(4), lattice),
                  lambda: spectral_projections(f, range(4))):
         out_mb = read().nbytes / 2 ** 20
-        assert _peak_mb(read) <= budget + out_mb
+        assert peak_mb(read) <= budget + out_mb
+
+    rule = plane_rule(2, extent=10.0, radial_points=28, sphere3_orders=(10, 40, 40))
+    f = SampledField.from_function(c2_offcentre.evaluate, rule)
+    R, nt, m1, m2 = rule.shape
+    degrees = 3
+    # the ring block of _slot_pieces: one ring's own nodes as targets
+    # take (m1^2 + m2^2) kernel entries per degree
+    ring_block = min(R * nt, twisted_transforms._SLOT_BLOCK // (degrees * (m1 * m1 + m2 * m2)))
+    ring_mb = ring_block * m1 * m2 * np.dtype(complex).itemsize / 2 ** 20
+    read = lambda: spectral_projections(f, range(degrees), lattice)
+    out_mb = read().nbytes / 2 ** 20
+    assert peak_mb(read) <= budget + ring_mb + out_mb
 
 
 def test_tensor_pieces_separable_product_route(c2_field):
