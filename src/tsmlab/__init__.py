@@ -40,9 +40,8 @@ from .twisted_transforms import (mean_profile, polar_bridge,
                                  tensor_decompose_projection,
                                  twisted_convolution, twisted_mean_table,
                                  twisted_spherical_mean, twisted_translate)
-from .euclidean_means import (EuclideanField, circular_mean,
-                              coxeter_odd_counterexample, euclidean_mean_table,
-                              euclidean_sector_basis)
+from .euclidean_means import (circular_mean, coxeter_odd_counterexample,
+                              euclidean_mean_table, euclidean_sector_basis)
 from .injectivity_lab import (INJECTIVITY_CAVEAT, ProjectionExpansion,
                               SamplingOperator, SamplingSet, TypeFunctionSpec,
                               VanishingSetReport, assemble_operator, curve_set,

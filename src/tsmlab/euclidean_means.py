@@ -20,11 +20,12 @@ to 1 (w -> -w maps the circle onto itself), so every circular mean comes
 from ``twisted_transforms.twisted_mean_table`` with ``twist=False``:
 ``euclidean_mean_table`` is that table on ``CIRCLE_POINTS`` circle nodes
 and ``circular_mean`` its 1 x 1 case.  Fields here speak the table's
-point protocol, (..., 1) complex points of the plane.  Every field here
-is compactly supported, and a field or basis that declares
-``support_radius`` R is 0 outside the disk |z| <= R by that declaration:
-a circle about x of radius r with ||x| - r| >= R misses the disk, its
-mean is 0, and the table does not read it.
+point protocol, (..., 1) complex points of the plane.  The odd
+counterexample is a real ``fields.SampledField`` that declares
+``support_radius`` 1; a field or basis that declares a support R is 0
+outside the disk |z| <= R by that declaration: a circle about x of
+radius r with ||x| - r| >= R misses the disk, its mean is 0, and the
+table does not read it.
 Sector basis columns come only from ``injectivity_lab.EuclideanSectorBasis``
 ``.matrix``; ``SectorBasisFunction`` names a column and holds no evaluator.
 
@@ -36,13 +37,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import FieldDomainError
-from .fields import interpolate_on_rule
+from .fields import SampledField
 from .ioutil import fmt, write_csv
 from .quadrature import PlaneRule, plane_rule
 from .twisted_transforms import twisted_mean_table
@@ -50,7 +50,7 @@ from .twisted_transforms import twisted_mean_table
 CIRCLE_POINTS = 240      # divisible by 1..6: reflection pairs nodes exactly
 
 __all__ = [
-    "EuclideanField", "SectorBasisFunction", "bump_profile", "circular_mean",
+    "SectorBasisFunction", "bump_profile", "circular_mean",
     "euclidean_mean_table", "write_mean_table", "coxeter_odd_counterexample",
     "coxeter_odd_orders", "euclidean_sector_basis", "CIRCLE_POINTS",
 ]
@@ -71,84 +71,6 @@ def bump_profile(support_radius: float = 1.0) -> Callable[[np.ndarray], np.ndarr
         return out
 
     return g
-
-
-@dataclass(frozen=True)
-class EuclideanField:
-    """Real-valued field on R^2 sampled on a polar grid.
-
-    ``support_radius`` R declares the compact numerical support: the field
-    is 0 at every |z| > R.  Construction rejects samples above 1e-12 of
-    the peak outside R (1 + 1e-12); smaller ones are accepted, and
-    ``evaluate`` returns 0 past that radius for a field without an
-    evaluator.  The mean table reads no circle that misses the disk, so a
-    mean there is 0 with an evaluator too, even one that leaks past R.
-    The evaluator takes flat complex points and returns one real value
-    each.
-    """
-    rule: PlaneRule
-    values: np.ndarray
-    support_radius: float
-    evaluator: Callable | None = None
-    name: str = ""
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    dimension = 1
-
-    def __post_init__(self):
-        if self.rule.dimension != 1:
-            raise ValueError("Euclidean fields live on the plane (rule dimension 1)")
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.rule.nodes.shape[0],):
-            raise ValueError("one sample per grid node required")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field samples must be finite")
-        if not self.support_radius > 0:
-            raise ValueError("support radius must be positive")
-        r = np.abs(self.rule.nodes[:, 0])
-        outside = r > self.support_radius * (1 + 1e-12)
-        peak = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if peak > 0 and outside.any():
-            tail = float(np.max(np.abs(vals[outside])))
-            if tail > 1e-12 * peak:
-                raise ValueError(
-                    f"samples reach {tail:.2e} outside the declared support "
-                    f"radius {self.support_radius} (peak {peak:.2e})")
-
-    @classmethod
-    def from_function(cls, fn, rule: PlaneRule, support_radius: float,
-                      name: str = "") -> "EuclideanField":
-        vals = np.asarray(fn(rule.nodes[:, 0]), dtype=float)
-        return cls(rule, vals, support_radius, evaluator=fn, name=name)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Values at points of the plane, (..., 1) complex: (...) float."""
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim == 0 or pts.shape[-1] != 1:
-            raise ValueError("points must have last axis 1")
-        flat = pts.reshape(-1)
-        if self.evaluator is not None:
-            out = np.asarray(self.evaluator(flat), dtype=float)
-        else:
-            # outside the support the field is zero by declaration, so only
-            # reads in the grid-to-support gap are genuinely undefined
-            out = np.zeros(flat.shape[0], dtype=float)
-            r = np.abs(flat)
-            inside = r <= self.support_radius * (1 + 1e-12)
-            off = inside & (r > self.rule.extent * (1 + 1e-12))
-            if off.any():
-                raise FieldDomainError(
-                    "circular mean reads inside the declared support but "
-                    "off the grid", points=flat[off][:8])
-            if inside.any():
-                out[inside] = interpolate_on_rule(
-                    self.rule, self.values, flat[inside, None],
-                    cache=self._cache).real
-        return out.reshape(pts.shape[:-1])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def euclidean_mean_table(f, centers, radii) -> np.ndarray:
@@ -179,22 +101,22 @@ def write_mean_table(path, centers, radii, table) -> None:
     write_csv(path, ["re_center", "im_center", "r", "mean"], rows)
 
 
-def coxeter_odd_counterexample(n_lines: int) -> EuclideanField:
+def coxeter_odd_counterexample(n_lines: int) -> SampledField:
     """The compactly supported field g(|x|) Im((x1+ix2)^N), odd across every
     line of Sigma_N, whose circular means vanish at all centers on Sigma_N:
-    g the unit ``bump_profile``, support radius 1, sampled on the polar
-    rule of extent 2."""
+    g the unit ``bump_profile``, sampled on the polar rule of extent 2 as a
+    real field that declares support radius 1."""
     if n_lines < 1:
         raise ValueError("need at least one line")
     g = bump_profile()
     N = int(n_lines)
 
     def f(p):
-        p = np.asarray(p, dtype=complex)
-        return g(np.abs(p)) * np.imag(p ** N)
+        z = np.asarray(p, dtype=complex)[:, 0]
+        return g(np.abs(z)) * np.imag(z ** N)
 
     rule = plane_rule(1, extent=2.0, radial_points=48, angular_points=CIRCLE_POINTS)
-    return EuclideanField.from_function(f, rule, 1.0, name=f"odd_sigma{N}")
+    return SampledField(rule, f(rule.nodes), f, f"odd_sigma{N}", support_radius=1.0)
 
 
 def coxeter_odd_orders(n_lines: int, max_order: int) -> list[int]:

@@ -1,10 +1,15 @@
 """Sampled fields on plane rules, their interpolation, and export formats.
 
-A field is a vector of complex samples bound to a ``PlaneRule`` grid; its
-dimension is the rule's.  Fields built from closed forms keep their evaluator
+A field is a vector of samples bound to a ``PlaneRule`` grid; its
+dimension is the rule's.  Real floating samples stay float64 and every
+other kind is stored as complex128; a field's reads come back in its
+samples' dtype.  A field may declare ``support_radius`` R: it is 0 at
+every |z| > R, and construction rejects samples above 1e-12 of the peak
+outside R (1 + 1e-12).  Fields built from closed forms keep their evaluator
 (closed-form evaluation is exact and cheap and every operator prefers it);
 fields reconstructed from raw samples (CSV import, hand-built arrays) fall
-back to interpolation on the polar grid:
+back to interpolation on the polar grid, and read 0 past a declared
+support:
 
 * trigonometric interpolation in each phase angle (the grids are uniform
   and the fields periodic, so this is spectrally accurate),
@@ -151,6 +156,15 @@ def _angular_sum(t: np.ndarray, theta: np.ndarray, n: int) -> np.ndarray:
     return (u.reshape(q, -1, 2 * K + 1) @ ea[:, :, None]).reshape(t.shape[:-1])
 
 
+def _finite(points: np.ndarray, name: str) -> np.ndarray:
+    """points (P, n), after checking that they are finite: ValueError
+    naming the first non-finite one and its row otherwise."""
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {points[bad[0]]} at row {bad[0]}")
+    return points
+
+
 def _check_mode(out_of_domain: str):
     if out_of_domain not in ("raise", "zero"):
         raise ValueError(f"unknown out_of_domain mode {out_of_domain!r}")
@@ -162,9 +176,10 @@ def interpolate_on_rule(rule: PlaneRule, values: np.ndarray, points: np.ndarray,
 
     Points with |z| beyond the grid extent raise FieldDomainError
     (``out_of_domain="raise"``) or read 0 without being interpolated
-    (``"zero"``); any other mode is a ValueError.  ``cache`` keeps the
-    angular coefficients (``_angular_coefficients``) between calls, so
-    ``values`` is read only when it is empty.
+    (``"zero"``); any other mode is a ValueError, and so is a non-finite
+    point in either mode, named with its row.  ``cache`` keeps the angular
+    coefficients (``_angular_coefficients``) between calls, so ``values``
+    is read only when it is empty.
 
     Per chunk of ``_CHUNK`` points, in order, with A'B' >= n the
     laid-out columns of a phase axis whose band holds n frequencies
@@ -188,6 +203,8 @@ def interpolate_on_rule(rule: PlaneRule, values: np.ndarray, points: np.ndarray,
     bad = ~(coords[0] <= rule.extent * (1.0 + 1e-12))
     keep = slice(None)
     if bad.any():
+        # a non-finite point has a non-finite |z|, so it is among the bad ones
+        _finite(pts, "points")
         if out_of_domain == "raise":
             i = int(np.argmax(bad))
             raise FieldDomainError(
@@ -229,21 +246,44 @@ def interpolate_on_rule(rule: PlaneRule, values: np.ndarray, points: np.ndarray,
 
 @dataclass
 class SampledField:
-    """Complex samples of a field on C^n bound to a plane rule."""
+    """Samples of a field on C^n bound to a plane rule: real when given as
+    real floating samples, complex otherwise.
+
+    ``support_radius`` R declares the field 0 at every |z| > R; the
+    default, infinity, declares nothing and costs nothing.  Construction
+    rejects samples above 1e-12 of the peak outside R (1 + 1e-12);
+    smaller ones are accepted.  The mean tables read no sphere that misses
+    the ball, so a mean there is 0 with an evaluator too, even one that
+    leaks past R.
+    """
 
     rule: PlaneRule
     values: np.ndarray
-    evaluator: object = None     # callable (Q, n) complex -> (Q,) complex, or None
+    evaluator: object = None     # callable (Q, n) complex -> (Q,), or None
     name: str = ""
+    support_radius: float = math.inf
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).ravel()
+        vals = np.asarray(self.values)
+        real = np.issubdtype(vals.dtype, np.floating)
+        self.values = vals.astype(float if real else complex, copy=False).ravel()
         if self.values.shape[0] != self.rule.nodes.shape[0]:
             raise GridMismatchError(
                 f"{self.values.shape[0]} values for {self.rule.nodes.shape[0]} nodes")
         if not np.all(np.isfinite(self.values.view(float))):
             raise ValueError("field values must be finite")
+        if not self.support_radius > 0:
+            raise ValueError(f"support radius must be positive, got {self.support_radius}")
+        if self.support_radius < math.inf:
+            # every node's |z| is its radius: samples are radius-major
+            mag = np.abs(self.values).reshape(self.rule.radial_nodes.size, -1)
+            outside = self.rule.radial_nodes > self.support_radius * (1 + 1e-12)
+            peak, tail = mag.max(initial=0.0), mag[outside].max(initial=0.0)
+            if tail > 1e-12 * peak:
+                raise ValueError(
+                    f"samples reach {tail:.2e} outside the declared support "
+                    f"radius {self.support_radius} (peak {peak:.2e})")
 
     @property
     def dimension(self) -> int:
@@ -254,21 +294,33 @@ class SampledField:
         return cls(rule, np.asarray(fn(rule.nodes), dtype=complex), evaluator=fn, name=name)
 
     def evaluate(self, points, out_of_domain: str = "raise") -> np.ndarray:
-        """Field values at points of shape (..., n) complex.
+        """Field values at points of shape (..., n) complex, in the
+        samples' dtype.
 
         Uses the retained closed form when available; otherwise interpolates
-        on the grid (domain-checked: ``out_of_domain`` is "raise" or "zero").
+        on the grid (domain-checked: ``out_of_domain`` is "raise" or "zero"),
+        reading 0 past a declared support without interpolating.
         """
         _check_mode(out_of_domain)
         pts = np.asarray(points, dtype=complex)
         if pts.ndim == 0 or pts.shape[-1] != self.dimension:
             raise ValueError(f"points must have last axis {self.dimension}")
         flat = pts.reshape(-1, self.dimension)
+        dtype = self.values.dtype
         if self.evaluator is not None:
-            out = np.asarray(self.evaluator(flat), dtype=complex).reshape(flat.shape[0])
-        else:
+            out = np.asarray(self.evaluator(flat), dtype=dtype).reshape(flat.shape[0])
+        elif self.support_radius == math.inf:
             out = interpolate_on_rule(self.rule, self.values, flat,
                                       out_of_domain, self._cache)
+        else:
+            # past a declared support the field is 0 and is not interpolated
+            r = np.linalg.norm(_finite(flat, "points"), axis=1)
+            inside = np.flatnonzero(r <= self.support_radius * (1 + 1e-12))
+            out = np.zeros(flat.shape[0], dtype=complex)
+            out[inside] = interpolate_on_rule(self.rule, self.values, flat[inside],
+                                              out_of_domain, self._cache)
+        if dtype != out.dtype:
+            out = out.real
         return out.reshape(pts.shape[:-1])
 
     # -- diagnostics -------------------------------------------------------
@@ -314,13 +366,17 @@ class SampledField:
             "dimension": self.dimension,
             "name": self.name,
             "points": int(self.values.shape[0]),
+            "real": bool(self.values.dtype == float),
             "rule": self.rule.params,
+            "support_radius": None if self.support_radius == math.inf else self.support_radius,
         })
 
     @classmethod
     def from_csv(cls, csv_path, header_path=None) -> "SampledField":
         """Read ``to_csv`` output; header keys it does not use (such as the
-        decay class of older files) are ignored."""
+        decay class of older files) are ignored, and a header without
+        ``real`` or ``support_radius`` reads as complex samples with an
+        infinite support."""
         header_path = header_path or str(csv_path) + ".json"
         with open(header_path, encoding="utf-8") as fh:
             head = json.load(fh)
@@ -328,10 +384,14 @@ class SampledField:
             raise ValueError(f"unrecognized field header schema in {header_path}")
         rule = plane_rule_from_params(head["rule"])
         data = read_csv_columns(csv_path)
-        vals = np.asarray(data["re_f"]) + 1j * np.asarray(data["im_f"])
+        vals = np.asarray(data["re_f"])
+        if not head.get("real", False):
+            vals = vals + 1j * np.asarray(data["im_f"])
         if vals.shape[0] != head["points"]:
             raise ValueError("CSV row count disagrees with header")
-        return cls(rule, vals, name=head.get("name", ""))
+        support = head.get("support_radius")
+        return cls(rule, vals, name=head.get("name", ""),
+                   support_radius=math.inf if support is None else float(support))
 
 
 @dataclass

@@ -119,7 +119,7 @@ import numpy as np
 
 from .constants import TWIST_SIGN, sphere_surface_area
 from .errors import GridMismatchError, TruncationTailWarning, TranslateTailWarning
-from .fields import _CHUNK, MeanProfile, SampledField, SpectrumTruncation
+from .fields import _CHUNK, MeanProfile, SampledField, SpectrumTruncation, _finite
 from .quadrature import (PlaneRule, RadialRule, compensated_sum, plane_rule,
                          sphere_rule)
 from .special_functions import (LaguerreSpec, laguerre_function, laguerre_sequence,
@@ -239,15 +239,6 @@ def _slot_product_means(f: SlotProduct, centers: np.ndarray, slots: list,
     return out
 
 
-def _finite(points: np.ndarray, name: str) -> np.ndarray:
-    """points (P, n), after checking that they are finite: ValueError
-    naming the first non-finite one and its row otherwise."""
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {points[bad[0]]} at row {bad[0]}")
-    return points
-
-
 def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
                        orders=None, twist: bool = True) -> np.ndarray:
     """f x mu_r(z) for every center (rows, points of C^n) and radius
@@ -282,9 +273,10 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
     node values in the same order as without the declaration, so its mean
     is the same bit for bit whenever f's value at a point does not depend
     on how many points one read holds.  The 1e-9 margin exceeds the node
-    round-off and the 1e-12 slack of ``EuclideanField``, so no node that
-    may be nonzero is skipped.  Without the attribute, or with R infinite,
-    every pair is read, center-major, and no cull is computed.
+    round-off and the 1e-12 slack of a ``SampledField``'s declared
+    support, so no node that may be nonzero is skipped.  Without the
+    attribute, or with R infinite, every pair is read, center-major, and
+    no cull is computed.
     """
     centers = np.asarray(centers, dtype=complex)
     if centers.ndim != 2 or centers.shape[1] != f.dimension:
@@ -386,10 +378,12 @@ _PAIR_CHUNK = 4_000_000
 
 
 def convolution_values(f: SampledField, g: SampledField, targets) -> np.ndarray:
-    """(f x g) at arbitrary targets, integrating over g's grid."""
+    """(f x g) at arbitrary targets, integrating over g's grid.  Targets
+    must be finite: a non-finite one raises ValueError naming it and its
+    row."""
     if not f.rule.compatible(g.rule):
         raise GridMismatchError("twisted convolution needs fields on one rule")
-    targets = np.asarray(targets, dtype=complex).reshape(-1, f.dimension)
+    targets = _finite(np.asarray(targets, dtype=complex).reshape(-1, f.dimension), "targets")
     w = g.rule.nodes
     gw = g.values * g.rule.weights
     out = np.empty(targets.shape[0], dtype=complex)
@@ -397,7 +391,8 @@ def convolution_values(f: SampledField, g: SampledField, targets) -> np.ndarray:
     for s in range(0, targets.shape[0], chunk):
         zc = targets[s:s + chunk]
         pts = zc[:, None, :] - w[None, :, :]
-        vals = f.evaluate(pts.reshape(-1, f.dimension)).reshape(zc.shape[0], w.shape[0])
+        vals = np.asarray(f.evaluate(pts.reshape(-1, f.dimension)), dtype=complex)
+        vals = vals.reshape(zc.shape[0], w.shape[0])
         vals *= twist_phase(zc[:, None, :], w[None, :, :])
         out[s:s + chunk] = compensated_sum(vals * gw[None, :], axis=-1)
     return out

@@ -184,7 +184,7 @@ def test_criterion_05_euclidean_certificate():
     worst_mean, worst_op = 0.0, 0.0
     for N in (1, 2, 3, 4):
         f = coxeter_odd_counterexample(N)
-        peak = f.max_abs()
+        peak = float(np.max(np.abs(f.values)))
         s = np.linspace(0.17, 3.4, 20)
         s = np.concatenate([-s[::-1], s])     # exactly 40 line parameters
         centers = s * np.exp(1j * np.pi * (np.arange(40) % N) / N)

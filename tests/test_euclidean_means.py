@@ -8,11 +8,11 @@ import pytest
 
 from conftest import StackedFields, per_pair_circular_mean
 from tsmlab.errors import FieldDomainError
-from tsmlab.euclidean_means import (EuclideanField, SectorBasisFunction,
-                                    bump_profile, circular_mean,
-                                    coxeter_odd_counterexample,
+from tsmlab.euclidean_means import (SectorBasisFunction, bump_profile,
+                                    circular_mean, coxeter_odd_counterexample,
                                     coxeter_odd_orders, euclidean_mean_table,
                                     euclidean_sector_basis, write_mean_table)
+from tsmlab.fields import SampledField
 from tsmlab.injectivity_lab import (EuclideanSectorBasis, assemble_operator,
                                     make_set, near_null_roundtrip)
 from tsmlab.ioutil import read_csv_columns
@@ -30,8 +30,19 @@ def test_bump_profile_support_and_smoothness():
 
 
 def _unbounded(fn):
+    """A real field without a declared support; fn reads flat points."""
     rule = plane_rule(1, extent=4.0, radial_points=24, angular_points=64)
-    return EuclideanField.from_function(fn, rule, support_radius=np.inf)
+    ev = lambda p: fn(p[:, 0])
+    return SampledField(rule, ev(rule.nodes), ev)
+
+
+def _peak(f) -> float:
+    return float(np.max(np.abs(f.values)))
+
+
+def _sample_only(f):
+    """f's samples and declared support, without its evaluator."""
+    return SampledField(f.rule, f.values, None, f.name, support_radius=f.support_radius)
 
 
 def test_circular_mean_constant_and_r0():
@@ -69,8 +80,8 @@ def test_mean_table_matches_per_pair_circular_means():
     table = euclidean_mean_table(f, centers, radii)
     ref = np.array([[per_pair_circular_mean(f, x, r) for r in radii] for x in centers])
     assert table.shape == (4, 40)
-    assert np.max(np.abs(table - ref)) <= 1e-15 * f.max_abs()
-    assert np.max(np.abs(table[2:, 1:])) > 1e-3 * f.max_abs()   # off the lines
+    assert np.max(np.abs(table - ref)) <= 1e-15 * _peak(f)
+    assert np.max(np.abs(table[2:, 1:])) > 1e-3 * _peak(f)   # off the lines
 
 
 def test_vector_table_equals_scalar_tables():
@@ -79,8 +90,7 @@ def test_vector_table_equals_scalar_tables():
     on circles, where the vector sums run over the nodes in order and the
     scalar ones pairwise.  The sample-only copy interpolates every read."""
     odd = coxeter_odd_counterexample(2)
-    fields = [odd, coxeter_odd_counterexample(3),
-              EuclideanField(odd.rule, odd.values, odd.support_radius, None, odd.name)]
+    fields = [odd, coxeter_odd_counterexample(3), _sample_only(odd)]
     centers = np.array([0.2 + 0.0j, 0.35j, 0.3 + 0.4j, -0.5 + 0.1j])
     radii = np.concatenate([[0.0], np.geomspace(0.05, 1.5, 39)])
     table = euclidean_mean_table(StackedFields(fields), centers, radii)
@@ -88,7 +98,7 @@ def test_vector_table_equals_scalar_tables():
     for v, f in enumerate(fields):
         ref = euclidean_mean_table(f, centers, radii)
         assert np.array_equal(table[:, 0, v], ref[:, 0]), v
-        assert np.max(np.abs(table[:, :, v] - ref)) <= 1e-15 * f.max_abs(), v
+        assert np.max(np.abs(table[:, :, v] - ref)) <= 1e-15 * _peak(f), v
 
 
 def test_mean_table_input_validation():
@@ -124,7 +134,7 @@ def test_counterexample_annihilates_on_coxeter_lines(n_lines):
     """Means of the odd bump vanish at every center on Sigma_N, at every
     radius, while the field itself is far from zero."""
     f = coxeter_odd_counterexample(n_lines)
-    peak = f.max_abs()
+    peak = _peak(f)
     assert peak > 0.01
     rng = np.random.default_rng(n_lines)
     ts = rng.uniform(-2.0, 2.0, size=8)
@@ -152,6 +162,32 @@ def test_counterexample_is_odd_under_the_reflection_group():
         reflected = axis * np.conj(pts / axis)
         assert np.allclose(f.evaluate(reflected[:, None]), -f.evaluate(pts[:, None]),
                            atol=1e-13)
+
+
+@pytest.mark.parametrize("n_lines", [2, 3])
+def test_csv_imported_counterexample_keeps_its_certificate(tmp_path, n_lines):
+    """The odd field read back from CSV is real, declares support 1 and
+    holds the same samples bit for bit.  Its means on the CLI's centres of
+    Sigma_N vanish to the CLI's 1e-10 of the peak.  On the same centres
+    turned onto the bisectors of the lines they follow the evaluator's
+    table to the interpolation's accuracy, which the bump's edge limits
+    (pointwise errors reach about 5e-3 of the peak inside the disk)."""
+    f = coxeter_odd_counterexample(n_lines)
+    f.to_csv(tmp_path / "odd.csv")
+    g = SampledField.from_csv(tmp_path / "odd.csv")
+    assert g.evaluator is None and g.values.dtype == float and g.support_radius == 1.0
+    assert g.values.tobytes() == f.values.tobytes()
+    peak = _peak(f)
+    t = np.linspace(-3.0, 3.0, 21)
+    t = t[t != 0.0]
+    radii = np.geomspace(0.1, 2.0, 20)
+    turned = lambda turn: np.concatenate([t * np.exp(1j * np.pi * (l + turn) / n_lines)
+                                          for l in range(n_lines)])
+    on = euclidean_mean_table(g, turned(0.0), radii)
+    assert on.dtype == float and np.max(np.abs(on)) <= 1e-10 * peak
+    got, ref = (euclidean_mean_table(h, turned(0.5), radii) for h in (g, f))
+    assert np.max(np.abs(got - ref)) <= 2e-3 * peak
+    assert np.max(np.abs(ref)) >= 0.4 * peak     # off the lines
 
 
 def test_coxeter_odd_orders():
@@ -198,7 +234,7 @@ def test_sector_basis_collection():
 
 def test_euclidean_field_domain_guard():
     f = coxeter_odd_counterexample(2)
-    sampled = EuclideanField(f.rule, f.values, f.support_radius, None, f.name)
+    sampled = _sample_only(f)
     inside = np.array([[0.3 + 0.3j]])
     # the bump profile has an essential singularity at the support edge;
     # polynomial-radial interpolation tops out around 1e-5 there
@@ -206,8 +242,8 @@ def test_euclidean_field_domain_guard():
     far = np.array([[2.5 + 0.1j]])     # outside support: defined as zero
     assert sampled.evaluate(far)[0] == 0.0
     # inside a declared support that reaches past the grid (extent 2): undefined
-    wide = EuclideanField(f.rule, f.values, 3.0)
-    with pytest.raises(FieldDomainError, match="off the grid"):
+    wide = SampledField(f.rule, f.values, support_radius=3.0)
+    with pytest.raises(FieldDomainError, match="outside the sampled domain"):
         wide.evaluate(np.concatenate([inside, far]))
 
 
@@ -216,8 +252,20 @@ def test_euclidean_field_rejects_slow_tail():
     with pytest.raises(ValueError, match="support"):
         # support declared smaller than the actual mass: the constructor
         # checks the boundary tail
-        EuclideanField.from_function(lambda p: np.ones_like(np.abs(p)), rule,
-                                     support_radius=1.0)
+        SampledField(rule, np.ones(rule.nodes.shape[0]), support_radius=1.0)
+    # on C^2 the tail is read by |z|, not by |z1|: a bump in each slot
+    # reaches |z| = sqrt(2), past a declared 1, with every |z1| < 1
+    rule2 = plane_rule(2, extent=2.0, radial_points=16, sphere3_orders=(6, 8, 8),
+                       tolerance=float("inf"))
+    g = bump_profile(1.0)
+    vals = g(np.abs(rule2.nodes[:, 0])) * g(np.abs(rule2.nodes[:, 1]))
+    assert np.max(np.abs(rule2.nodes[vals > 0, 0])) < 1.0
+    with pytest.raises(ValueError, match="outside the declared support"):
+        SampledField(rule2, vals, support_radius=1.0)
+    f = SampledField(rule2, vals, support_radius=1.5)
+    past = np.array([[0.8, 0.8j], [0.9, 1.3j]])      # |z| 1.13 and 1.58
+    got = f.evaluate(past)
+    assert got.dtype == float and got[0] != 0.0 and got[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +320,13 @@ def test_declared_support_table_is_the_undeclared_table(name):
                         centers, _SKIP_RADII)
             assert _bit_equal(got, ref), (name, table.__name__, support)
         assert np.max(np.abs(ref)) > 1e-3
+    # a real SampledField that declares the basis's support culls alike
+    rule = plane_rule(1, extent=2.0, radial_points=8, angular_points=16)
+    f = SampledField(rule, fields[0](rule.nodes), fields[0],
+                     support_radius=basis.support_radius)
+    for table in (euclidean_mean_table, twisted_mean_table):
+        assert _bit_equal(table(f, centers, _SKIP_RADII),
+                          table(_undeclared(f), centers, _SKIP_RADII)), (name, table.__name__)
 
 
 def test_basis_support_is_its_widest_column():
@@ -310,10 +365,10 @@ def test_declared_support_zeroes_a_leak_below_the_field_tolerance():
     the field accepts it, and the table reads 0 on the circles that miss the
     disk, within 1e-12 of the peak of the table that reads them."""
     odd = coxeter_odd_counterexample(2)
-    peak = odd.max_abs()
+    peak = _peak(odd)
     leak = 1e-13 * peak
-    f = EuclideanField.from_function(
-        lambda p: odd.evaluate(p[:, None]) + leak * (np.abs(p) > 1.0), odd.rule, 1.0)
+    ev = lambda p: odd.evaluate(p) + leak * (np.abs(p[:, 0]) > 1.0)
+    f = SampledField(odd.rule, ev(odd.rule.nodes), ev, support_radius=1.0)
     centers = np.array([0.3 + 0.2j, 1.8, 3.0j])
     radii = np.array([0.0, 0.4, 1.0, 2.5, 5.0])
     got = euclidean_mean_table(f, centers, radii)
@@ -327,7 +382,7 @@ def test_declared_support_must_be_positive(radius):
     """A NaN support would select no circle and read a zero table."""
     f = coxeter_odd_counterexample(2)
     with pytest.raises(ValueError, match="support radius"):
-        EuclideanField(f.rule, f.values, radius)
+        SampledField(f.rule, f.values, support_radius=radius)
     with pytest.raises(ValueError, match="support radius"):
         euclidean_mean_table(
             SimpleNamespace(dimension=1, evaluate=f.evaluate, support_radius=radius),

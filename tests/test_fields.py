@@ -8,6 +8,7 @@ import pytest
 
 from conftest import phase_matrix_interpolate
 from tsmlab.errors import FieldDomainError, GridMismatchError
+from tsmlab.euclidean_means import coxeter_odd_counterexample
 from tsmlab.fields import (_CHUNK, SampledField, _bary_matrix, _polar_coordinates,
                            interpolate_on_rule)
 from tsmlab.quadrature import plane_rule
@@ -181,15 +182,29 @@ def test_values_node_count_mismatch(rule_c1):
         SampledField(rule_c1, np.ones(7))
 
 
+def _csv_field(kind: str, rule, name: str) -> SampledField:
+    """A complex field, a real one, or a real one that declares its
+    support (the odd bump of Sigma_2, support 1, on ``rule``)."""
+    if kind == "complex":
+        return SampledField.from_function(GAUSS3, rule, name=name)
+    if kind == "real":
+        return SampledField(rule, GAUSS3(rule.nodes).real, name=name)
+    odd = coxeter_odd_counterexample(2).evaluator
+    return SampledField(rule, odd(rule.nodes), name=name, support_radius=1.0)
+
+
 def test_csv_round_trip(tmp_path, rule_c1_small):
-    f = SampledField.from_function(GAUSS3, rule_c1_small, name="rt")
-    p = tmp_path / "field.csv"
-    f.to_csv(p)
-    g = SampledField.from_csv(p)
-    assert g.name == "rt"
-    assert g.evaluator is None
-    assert g.rule.params == rule_c1_small.params
-    assert np.max(np.abs(g.values - f.values)) < 1e-15
+    for kind in ("complex", "real", "real_supported"):
+        f = _csv_field(kind, rule_c1_small, "rt")
+        p = tmp_path / f"{kind}.csv"
+        f.to_csv(p)
+        g = SampledField.from_csv(p)
+        assert g.name == "rt"
+        assert g.evaluator is None
+        assert g.rule.params == rule_c1_small.params
+        assert g.values.dtype == f.values.dtype, kind
+        assert g.support_radius == f.support_radius, kind
+        assert np.max(np.abs(g.values - f.values)) < 1e-15
 
 
 def test_norms_against_closed_form(gauss_field):
@@ -212,18 +227,24 @@ def test_dimension_follows_the_rule(rule_c1_small):
 
 
 def test_csv_header_with_decay_class_loads(tmp_path, rule_c1_small):
-    # headers written before fields dropped their decay class carry the key
-    f = SampledField.from_function(GAUSS3, rule_c1_small, name="old")
-    p = tmp_path / "field.csv"
-    f.to_csv(p)
-    head_path = tmp_path / "field.csv.json"
-    head = json.loads(head_path.read_text())
-    assert "decay_class" not in head
-    head["decay_class"] = "gaussian_quarter_weighted"
-    head_path.write_text(json.dumps(head))
-    g = SampledField.from_csv(p)
-    assert g.name == "old" and g.dimension == 1
-    assert np.max(np.abs(g.values - f.values)) < 1e-15
+    # headers written before fields dropped their decay class carry the
+    # key; those written before fields were real or declared a support
+    # carry neither ``real`` nor ``support_radius``, and read as complex
+    # samples with an infinite support
+    for kind in ("complex", "real_supported"):
+        f = _csv_field(kind, rule_c1_small, "old")
+        p = tmp_path / f"{kind}.csv"
+        f.to_csv(p)
+        head_path = tmp_path / f"{kind}.csv.json"
+        head = json.loads(head_path.read_text())
+        assert "decay_class" not in head
+        head["decay_class"] = "gaussian_quarter_weighted"
+        del head["real"], head["support_radius"]
+        head_path.write_text(json.dumps(head))
+        g = SampledField.from_csv(p)
+        assert g.name == "old" and g.dimension == 1
+        assert g.values.dtype == complex and g.support_radius == math.inf, kind
+        assert np.max(np.abs(g.values - f.values)) < 1e-15
 
 
 def test_linear_structure(rule_c1, gauss_field):
@@ -238,6 +259,35 @@ def test_linear_structure(rule_c1, gauss_field):
     h = SampledField.from_function(GAUSS3, other)
     with pytest.raises(GridMismatchError):
         gauss_field + h
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_finite_points_are_rejected_in_both_modes(n):
+    """A non-finite point is bad input, not a point off the grid: every
+    interpolated read raises ValueError naming the first one and its row,
+    in both out_of_domain modes, with and without a declared support, and
+    before a finite point off the grid (row 0) is looked at.  A closed
+    form returns what it returns."""
+    if n == 1:
+        rule = plane_rule(1, extent=8.0, radial_points=16, angular_points=24)
+    else:
+        rule = plane_rule(2, extent=6.0, radial_points=6, sphere3_orders=(3, 6, 8),
+                          tolerance=float("inf"))
+    fn = lambda p: np.exp(-np.sum(np.abs(p) ** 2, axis=1) / 3.0)
+    pts = np.full((4, n), 0.3 + 0.1j)
+    pts[0, 0] = 100.0
+    pts[1, -1] = np.nan
+    pts[2, 0] = complex(0.0, -np.inf)
+    sampled = SampledField(rule, fn(rule.nodes))
+    supported = SampledField(rule, fn(rule.nodes), support_radius=rule.extent)
+    for mode in ("raise", "zero"):
+        with pytest.raises(ValueError, match=r"points must be finite, got .* at row 1"):
+            interpolate_on_rule(rule, sampled.values, pts, out_of_domain=mode)
+        for f in (sampled, supported):
+            with pytest.raises(ValueError, match=r"points must be finite, got .* at row 1"):
+                f.evaluate(pts, out_of_domain=mode)
+    closed = SampledField(rule, fn(rule.nodes), fn)
+    assert np.isnan(closed.evaluate(pts)[1])
 
 
 def test_nonfinite_values_rejected(rule_c1_small):

@@ -46,6 +46,48 @@ def test_dataclass_fields_count_as_init_parameters(tmp_path):
     assert _tool("src_stats").stats(pkg)["settable"] == 4
 
 
+def test_src_stats_counts_each_line_once(tmp_path, capsys):
+    """Docstring, code and comment/blank lines add up to the file's lines;
+    a line with code and a trailing comment is code; lambdas, self and a
+    ``field(init=False)`` are not settable."""
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module docstring\n'
+        'on two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "\n"
+        "def f(a, b=1, *args, c, **kw):\n"
+        '    """One-line docstring."""\n'
+        "    g = lambda x, y: x  # not settable\n"
+        "    return (a +\n"
+        "            b)\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class Rec:\n"
+        "    x: int\n"
+        "    y: dict = field(default_factory=dict, init=False)\n"
+        "\n"
+        "    def m(self, z):\n"
+        "        return z\n")
+    (pkg / "sub" / "b.py").write_text("x = 1\n")
+    tool = _tool("src_stats")
+    # a.py: docstring lines 1, 2, 9; comment/blank 3, 4, 6, 7, 13, 14, 19;
+    # settable a, b, c, args, kw, z and Rec.x
+    assert tool.stats(pkg) == {"files": 2, "code": 12, "docstring": 3,
+                               "comment_blank": 7, "settable": 7}
+    assert tool.main([str(pkg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{pkg}: 2 files, 22 lines"
+    assert out[1:] == ["  code           12", "  docstring      3",
+                       "  comment/blank  7", "  settable       7"]
+    assert tool.main([str(tmp_path / "missing")]) == 2
+
+
 def _tree(root: Path, files: dict) -> Path:
     for rel, text in files.items():
         (root / rel).parent.mkdir(parents=True, exist_ok=True)

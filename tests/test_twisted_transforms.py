@@ -316,6 +316,26 @@ def test_non_finite_targets_are_rejected(n, bad):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_convolution_rejects_non_finite_targets(n):
+    """The w-form sum reads NaN at a non-finite target: ``convolution_values``
+    and the evaluator of ``twisted_convolution`` raise ValueError naming
+    the first one and its row instead."""
+    if n == 1:
+        rule = plane_rule(1, extent=8.0, radial_points=16, angular_points=24)
+    else:
+        rule = plane_rule(2, extent=6.0, radial_points=6, sphere3_orders=(3, 6, 8),
+                          tolerance=float("inf"))
+    fn = lambda p: np.exp(-np.sum(np.abs(p - 0.2j) ** 2, axis=1) / 3.0).astype(complex)
+    f = SampledField.from_function(fn, rule)
+    targets = np.full((3, n), 0.3 + 0.1j)
+    targets[1, -1] = np.nan
+    targets[2, 0] = np.inf
+    for read in (lambda t: convolution_values(f, f, t), twisted_convolution(f, f).evaluate):
+        with pytest.raises(ValueError, match=r"targets must be finite, got .* at row 1"):
+            read(targets)
+
+
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("twist", [True, False])
 def test_means_of_radial_gaussians_match_their_closed_form(n, twist):
     """For f = exp(-|z|^2/w), w < 4, and rho = |z|: f x mu_r(z) is
