@@ -105,7 +105,14 @@ def coxeter_odd_counterexample(n_lines: int) -> SampledField:
     """The compactly supported field g(|x|) Im((x1+ix2)^N), odd across every
     line of Sigma_N, whose circular means vanish at all centers on Sigma_N:
     g the unit ``bump_profile``, sampled on the polar rule of extent 2 as a
-    real field that declares support radius 1."""
+    real field that declares support radius 1.
+
+    That 48 x 240 grid does not resolve the bump's edge (exp(-1/(1 - rho^2))
+    is not analytic at rho = 1): a sample-only read, such as the field's CSV
+    import, is off by up to about 5e-3 of the peak, far above the ~1e-8
+    interpolation budget of ``fields``.  The closed form has no such error,
+    and the Sigma_N certificate on the lines is unaffected: odd samples
+    interpolate to an odd field."""
     if n_lines < 1:
         raise ValueError("need at least one line")
     g = bump_profile()

@@ -258,6 +258,9 @@ def plane_rule(dimension: int,
     # the unit rule built for this grid alone, not kept with the mean
     # tables' cached rules: a plane grid is mostly built once
     sph = _build_unit_rule(n, (angular_points,) if n == 1 else tuple(sphere3_orders))
+    # the moment check below reads the radial nodes, not the nodes, so the
+    # unit rule's nodes are checked here: on the unit sphere, weights sum 1
+    sph.validate()
     nodes = (r[:, None, None] * sph.nodes[None, :, :]).reshape(-1, n)
     weights = (wr * r ** (2 * n - 1))[:, None] * (sphere_surface_area(n) * sph.weights)[None, :]
     if n == 1:
@@ -272,8 +275,9 @@ def plane_rule(dimension: int,
               **angular, "tolerance": tolerance}
     rule = PlaneRule(n, extent, np.ascontiguousarray(nodes), weights.ravel(), shape, r,
                      theta_nodes, angular_counts, params, tolerance)
-    sq = np.sum(np.abs(rule.nodes) ** 2, axis=1)
-    got = float(np.real(rule.integrate(np.exp(-0.5 * sq))))
+    # every node's |z| is its radial node (the nodes are radius-major), so
+    # the Gaussian is read once per radius, against that radius's weight sum
+    got = float(compensated_sum(np.exp(-0.5 * r * r) * compensated_sum(weights, axis=1)))
     # Gaussian moment restricted to the rule's own disk, so small-extent
     # rules (compactly supported work) are checked fairly: with x = E^2/2,
     # (2 pi)^n (1 - e^(-x) sum_(j<n) x^j / j!)

@@ -117,9 +117,10 @@ def special_hermite_indices(max_degree: int) -> list[SpecialHermiteIndex]:
             for a in range(max_degree + 1) for b in range(max_degree + 1)]
 
 
-def special_hermite_radial(x, max_degree: int, max_order: int):
+def special_hermite_radial(x, max_degree: int, orders):
     """Yield the radial factors rho_(a,d) at x = r^2/2 for a = 0, 1, ...,
-    max_degree, each an array (max_order + 1,) + x.shape over d:
+    max_degree, each an array (len(orders),) + x.shape over the orders d
+    asked for (a 1-D sequence of integers >= 0, ``range(D)`` for all below D):
 
         rho_(a,d)(r) = sqrt(a!/(a+d)!) (r/sqrt(2))^d L_a^d(r^2/2) exp(-r^2/4),
 
@@ -131,17 +132,22 @@ def special_hermite_radial(x, max_degree: int, max_order: int):
 
     a running product that peaks near d = x and then falls until it
     underflows, so high orders never overflow where (r/sqrt(2))^d alone
-    would (d > 330 at r = 12).  All orders come from one ``laguerre_sequence``
-    run broadcast over d, and 1/sqrt(binom(a+d, a)) from one factor
-    sqrt(a/(a+d)) per degree step.  At r = 0 the values are exact: 1 for
-    d = 0 and 0 beyond.
+    would (d > 330 at r = 12).  The running product is taken once, up to
+    the highest order asked for, and read at the orders asked for; the
+    orders' factors come from one ``laguerre_sequence`` run broadcast over
+    them, and 1/sqrt(binom(a+d, a)) from one factor sqrt(a/(a+d)) per
+    degree step.  Every factor is elementwise in d, so a selection of
+    orders yields, bit for bit, those rows of the call over all orders:
+    the per-mode tables read the orders a block at a time.  At r = 0 the
+    values are exact: 1 for d = 0 and 0 beyond.
     """
     x = np.asarray(x, dtype=float)
-    d = np.arange(max_order + 1).reshape((-1,) + (1,) * x.ndim)
-    steps = np.empty(d.shape[:1] + x.shape)
+    d = np.asarray(orders, dtype=int).reshape((-1,) + (1,) * x.ndim)
+    i = np.arange(d.max(initial=0) + 1).reshape((-1,) + (1,) * x.ndim)
+    steps = np.empty(i.shape[:1] + x.shape)
     steps[0] = np.exp(-0.5 * x)
-    steps[1:] = np.sqrt(x / d[1:])
-    g = np.cumprod(steps, axis=0)
+    steps[1:] = np.sqrt(x / i[1:])
+    g = np.cumprod(steps, axis=0, out=steps)[d.ravel()]
     scale = np.ones(d.shape)
     for a, lag in enumerate(laguerre_sequence(d, x, max_degree)):
         if a:
@@ -203,7 +209,7 @@ def special_hermite_matrix(z, max_degree: int) -> np.ndarray:
         phases[d] = phases[d - 1] * unit
     out = np.empty((zz.shape[0], K + 1, K + 1), dtype=complex)
     t = 0.5 * (zz.real ** 2 + zz.imag ** 2)
-    for a, rho in enumerate(special_hermite_radial(t, K, K)):
+    for a, rho in enumerate(special_hermite_radial(t, K, range(K + 1))):
         vals = (phases[:K + 1 - a] * rho[:K + 1 - a]).T     # columns (a, a), .., (a, K)
         out[:, a, a:] = vals
         out[:, a + 1:, a] = np.conj(vals[:, 1:])

@@ -77,7 +77,12 @@ picks one of two ways from its input alone:
   kernel's DFT is its series folded, by Poisson summation) and one inverse
   FFT per degree.  The modes stop where the radial factor underflows at
   the grid's outer radius, so the table sums what the nodes' quadrature
-  sums.  The special Hermite coefficients are the same table's entries;
+  sums.  It is built one chunk of the fold at a time, the m consecutive
+  modes that land on the m distinct phase residues: a chunk's radial
+  factors and sums are made, added into one (m, R) total per degree, and
+  dropped, so the whole (orders, degrees, radii) table is never held, and
+  each degree's inverse FFT is its projection's values.  The special
+  Hermite coefficients are the same table's entries;
 * at every other target, on C and C^2, with or without an evaluator:
   ring by ring through the slot factorisation.  With
   t_s = |z_s - u_s|^2 / 2, exp(-t/2) and the twist are products over the
@@ -437,32 +442,79 @@ def _twisted_kernels(t: np.ndarray, weight: np.ndarray, degrees: list):
             yield columns, lag * weight
 
 
-def _mode_table(f: SampledField, max_degree: int, grid_modes: bool):
-    """The per-mode table of f on its own polar grid on C: ``(rho, sums)``.
+def _mode_table(f: SampledField, max_degree: int, degrees=()):
+    """The per-mode table of f on its own polar grid on C, with K =
+    max_degree: ``(sums, projections)``.
 
-    rho (D, K+1, R) holds the radial factors rho_(a,d)(r_j) of
-    ``special_hermite_radial`` (K = max_degree) at D orders: with
-    ``grid_modes`` every order ``special_hermite_order_limit`` finds nonzero
-    at the grid's outer radius (at least K+1), which on-grid projections
-    sum; otherwise the K+1 orders of the coefficients.  sums (D, K+1, 2)
-    are their contractions with the phase DFT F(r_j, q) of f's weighted
-    samples:
+    With F(r_j, q) the phase DFT of f's weighted samples and rho_(a,d) the
+    radial factors of ``special_hermite_radial``, each order d's sums over
+    the radial nodes for a = 0..K are one (K+1, R) @ (R, 4) real product,
 
         sums[d, a, 0] = sum_j rho_(a,d)(r_j) F(r_j,  d mod m),
-        sums[d, a, 1] = sum_j rho_(a,d)(r_j) F(r_j, -d mod m).
+        sums[d, a, 1] = sum_j rho_(a,d)(r_j) F(r_j, -d mod m),
+
+    and ``sums`` (K+1, K+1, 2) holds orders 0..K, the coefficients' orders.
+    ``projections`` holds Q_k f at the grid's nodes, (R m,) for each k in
+    ``degrees`` (K = max(degrees) then).  The kernel's phase series is
+    sum_(p <= k) rho_k,p(r_z) rho_k,p(r_u) e^(i p (th_z - th_u)), rho_k,p =
+    rho_(k-p, p) for p >= 0 and rho_(k, -p) for p < 0, so on the grid
+
+        Q_k f(r_i, th) = sum_(p <= k) e^(i p th) rho_k,p(r_i) sum_j rho_k,p(r_j) F(r_j, p mod m),
+
+    over every mode p >= 1 - D, D the orders ``special_hermite_order_limit``
+    finds nonzero at the grid's outer radius (at least K+1).  The phases th
+    are the m uniform grid phases, so modes equal mod m are summed first
+    (the DFT of the kernel is its series folded mod m) and one inverse FFT
+    along the phase axis finishes each degree.  The fold is walked one
+    chunk at a time: the m modes [c m, (c+1) m), one per residue, none of
+    two signs.  A chunk takes its orders' factors and sums, adds its terms
+    into one (m, R) total per degree, chunks in increasing mode order, and
+    is dropped, so no (D, K+1, R) table is held.
     """
     R, m = f.rule.shape
+    K = max_degree
     x = 0.5 * f.rule.radial_nodes ** 2
-    orders = max_degree + 1
-    if grid_modes:
-        orders = max(orders, special_hermite_order_limit(x.max()))
-    rho = np.stack(list(special_hermite_radial(x, max_degree, orders - 1)), axis=1)
-    F = np.fft.fft((f.values * f.rule.weights).reshape(R, m), axis=1)
-    d = np.arange(orders)
-    Fd = np.stack([F.T[d % m], F.T[-d % m]], axis=-1)          # (D, R, 2)
-    # one real product per order, over the real and imaginary parts of both columns
-    sums = np.matmul(rho, Fd.view(float)).view(complex)
-    return rho, sums
+    F = np.fft.fft((f.values * f.rule.weights).reshape(R, m), axis=1).T    # (m, R)
+
+    def order_sums(d: np.ndarray):
+        rho = np.empty((d.size, K + 1, R))
+        for a, factor in enumerate(special_hermite_radial(x, K, d)):
+            rho[:, a] = factor
+        Fd = np.stack([F[d % m], F[-d % m]], axis=-1)              # (orders, R, 2)
+        # one real product per order, over the real and imaginary parts of both columns
+        return rho, np.matmul(rho, Fd.view(float)).view(complex)
+
+    if not degrees:
+        return order_sums(np.arange(K + 1))[1], []
+    D = max(K + 1, special_hermite_order_limit(x.max()))
+    sums = np.empty((K + 1, K + 1, 2), dtype=complex)
+    # one (m, R) total per degree, row p mod m: mode p's terms; a list, so
+    # each total is dropped once its inverse FFT is taken
+    totals = [np.zeros((m, R), dtype=complex) for _ in degrees]
+
+    def add_chunk(lo: int):
+        # the chunk's factors and sums are dropped on return, before the next's are made
+        p = np.arange(max(lo, 1 - D), min(lo + m, K + 1))
+        rho, chunk = order_sums(np.abs(p))
+        if lo >= 0:
+            sums[p] = chunk
+        first = p[0] - lo
+        for i, k in enumerate(degrees):
+            if lo < 0:                  # mode -d: rho_(k, d)
+                radial, coef = rho[:, k], chunk[:, k, 1]
+            else:                       # mode p <= k: rho_(k-p, p)
+                j = np.arange(np.count_nonzero(p <= k))
+                radial, coef = rho[j, k - p[j]], chunk[j, k - p[j], 0]
+            totals[i][first:first + coef.size] += radial * coef[:, None]
+
+    for lo in range((1 - D) // m * m, K + 1, m):
+        add_chunk(lo)
+    projections = []
+    for i in range(len(degrees)):
+        # (R, m), radius-major like the nodes
+        projections.append(np.fft.ifft(totals[i].T, axis=1, norm="forward").reshape(-1))
+        totals[i] = None
+    return sums, projections
 
 
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -475,35 +527,6 @@ def _table_coefficients(sums: np.ndarray, max_degree: int) -> np.ndarray:
     a, b = np.indices((max_degree + 1, max_degree + 1))
     return (sums[np.abs(a - b), np.minimum(a, b), (a < b).astype(int)]
             * ((2.0 * np.pi) ** -0.5 * _I_POWERS[(a - b) % 4]))
-
-
-def _table_projections(rho: np.ndarray, sums: np.ndarray, m: int, degrees: list) -> np.ndarray:
-    """Q_k f at the grid's own nodes from the mode table, (R m, len(degrees)).
-
-    The kernel's phase series is sum_(p <= k) rho_k,p(r_z) rho_k,p(r_u)
-    e^(i p (th_z - th_u)), rho_k,p = rho_(k-p, p) for p >= 0 and rho_(k, -p)
-    for p < 0, so on the grid
-
-        Q_k f(r_i, th) = sum_(p <= k) e^(i p th) rho_k,p(r_i) sum_j rho_k,p(r_j) F(r_j, p mod m).
-
-    The phases th are the m uniform grid phases, so modes equal mod m are
-    summed first (the DFT of the kernel is its series folded mod m) and one
-    inverse FFT along the phase axis finishes every degree.
-    """
-    D, R = rho.shape[0], rho.shape[2]
-    # row i of ``modes`` holds mode p = i - start - (D-1), so that i = p mod m;
-    # the rows before the first mode and past a degree's last one hold 0
-    start = -(D - 1) % m
-    modes = np.zeros((-(-(start + D + max(degrees)) // m) * m, R), dtype=complex)
-    H = np.empty((len(degrees), R, m), dtype=complex)
-    for i, k in enumerate(degrees):
-        pos = np.arange(k + 1)              # p = 0 .. k
-        radial = np.concatenate([rho[:0:-1, k], rho[pos, k - pos]])
-        coef = np.concatenate([sums[:0:-1, k, 1], sums[pos, k - pos, 0]])
-        np.multiply(radial, coef[:, None], out=modes[start:start + D + k])
-        modes[start + D + k:] = 0.0
-        H[i] = modes.reshape(-1, m, R).sum(axis=0).T
-    return np.fft.ifft(H, axis=2, norm="forward").transpose(1, 2, 0).reshape(-1, len(degrees))
 
 
 def _pairing_kernel_args(z: np.ndarray, u: np.ndarray):
@@ -703,7 +726,8 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
 
     Only f's samples are read, so fields with and without an evaluator take
     the same path.  The input picks it (see the module docstring): on C,
-    targets None or equal to ``f.rule.nodes`` take the per-mode table; all
+    targets None or equal to ``f.rule.nodes`` take the per-mode table,
+    walked one m-mode chunk at a time and never held whole; all
     other targets, and every target on C^2, take the ring sum of
     ``_slot_pieces``, all degrees from one Laguerre recurrence per slot.
     Targets must be finite: a non-finite one raises ValueError naming it
@@ -716,8 +740,7 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     if targets is not None:
         targets = _finite(np.asarray(targets, dtype=complex).reshape(-1, f.dimension), "targets")
     if f.dimension == 1 and (targets is None or np.array_equal(targets, w)):
-        rho, sums = _mode_table(f, max(degrees), grid_modes=True)
-        return _table_projections(rho, sums, f.rule.shape[1], degrees)
+        return np.stack(_mode_table(f, max(degrees), degrees)[1], axis=1)
     return _ring_projections(f, degrees, w if targets is None else targets)
 
 
@@ -733,22 +756,24 @@ def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray
     if f.dimension != 1:
         raise ValueError("special Hermite coefficients are an n = 1 notion")
     K = _degree(max_degree, "max_degree")
-    return _table_coefficients(_mode_table(f, K, grid_modes=False)[1], K)
+    return _table_coefficients(_mode_table(f, K)[0], K)
 
 
 def special_hermite_truncation(f: SampledField, max_degree: int) -> SpectrumTruncation:
     """Degreewise projections Q_0..Q_K of f on its grid, plus the
     coefficient matrix when f lives on C (n = 1).  On C both come from one
-    mode table over the orders the grid resolves."""
+    walk of the mode table over the orders the grid resolves, one m-mode
+    chunk at a time, and each projection's values are its degree's
+    inverse FFT, not a copied column."""
     K = _degree(max_degree, "max_degree")
     degrees = list(range(K + 1))
     if f.dimension == 1:
-        rho, sums = _mode_table(f, K, grid_modes=True)
+        sums, vals = _mode_table(f, K, degrees)
         coeffs = _table_coefficients(sums, K)
-        vals = _table_projections(rho, sums, f.rule.shape[1], degrees)
     else:
-        coeffs, vals = None, spectral_projections(f, degrees)
-    projections = [SampledField(f.rule, vals[:, k],
+        coeffs, table = None, spectral_projections(f, degrees)
+        vals = [table[:, k] for k in degrees]
+    projections = [SampledField(f.rule, vals[k],
                                 lambda pts, _k=k: projection_values(f, _k, pts),
                                 name=f"Q{k}") for k in degrees]
     return SpectrumTruncation(f.dimension, K, projections, coeffs)

@@ -13,7 +13,8 @@ from tsmlab.fields import SampledField, _polar_coordinates
 from tsmlab.quadrature import compensated_sum, plane_rule, sphere_rule
 from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
                                       laguerre_function, laguerre_polynomial,
-                                      special_hermite_matrix)
+                                      special_hermite_matrix, special_hermite_order_limit,
+                                      special_hermite_radial)
 from tsmlab.constants import TWIST_SIGN
 from tsmlab.twisted_transforms import (_GRID_POINTS, _default_slot_rule, _slot_pieces,
                                        twist_phase)
@@ -53,6 +54,47 @@ def design_matrix_coefficients(f, max_degree):
     H = special_hermite_matrix(f.rule.nodes[:, 0], max_degree)
     np.conjugate(H, out=H)
     return (fw @ H).reshape(max_degree + 1, max_degree + 1)
+
+
+def whole_mode_table(f, max_degree, degrees=()):
+    """Whole-table oracle for the per-mode table on C: ``(coefficients,
+    projections)``, the (K+1, K+1) <f, phi_(a,b)> and, for ``degrees``,
+    Q_k f at the grid's nodes, (R m, len(degrees)).
+
+    The radial factors of every order at once, (D, K+1, R), D the
+    coefficients' K+1 orders or, with ``degrees``, every order the grid
+    resolves; their sums with the phase DFT in one batched product; and
+    per degree every mode p = 1 - D .. k laid out on one row p mod m of an
+    array of whole m-row chunks, summed over the chunks at once, and one
+    inverse FFT over all degrees.  The library walks the chunks one at a
+    time and never holds the whole table."""
+    R, m = f.rule.shape
+    K = max_degree
+    x = 0.5 * f.rule.radial_nodes ** 2
+    D = max(K + 1, special_hermite_order_limit(x.max())) if degrees else K + 1
+    rho = np.stack(list(special_hermite_radial(x, K, range(D))), axis=1)
+    F = np.fft.fft((f.values * f.rule.weights).reshape(R, m), axis=1)
+    d = np.arange(D)
+    Fd = np.stack([F.T[d % m], F.T[-d % m]], axis=-1)
+    sums = np.matmul(rho, Fd.view(float)).view(complex)
+    a, b = np.indices((K + 1, K + 1))
+    coefficients = (sums[np.abs(a - b), np.minimum(a, b), (a < b).astype(int)]
+                    * ((2.0 * math.pi) ** -0.5 * np.array([1.0, 1.0j, -1.0, -1.0j])[(a - b) % 4]))
+    if not degrees:
+        return coefficients, None
+    # row i of ``modes`` holds mode p = i - start - (D-1), so that i = p mod m
+    start = -(D - 1) % m
+    modes = np.zeros((-(-(start + D + max(degrees)) // m) * m, R), dtype=complex)
+    H = np.empty((len(degrees), R, m), dtype=complex)
+    for i, k in enumerate(degrees):
+        pos = np.arange(k + 1)
+        radial = np.concatenate([rho[:0:-1, k], rho[pos, k - pos]])
+        coef = np.concatenate([sums[:0:-1, k, 1], sums[pos, k - pos, 0]])
+        np.multiply(radial, coef[:, None], out=modes[start:start + D + k])
+        modes[start + D + k:] = 0.0
+        H[i] = modes.reshape(-1, m, R).sum(axis=0).T
+    projections = np.fft.ifft(H, axis=2, norm="forward").transpose(1, 2, 0).reshape(-1, len(degrees))
+    return coefficients, projections
 
 
 def sector_basis_values(b, points) -> np.ndarray:
@@ -295,6 +337,15 @@ def rule_c1_odd():
     # an odd phase count below 2K at K = 40: the modes a - b of the
     # coefficients wrap around mod m, and no mode but 0 is its own negative
     return plane_rule(1, extent=10.0, radial_points=40, angular_points=45)
+
+
+@pytest.fixture(scope="session")
+def rule_c1_one_chunk():
+    # more phases than orders resolved at the outer radius (479 at extent
+    # 4): every negative mode of the per-mode table lies in one m-mode chunk
+    rule = plane_rule(1, extent=4.0, radial_points=24, angular_points=512)
+    assert special_hermite_order_limit(0.5 * rule.extent ** 2) - 1 <= rule.shape[1]
+    return rule
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 """Quadrature rules against closed-form moments."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import peak_mb
 from tsmlab import quadrature
 from tsmlab.errors import QuadratureError
 from tsmlab.quadrature import (compensated_sum, gauss_legendre, plane_rule,
@@ -144,6 +146,25 @@ def test_plane_rule_small_extent_checks_truncated_mass():
     # against the truncated Gaussian moment, not the full-plane value
     rule = plane_rule(1, extent=2.0, radial_points=32, angular_points=64)
     assert rule.moment_error < 1e-9
+
+
+def test_plane_rule_self_check_reads_radii():
+    """Every node's |z| is its radial node, so the moment check makes no
+    (nodes, n) or (nodes,) temporaries: 28.6 MB traced on this 448 000-node
+    rule when it took |z|^2 from the nodes, 17.7 MB of it the rule itself."""
+    assert peak_mb(lambda: plane_rule(2, extent=10.0, radial_points=28,
+                                      sphere3_orders=(10, 40, 40))) <= 24.0
+
+
+def test_plane_rule_checks_its_unit_rule(monkeypatch):
+    """The moment check reads |z| from the radial nodes, so a unit rule
+    whose nodes sit off the sphere is caught by its own check."""
+    build = quadrature._build_unit_rule
+    monkeypatch.setattr(quadrature, "_build_unit_rule", lambda n, size: dataclasses.replace(
+        build(n, size), nodes=1.01 * build(n, size).nodes))
+    for n in (1, 2):
+        with pytest.raises(QuadratureError, match="off the sphere"):
+            plane_rule(n, radial_points=16, angular_points=16, sphere3_orders=(4, 8, 8))
 
 
 def test_plane_rule_self_check_failure_raises():

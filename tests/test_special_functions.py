@@ -96,15 +96,27 @@ def test_special_hermite_radial_vs_oracle():
     r = np.array([0.25, 1.0, 2.5, 6.0, 9.5, 12.0])
     x = 0.5 * r * r
     with np.errstate(over="raise", invalid="raise"):
-        rho = np.stack(list(special_hermite_radial(x, 12, 1000)))
+        rho = np.stack(list(special_hermite_radial(x, 12, range(1001))))
     assert rho.shape == (13, 1001, r.size)
     for a in (0, 1, 4, 12):
         for d in (0, 1, 2, 7, 30, 72, 150, 400, 1000):
             assert np.max(np.abs(rho[a, d] - _radial_oracle(a, d, x))) < 1e-13, (a, d)
 
 
+@pytest.mark.parametrize("orders", [[0], [917, 3, 0, 3, 916], list(range(768, 513, -1)), []])
+def test_special_hermite_radial_order_selection_is_rows_of_all_orders(orders):
+    """A selection of orders, in any order and with repeats, yields those
+    rows of the call over every order, bit for bit: the per-mode table
+    reads its orders a chunk at a time.  Across the underflow at r = 12."""
+    x = 0.5 * np.linspace(0.0, 12.0, 9) ** 2
+    whole = np.stack(list(special_hermite_radial(x, 12, range(1001))))
+    picked = np.stack(list(special_hermite_radial(x, 12, orders)))
+    assert picked.shape == (13, len(orders), x.size)
+    assert np.array_equal(picked, whole[:, orders])
+
+
 def test_special_hermite_radial_exact_at_origin():
-    rho = np.stack(list(special_hermite_radial(np.zeros(1), 8, 20)))
+    rho = np.stack(list(special_hermite_radial(np.zeros(1), 8, range(21))))
     assert np.array_equal(rho[:, 0, 0], np.ones(9))
     assert np.array_equal(rho[:, 1:, 0], np.zeros((9, 20)))
     mat = special_hermite_matrix(np.zeros(1), 6)
@@ -117,7 +129,7 @@ def test_special_hermite_order_limit_marks_underflow(r):
     # at the limit every factor on [0, r] is 0; the order below is not
     x = 0.5 * r * r
     D = special_hermite_order_limit(x)
-    rho = np.stack(list(special_hermite_radial(np.array([x, 0.5 * x]), 12, D)))
+    rho = np.stack(list(special_hermite_radial(np.array([x, 0.5 * x]), 12, range(D + 1))))
     assert np.all(rho[:, D] == 0.0)
     assert np.all(rho[:, D - 1, 0] != 0.0)
 

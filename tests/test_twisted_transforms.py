@@ -15,7 +15,7 @@ import pytest
 from conftest import (StackedFields, design_matrix_coefficients,
                       direct_projection_table, direct_projection_values,
                       nested_piece_values, peak_mb, per_pair_twisted_mean,
-                      special_hermite_basis, whole_grid_pieces)
+                      special_hermite_basis, whole_grid_pieces, whole_mode_table)
 from tsmlab import twisted_transforms
 from tsmlab.constants import TWIST_SIGN, sphere_surface_area
 from tsmlab.euclidean_means import bump_profile
@@ -633,12 +633,43 @@ def test_on_grid_projections_fold_aliased_modes(m):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+_TABLE_RULES = ["rule_c1", "rule_c1_odd", "rule_c1_one_chunk"]
+
+
+@pytest.mark.parametrize("degrees", [list(range(13)), [40], [7, 0, 4, 4]])
+@pytest.mark.parametrize("rule_name", _TABLE_RULES)
+def test_chunked_mode_table_is_the_whole_table(request, rule_name, degrees):
+    """The on-grid projections, walked one m-mode chunk at a time, against
+    the whole-table oracle bit for bit: the chunks are added in increasing
+    mode order as the whole fold sums them, and each order's sums come from
+    the same (K+1, R) @ (R, 4) product."""
+    rule = request.getfixturevalue(rule_name)
+    f = SampledField.from_function(ENGINE_FIELDS["offcentre"], rule)
+    got = spectral_projections(f, degrees)
+    assert np.array_equal(got, whole_mode_table(f, max(degrees), degrees)[1])
+
+
+@pytest.mark.parametrize("K", [3, 12, 40])
+@pytest.mark.parametrize("rule_name", _TABLE_RULES)
+def test_chunked_coefficients_are_the_whole_table(request, rule_name, K):
+    rule = request.getfixturevalue(rule_name)
+    f = SampledField.from_function(ENGINE_FIELDS["offcentre"], rule)
+    assert np.array_equal(special_hermite_coefficients(f, K), whole_mode_table(f, K)[0])
+    coefficients, projections = whole_mode_table(f, K, list(range(K + 1)))
+    trunc = special_hermite_truncation(f, K)
+    assert np.array_equal(trunc.coefficients, coefficients)
+    for k, q in enumerate(trunc.projections):
+        assert np.array_equal(q.values, projections[:, k]), k
+
+
 def test_projection_memory_budget(gauss_field, probe_targets):
-    # the on-grid table holds (orders, degrees, radii) floats, and the
-    # off-grid path a few (targets, nodes) arrays: neither may grow with
-    # the square of the grid
+    # the on-grid table is walked one m-mode chunk at a time, holding one
+    # chunk's (orders, degrees, radii) floats and one (m, R) total per
+    # degree, and the off-grid path a few (targets, nodes) arrays: neither
+    # may grow with the square of the grid
     on_grid = peak_mb(lambda: spectral_projections(gauss_field, range(13)))
     assert on_grid < 48.0
+    assert peak_mb(lambda: spectral_projections(gauss_field, [12])) <= 5.0
     off_grid = peak_mb(lambda: spectral_projections(gauss_field, range(13),
                                                      probe_targets[:3]))
     assert off_grid < 8.0
@@ -687,8 +718,10 @@ def test_coefficients_match_design_matrix_oracle(request, rule_name, K):
 
 def test_truncation_memory_budget(gauss_field):
     # the coefficients come from the mode table, with no (nodes, (K+1)^2)
-    # design matrix: 440 MB at K = 40 on the default grid
-    assert peak_mb(lambda: special_hermite_truncation(gauss_field, 40)) < 64.0
+    # design matrix (440 MB at K = 40 on the default grid), and the table
+    # is never held whole: 14.5 and 41.7 MB when it was
+    assert peak_mb(lambda: special_hermite_truncation(gauss_field, 12)) <= 9.0
+    assert peak_mb(lambda: special_hermite_truncation(gauss_field, 40)) <= 24.0
 
 
 def test_special_hermite_coefficients_pick_out_basis(rule_c1):
