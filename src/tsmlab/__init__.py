@@ -37,14 +37,13 @@ from .twisted_transforms import (mean_profile, polar_bridge,
                                  spectral_projection, spectral_projections,
                                  special_hermite_coefficients,
                                  special_hermite_truncation,
-                                 tensor_decompose_projection,
-                                 twisted_convolution, twisted_mean_table,
+                                 tensor_decompose_projection, twisted_mean_table,
                                  twisted_spherical_mean, twisted_translate)
 from .euclidean_means import (circular_mean, coxeter_odd_counterexample,
                               euclidean_mean_table, euclidean_sector_basis)
 from .injectivity_lab import (INJECTIVITY_CAVEAT, ProjectionExpansion,
                               SamplingOperator, SamplingSet, TypeFunctionSpec,
-                              VanishingSetReport, assemble_operator, curve_set,
+                              VanishingSetReport, assemble_operator,
                               fit_projection_expansion,
                               hecke_bochner_counterexample, injectivity_probe,
                               make_set)

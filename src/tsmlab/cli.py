@@ -19,15 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, constants
-from .errors import ConfigError
-from .euclidean_means import (coxeter_odd_counterexample, euclidean_mean_table,
-                              euclidean_sector_basis, write_mean_table)
+from .errors import ConfigError, QuadratureError
+from .euclidean_means import (CIRCLE_POINTS, coxeter_odd_counterexample,
+                              euclidean_mean_table, euclidean_sector_basis,
+                              write_mean_table)
 from .fields import SampledField
 from .injectivity_lab import (EuclideanSectorBasis, assemble_operator,
                               TypeFunctionSpec, fit_projection_expansion,
                               hecke_bochner_counterexample, injectivity_probe,
                               make_set, operator_to_csv, sigma_curve_to_csv)
-from .ioutil import ensure_dir, fmt, write_csv, write_json
+from .ioutil import fmt, write_csv, write_json
 from .quadrature import radial_rule, plane_rule
 from .special_functions import (LaguerreSpec, laguerre_function,
                                 solid_harmonic_basis)
@@ -134,8 +135,11 @@ def _validate(cfg: dict) -> None:
     for key, lo in at_least.items():
         if cfg[key] < lo:
             raise ConfigError(f"{key} must be >= {lo}, got {cfg[key]}")
-    for key, hi in {"project.max_degree": 60, "probe.max_degree": 20,
-                    "identities.degree_max": 20, "expand.degree": 20}.items():
+    # past r = 53.2, e^(-r^2/4) underflows and the grid's special Hermite
+    # radial factors vanish from order 0 (special_hermite_order_limit)
+    for key, hi in {"grid.extent": 53.2, "project.max_degree": 60,
+                    "probe.max_degree": 20, "identities.degree_max": 20,
+                    "expand.degree": 20}.items():
         if cfg[key] > hi:
             raise ConfigError(f"{key} must be <= {hi}, got {cfg[key]}")
     steps = cfg["probe.degree_steps"]
@@ -146,6 +150,12 @@ def _validate(cfg: dict) -> None:
     top = cfg["probe.max_degree"] + max(steps)
     if top > 20:
         raise ConfigError(f"probe.max_degree + max(probe.degree_steps) must be <= 20, got {top}")
+    # the euclidean certificate is exact because reflections across Sigma_N
+    # pair the circle nodes of the means, which needs N | CIRCLE_POINTS
+    N = cfg["counterexample.n_lines"]
+    if CIRCLE_POINTS % N:
+        raise ConfigError(f"counterexample.n_lines must divide {CIRCLE_POINTS}, the circle "
+                          f"nodes that reflections across Sigma_N pair, got {N}")
     for section in ("profile", "probe"):
         if cfg[f"{section}.r_min"] >= cfg[f"{section}.r_max"]:
             raise ConfigError(f"{section}.r_min must be below {section}.r_max")
@@ -473,8 +483,13 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(args.out if args.out is not None else cfg["run.out"])
-    ensure_dir(out)
-    checks = RUNNERS[args.experiment](cfg, out)
+    try:
+        checks = RUNNERS[args.experiment](cfg, out)
+    except QuadratureError as e:
+        # a rule the config asks for fails its self-check; every runner
+        # builds its rules before it writes an artifact, so none exists
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
 
     manifest = {
         "experiment": args.experiment,

@@ -63,7 +63,7 @@ from .errors import IllConditionedFitError
 from .euclidean_means import CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction, bump_profile
 from .fields import SampledField
 from .ioutil import fmt, write_csv, write_json
-from .quadrature import PlaneRule, gauss_legendre, plane_rule, sphere_rule
+from .quadrature import gauss_legendre, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
                                 laguerre_sequence, special_hermite_indices,
                                 special_hermite_matrix)
@@ -85,7 +85,7 @@ _TYPE_GAUSSIAN = 4.0
 
 __all__ = [
     "INJECTIVITY_CAVEAT", "DEFAULT_RADII", "SamplingSet", "make_set",
-    "curve_set", "ProductHermiteBasis",
+    "ProductHermiteBasis",
     "EuclideanSectorBasis", "SamplingOperator", "assemble_operator",
     "near_null_roundtrip", "InjectivityReport", "injectivity_probe",
     "TypeFunctionSpec", "VanishingSetReport", "hecke_bochner_counterexample",
@@ -389,11 +389,6 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
     out = SamplingSet(kind, n, centers, radii, stored, weights)
     out.validate()
     return out
-
-
-def curve_set(r_profile: Callable, samples: int = 64, radii=None) -> SamplingSet:
-    """Centers on the curve gamma(t) = r(t) e^(it), t in [0, 4 pi]."""
-    return make_set("curve", radii=radii, r_profile=r_profile, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,21 +1030,20 @@ def _scan_pool(dimension: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def hecke_bochner_counterexample(spec: TypeFunctionSpec, rule: PlaneRule | None = None,
-                                 n_onset: int = 30, n_offset: int = 10,
-                                 radii=None, sphere_orders=None) -> VanishingSetReport:
+def hecke_bochner_counterexample(spec: TypeFunctionSpec, n_onset: int = 30,
+                                 n_offset: int = 10, radii=None,
+                                 sphere_orders=None) -> VanishingSetReport:
     """Scan the type function's twisted means: one ``twisted_mean_table``
     over all scan centers and radii, on C^2 of the type function's
     ``slot_product`` (slot by slot, on the S^3 rules' own nodes), on C of
     the spec itself, read at the circle nodes.
 
-    Returns the report.  The field's peak is max |f| over the nodes of
-    ``rule`` (default: the polar rule of extent 12, on C with 64 radial
-    nodes and 256 phases, on C^2 with 40 and S^3 orders (10, 20, 20)),
-    read one radial ring at a time: views of ``rule.nodes``, or, for the
-    default, r_i times the unit ``sphere_rule``, as ``plane_rule`` forms
-    ring i, so the peak is the same bit for bit and the default rule is
-    never built.
+    Returns the report.  The field's peak is max |f| over the nodes of the
+    polar rule of extent 12 (on C with 64 radial nodes and 256 phases, on
+    C^2 with 40 and S^3 orders (10, 20, 20)), read one radial ring at a
+    time: ring i is r_i times the unit ``sphere_rule``, as ``plane_rule``
+    forms it, so the peak is the same bit for bit and that rule is never
+    built.
     The scan centers come from a fixed pool: the ``n_onset``
     lexicographically first pool points with |P| ~ 0 and the ``n_offset``
     pool points with the largest |P|.  The headline contract: every
@@ -1060,13 +1054,8 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec, rule: PlaneRule | None 
         raise ValueError(f"scan counts must be >= 0, got n_onset={n_onset}, "
                          f"n_offset={n_offset}")
     n = spec.dimension
-    if rule is None:
-        unit = sphere_rule(n, 1.0, m=256, orders=(10, 20, 20)).nodes
-        rings = (r * unit for r in gauss_legendre(64 if n == 1 else 40, 0.0, 12.0)[0])
-    elif rule.dimension != n:
-        raise ValueError("rule dimension does not match the harmonic")
-    else:
-        rings = rule.nodes.reshape(rule.radial_nodes.size, -1, n)
+    unit = sphere_rule(n, 1.0, m=256, orders=(10, 20, 20)).nodes
+    rings = (r * unit for r in gauss_legendre(64 if n == 1 else 40, 0.0, 12.0)[0])
     peak = float(np.max([np.max(np.abs(spec.evaluate(ring))) for ring in rings]))
     if radii is None:
         radii = np.geomspace(0.3, 3.0, 10)

@@ -3,7 +3,9 @@
 All numeric output uses 17 significant digits with '.' as the decimal mark,
 CSV rows are RFC-4180 style (CRLF, quoted only when needed), and JSON is
 UTF-8 with sorted keys.  Rerunning a writer on identical data yields
-byte-identical files; nothing here emits timestamps.
+byte-identical files; nothing here emits timestamps.  A writer makes its
+file's directory first, so an output directory appears with its first
+artifact and a run that fails before writing one leaves none behind.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ def fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+def _create(path, **kwargs):
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", **kwargs)
+
+
 def write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(header))
         for row in rows:
@@ -39,11 +46,7 @@ def read_csv_columns(path) -> dict:
 
 
 def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
 
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -134,7 +134,7 @@ __all__ = [
     "SampledField", "MeanProfile", "SpectrumTruncation",
     "twist_phase", "twisted_translate", "twisted_spherical_mean",
     "twisted_mean_table", "SlotProduct",
-    "mean_profile", "twisted_convolution", "convolution_values",
+    "mean_profile", "convolution_values",
     "spectral_projection", "spectral_projections", "projection_values",
     "special_hermite_coefficients", "special_hermite_truncation",
     "polar_bridge", "tensor_decompose_projection",
@@ -401,14 +401,6 @@ def convolution_values(f: SampledField, g: SampledField, targets) -> np.ndarray:
         vals *= twist_phase(zc[:, None, :], w[None, :, :])
         out[s:s + chunk] = compensated_sum(vals * gw[None, :], axis=-1)
     return out
-
-
-def twisted_convolution(f: SampledField, g: SampledField) -> SampledField:
-    """f x g resampled on the shared grid, with a lazy exact evaluator."""
-    vals = convolution_values(f, g, f.rule.nodes)
-    ev = lambda pts: convolution_values(f, g, pts)
-    return SampledField(f.rule, vals, ev,
-                        name=f"({f.name})x({g.name})" if f.name or g.name else "")
 
 
 def projection_values(f: SampledField, k: int, targets) -> np.ndarray:

@@ -107,9 +107,36 @@ def test_invalid_value_exits_2(tmp_path):
         assert not out.exists(), override
 
 
+@pytest.mark.parametrize("experiment,override,message", [
+    # e^(-r^2/4) underflows past r = 53.2: no special Hermite order survives
+    ("project", "grid.extent=60", "grid.extent must be <= 53.2"),
+    # eight radial nodes miss the plane rule's Gaussian moment by 7e-3
+    ("project", "grid.radial_points=8", "Gaussian moment check"),
+    ("verify-identities", "grid.radial_points=8", "Gaussian moment check"),
+    # reflections across Sigma_7 do not pair the 240 circle nodes of the
+    # means: the certificate would read quadrature error (4.8e-6)
+    ("counterexample", "counterexample.n_lines=7", "counterexample.n_lines must divide 240"),
+])
+def test_config_the_run_cannot_use_exits_2(experiment, override, message, tmp_path, capsys):
+    out = tmp_path / "never"
+    code = main(["--experiment", experiment, "--out", str(out), "--override", override])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
 FAST_GRID = ["--override", "grid.radial_points=32",
              "--override", "grid.angular_points=96",
              "--override", "grid.extent=10.0"]
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_list_checks_names_the_checks_each_run_makes(experiment, tmp_path):
+    out = tmp_path / experiment
+    main(["--experiment", experiment, "--out", str(out)] + FAST_GRID)
+    man = json.loads((out / "manifest.json").read_text())
+    assert [c["name"] for c in man["checks"]] == cli.CHECK_NAMES[experiment]
 
 
 def test_tsm_eval_artifacts_and_determinism(tmp_path):

@@ -1,9 +1,8 @@
 """Finite-difference residuals for the harmonic-oscillator-type operator."""
 
-import numpy as np
 import pytest
 
-from tsmlab.diagnostics import radial_operator_residual, transport_residual
+from tsmlab.diagnostics import radial_operator_residual
 from tsmlab.special_functions import LaguerreSpec, laguerre_function
 
 
@@ -22,20 +21,3 @@ def test_eigen_residual_large_for_wrong_eigenvalue():
     res = radial_operator_residual(_radial_fn(1, 3), 1, 2 * 3 + 1 + 2)
     assert res > 1e-2
 
-
-def test_transport_residual_radial_eigenfunction():
-    n, k = 1, 2
-    fn = lambda pts: laguerre_function(LaguerreSpec(k, n - 1),
-                                       np.abs(pts[:, 0])).astype(complex)
-    pts = np.array([[0.8 + 0.3j], [1.5 - 1.0j], [2.4 + 0.2j]])
-    res = transport_residual(fn, n, 2 * k + n, pts)
-    assert res < 1e-4
-
-
-def test_transport_residual_c2():
-    n, k = 2, 1
-    fn = lambda pts: laguerre_function(
-        LaguerreSpec(k, n - 1), np.linalg.norm(pts, axis=1)).astype(complex)
-    pts = np.array([[0.5 + 0.2j, -0.3 + 0.8j], [1.0 - 0.4j, 0.6 + 0.5j]])
-    res = transport_residual(fn, n, 2 * k + n, pts)
-    assert res < 1e-4

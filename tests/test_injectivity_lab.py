@@ -21,7 +21,7 @@ from tsmlab.injectivity_lab import (CERTIFICATE_CIRCLE_POINTS, DEFAULT_RADII,
                                     EuclideanSectorBasis,
                                     INJECTIVITY_CAVEAT, ProductHermiteBasis,
                                     SamplingOperator, SamplingSet, TypeFunctionSpec,
-                                    assemble_operator, curve_set,
+                                    assemble_operator,
                                     fit_projection_expansion,
                                     hecke_bochner_counterexample,
                                     injectivity_probe, make_set,
@@ -113,7 +113,7 @@ def test_sphere_and_curve_sets():
     s.validate()
     assert np.allclose(np.linalg.norm(s.centers, axis=1), 2.0)
 
-    spiral = curve_set(lambda t: 1.0 + 0.1 * t, samples=40)
+    spiral = make_set("curve", r_profile=lambda t: 1.0 + 0.1 * t, samples=40)
     spiral.validate()
     assert spiral.centers.shape == (40, 1)
     # curve order preserved (no lex sort): radii grow along the parameter
@@ -233,8 +233,8 @@ def _rel_gap(closed: np.ndarray, oracle: np.ndarray) -> float:
              rotation=0.37, translation=[0.5 - 0.2j],
              radii=np.geomspace(0.2, 6.0, 8)),
     make_set("sphere", radius=2.5, n=1, m=16, radii=np.geomspace(0.2, 6.0, 8)),
-    curve_set(lambda t: 1.0 + 0.2 * t, samples=20,
-              radii=np.geomspace(0.2, 6.0, 8)),
+    make_set("curve", r_profile=lambda t: 1.0 + 0.2 * t, samples=20,
+             radii=np.geomspace(0.2, 6.0, 8)),
 ], ids=["coxeter_lines", "sphere", "curve"])
 def test_closed_form_matches_quadrature_on_c(sset):
     op = assemble_operator(sset, max_degree=6)
@@ -566,8 +566,8 @@ FACTORED_CASES = {
     # the S^3 rule's nodes: eight phases per slot
     "sphere_c2": (lambda: make_set("sphere", radius=1.5, n=2,
                                    radii=np.geomspace(0.3, 4.0, 6)), 2),
-    "curve": (lambda: curve_set(lambda t: 1.0 + 0.2 * t, samples=20,
-                                radii=np.geomspace(0.2, 6.0, 8)), 5),
+    "curve": (lambda: make_set("curve", r_profile=lambda t: 1.0 + 0.2 * t, samples=20,
+                               radii=np.geomspace(0.2, 6.0, 8)), 5),
     "custom": (lambda: make_set("custom", centers=[[0.3 + 0.1j, -0.5 + 0.2j],
                                                    [-0.8 + 0.4j, 0.6 - 0.3j],
                                                    [1.1 - 0.2j, 0.2 + 0.9j]],
@@ -958,17 +958,12 @@ DEFAULT_PEAK_RULES = {
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_field_peak_is_the_plane_rule_peak(n, monkeypatch):
-    """The peak read ring by ring equals max |f| over the plane rule's
-    nodes bit for bit: on the default rule, which the scan does not build,
-    and on a rule passed in."""
+    """The peak read ring by ring equals max |f| over the default plane
+    rule's nodes bit for bit, and the scan does not build that rule."""
     pqn, params = DEFAULT_PEAK_RULES[n]
     spec = TypeFunctionSpec(solid_harmonic_basis(*pqn)[0])
     default = plane_rule(n, **params)
-    small = plane_rule(n, extent=8.0, radial_points=8, angular_points=16,
-                       sphere3_orders=(4, 8, 8), tolerance=float("inf"))
     scan = dict(n_onset=2, n_offset=2, radii=[0.5, 1.5], sphere_orders=(4, 8, 8))
-    got = hecke_bochner_counterexample(spec, rule=small, **scan).field_peak
-    assert got == _plane_rule_peak(spec, small)
 
     def no_plane_rule(*args, **kw):
         raise AssertionError("the default scan built a plane rule")
@@ -1012,10 +1007,8 @@ def test_scan_reads_slot_points_only(monkeypatch):
     monkeypatch.setattr(SlotProduct, "evaluate", no_node_reads)
     orders = (6, 8, 12)
     radii = np.geomspace(0.5, 2.0, 4)
-    rule = plane_rule(2, extent=8.0, radial_points=8, sphere3_orders=(4, 8, 8),
-                      tolerance=float("inf"))
     spec = TypeFunctionSpec(solid_harmonic_basis(1, 1, 2)[0])
-    rep = hecke_bochner_counterexample(spec, rule=rule, radii=radii, sphere_orders=orders)
+    rep = hecke_bochner_counterexample(spec, radii=radii, sphere_orders=orders)
     T, M1, M2 = orders
     distinct = [np.unique(rep.centers[:, s]).size for s in range(2)]
     assert distinct == [16, 17] and rep.centers.shape[0] == 40
@@ -1041,13 +1034,6 @@ def test_product_roundtrip_means_come_from_slot_columns(monkeypatch):
 def test_type_function_spec_guards():
     P = solid_harmonic_basis(1, 1, 2)[0]
     spec = TypeFunctionSpec(P)
-    rule1 = plane_rule(1, extent=6.0, radial_points=16, angular_points=32)
-    with pytest.raises(ValueError, match="dimension"):
-        hecke_bochner_counterexample(spec, rule=rule1)
-    rule2 = plane_rule(2, extent=6.0, radial_points=16, sphere3_orders=(4, 8, 8))
-    with pytest.raises(ValueError, match="rule dimension"):
-        hecke_bochner_counterexample(TypeFunctionSpec(solid_harmonic_basis(2, 0, 1)[0]),
-                                     rule=rule2)
     with pytest.raises(ValueError, match="C\\^2"):
         TypeFunctionSpec(solid_harmonic_basis(1, 0, 1)[0]).slot_product()
     # four C points are not two C^2 points

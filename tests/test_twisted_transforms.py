@@ -33,8 +33,8 @@ from tsmlab.twisted_transforms import (convolution_values, mean_profile,
                                        special_hermite_coefficients,
                                        special_hermite_truncation,
                                        tensor_decompose_projection,
-                                       twist_phase, twisted_convolution,
-                                       SlotProduct, twisted_mean_table,
+                                       twist_phase, SlotProduct,
+                                       twisted_mean_table,
                                        twisted_spherical_mean,
                                        twisted_translate)
 from tsmlab.injectivity_lab import ProductHermiteBasis, TypeFunctionSpec
@@ -318,8 +318,7 @@ def test_non_finite_targets_are_rejected(n, bad):
 @pytest.mark.parametrize("n", [1, 2])
 def test_convolution_rejects_non_finite_targets(n):
     """The w-form sum reads NaN at a non-finite target: ``convolution_values``
-    and the evaluator of ``twisted_convolution`` raise ValueError naming
-    the first one and its row instead."""
+    raises ValueError naming the first one and its row instead."""
     if n == 1:
         rule = plane_rule(1, extent=8.0, radial_points=16, angular_points=24)
     else:
@@ -330,9 +329,8 @@ def test_convolution_rejects_non_finite_targets(n):
     targets = np.full((3, n), 0.3 + 0.1j)
     targets[1, -1] = np.nan
     targets[2, 0] = np.inf
-    for read in (lambda t: convolution_values(f, f, t), twisted_convolution(f, f).evaluate):
-        with pytest.raises(ValueError, match=r"targets must be finite, got .* at row 1"):
-            read(targets)
+    with pytest.raises(ValueError, match=r"targets must be finite, got .* at row 1"):
+        convolution_values(f, f, targets)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -510,13 +508,6 @@ def test_convolution_requires_compatible_rules(rule_c1_small, gauss_field):
     f = _phi_field(rule_c1_small, 0)
     with pytest.raises(GridMismatchError):
         convolution_values(gauss_field, f, np.array([[0j]]))
-
-
-def test_twisted_convolution_field_evaluator(rule_c1_small, probe_targets):
-    f = _phi_field(rule_c1_small, 0)
-    conv = twisted_convolution(f, f)
-    direct = convolution_values(f, f, probe_targets)
-    assert np.max(np.abs(conv.evaluate(probe_targets) - direct)) < 1e-14
 
 
 def test_translate_covariance(gauss_field):
