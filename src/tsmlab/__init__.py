@@ -27,8 +27,7 @@ from .constants import (TWIST_SIGN, expansion_constant, sphere_surface_area,
 from .errors import (ConfigError, FieldDomainError, GridMismatchError,
                      IllConditionedFitError, QuadratureError,
                      TranslateTailWarning, TruncationTailWarning, TsmlabError)
-from .special_functions import (LaguerreSpec, SolidHarmonic,
-                                SpecialHermiteIndex, laguerre_function,
+from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
                                 laguerre_polynomial, solid_harmonic_basis)
 from .quadrature import (PlaneRule, RadialRule, SphereRule, compensated_sum,
                          gauss_legendre, plane_rule, radial_rule, sphere_rule)

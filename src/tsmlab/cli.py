@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import importlib.resources
+import math
 import platform
 import sys
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from .euclidean_means import (CIRCLE_POINTS, coxeter_odd_counterexample,
                               euclidean_mean_table, euclidean_sector_basis,
                               write_mean_table)
 from .fields import SampledField
-from .injectivity_lab import (EuclideanSectorBasis, assemble_operator,
-                              TypeFunctionSpec, fit_projection_expansion,
+from .injectivity_lab import (CERTIFICATE_CIRCLE_POINTS, TypeFunctionSpec,
+                              assemble_operator, fit_projection_expansion,
                               hecke_bochner_counterexample, injectivity_probe,
                               make_set, operator_to_csv, sigma_curve_to_csv)
 from .ioutil import fmt, write_csv, write_json
@@ -156,6 +157,16 @@ def _validate(cfg: dict) -> None:
     if CIRCLE_POINTS % N:
         raise ConfigError(f"counterexample.n_lines must divide {CIRCLE_POINTS}, the circle "
                           f"nodes that reflections across Sigma_N pair, got {N}")
+    # the euclidean probe's near-null vectors are the sectors Sigma_N
+    # annihilates: its assembly and its certificates must both see them
+    # vanish, so N divides both circle node counts
+    paired = math.gcd(CIRCLE_POINTS, CERTIFICATE_CIRCLE_POINTS)
+    N = cfg["probe.n_lines"]
+    if (cfg["probe.engine"] == "euclidean" and cfg["probe.kind"] == "coxeter_lines"
+            and paired % N):
+        raise ConfigError(f"probe.n_lines must divide {paired} on the euclidean engine, the "
+                          f"circle nodes that reflections across Sigma_N pair in both "
+                          f"assembly and certificates, got {N}")
     for section in ("profile", "probe"):
         if cfg[f"{section}.r_min"] >= cfg[f"{section}.r_max"]:
             raise ConfigError(f"{section}.r_min must be below {section}.r_max")
@@ -428,9 +439,8 @@ def run_probe(cfg: dict, out: Path) -> list[Check]:
     if cfg["probe.engine"] == "twisted":
         op = assemble_operator(sset, K, engine="twisted")
     else:
-        funcs = euclidean_sector_basis(K, support_radii=(1.0, 0.6))
         op = assemble_operator(sset, engine="euclidean",
-                               basis=EuclideanSectorBasis(funcs))
+                               basis=euclidean_sector_basis(K, support_radii=(1.0, 0.6)))
     steps = cfg["probe.degree_steps"]
     report = injectivity_probe(op, cfg["probe.near_null_threshold"],
                                degree_steps=steps)

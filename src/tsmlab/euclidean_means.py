@@ -26,8 +26,9 @@ counterexample is a real ``fields.SampledField`` that declares
 outside the disk |z| <= R by that declaration: a circle about x of
 radius r with ||x| - r| >= R misses the disk, its mean is 0, and the
 table does not read it.
-Sector basis columns come only from ``injectivity_lab.EuclideanSectorBasis``
-``.matrix``; ``SectorBasisFunction`` names a column and holds no evaluator.
+Sector basis columns come only from ``EuclideanSectorBasis.matrix``: the
+basis holds (kind, order, support radius) arrays, one entry per column,
+and ``euclidean_sector_basis`` builds it.
 
 The angular sector odd across all of Sigma_N is spanned by sin(s theta)
 with N | s; the counterexample occupies the lowest rung s = N.
@@ -35,9 +36,7 @@ with N | s; the counterexample occupies the lowest rung s = N.
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,10 +46,10 @@ from .ioutil import fmt, write_csv
 from .quadrature import PlaneRule, plane_rule
 from .twisted_transforms import twisted_mean_table
 
-CIRCLE_POINTS = 240      # divisible by 1..6: reflection pairs nodes exactly
+CIRCLE_POINTS = 240      # a reflection across Sigma_N pairs these nodes when N | 240
 
 __all__ = [
-    "SectorBasisFunction", "bump_profile", "circular_mean",
+    "EuclideanSectorBasis", "bump_profile", "circular_mean",
     "euclidean_mean_table", "write_mean_table", "coxeter_odd_counterexample",
     "coxeter_odd_orders", "euclidean_sector_basis", "CIRCLE_POINTS",
 ]
@@ -71,6 +70,92 @@ def bump_profile(support_radius: float = 1.0) -> Callable[[np.ndarray], np.ndarr
         return out
 
     return g
+
+
+class EuclideanSectorBasis:
+    """(radial bump) x (Fourier mode) columns bump(rho; R) (rho/R)^s trig(s theta):
+    column j has kind ``kinds[j]`` (trig sin or cos), angular order
+    ``orders[j]`` and support radius ``support_radii[j]``, held as three
+    arrays.  A field of the mean tables' point protocol whose ``evaluate``
+    is its ``matrix``, one value per column, 0 outside ``support_radius``."""
+
+    engine = "euclidean"
+    dimension = 1
+
+    def __init__(self, kinds, orders, support_radii):
+        kinds, orders, radii = list(kinds), list(orders), list(support_radii)
+        if not kinds:
+            raise ValueError("empty basis")
+        if not len(kinds) == len(orders) == len(radii):
+            raise ValueError("need one kind, order and support radius per column")
+        for kind in kinds:
+            if kind not in ("sin", "cos"):
+                raise ValueError(f"unknown sector kind {kind!r}")
+        for s in orders:
+            if not isinstance(s, numbers.Integral):
+                raise ValueError(f"angular order must be an integer, got {s!r}")
+        self.kinds = np.asarray(kinds)
+        self.orders = np.asarray(orders, dtype=int)
+        self.support_radii = np.asarray(radii, dtype=float)
+        if np.any((self.orders < 0) | ((self.kinds == "sin") & (self.orders == 0))):
+            raise ValueError("bad angular order")
+        bad = ~(np.isfinite(self.support_radii) & (self.support_radii > 0))
+        if bad.any():
+            raise ValueError(f"support radius must be positive and finite, "
+                             f"got {radii[np.argmax(bad)]}")
+        # per support radius, ascending: its columns, their orders, which are
+        # sin columns, and the exponents 0 .. top order of its power table
+        self._groups = []
+        for R in np.unique(self.support_radii):
+            cols = np.flatnonzero(self.support_radii == R)
+            self._groups.append((R, cols, self.orders[cols], self.kinds[cols, None] == "sin",
+                                 np.arange(self.orders[cols].max() + 1)[:, None]))
+
+    @property
+    def ncols(self) -> int:
+        return self.orders.size
+
+    @property
+    def labels(self) -> list[str]:
+        return [f"{kind}{s}_R{R:g}"
+                for kind, s, R in zip(self.kinds, self.orders, self.support_radii)]
+
+    @property
+    def support_radius(self) -> float:
+        """The largest column support: every column is 0 outside it."""
+        return float(self.support_radii.max())
+
+    def matrix(self, points: np.ndarray) -> np.ndarray:
+        """bump(rho; R) (z/R)^s, imaginary part for sin and real part for
+        cos columns: (points, ncols) float, 0 outside each support.
+
+        Per support radius, ascending, over the points inside rho < R: one
+        bump read and one ``np.power`` table of (z/R)^s, s = 0 .. the
+        largest order there, in one call; the radius's columns, the bump
+        times the real or imaginary part of their rows, are written
+        together as rows of the transposed result (the matrix is returned
+        in Fortran order, each column contiguous, the layout the mean
+        table sums)."""
+        pts = np.asarray(points, dtype=complex).reshape(-1)
+        rho = np.abs(pts)
+        out = np.zeros((self.ncols, pts.shape[0]))
+        for R, cols, orders, sin, exponents in self._groups:
+            inside = np.flatnonzero(rho < R)
+            rungs = np.power(pts[inside] / R, exponents)[orders]
+            out[cols[:, None], inside] = bump_profile(R)(rho[inside]) * np.where(
+                sin, rungs.imag, rungs.real)
+        return out.T
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The basis read as a field of the mean tables: its ``matrix``."""
+        return self.matrix(points)
+
+    def index_of(self, kind: str, order: int, support_radius: float) -> int:
+        hit = np.flatnonzero((self.kinds == kind) & (self.orders == order)
+                             & (np.abs(self.support_radii - support_radius) < 1e-12))
+        if not hit.size:
+            raise KeyError(f"no basis element {kind}{order} at R={support_radius}")
+        return int(hit[0])
 
 
 def euclidean_mean_table(f, centers, radii) -> np.ndarray:
@@ -132,49 +217,19 @@ def coxeter_odd_orders(n_lines: int, max_order: int) -> list[int]:
     return [s for s in range(1, max_order + 1) if s % n_lines == 0]
 
 
-@dataclass(frozen=True)
-class SectorBasisFunction:
-    """One (radial bump) x (Fourier mode) basis element for the Euclidean
-    sampling operator: bump(rho; R) (rho/R)^s trig(s theta).
-
-    A record only: its values come from ``EuclideanSectorBasis.matrix``,
-    which builds every column of a basis together."""
-    kind: str              # "sin" | "cos"
-    order: int
-    support_radius: float
-
-    def __post_init__(self):
-        if self.kind not in ("sin", "cos"):
-            raise ValueError(f"unknown sector kind {self.kind!r}")
-        if not isinstance(self.order, numbers.Integral):
-            raise ValueError(f"angular order must be an integer, got {self.order!r}")
-        if self.order < 0 or (self.kind == "sin" and self.order == 0):
-            raise ValueError("bad angular order")
-        if not (math.isfinite(self.support_radius) and self.support_radius > 0):
-            raise ValueError(f"support radius must be positive and finite, "
-                             f"got {self.support_radius}")
-
-    @property
-    def name(self) -> str:
-        return f"{self.kind}{self.order}_R{self.support_radius:g}"
-
-
 def euclidean_sector_basis(max_order: int,
                            support_radii=(1.0, 0.6),
                            orders: list[int] | None = None,
-                           kinds=("sin", "cos")) -> list[SectorBasisFunction]:
+                           kinds=("sin", "cos")) -> EuclideanSectorBasis:
     """Basis (radial bumps) x (Fourier modes): all requested orders at each
-    support radius.  Restrict ``orders``/``kinds`` to carve out a sector,
-    e.g. orders=coxeter_odd_orders(N, K), kinds=("sin",)."""
+    support radius, radius-major, then order, then kind.  Restrict
+    ``orders``/``kinds`` to carve out a sector, e.g.
+    orders=coxeter_odd_orders(N, K), kinds=("sin",)."""
     if orders is None:
         orders = list(range(0, max_order + 1))
-    out = []
-    for R in support_radii:
-        for s in orders:
-            for kind in kinds:
-                if kind == "sin" and s == 0:
-                    continue
-                if s > max_order:
-                    raise ValueError(f"order {s} above max_order {max_order}")
-                out.append(SectorBasisFunction(kind, s, R))
-    return out
+    columns = [(kind, s, R) for R in support_radii for s in orders for kind in kinds
+               if not (kind == "sin" and s == 0)]
+    for _, s, _ in columns:
+        if s > max_order:
+            raise ValueError(f"order {s} above max_order {max_order}")
+    return EuclideanSectorBasis(*(zip(*columns) if columns else ((), (), ())))

@@ -165,6 +165,14 @@ def _finite(points: np.ndarray, name: str) -> np.ndarray:
     return points
 
 
+def _integer(value, name: str, minimum: int = 0) -> int:
+    """value as an int: a Python or numpy integer >= minimum, not a bool;
+    ValueError naming ``name`` and the value otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _check_mode(out_of_domain: str):
     if out_of_domain not in ("raise", "zero"):
         raise ValueError(f"unknown out_of_domain mode {out_of_domain!r}")

@@ -10,7 +10,9 @@ basis elements b, and
 set to 1 (euclidean engine).  Twisted
 columns come from one basis, ``ProductHermiteBasis``: tensor products of
 special Hermite functions, one factor per slot, so C is its one-slot case
-and C^2 its two-slot case.  Twisted rows are exact: every column is an
+and C^2 its two-slot case; it holds each column's slot indices as integer
+arrays (a_s, b_s), and every per-column quantity (label, degree, block,
+rotation class) comes from them.  Twisted rows are exact: every column is an
 eigenfunction, so the product (Hecke-Bochner) relation factors its mean
 into a Laguerre factor in r_i times the column at z_j, and the column is
 a product over the slots: a twisted operator is one special Hermite table
@@ -26,20 +28,21 @@ so custom and translated sets split too) columns whose frequencies differ mod q_
 are orthogonal and M splits into independent blocks, one per rotation
 class -- a residue class per slot -- each decomposed on its own.
 Euclidean rows are circle averages, one untwisted ``twisted_mean_table``
-of the basis matrix on ``EUCLID_POINTS`` circle nodes, decomposed as they
-are; every sector column is 0 outside the basis's ``support_radius``, so a
-row whose circle misses that disk is 0 and its circle is not read.  A
-function with vanishing means on S corresponds to a (near-)null vector of M, so
-sigma_min probes whether S can distinguish fields at the truncation: small
-sigma_min plus an exhibited near-null field certifies NON-injectivity at
-desk scale, while large sigma_min is evidence only (see the caveat
-string).  The certificates remeasure the candidates' means over the whole
-set by quadrature, independently of what found them: twisted vectors by
-sphere quadrature against the closed form, euclidean ones on
-``CERTIFICATE_CIRCLE_POINTS`` circle nodes against assembly's
-``EUCLID_POINTS``, so a fault in assembly's quadrature shows.  One
-``twisted_mean_table`` call takes all of a probe's vectors, on C^2 summed
-slot by slot (``SlotProduct``).
+of the basis on ``EUCLID_POINTS`` circle nodes, decomposed as they are:
+``euclidean_means.EuclideanSectorBasis`` is itself a field of the table,
+whose values are its matrix; every sector column is 0 outside the basis's
+``support_radius``, so a row whose circle misses that disk is 0 and its
+circle is not read.  A function with vanishing means on S corresponds to a
+(near-)null vector of M, so sigma_min probes whether S can distinguish
+fields at the truncation: small sigma_min plus an exhibited near-null
+field certifies NON-injectivity at desk scale, while large sigma_min is
+evidence only (see the caveat string).  The certificates remeasure the
+candidates' means over the whole set by quadrature, independently of what
+found them: twisted vectors by sphere quadrature against the closed form,
+euclidean ones on ``CERTIFICATE_CIRCLE_POINTS`` circle nodes against
+assembly's ``EUCLID_POINTS``, so a fault in assembly's quadrature shows.
+One ``twisted_mean_table`` call takes all of a probe's vectors, on C^2
+summed slot by slot (``SlotProduct``).
 
 Also here: the Hecke-Bochner type-function scans (fields a(|z|) P(z) whose
 twisted means vanish exactly on P^(-1)(0) plus possible spheres) and the
@@ -60,8 +63,8 @@ import numpy as np
 
 from .constants import tsm_product_constant
 from .errors import IllConditionedFitError
-from .euclidean_means import CIRCLE_POINTS as EUCLID_POINTS, SectorBasisFunction, bump_profile
-from .fields import SampledField
+from .euclidean_means import CIRCLE_POINTS as EUCLID_POINTS
+from .fields import SampledField, _integer
 from .ioutil import fmt, write_csv, write_json
 from .quadrature import gauss_legendre, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
@@ -77,16 +80,15 @@ INJECTIVITY_CAVEAT = (
 
 DEFAULT_RADII = tuple(np.geomspace(0.2, 6.0, 24))
 # circle nodes of the euclidean certificates: not assembly's EUCLID_POINTS,
-# so a certificate does not re-read the quadrature it certifies, and
-# divisible by 1..6, so a reflection across Sigma_N (N <= 6) pairs nodes
+# so a certificate does not re-read the quadrature it certifies; a
+# reflection across Sigma_N pairs the nodes of both when N | gcd(240, 300) = 60
 CERTIFICATE_CIRCLE_POINTS = 300
 # type functions carry the Gaussian exp(-|z|^2 / _TYPE_GAUSSIAN)
 _TYPE_GAUSSIAN = 4.0
 
 __all__ = [
     "INJECTIVITY_CAVEAT", "DEFAULT_RADII", "SamplingSet", "make_set",
-    "ProductHermiteBasis",
-    "EuclideanSectorBasis", "SamplingOperator", "assemble_operator",
+    "ProductHermiteBasis", "SamplingOperator", "assemble_operator",
     "near_null_roundtrip", "InjectivityReport", "injectivity_probe",
     "TypeFunctionSpec", "VanishingSetReport", "hecke_bochner_counterexample",
     "ProjectionExpansion", "fit_projection_expansion", "plane_block_offmass",
@@ -284,7 +286,9 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
       curve                r_profile, samples=64 (t in [0, 4 pi])      (C)
       custom               centers, n
 
-    A parameter that the kind does not read raises ValueError naming it.
+    A parameter that the kind does not read raises ValueError naming it,
+    and so does a count that is not an integer (a Python or numpy integer,
+    not a bool) of at least 1 (2 curve samples).
     Optional rigid motion: centers -> e^(i rotation) c + translation.
     Radii default to a geometric grid on [0.2, 6] with 24 points.
     """
@@ -293,29 +297,27 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
     stored = dict(params)
     take = params.pop       # what the kind leaves in params it does not read
     if kind == "coxeter_lines":
-        n_lines = int(take("n_lines"))
-        if n_lines < 1:
-            raise ValueError("need n_lines >= 1")
+        n_lines = _integer(take("n_lines"), "n_lines", 1)
         extent = float(take("extent", 6.0))
-        ppr = int(take("points_per_ray", 10))
-        if extent <= 0 or ppr < 1:
-            raise ValueError("coxeter_lines needs extent > 0, points_per_ray >= 1")
+        ppr = _integer(take("points_per_ray", 10), "points_per_ray", 1)
+        if extent <= 0:
+            raise ValueError("coxeter_lines needs extent > 0")
         centers = _coxeter_points(n_lines, extent, ppr)[:, None]
         stored.update(n_lines=n_lines, extent=extent, points_per_ray=ppr)
         n = 1
     elif kind == "plane_cross_coxeter":
-        n_lines = int(take("n_lines"))
+        n_lines = _integer(take("n_lines"), "n_lines", 1)
         extent = float(take("extent", 3.0))
-        ppr = int(take("points_per_ray", 4))
-        if n_lines < 1 or extent <= 0 or ppr < 1:
-            raise ValueError("bad plane_cross_coxeter parameters")
+        ppr = _integer(take("points_per_ray", 4), "points_per_ray", 1)
+        if extent <= 0:
+            raise ValueError("plane_cross_coxeter needs extent > 0")
         # center carrier, not an integrator: its weights only feed the
         # weighted Gram diagnostics, so the moment self-check is waived.
         # the defaults keep the slot-1 Gram of a (1,1) product basis block
         # diagonal to ~1e-11 (extent 4 would leak its Gaussian tail)
-        angular = int(take("plane_angular", 8))
+        angular = _integer(take("plane_angular", 8), "plane_angular", 1)
         pr = plane_rule(1, extent=float(take("plane_extent", 6.0)),
-                        radial_points=int(take("plane_radial", 12)),
+                        radial_points=_integer(take("plane_radial", 12), "plane_radial", 1),
                         angular_points=angular, tolerance=float("inf"))
         z2 = _coxeter_points(2 * n_lines, extent, ppr)
         z1 = pr.nodes[:, 0]
@@ -325,28 +327,29 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
                       plane_angular=angular)
         n = 2
     elif kind == "sphere":
-        n = int(take("n", 1))
+        n = _integer(take("n", 1), "n", 1)
         radius = float(take("radius"))
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
         if n == 1:
-            m = int(take("m", 24))
+            m = _integer(take("m", 24), "m", 1)
             centers = sphere_rule(1, radius, m=m).nodes
             stored.update(radius=radius, n=n, m=m)
         else:
-            orders = tuple(take("orders", (4, 8, 8)))
+            orders = tuple(_integer(o, f"orders[{i}]", 1)
+                           for i, o in enumerate(take("orders", (4, 8, 8))))
             centers = sphere_rule(n, radius, orders=orders).nodes
             stored.update(radius=radius, n=n, orders=orders)
     elif kind == "sphere_cross_plane":
         radius = float(take("radius"))
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
-        m = int(take("m", 12))
-        angular = int(take("plane_angular", 8))
+        m = _integer(take("m", 12), "m", 1)
+        angular = _integer(take("plane_angular", 8), "plane_angular", 1)
         z1 = sphere_rule(1, radius, m=m).nodes[:, 0]
         # same carrier carve-out as plane_cross_coxeter
         pr = plane_rule(1, extent=float(take("plane_extent", 4.0)),
-                        radial_points=int(take("plane_radial", 6)),
+                        radial_points=_integer(take("plane_radial", 6), "plane_radial", 1),
                         angular_points=angular, tolerance=float("inf"))
         z2 = pr.nodes[:, 0]
         centers = np.stack([np.repeat(z1, z2.size), np.tile(z2, z1.size)], axis=1)
@@ -355,9 +358,7 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         n = 2
     elif kind == "curve":
         r_profile = take("r_profile")
-        samples = int(take("samples", 64))
-        if samples < 2:
-            raise ValueError("need at least 2 curve samples")
+        samples = _integer(take("samples", 64), "samples", 2)
         ts = np.linspace(0.0, 4.0 * np.pi, samples)
         rv = np.asarray(r_profile(ts), dtype=float)
         if np.any(rv <= 0):
@@ -370,7 +371,7 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         centers = np.asarray(take("centers"), dtype=complex)
         if centers.ndim == 1:
             centers = centers[:, None]
-        n = int(take("n", centers.shape[1]))
+        n = _integer(take("n", centers.shape[1]), "n", 1)
         stored = {"n": n}
     else:
         raise ValueError(f"unknown set kind {kind!r}")
@@ -398,39 +399,49 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
 class ProductHermiteBasis:
     """Tensor products phi_(a_1,b_1)(z_1) .. phi_(a_n,b_n)(z_n) on C^n, one
     special Hermite factor per slot, each slot's indices in
-    special_hermite_indices order up to its degree, slot-1 major: columns
-    with equal slot-1 index (a_1, b_1) are contiguous.  C is the one-slot
-    case, ``ProductHermiteBasis((K,))``: the family phi_(a,b), a, b <= K."""
+    ``special_hermite_indices`` order up to its degree, slot-1 major:
+    columns with equal slot-1 index (a_1, b_1) are contiguous.  C is the
+    one-slot case, ``ProductHermiteBasis((K,))``: the family phi_(a,b),
+    a, b <= K.
+
+    The basis is integer index arrays: ``slot_indices``, each slot's
+    (alpha, beta) arrays; ``alpha`` and ``beta``, (n, ncols), each column's
+    indices in every slot; and ``block_keys``, each column's row of the
+    slot-1 table.  Labels, degrees, truncations and rotation classes are
+    taken from them."""
 
     engine = "twisted"
 
     def __init__(self, slot_degrees=(1, 1)):
-        self.slot_degrees = tuple(int(d) for d in slot_degrees)
-        if len(self.slot_degrees) not in (1, 2) or min(self.slot_degrees) < 0:
-            raise ValueError(f"need one or two slot degrees >= 0, got {slot_degrees}")
+        if len(slot_degrees) not in (1, 2):
+            raise ValueError(f"need one or two slot degrees, got {tuple(slot_degrees)}")
+        self.slot_degrees = tuple(_integer(d, f"slot degrees[{s}]")
+                                  for s, d in enumerate(slot_degrees))
         self.dimension = len(self.slot_degrees)
         self.slot_indices = tuple(special_hermite_indices(d) for d in self.slot_degrees)
-        self._columns = list(itertools.product(*self.slot_indices))
-        self.labels = ["*".join(f"phi[{i.alpha},{i.beta}]" for i in col)
-                       for col in self._columns]
+        # each column's row in each slot's table, slot 1 major
+        rows = np.indices([a.size for a, _ in self.slot_indices]).reshape(self.dimension, -1)
+        self.alpha = np.stack([a[r] for (a, _), r in zip(self.slot_indices, rows)])
+        self.beta = np.stack([b[r] for (_, b), r in zip(self.slot_indices, rows)])
+        self.block_keys = rows[0]
 
     @property
     def ncols(self) -> int:
-        return len(self._columns)
+        return self.block_keys.size
+
+    @property
+    def labels(self) -> list[str]:
+        return ["*".join(f"phi[{a},{b}]" for a, b in zip(ac, bc))
+                for ac, bc in zip(self.alpha.T, self.beta.T)]
 
     @functools.cached_property
     def spectral_degrees(self) -> np.ndarray:
         """Eigenspace degree per column: the sum of the slots' first indices."""
-        return np.asarray([sum(i.alpha for i in col) for col in self._columns], dtype=int)
+        return self.alpha.sum(axis=0)
 
     def columns_up_to(self, degree: int) -> np.ndarray:
         """Column indices of the sub-basis with every index <= degree."""
-        return np.asarray([j for j, col in enumerate(self._columns)
-                           if all(max(i.alpha, i.beta) <= degree for i in col)], dtype=int)
-
-    def block_key(self, col: int) -> int:
-        """Index of the slot-1 factor: the documented block grouping."""
-        return col // (self.ncols // len(self.slot_indices[0]))
+        return np.flatnonzero(np.all(np.maximum(self.alpha, self.beta) <= degree, axis=0))
 
     def slot_tables(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
         """Each slot's ``special_hermite_matrix`` at the points' values in
@@ -441,66 +452,6 @@ class ProductHermiteBasis:
     def matrix(self, points: np.ndarray) -> np.ndarray:
         """The ``_face_split`` product of the ``slot_tables``."""
         return _face_split(self.slot_tables(points))
-
-
-class EuclideanSectorBasis:
-    """(radial bump) x (Fourier mode) columns, in the order of the
-    ``SectorBasisFunction`` records given."""
-
-    engine = "euclidean"
-    dimension = 1
-
-    def __init__(self, functions: Sequence[SectorBasisFunction]):
-        self.functions = list(functions)
-        if not self.functions:
-            raise ValueError("empty basis")
-        self.labels = [f.name for f in self.functions]
-        radii = np.asarray([f.support_radius for f in self.functions], dtype=float)
-        orders = np.asarray([f.order for f in self.functions])
-        sin = np.asarray([f.kind == "sin" for f in self.functions])
-        # per support radius, ascending: its columns, their orders, which are
-        # sin columns, and the exponents 0 .. top order of its power table
-        self._groups = []
-        for R in np.unique(radii):
-            cols = np.flatnonzero(radii == R)
-            self._groups.append((R, cols, orders[cols], sin[cols, None],
-                                 np.arange(orders[cols].max() + 1)[:, None]))
-
-    @property
-    def ncols(self) -> int:
-        return len(self.functions)
-
-    @property
-    def support_radius(self) -> float:
-        """The largest column support: every column is 0 outside it."""
-        return float(self._groups[-1][0])
-
-    def matrix(self, points: np.ndarray) -> np.ndarray:
-        """bump(rho; R) (z/R)^s, imaginary part for sin and real part for
-        cos columns: (points, ncols) float, 0 outside each support.
-
-        Per support radius, over the points inside rho < R: one bump read
-        and one ``np.power`` table of (z/R)^s, s = 0 .. the largest order
-        there, in one call; the radius's columns, the bump times the real
-        or imaginary part of their rows, are written together as rows of
-        the transposed result (the matrix is returned in Fortran order,
-        each column contiguous, the layout the mean table sums)."""
-        pts = np.asarray(points, dtype=complex).reshape(-1)
-        rho = np.abs(pts)
-        out = np.zeros((self.ncols, pts.shape[0]))
-        for R, cols, orders, sin, exponents in self._groups:
-            inside = np.flatnonzero(rho < R)
-            rungs = np.power(pts[inside] / R, exponents)[orders]
-            out[cols[:, None], inside] = bump_profile(R)(rho[inside]) * np.where(
-                sin, rungs.imag, rungs.real)
-        return out.T
-
-    def index_of(self, kind: str, order: int, support_radius: float) -> int:
-        for j, f in enumerate(self.functions):
-            if (f.kind == kind and f.order == order
-                    and abs(f.support_radius - support_radius) < 1e-12):
-                return j
-        raise KeyError(f"no basis element {kind}{order} at R={support_radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +502,7 @@ def _rotation_classes(basis: ProductHermiteBasis, orders: Sequence[int]) -> list
     picks up that rotation's phase, so columns of different classes are
     orthogonal over the centers, exactly.  All orders 1 give one class of
     every column."""
-    residues = [np.asarray([i.alpha - i.beta for i in idx]) % q
-                for idx, q in zip(basis.slot_indices, orders)]
+    residues = [(a - b) % q for (a, b), q in zip(basis.slot_indices, orders)]
     per_slot = [[np.flatnonzero(res == r) for r in np.unique(res)] for res in residues]
     return [(np.ravel_multi_index(np.ix_(*slots), [r.size for r in residues]).ravel(), slots)
             for slots in itertools.product(*per_slot)]
@@ -763,9 +713,7 @@ def assemble_operator(sampling_set: SamplingSet, max_degree: int | None = None,
         raise ValueError("basis dimension does not match the set")
 
     if engine == "euclidean":
-        columns = SimpleNamespace(dimension=1, evaluate=basis.matrix,
-                                  support_radius=getattr(basis, "support_radius", np.inf))
-        M = twisted_mean_table(columns, sampling_set.centers, sampling_set.radii,
+        M = twisted_mean_table(basis, sampling_set.centers, sampling_set.radii,
                                m=euclid_points, twist=False)
         return SamplingOperator(M.reshape(sampling_set.n_rows, basis.ncols), sampling_set, basis)
     return SamplingOperator(None, sampling_set, basis, _twisted_factors(sampling_set, basis))
@@ -791,7 +739,7 @@ def near_null_roundtrip(operator: SamplingOperator, coefficients: np.ndarray):
     if isinstance(basis, ProductHermiteBasis) and basis.dimension == 2:
         field = SlotProduct(tuple(functools.partial(special_hermite_matrix, max_degree=d)
                                   for d in basis.slot_degrees),
-                            c.reshape(tuple(len(i) for i in basis.slot_indices) + c.shape[1:]))
+                            c.reshape(tuple(a.size for a, _ in basis.slot_indices) + c.shape[1:]))
     else:
         field = SimpleNamespace(dimension=sset.dimension,
                                 support_radius=getattr(basis, "support_radius", np.inf),
@@ -921,8 +869,7 @@ def plane_block_offmass(operator: SamplingOperator) -> float:
     k = basis.spectral_degrees
     w = operator.sampling_set.center_weights
     G = ((B.conj().T * w[None, :]) @ B) * (F.conj().T @ F)[np.ix_(k, k)]
-    keys = np.asarray([basis.block_key(j) for j in range(basis.ncols)])
-    off = keys[:, None] != keys[None, :]
+    off = basis.block_keys[:, None] != basis.block_keys[None, :]
     total = float(np.sum(np.abs(G) ** 2))
     if total == 0.0:
         return 0.0

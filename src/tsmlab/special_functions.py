@@ -9,8 +9,10 @@ Frozen conventions
   eigenvalue ``2k + n``.
 * The special Hermite family phi_(alpha,beta) on C is evaluated only by
   ``special_hermite_matrix``, whose docstring fixes its convention; its
-  radial factors come from ``special_hermite_radial`` alone, which the
-  per-mode projections of ``twisted_transforms`` read as well.
+  columns are indexed by the (alpha, beta) arrays of
+  ``special_hermite_indices``, and its radial factors come from
+  ``special_hermite_radial`` alone, which the per-mode projections of
+  ``twisted_transforms`` read as well.
 * Solid harmonic bases are ordered by the lexicographic order on the
   concatenated exponent pair (alpha, beta), largest first, and kernel
   vectors are produced by exact Gauss-Jordan elimination over Fractions:
@@ -100,21 +102,11 @@ def radial_eigenfunction_origin(n: int, k: int) -> float:
     return float(math.comb(k + n - 1, k))
 
 
-@dataclass(frozen=True)
-class SpecialHermiteIndex:
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("special Hermite indices must be >= 0")
-
-
-def special_hermite_indices(max_degree: int) -> list[SpecialHermiteIndex]:
-    """All (alpha, beta) with both indices <= max_degree, row-major in alpha.
-    This is the frozen column order of ``special_hermite_matrix``."""
-    return [SpecialHermiteIndex(a, b)
-            for a in range(max_degree + 1) for b in range(max_degree + 1)]
+def special_hermite_indices(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta): every index pair with both indices <= max_degree,
+    row-major in alpha, as two integer arrays of (K+1)^2 entries.  This is
+    the frozen column order of ``special_hermite_matrix``."""
+    return np.divmod(np.arange((max_degree + 1) ** 2), max_degree + 1)
 
 
 def special_hermite_radial(x, max_degree: int, orders):

@@ -124,7 +124,8 @@ import numpy as np
 
 from .constants import TWIST_SIGN, sphere_surface_area
 from .errors import GridMismatchError, TruncationTailWarning, TranslateTailWarning
-from .fields import _CHUNK, MeanProfile, SampledField, SpectrumTruncation, _finite
+from .fields import (_CHUNK, MeanProfile, SampledField, SpectrumTruncation, _finite,
+                     _integer)
 from .quadrature import (PlaneRule, RadialRule, compensated_sum, plane_rule,
                          sphere_rule)
 from .special_functions import (LaguerreSpec, laguerre_function, laguerre_sequence,
@@ -704,14 +705,6 @@ def _ring_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np
                      for k in degrees], axis=1)
 
 
-def _degree(value, name: str) -> int:
-    """A degree as an int: a Python or numpy integer >= 0, not a bool;
-    ValueError naming ``name`` and the value otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-    return int(value)
-
-
 def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     """Q_k f at the targets (default: f's own nodes) for every k in
     ``degrees``.  Returns (targets, len(degrees)) complex.
@@ -725,7 +718,7 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     Targets must be finite: a non-finite one raises ValueError naming it
     and its row.
     """
-    degrees = [_degree(k, f"degrees[{i}]") for i, k in enumerate(degrees)]
+    degrees = [_integer(k, f"degrees[{i}]") for i, k in enumerate(degrees)]
     if not degrees:
         raise ValueError("degrees must be a non-empty list of integers >= 0, got []")
     w = f.rule.nodes
@@ -747,7 +740,7 @@ def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray
     K+1 orders (``_mode_table``), no (nodes, (K+1)^2) matrix."""
     if f.dimension != 1:
         raise ValueError("special Hermite coefficients are an n = 1 notion")
-    K = _degree(max_degree, "max_degree")
+    K = _integer(max_degree, "max_degree")
     return _table_coefficients(_mode_table(f, K)[0], K)
 
 
@@ -757,7 +750,7 @@ def special_hermite_truncation(f: SampledField, max_degree: int) -> SpectrumTrun
     walk of the mode table over the orders the grid resolves, one m-mode
     chunk at a time, and each projection's values are its degree's
     inverse FFT, not a copied column."""
-    K = _degree(max_degree, "max_degree")
+    K = _integer(max_degree, "max_degree")
     degrees = list(range(K + 1))
     if f.dimension == 1:
         sums, vals = _mode_table(f, K, degrees)
@@ -839,7 +832,7 @@ def tensor_decompose_projection(f: SampledField, k: int) -> list[SampledField]:
     """
     if f.dimension != 2:
         raise ValueError("tensor decomposition applies to fields on C^2")
-    k = _degree(k, "degree")
+    k = _integer(k, "degree")
     # evaluation lattice only; its weights are never used as a quadrature,
     # hence the disabled moment check
     lattice = plane_rule(2, extent=2.5, radial_points=3, sphere3_orders=(2, 4, 4),

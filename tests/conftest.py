@@ -11,8 +11,7 @@ import pytest
 from tsmlab.euclidean_means import bump_profile
 from tsmlab.fields import SampledField, _polar_coordinates
 from tsmlab.quadrature import compensated_sum, plane_rule, sphere_rule
-from tsmlab.special_functions import (LaguerreSpec, SpecialHermiteIndex,
-                                      laguerre_function, laguerre_polynomial,
+from tsmlab.special_functions import (LaguerreSpec, laguerre_function, laguerre_polynomial,
                                       special_hermite_matrix, special_hermite_order_limit,
                                       special_hermite_radial)
 from tsmlab.constants import TWIST_SIGN
@@ -30,14 +29,13 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def special_hermite_basis(idx: SpecialHermiteIndex, z):
-    """Oracle for one column of ``special_hermite_matrix``: phi_(alpha,beta)(z)
+def special_hermite_basis(a: int, b: int, z):
+    """Oracle for one column of ``special_hermite_matrix``: phi_(a,b)(z)
     on C, vectorized over a complex array z, with its own Laguerre call
     per element."""
-    a, b = idx.alpha, idx.beta
     zz = np.asarray(z, dtype=complex)
     if b < a:
-        return np.conj(special_hermite_basis(SpecialHermiteIndex(b, a), zz))
+        return np.conj(special_hermite_basis(b, a, zz))
     d = b - a
     t = 0.5 * (zz.real ** 2 + zz.imag ** 2)
     amp = math.exp(0.5 * (math.lgamma(a + 1) - math.lgamma(b + 1)))
@@ -97,18 +95,19 @@ def whole_mode_table(f, max_degree, degrees=()):
     return coefficients, projections
 
 
-def sector_basis_values(b, points) -> np.ndarray:
-    """Oracle for one column of ``EuclideanSectorBasis.matrix``: the
-    ``SectorBasisFunction`` record b evaluated on its own, with its own bump
-    read and power over every point."""
+def sector_basis_values(kind: str, order: int, R: float, points) -> np.ndarray:
+    """Oracle for one column of ``EuclideanSectorBasis.matrix``: the column
+    of that kind ("sin" | "cos"), angular order and support radius R
+    evaluated on its own, with its own bump read and power over every
+    point."""
     p = np.asarray(points, dtype=complex)
     rho = np.abs(p)
-    g = bump_profile(b.support_radius)(rho)
-    if b.order == 0:
+    g = bump_profile(R)(rho)
+    if order == 0:
         return g
     # (rho/R)^s trig(s theta) written via p^s for smoothness at 0
-    mono = (p / b.support_radius) ** b.order
-    ang = mono.imag if b.kind == "sin" else mono.real
+    mono = (p / R) ** order
+    ang = mono.imag if kind == "sin" else mono.real
     return g * ang
 
 

@@ -19,8 +19,7 @@ from tsmlab.euclidean_means import (coxeter_odd_counterexample,
                                     euclidean_mean_table,
                                     euclidean_sector_basis)
 from tsmlab.fields import SampledField
-from tsmlab.injectivity_lab import (EuclideanSectorBasis, TypeFunctionSpec,
-                                    assemble_operator,
+from tsmlab.injectivity_lab import (TypeFunctionSpec, assemble_operator,
                                     fit_projection_expansion,
                                     hecke_bochner_counterexample, make_set)
 from tsmlab.quadrature import plane_rule, radial_rule
@@ -193,9 +192,8 @@ def test_criterion_05_euclidean_certificate():
 
         sset = make_set("coxeter_lines", n_lines=N, points_per_ray=ppr[N],
                         extent=3.4, radii=radii)
-        basis = EuclideanSectorBasis(
-            euclidean_sector_basis(N, support_radii=(1.0,),
-                                   orders=list(range(1, N + 1)), kinds=("sin",)))
+        basis = euclidean_sector_basis(N, support_radii=(1.0,),
+                                       orders=list(range(1, N + 1)), kinds=("sin",))
         op = assemble_operator(sset, engine="euclidean", basis=basis)
         v = np.zeros(basis.ncols)
         v[basis.index_of("sin", N, 1.0)] = 1.0   # the counterexample itself
@@ -215,9 +213,8 @@ def test_criterion_06_twisted_contrast():
     drift = abs(op_t.sigma_min - frozen) / frozen
 
     # matched euclidean operator, restricted to the sectors odd for Sigma_2
-    basis = EuclideanSectorBasis(
-        euclidean_sector_basis(4, support_radii=(1.0,), orders=[2, 4],
-                               kinds=("sin",)))
+    basis = euclidean_sector_basis(4, support_radii=(1.0,), orders=[2, 4],
+                                   kinds=("sin",))
     op_e = assemble_operator(sset, engine="euclidean", basis=basis)
     contrast = op_t.sigma_min / op_e.sigma_min if op_e.sigma_min > 0 else np.inf
     _gate("06 twisted vs euclidean sigma_min on matched Sigma_2 grids",

@@ -54,8 +54,7 @@ def test_tracer_wraps_assembly_and_restores_every_name():
         sset = injectivity_lab.make_set("coxeter_lines", n_lines=1, points_per_ray=1,
                                         extent=1.0, radii=[0.5, 1.0])
         twisted = injectivity_lab.assemble_operator(sset, 1)
-        basis = injectivity_lab.EuclideanSectorBasis(
-            euclidean_sector_basis(1, support_radii=(1.0,)))
+        basis = euclidean_sector_basis(1, support_radii=(1.0,))
         euclid = injectivity_lab.assemble_operator(sset, engine="euclidean", basis=basis)
     finally:
         restore()

@@ -10,8 +10,7 @@ import pytest
 from tsmlab import cli
 from tsmlab.cli import DEFAULTS, load_config, main
 from tsmlab.errors import ConfigError
-from tsmlab.euclidean_means import euclidean_mean_table
-from tsmlab.injectivity_lab import EuclideanSectorBasis
+from tsmlab.euclidean_means import EuclideanSectorBasis, euclidean_mean_table
 from tsmlab.ioutil import read_csv_columns
 
 
@@ -124,6 +123,31 @@ def test_config_the_run_cannot_use_exits_2(experiment, override, message, tmp_pa
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("overrides, code", [
+    # Sigma_7's reflections pair neither circle rule: its odd sectors read
+    # sigma 2.1e-5 and 4.4e-5 through assembly, no near-null vector
+    (["probe.engine=euclidean", "probe.n_lines=7"], 2),
+    # Sigma_8's pair assembly's 240 nodes but not the certificates' 300,
+    # which would read the near-null vectors' means at 2.6e-6 and 1.6e-6
+    (["probe.engine=euclidean", "probe.n_lines=8"], 2),
+    (["probe.engine=euclidean", "probe.n_lines=5"], 0),
+    # n_lines is read only by Coxeter sets, and twisted rows need no circle rule
+    (["probe.engine=euclidean", "probe.n_lines=7", "probe.kind=sphere"], 0),
+    (["probe.engine=twisted", "probe.n_lines=7"], 0),
+], ids=["euclidean-7", "euclidean-8", "euclidean-5", "euclidean-sphere", "twisted-7"])
+def test_euclidean_probe_lines_pair_both_circle_rules(overrides, code, tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["--experiment", "probe", "--out", str(out)]
+    assert main(args + [a for o in overrides for a in ("--override", o)]) == code
+    if code:
+        assert not out.exists()
+        assert "probe.n_lines must divide 60" in capsys.readouterr().err
+    elif "probe.n_lines=5" in overrides:
+        near_null = json.loads((out / "report.json").read_text())["near_null"]
+        assert len(near_null) == 4
+        assert max(v["roundtrip_max_mean"] for v in near_null) <= 1e-15
 
 
 FAST_GRID = ["--override", "grid.radial_points=32",

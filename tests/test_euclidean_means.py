@@ -8,13 +8,12 @@ import pytest
 
 from conftest import StackedFields, per_pair_circular_mean
 from tsmlab.errors import FieldDomainError
-from tsmlab.euclidean_means import (SectorBasisFunction, bump_profile,
+from tsmlab.euclidean_means import (EuclideanSectorBasis, bump_profile,
                                     circular_mean, coxeter_odd_counterexample,
                                     coxeter_odd_orders, euclidean_mean_table,
                                     euclidean_sector_basis, write_mean_table)
 from tsmlab.fields import SampledField
-from tsmlab.injectivity_lab import (EuclideanSectorBasis, assemble_operator,
-                                    make_set, near_null_roundtrip)
+from tsmlab.injectivity_lab import assemble_operator, make_set, near_null_roundtrip
 from tsmlab.ioutil import read_csv_columns
 from tsmlab.quadrature import plane_rule
 from tsmlab.twisted_transforms import twisted_mean_table
@@ -197,39 +196,56 @@ def test_coxeter_odd_orders():
 
 
 def test_sector_basis_functions():
-    b = SectorBasisFunction("sin", 3, 1.0)
-    assert b.name == "sin3_R1"
+    b = EuclideanSectorBasis(["sin"], [3], [1.0])
+    assert b.labels == ["sin3_R1"]
     pts = 0.5 * np.exp(1j * np.linspace(0.1, 2.0, 9))
-    got = EuclideanSectorBasis([b]).matrix(pts)[:, 0]
+    got = b.matrix(pts)[:, 0]
     ref = (np.abs(pts) / 1.0) ** 3 * np.sin(3 * np.angle(pts)) * bump_profile(1.0)(np.abs(pts))
     assert np.allclose(got, ref, atol=1e-13)
     outside = np.array([1.4 + 0.2j])
-    assert EuclideanSectorBasis([b]).matrix(outside)[0, 0] == 0.0
+    assert b.matrix(outside)[0, 0] == 0.0
+    # read as a field of the mean tables, the basis is its matrix
+    assert np.array_equal(b.evaluate(pts[:, None]), b.matrix(pts))
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan")])
 def test_sector_support_radius_must_be_positive_and_finite(radius):
     with pytest.raises(ValueError, match="support radius"):
-        SectorBasisFunction("sin", 1, radius)
+        EuclideanSectorBasis(["sin"], [1], [radius])
     # a non-integer order is no Fourier mode (the basis matrix would raise
     # TypeError on it); numpy integers are integers
     for order in (1.5, 2.0, "2"):
         with pytest.raises(ValueError, match="must be an integer"):
-            SectorBasisFunction("sin", order, 1.0)
-    assert SectorBasisFunction("cos", np.int64(2), 1.0).order == 2
+            EuclideanSectorBasis(["sin"], [order], [1.0])
+    assert EuclideanSectorBasis(["cos"], [np.int64(2)], [1.0]).orders.tolist() == [2]
     with pytest.raises(ValueError, match="support radius"):
         euclidean_sector_basis(3, support_radii=(radius,))
 
 
+@pytest.mark.parametrize("columns, message", [
+    ((["tan"], [1], [1.0]), "unknown sector kind 'tan'"),
+    ((["sin"], [0], [1.0]), "bad angular order"),
+    ((["cos"], [-1], [1.0]), "bad angular order"),
+    (([], [], []), "empty basis"),
+    ((["sin", "cos"], [1], [1.0, 1.0]), "one kind, order and support radius per column"),
+])
+def test_sector_basis_rejects_bad_columns(columns, message):
+    with pytest.raises(ValueError, match=message):
+        EuclideanSectorBasis(*columns)
+
+
 def test_sector_basis_collection():
     basis = euclidean_sector_basis(4, support_radii=(1.0, 0.6))
-    names = [f.name for f in basis]
-    assert len(names) == len(set(names))
-    assert all(f.order <= 4 for f in basis)
+    assert len(basis.labels) == len(set(basis.labels)) == basis.ncols
+    assert np.all(basis.orders <= 4)
     some = euclidean_sector_basis(6, support_radii=(1.0,), orders=[2, 4],
                                   kinds=("sin",))
-    assert [f.order for f in some] == [2, 4]
-    assert all(f.kind == "sin" for f in some)
+    assert some.orders.tolist() == [2, 4]
+    assert np.all(some.kinds == "sin")
+    with pytest.raises(ValueError, match="order 5 above max_order 4"):
+        euclidean_sector_basis(4, orders=[5])
+    with pytest.raises(ValueError, match="empty basis"):
+        euclidean_sector_basis(4, orders=[0], kinds=("sin",))
 
 
 def test_euclidean_field_domain_guard():
@@ -308,7 +324,7 @@ def test_declared_support_table_is_the_undeclared_table(name):
     another kernel for products of at most 10^6 multiply-adds)."""
     params = dict(_SKIP_SETS[name])
     centers = make_set(params.pop("kind"), **params).centers
-    basis = EuclideanSectorBasis(euclidean_sector_basis(6, support_radii=(1.0, 0.6)))
+    basis = euclidean_sector_basis(6, support_radii=(1.0, 0.6))
     c = np.random.default_rng(5).normal(size=(basis.ncols, 10))
     fields = [lambda p: (basis.matrix(p) * c[:, 0]).sum(axis=1),
               lambda p: (basis.matrix(p)[:, :, None] * c).sum(axis=1)]
@@ -330,7 +346,7 @@ def test_declared_support_table_is_the_undeclared_table(name):
 
 
 def test_basis_support_is_its_widest_column():
-    basis = EuclideanSectorBasis(euclidean_sector_basis(3, support_radii=(0.6, 1.0)))
+    basis = euclidean_sector_basis(3, support_radii=(0.6, 1.0))
     assert basis.support_radius == 1.0
     with pytest.raises(AttributeError):
         basis.support_radius = 2.0
@@ -341,7 +357,7 @@ def test_table_reads_only_circles_that_meet_the_support():
     basis 279 circles of 240 nodes, of its 984."""
     sset = make_set("coxeter_lines", radii=np.geomspace(0.2, 6.0, 24), n_lines=2,
                     extent=6.0, points_per_ray=10)
-    basis = EuclideanSectorBasis(euclidean_sector_basis(10, support_radii=(1.0, 0.6)))
+    basis = euclidean_sector_basis(10, support_radii=(1.0, 0.6))
     read = []
     matrix = basis.matrix
     basis.matrix = lambda p: (read.append(np.size(p)), matrix(p))[1]
@@ -351,7 +367,7 @@ def test_table_reads_only_circles_that_meet_the_support():
 
 
 def test_table_keeps_its_shape_when_every_circle_misses():
-    basis = EuclideanSectorBasis(euclidean_sector_basis(4, support_radii=(1.0,)))
+    basis = euclidean_sector_basis(4, support_radii=(1.0,))
     sset = make_set("custom", radii=[0.5, 1.5], centers=np.array([[4.0], [-3.0j]]), n=1)
     op = assemble_operator(sset, engine="euclidean", basis=basis)
     assert op.matrix.shape == (4, basis.ncols)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,6 @@ from tsmlab import quadrature
 from tsmlab.euclidean_means import CIRCLE_POINTS, euclidean_sector_basis
 from tsmlab.fields import SampledField
 from tsmlab.injectivity_lab import (CERTIFICATE_CIRCLE_POINTS, DEFAULT_RADII,
-                                    EuclideanSectorBasis,
                                     INJECTIVITY_CAVEAT, ProductHermiteBasis,
                                     SamplingOperator, SamplingSet, TypeFunctionSpec,
                                     assemble_operator,
@@ -108,6 +108,37 @@ def test_make_set_rejects_unread_keys(kind, params, key):
         make_set(kind, **params)
 
 
+@pytest.mark.parametrize("kind, params, bad", [
+    ("coxeter_lines", {"n_lines": 2.5, "points_per_ray": 2},
+     "n_lines must be an integer >= 1, got 2.5"),
+    ("coxeter_lines", {"n_lines": 2, "points_per_ray": 1.9},
+     "points_per_ray must be an integer >= 1, got 1.9"),
+    ("coxeter_lines", {"n_lines": True}, "n_lines must be an integer >= 1, got True"),
+    ("coxeter_lines", {"n_lines": 0}, "n_lines must be an integer >= 1, got 0"),
+    ("plane_cross_coxeter", {"n_lines": 1, "plane_radial": 4.0}, "plane_radial must be an integer"),
+    ("plane_cross_coxeter", {"n_lines": 1, "plane_angular": 6.5}, "plane_angular must be an integer"),
+    ("sphere", {"radius": 2.0, "n": 1.0}, "n must be an integer >= 1, got 1.0"),
+    ("sphere", {"radius": 2.0, "m": 16.0}, "m must be an integer >= 1, got 16.0"),
+    ("sphere", {"radius": 2.0, "n": 2, "orders": (3, 4.5, 4)}, "orders[1] must be an integer"),
+    ("sphere_cross_plane", {"radius": 1.3, "m": False}, "m must be an integer >= 1, got False"),
+    ("curve", {"r_profile": lambda t: 1.0 + 0.1 * t, "samples": 20.0}, "samples must be an integer"),
+    ("curve", {"r_profile": lambda t: 1.0 + 0.1 * t, "samples": 1}, "samples must be an integer"),
+    ("custom", {"centers": [[0.1 + 0.2j]], "n": 1.0}, "n must be an integer >= 1, got 1.0"),
+])
+def test_make_set_counts_are_integers(kind, params, bad):
+    # a float count was truncated: n_lines=2.5, points_per_ray=1.9 built
+    # Sigma_2 with one point per ray
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        make_set(kind, **params)
+
+
+def test_make_set_takes_numpy_integer_counts():
+    ref = make_set("coxeter_lines", n_lines=2, points_per_ray=3)
+    got = make_set("coxeter_lines", n_lines=np.int64(2), points_per_ray=np.int32(3))
+    assert np.array_equal(got.centers, ref.centers)
+    assert type(got.params["n_lines"]) is int and got.params["points_per_ray"] == 3
+
+
 def test_sphere_and_curve_sets():
     s = make_set("sphere", radius=2.0, n=2, orders=(3, 4, 4))
     s.validate()
@@ -157,7 +188,7 @@ def test_twisted_basis_shapes():
 def test_product_basis_block_structure():
     b = ProductHermiteBasis((1, 1))
     assert b.ncols == 16
-    assert [b.block_key(j) for j in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert b.block_keys[:8].tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
     pts = np.array([[0.2 + 0.1j, -0.4 + 0.3j]])
     m = b.matrix(pts)
     b1 = special_hermite_matrix(pts[:, 0], 1)
@@ -165,27 +196,54 @@ def test_product_basis_block_structure():
     assert np.allclose(m, (b1[:, :, None] * b2[:, None, :]).reshape(1, -1))
 
 
-@pytest.mark.parametrize("funcs", [
+@pytest.mark.parametrize("degrees", [(0,), (3,), (1, 2), (3, 1)])
+def test_product_basis_index_arrays_match_per_column_reference(degrees):
+    """Labels, degrees, truncations, slot-1 blocks and rotation classes,
+    all taken from the basis's index arrays, against a per-column
+    reference: each column a tuple of slot (a, b) pairs from
+    itertools.product, slot 1 major."""
+    basis = ProductHermiteBasis(degrees)
+    slots = [list(itertools.product(range(d + 1), repeat=2)) for d in degrees]
+    columns = list(itertools.product(*slots))
+    assert basis.ncols == len(columns)
+    assert basis.labels == ["*".join(f"phi[{a},{b}]" for a, b in col) for col in columns]
+    assert basis.spectral_degrees.tolist() == [sum(a for a, _ in col) for col in columns]
+    for top in range(max(degrees) + 2):
+        assert basis.columns_up_to(top).tolist() == [
+            j for j, col in enumerate(columns) if all(max(pair) <= top for pair in col)]
+    assert basis.block_keys.tolist() == [slots[0].index(col[0]) for col in columns]
+    for orders in itertools.product((1, 2, 3, 5), repeat=len(degrees)):
+        residues = [tuple((a - b) % q for (a, b), q in zip(col, orders)) for col in columns]
+        classes = _rotation_classes(basis, orders)
+        # one class per residue tuple, ascending with slot 1 outer, each
+        # holding every column of its residues in column order
+        assert [residues[cols[0]] for cols, _ in classes] == sorted(set(residues))
+        for cols, _ in classes:
+            assert cols.tolist() == [j for j, r in enumerate(residues) if r == residues[cols[0]]]
+
+
+@pytest.mark.parametrize("basis", [
     euclidean_sector_basis(10, support_radii=(1.0, 0.6)),
     euclidean_sector_basis(4, support_radii=(1.0,), orders=[2, 4], kinds=("sin",)),
 ], ids=["cli", "odd_sector"])
-def test_sector_matrix_matches_per_column_oracle(funcs):
+def test_sector_matrix_matches_per_column_oracle(basis):
     # all columns at once (one bump read and one power table per radius)
-    # against each record evaluated on its own; the radii are dense enough
-    # to sample each column's peak
+    # against each (kind, order, R) column evaluated on its own; the radii
+    # are dense enough to sample each column's peak
     angles = np.exp(1j * np.array([0.1, 0.3, 1.9, 2.7, 4.4, 5.8]))
     on_edge = [0.6, -0.6j, 1.0, -1.0j]          # |z| = R exactly
     pts = np.concatenate([[0.0], np.outer(np.linspace(0.02, 0.58, 29), angles).ravel(),
                           np.outer(np.linspace(0.62, 0.98, 19), angles).ravel(), on_edge,
                           np.outer([1.3, 4.0], angles).ravel()])
-    got = EuclideanSectorBasis(funcs).matrix(pts)
-    assert got.shape == (pts.size, len(funcs))
-    for j, b in enumerate(funcs):
-        ref = sector_basis_values(b, pts)
+    got = basis.matrix(pts)
+    assert got.shape == (pts.size, basis.ncols)
+    columns = zip(basis.kinds, basis.orders, basis.support_radii, basis.labels)
+    for j, (kind, order, R, label) in enumerate(columns):
+        ref = sector_basis_values(kind, order, R, pts)
         peak = np.max(np.abs(ref))
         assert peak > 0
-        assert np.max(np.abs(got[:, j] - ref)) <= 1e-15 * peak, b.name
-        assert np.all(got[np.abs(pts) >= b.support_radius, j] == 0.0)
+        assert np.max(np.abs(got[:, j] - ref)) <= 1e-15 * peak, label
+        assert np.all(got[np.abs(pts) >= R, j] == 0.0)
 
 
 def test_operator_entries_match_direct_means():
@@ -266,7 +324,7 @@ def test_unknown_engine_is_named():
 
 def test_basis_engine_must_match():
     sset = make_set("coxeter_lines", n_lines=1, points_per_ray=2, extent=1.0)
-    basis = EuclideanSectorBasis(euclidean_sector_basis(2, support_radii=(1.0,)))
+    basis = euclidean_sector_basis(2, support_radii=(1.0,))
     with pytest.raises(ValueError, match="euclidean basis"):
         assemble_operator(sset, engine="twisted", basis=basis)
 
@@ -317,8 +375,7 @@ def test_operator_on_a_set_with_no_centres(engine, dimension):
     if engine == "twisted":
         basis = ProductHermiteBasis((2,) * dimension)
     else:
-        basis = EuclideanSectorBasis(euclidean_sector_basis(4, support_radii=(1.0,),
-                                                            orders=[2, 4]))
+        basis = euclidean_sector_basis(4, support_radii=(1.0,), orders=[2, 4])
     op = assemble_operator(sset, engine=engine, basis=basis)
     assert op.shape == op.matrix.shape == (0, basis.ncols)
     assert op.degenerate and op.sigma_min == 0.0
@@ -342,9 +399,8 @@ def euclid_odd_operator():
     everywhere on the lines), sin(1t), sin(3t) are not (their columns keep
     the operator's scale honest)."""
     sset = make_set("coxeter_lines", n_lines=2, points_per_ray=10, extent=6.0)
-    basis = EuclideanSectorBasis(
-        euclidean_sector_basis(4, support_radii=(1.0,), orders=[1, 2, 3, 4],
-                               kinds=("sin",)))
+    basis = euclidean_sector_basis(4, support_radii=(1.0,), orders=[1, 2, 3, 4],
+                                   kinds=("sin",))
     return assemble_operator(sset, engine="euclidean", basis=basis)
 
 
@@ -369,7 +425,7 @@ def test_euclidean_operator_entries_match_per_pair_circular_means():
     the column's peak."""
     sset = make_set("coxeter_lines", n_lines=3, points_per_ray=3, extent=1.5,
                     radii=[0.3, 0.7, 1.2])
-    basis = EuclideanSectorBasis(euclidean_sector_basis(3, support_radii=(1.0, 0.6)))
+    basis = euclidean_sector_basis(3, support_radii=(1.0, 0.6))
     op = assemble_operator(sset, engine="euclidean", basis=basis)
     lattice = plane_rule(1, extent=1.0, radial_points=32, angular_points=64).nodes[:, 0]
     peaks = np.max(np.abs(basis.matrix(lattice)), axis=0)
@@ -426,7 +482,7 @@ def test_euclidean_certificate_does_not_reread_the_assembly_rule(monkeypatch):
     and their certificates, read on the certificate's own circle rule, show
     their true means far above the 1e-8 threshold."""
     sset = make_set("coxeter_lines", n_lines=2, points_per_ray=10, extent=6.0)
-    basis = EuclideanSectorBasis(euclidean_sector_basis(10, support_radii=(1.0, 0.6)))
+    basis = euclidean_sector_basis(10, support_radii=(1.0, 0.6))
     true_null = len(assemble_operator(sset, engine="euclidean", basis=basis).near_null(1e-8))
     unit_rule = quadrature._unit_rule
     faulty = np.arange(CIRCLE_POINTS) // (CIRCLE_POINTS // 2) * (CIRCLE_POINTS // 2)
@@ -691,8 +747,8 @@ def test_rotation_orders_map_the_centers_onto_themselves(case):
 def _frequencies(basis: ProductHermiteBasis) -> np.ndarray:
     """(ncols, slots) angular frequency a_s - b_s of each column's slot
     factors, in the basis's column order (slot 1 major)."""
-    return np.array([[i.alpha - i.beta for i in col]
-                     for col in itertools.product(*basis.slot_indices)])
+    return np.array([[a - b for a, b in col]
+                     for col in itertools.product(*(zip(*idx) for idx in basis.slot_indices))])
 
 
 @pytest.mark.parametrize("case", list(SYMMETRIC_SETS))
@@ -869,7 +925,7 @@ def test_block_offmass_from_factors_matches_dense_weighted_gram(carrier):
     op = assemble_operator(sset, basis=ProductHermiteBasis((1, 1)))
     A, w = op.matrix, sset.center_weights[op.center_index]
     G = (A.conj().T * w[None, :]) @ A
-    keys = np.asarray([op.basis.block_key(j) for j in range(op.basis.ncols)])
+    keys = op.basis.block_keys
     off = keys[:, None] != keys[None, :]
     ref = np.sum(np.abs(G[off]) ** 2) / np.sum(np.abs(G) ** 2)
     got = plane_block_offmass(op)
@@ -904,6 +960,19 @@ def test_probe_curve_is_for_the_one_slot_basis():
 def test_product_basis_rejects_bad_slot_degrees(degrees):
     with pytest.raises(ValueError, match="slot degrees"):
         ProductHermiteBasis(degrees)
+
+
+@pytest.mark.parametrize("degrees, bad", [
+    ((2.7,), "slot degrees[0] must be an integer >= 0, got 2.7"),
+    ((True,), "slot degrees[0] must be an integer >= 0, got True"),
+    ((1, 1.0), "slot degrees[1] must be an integer >= 0, got 1.0"),
+])
+def test_product_basis_slot_degrees_are_integers(degrees, bad):
+    # a float or a bool was truncated to a degree: (2.7,) built degree 2
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        ProductHermiteBasis(degrees)
+    basis = ProductHermiteBasis((np.int64(2), np.int32(1)))
+    assert basis.slot_degrees == (2, 1) and all(type(d) is int for d in basis.slot_degrees)
 
 
 def test_operator_shape_must_match_set_and_basis():

@@ -120,7 +120,8 @@ def test_special_hermite_radial_exact_at_origin():
     assert np.array_equal(rho[:, 0, 0], np.ones(9))
     assert np.array_equal(rho[:, 1:, 0], np.zeros((9, 20)))
     mat = special_hermite_matrix(np.zeros(1), 6)
-    diag = [i.alpha == i.beta for i in special_hermite_indices(6)]
+    alpha, beta = special_hermite_indices(6)
+    diag = alpha == beta
     assert np.array_equal(mat[0], np.where(diag, (2.0 * math.pi) ** -0.5, 0.0))
 
 
@@ -165,8 +166,7 @@ def test_special_hermite_explicit_low_orders():
     g = np.exp(-0.25 * np.abs(z) ** 2)
     c = (2.0 * np.pi) ** -0.5
     mat = special_hermite_matrix(z, 1)
-    col = {(i.alpha, i.beta): mat[:, j]
-           for j, i in enumerate(special_hermite_indices(1))}
+    col = {(a, b): mat[:, j] for j, (a, b) in enumerate(zip(*special_hermite_indices(1)))}
     assert np.allclose(col[(0, 0)], c * g)
     assert np.allclose(col[(0, 1)], c * (1j * np.conj(z) / np.sqrt(2.0)) * g)
     # index swap is complex conjugation
@@ -176,14 +176,13 @@ def test_special_hermite_explicit_low_orders():
 def test_special_hermite_orthonormality():
     """Gram matrix of phi_(a,b), a, b <= 3, is the identity in L^2(C)."""
     rule = plane_rule(1, extent=10.0, radial_points=40, angular_points=128)
-    idx = [i for i in special_hermite_indices(3)]
+    idx = list(zip(*special_hermite_indices(3)))
     mat = special_hermite_matrix(rule.nodes[:, 0], 3)
-    cols = {(i.alpha, i.beta): mat[:, j] for j, i in enumerate(idx)}
+    cols = dict(zip(idx, mat.T))
     for i1 in idx:
         for i2 in idx:
-            inner = rule.integrate(cols[(i1.alpha, i1.beta)]
-                                   * np.conj(cols[(i2.alpha, i2.beta)]))
-            want = 1.0 if (i1.alpha, i1.beta) == (i2.alpha, i2.beta) else 0.0
+            inner = rule.integrate(cols[i1] * np.conj(cols[i2]))
+            want = 1.0 if i1 == i2 else 0.0
             assert abs(inner - want) < 1e-7
 
 
@@ -192,8 +191,8 @@ def test_special_hermite_matrix_agrees_with_single_evaluations():
     z = rng.normal(size=40) + 1j * rng.normal(size=40)
     K = 4
     mat = special_hermite_matrix(z, K)
-    for j, i in enumerate(special_hermite_indices(K)):
-        ref = special_hermite_basis(i, z)
+    for j, (a, b) in enumerate(zip(*special_hermite_indices(K))):
+        ref = special_hermite_basis(a, b, z)
         assert np.max(np.abs(mat[:, j] - ref)) < 1e-12
 
 

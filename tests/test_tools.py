@@ -46,6 +46,24 @@ def test_dataclass_fields_count_as_init_parameters(tmp_path):
     assert _tool("src_stats").stats(pkg)["settable"] == 4
 
 
+def test_stale_kept_entries_fail(tmp_path, monkeypatch):
+    """A ``KEPT`` entry that names a parameter a call now sets, or one that
+    no longer exists, exits 1 like an unset parameter that is not kept."""
+    pkg = tmp_path / "src" / "tsmlab"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text("def f(a, b=1, c=2):\n    return a\n")
+    for sub in ("tests", "bench"):
+        (tmp_path / sub).mkdir()
+    (tmp_path / "tests" / "t.py").write_text("f(1, c=3)\n")
+    tool = _tool("unset_params")
+    assert tool.unset(tmp_path) == ["m.f.b"]
+    monkeypatch.setattr(tool, "KEPT", {"m.f.b": "kept"})
+    assert tool.main([str(tmp_path)]) == 0
+    for stale in ("m.f.c", "m.g.x"):
+        monkeypatch.setattr(tool, "KEPT", {"m.f.b": "kept", stale: "stale"})
+        assert tool.main([str(tmp_path)]) == 1
+
+
 def test_src_stats_counts_each_line_once(tmp_path, capsys):
     """Docstring, code and comment/blank lines add up to the file's lines;
     a line with code and a trailing comment is code; lambdas, self and a

@@ -24,8 +24,7 @@ from tsmlab.errors import (FieldDomainError, GridMismatchError,
 from tsmlab.fields import SampledField
 from tsmlab.quadrature import plane_rule, radial_rule
 from tsmlab.special_functions import (LaguerreSpec, laguerre_function,
-                                      radial_eigenfunction_origin,
-                                      SpecialHermiteIndex)
+                                      radial_eigenfunction_origin)
 from tsmlab.twisted_transforms import (convolution_values, mean_profile,
                                        polar_bridge, projection_values,
                                        spectral_projection,
@@ -716,9 +715,8 @@ def test_truncation_memory_budget(gauss_field):
 
 
 def test_special_hermite_coefficients_pick_out_basis(rule_c1):
-    idx = SpecialHermiteIndex(1, 0)
     f = SampledField.from_function(
-        lambda p: special_hermite_basis(idx, p[:, 0]), rule_c1, name="phi10")
+        lambda p: special_hermite_basis(1, 0, p[:, 0]), rule_c1, name="phi10")
     C = special_hermite_coefficients(f, 3)
     ref = np.zeros((4, 4))
     ref[1, 0] = 1.0

@@ -17,7 +17,9 @@ parameter, ``self`` or ``cls``, is not counted), or when it passes
 
 The parameters no call sets are printed as ``module.qualname.parameter``.
 Those in ``KEPT`` are printed with the reason they stay; any other makes
-the exit status 1.
+the exit status 1.  So does a stale ``KEPT`` entry, one that names a
+parameter which no longer exists or which a call now sets: it is printed
+and should be dropped.
 """
 
 from __future__ import annotations
@@ -132,10 +134,14 @@ def main(argv: list[str]) -> int:
         return 2
     found = unset(repo)
     extra = [q for q in found if q not in KEPT]
+    stale = [q for q in KEPT if q not in found]
     for q in found:
         print(f"{q}  (kept: {KEPT[q]})" if q in KEPT else q)
-    print(f"{len(found)} unset, {len(found) - len(extra)} kept, {len(extra)} to remove")
-    return 1 if extra else 0
+    for q in stale:
+        print(f"{q}  (stale KEPT entry: no such parameter, or a call sets it)")
+    print(f"{len(found)} unset, {len(found) - len(extra)} kept, {len(extra)} to remove, "
+          f"{len(stale)} stale")
+    return 1 if extra or stale else 0
 
 
 if __name__ == "__main__":
