@@ -36,14 +36,13 @@ with N | s; the counterexample occupies the lowest rung s = N.
 
 from __future__ import annotations
 
-import numbers
 from typing import Callable
 
 import numpy as np
 
 from .fields import SampledField
 from .ioutil import fmt, write_csv
-from .quadrature import PlaneRule, plane_rule
+from .quadrature import PlaneRule, _integer, plane_rule
 from .twisted_transforms import twisted_mean_table
 
 CIRCLE_POINTS = 240      # a reflection across Sigma_N pairs these nodes when N | 240
@@ -51,7 +50,7 @@ CIRCLE_POINTS = 240      # a reflection across Sigma_N pairs these nodes when N 
 __all__ = [
     "EuclideanSectorBasis", "bump_profile", "circular_mean",
     "euclidean_mean_table", "write_mean_table", "coxeter_odd_counterexample",
-    "coxeter_odd_orders", "euclidean_sector_basis", "CIRCLE_POINTS",
+    "euclidean_sector_basis", "CIRCLE_POINTS",
 ]
 
 
@@ -91,11 +90,9 @@ class EuclideanSectorBasis:
         for kind in kinds:
             if kind not in ("sin", "cos"):
                 raise ValueError(f"unknown sector kind {kind!r}")
-        for s in orders:
-            if not isinstance(s, numbers.Integral):
-                raise ValueError(f"angular order must be an integer, got {s!r}")
         self.kinds = np.asarray(kinds)
-        self.orders = np.asarray(orders, dtype=int)
+        self.orders = np.asarray([_integer(s, "angular order", None) for s in orders],
+                                 dtype=int)
         self.support_radii = np.asarray(radii, dtype=float)
         if np.any((self.orders < 0) | ((self.kinds == "sin") & (self.orders == 0))):
             raise ValueError("bad angular order")
@@ -211,20 +208,14 @@ def coxeter_odd_counterexample(n_lines: int) -> SampledField:
     return SampledField(rule, f(rule.nodes), f, f"odd_sigma{N}", support_radius=1.0)
 
 
-def coxeter_odd_orders(n_lines: int, max_order: int) -> list[int]:
-    """Angular orders s with sin(s theta) odd across every line of Sigma_N:
-    exactly the multiples of N."""
-    return [s for s in range(1, max_order + 1) if s % n_lines == 0]
-
-
 def euclidean_sector_basis(max_order: int,
                            support_radii=(1.0, 0.6),
                            orders: list[int] | None = None,
                            kinds=("sin", "cos")) -> EuclideanSectorBasis:
     """Basis (radial bumps) x (Fourier modes): all requested orders at each
     support radius, radius-major, then order, then kind.  Restrict
-    ``orders``/``kinds`` to carve out a sector, e.g.
-    orders=coxeter_odd_orders(N, K), kinds=("sin",)."""
+    ``orders``/``kinds`` to carve out a sector, e.g. the one odd across
+    every line of Sigma_N: orders=range(N, K + 1, N), kinds=("sin",)."""
     if orders is None:
         orders = list(range(0, max_order + 1))
     columns = [(kind, s, R) for R in support_radii for s in orders for kind in kinds

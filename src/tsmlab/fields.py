@@ -165,14 +165,6 @@ def _finite(points: np.ndarray, name: str) -> np.ndarray:
     return points
 
 
-def _integer(value, name: str, minimum: int = 0) -> int:
-    """value as an int: a Python or numpy integer >= minimum, not a bool;
-    ValueError naming ``name`` and the value otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def _check_mode(out_of_domain: str):
     if out_of_domain not in ("raise", "zero"):
         raise ValueError(f"unknown out_of_domain mode {out_of_domain!r}")
@@ -337,25 +329,6 @@ class SampledField:
         """Plain l2 norm of the sample vector."""
         return _norm(self.values)
 
-    def weighted_norm(self) -> float:
-        """Quadrature L^2(C^n) norm."""
-        return float(np.sqrt(np.real(self.rule.integrate(np.abs(self.values) ** 2))))
-
-    # -- linear structure --------------------------------------------------
-
-    def scaled(self, a: complex) -> "SampledField":
-        ev = None if self.evaluator is None else (lambda p, _e=self.evaluator: a * np.asarray(_e(p)))
-        return SampledField(self.rule, a * self.values, ev, self.name)
-
-    def __add__(self, other: "SampledField") -> "SampledField":
-        if not self.rule.compatible(other.rule):
-            raise GridMismatchError("cannot add fields on incompatible rules")
-        ev = None
-        if self.evaluator is not None and other.evaluator is not None:
-            e1, e2 = self.evaluator, other.evaluator
-            ev = lambda p: np.asarray(e1(p)) + np.asarray(e2(p))
-        return SampledField(self.rule, self.values + other.values, ev, self.name)
-
     # -- serialization -----------------------------------------------------
 
     def to_csv(self, csv_path, header_path=None):
@@ -410,7 +383,6 @@ class MeanProfile:
     radii: np.ndarray            # (M,) nonnegative, strictly increasing
     values: np.ndarray           # (M,) complex
     radial_rule: RadialRule | None = None   # set when radii are its nodes
-    name: str = ""
 
     def __post_init__(self):
         self.center = np.atleast_1d(np.asarray(self.center, dtype=complex))
@@ -420,9 +392,6 @@ class MeanProfile:
             raise ValueError("radii and values must be matching 1-d arrays")
         if np.any(np.diff(self.radii) <= 0) or np.any(self.radii < 0):
             raise ValueError("radii must be nonnegative and strictly increasing")
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def to_csv(self, path):
         rows = ([fmt(r), fmt(v.real), fmt(v.imag)]
@@ -442,14 +411,6 @@ class SpectrumTruncation:
     max_degree: int
     projections: list          # SampledField per degree
     coefficients: np.ndarray | None = None
-
-    def reconstruct(self) -> SampledField:
-        """(2 pi)^(-n) sum_k Q_k on the shared grid."""
-        c = (2.0 * np.pi) ** (-self.dimension)
-        total = self.projections[0].scaled(c)
-        for qk in self.projections[1:]:
-            total = total + qk.scaled(c)
-        return total
 
     def partial_errors(self, f: SampledField) -> np.ndarray:
         """Grid-l2 errors of the partial sums against f, one per degree."""

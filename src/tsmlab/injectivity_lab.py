@@ -24,8 +24,8 @@ spheres under their rules' phase steps, the C^2 sets slot by slot -- and
 a rotation of slot s multiplies phi_(a,b) by e^(i (a - b) t) there, so on
 a set whose centers map onto themselves under z_s -> e^(2 pi i / q_s) z_s
 (``SamplingSet.rotation_orders``, found on the centers whatever the kind,
-so custom and translated sets split too) columns whose frequencies differ mod q_s
-are orthogonal and M splits into independent blocks, one per rotation
+so custom sets split too) columns whose frequencies differ mod q_s are
+orthogonal and M splits into independent blocks, one per rotation
 class -- a residue class per slot -- each decomposed on its own.
 Euclidean rows are circle averages, one untwisted ``twisted_mean_table``
 of the basis on ``EUCLID_POINTS`` circle nodes, decomposed as they are:
@@ -64,9 +64,9 @@ import numpy as np
 from .constants import tsm_product_constant
 from .errors import IllConditionedFitError
 from .euclidean_means import CIRCLE_POINTS as EUCLID_POINTS
-from .fields import SampledField, _integer
+from .fields import SampledField
 from .ioutil import fmt, write_csv, write_json
-from .quadrature import gauss_legendre, plane_rule, sphere_rule
+from .quadrature import _integer, gauss_legendre, plane_rule, sphere_rule
 from .special_functions import (LaguerreSpec, SolidHarmonic, laguerre_function,
                                 laguerre_sequence, special_hermite_indices,
                                 special_hermite_matrix)
@@ -212,10 +212,7 @@ class SamplingSet:
         """Check the membership invariant: centers lie on the declared set,
         to 1e-12 relative."""
         tol = 1e-12
-        rot = self.params.get("rotation", 0.0)
-        tr = np.asarray(self.params.get("translation", np.zeros(self.dimension)),
-                        dtype=complex).reshape(self.dimension)
-        base = (self.centers - tr[None, :]) * np.exp(-1j * rot)
+        base = self.centers * np.exp(-1j * self.params.get("rotation", 0.0))
         scale = np.maximum(1.0, np.abs(base))
         kind = self.kind
         if kind == "coxeter_lines":
@@ -231,9 +228,7 @@ class SamplingSet:
             rad = np.abs(base[:, 0])
             bad = np.abs(rad - self.params["radius"]) > tol * np.maximum(1.0, rad)
         elif kind == "curve":
-            ts = np.asarray(self.params["ts"], dtype=float)
-            rv = np.asarray(self.params["r_values"], dtype=float)
-            ref = rv * np.exp(1j * ts)
+            ref = self.params["r_values"] * np.exp(1j * self.params["ts"])
             bad = np.abs(base[:, 0] - ref) > tol * np.maximum(1.0, np.abs(ref))
         elif kind == "custom":
             bad = np.zeros(self.centers.shape[0], dtype=bool)
@@ -264,13 +259,7 @@ def _maps_onto_itself(centers: np.ndarray, slot: int, q: int, tol: float) -> boo
     return bool(np.all(np.bincount(owner[close], minlength=centers.shape[0]) > 0))
 
 
-def _apply_motion(centers: np.ndarray, rotation: float, translation) -> np.ndarray:
-    tr = np.asarray(translation, dtype=complex).reshape(-1)
-    return centers * np.exp(1j * rotation) + tr[None, :]
-
-
-def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
-             **params) -> SamplingSet:
+def make_set(kind: str, radii=None, rotation: float = 0.0, **params) -> SamplingSet:
     """Deterministic center sampling for the candidate set families.
 
     kinds and their parameters:
@@ -289,12 +278,14 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
     A parameter that the kind does not read raises ValueError naming it,
     and so does a count that is not an integer (a Python or numpy integer,
     not a bool) of at least 1 (2 curve samples).
-    Optional rigid motion: centers -> e^(i rotation) c + translation.
+    Optional rotation: centers -> e^(i rotation) c.  The set's ``params``
+    keep what ``SamplingSet.validate`` reads: the rotation and the kind's
+    locus (``n_lines``, ``radius``, or the curve's ``ts`` and ``r_values``).
     Radii default to a geometric grid on [0.2, 6] with 24 points.
     """
     radii = np.asarray(DEFAULT_RADII if radii is None else radii, dtype=float)
     weights = None
-    stored = dict(params)
+    stored = {}
     take = params.pop       # what the kind leaves in params it does not read
     if kind == "coxeter_lines":
         n_lines = _integer(take("n_lines"), "n_lines", 1)
@@ -303,7 +294,7 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         if extent <= 0:
             raise ValueError("coxeter_lines needs extent > 0")
         centers = _coxeter_points(n_lines, extent, ppr)[:, None]
-        stored.update(n_lines=n_lines, extent=extent, points_per_ray=ppr)
+        stored["n_lines"] = n_lines
         n = 1
     elif kind == "plane_cross_coxeter":
         n_lines = _integer(take("n_lines"), "n_lines", 1)
@@ -315,16 +306,15 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         # weighted Gram diagnostics, so the moment self-check is waived.
         # the defaults keep the slot-1 Gram of a (1,1) product basis block
         # diagonal to ~1e-11 (extent 4 would leak its Gaussian tail)
-        angular = _integer(take("plane_angular", 8), "plane_angular", 1)
         pr = plane_rule(1, extent=float(take("plane_extent", 6.0)),
                         radial_points=_integer(take("plane_radial", 12), "plane_radial", 1),
-                        angular_points=angular, tolerance=float("inf"))
+                        angular_points=_integer(take("plane_angular", 8), "plane_angular", 1),
+                        tolerance=float("inf"))
         z2 = _coxeter_points(2 * n_lines, extent, ppr)
         z1 = pr.nodes[:, 0]
         centers = np.stack([np.repeat(z1, z2.size), np.tile(z2, z1.size)], axis=1)
         weights = np.repeat(pr.weights, z2.size)
-        stored.update(n_lines=n_lines, extent=extent, points_per_ray=ppr,
-                      plane_angular=angular)
+        stored["n_lines"] = n_lines
         n = 2
     elif kind == "sphere":
         n = _integer(take("n", 1), "n", 1)
@@ -332,29 +322,24 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
         if n == 1:
-            m = _integer(take("m", 24), "m", 1)
-            centers = sphere_rule(1, radius, m=m).nodes
-            stored.update(radius=radius, n=n, m=m)
+            centers = sphere_rule(1, radius, m=take("m", 24)).nodes
         else:
-            orders = tuple(_integer(o, f"orders[{i}]", 1)
-                           for i, o in enumerate(take("orders", (4, 8, 8))))
-            centers = sphere_rule(n, radius, orders=orders).nodes
-            stored.update(radius=radius, n=n, orders=orders)
+            centers = sphere_rule(n, radius, orders=take("orders", (4, 8, 8))).nodes
+        stored["radius"] = radius
     elif kind == "sphere_cross_plane":
         radius = float(take("radius"))
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
-        m = _integer(take("m", 12), "m", 1)
-        angular = _integer(take("plane_angular", 8), "plane_angular", 1)
-        z1 = sphere_rule(1, radius, m=m).nodes[:, 0]
+        z1 = sphere_rule(1, radius, m=take("m", 12)).nodes[:, 0]
         # same carrier carve-out as plane_cross_coxeter
         pr = plane_rule(1, extent=float(take("plane_extent", 4.0)),
                         radial_points=_integer(take("plane_radial", 6), "plane_radial", 1),
-                        angular_points=angular, tolerance=float("inf"))
+                        angular_points=_integer(take("plane_angular", 8), "plane_angular", 1),
+                        tolerance=float("inf"))
         z2 = pr.nodes[:, 0]
         centers = np.stack([np.repeat(z1, z2.size), np.tile(z2, z1.size)], axis=1)
         weights = np.tile(pr.weights, z1.size)
-        stored.update(radius=radius, m=m, plane_angular=angular)
+        stored["radius"] = radius
         n = 2
     elif kind == "curve":
         r_profile = take("r_profile")
@@ -364,29 +349,26 @@ def make_set(kind: str, radii=None, rotation: float = 0.0, translation=None,
         if np.any(rv <= 0):
             raise ValueError("curve radius profile must stay positive")
         centers = (rv * np.exp(1j * ts))[:, None]
-        stored.update(ts=ts.tolist(), r_values=rv.tolist(), samples=samples)
-        stored.pop("r_profile", None)
+        stored.update(ts=ts, r_values=rv)
         n = 1
     elif kind == "custom":
         centers = np.asarray(take("centers"), dtype=complex)
         if centers.ndim == 1:
             centers = centers[:, None]
         n = _integer(take("n", centers.shape[1]), "n", 1)
-        stored = {"n": n}
     else:
         raise ValueError(f"unknown set kind {kind!r}")
     if params:
         raise ValueError(f"{kind} sets do not read {', '.join(sorted(params))}")
 
-    centers = _apply_motion(np.asarray(centers, dtype=complex), rotation,
-                            np.zeros(n) if translation is None else translation)
+    # + 0.0 makes every zero part +0.0: rotated, the origin can come out as
+    # -0.0 + 0j, whose angle is pi
+    centers = np.asarray(centers, dtype=complex) * np.exp(1j * rotation) + 0.0
     if kind != "curve":   # curves may self-intersect; keep the t-order
         centers, keep = _dedupe_sort(centers)
         if weights is not None:
             weights = weights[keep]
     stored["rotation"] = rotation
-    stored["translation"] = (np.zeros(n) if translation is None
-                             else np.asarray(translation, dtype=complex).reshape(n))
     out = SamplingSet(kind, n, centers, radii, stored, weights)
     out.validate()
     return out
@@ -603,14 +585,6 @@ class SamplingOperator:
     @property
     def engine(self) -> str:
         return self.basis.engine
-
-    @property
-    def center_index(self) -> np.ndarray:
-        return self.sampling_set.row_meta()[0]
-
-    @property
-    def radius_index(self) -> np.ndarray:
-        return self.sampling_set.row_meta()[1]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -946,12 +920,6 @@ class VanishingSetReport:
         vals = self.max_means[~self.on_zero_locus]
         return float(vals.min()) if vals.size else float("inf")
 
-    @property
-    def sphere_candidates(self) -> np.ndarray:
-        """Centers off P^(-1)(0) that nevertheless measured ~zero: would-be
-        members of the finite sphere family."""
-        return self.centers[self.detected_zero & ~self.on_zero_locus]
-
     def as_dict(self) -> dict:
         return {
             "field_peak": self.field_peak,
@@ -977,8 +945,7 @@ def _scan_pool(dimension: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def hecke_bochner_counterexample(spec: TypeFunctionSpec, n_onset: int = 30,
-                                 n_offset: int = 10, radii=None,
+def hecke_bochner_counterexample(spec: TypeFunctionSpec,
                                  sphere_orders=None) -> VanishingSetReport:
     """Scan the type function's twisted means: one ``twisted_mean_table``
     over all scan centers and radii, on C^2 of the type function's
@@ -991,28 +958,25 @@ def hecke_bochner_counterexample(spec: TypeFunctionSpec, n_onset: int = 30,
     time: ring i is r_i times the unit ``sphere_rule``, as ``plane_rule``
     forms it, so the peak is the same bit for bit and that rule is never
     built.
-    The scan centers come from a fixed pool: the ``n_onset``
-    lexicographically first pool points with |P| ~ 0 and the ``n_offset``
-    pool points with the largest |P|.  The headline contract: every
-    scanned center on P^(-1)(0) measures max_r |f x mu_r| below 1e-8 times
-    the field's peak.  A negative count raises ValueError.
+    The scan centers come from a fixed pool: the 30 lexicographically
+    first pool points with |P| ~ 0 and the 10 pool points with the largest
+    |P|, each read at the 10 radii geomspace(0.3, 3, 10).  A center with
+    max_r |f x mu_r| below 1e-8 times the field's peak is
+    ``detected_zero``; off P^(-1)(0) it is a would-be member of the finite
+    sphere family.  The headline contract: every scanned center on
+    P^(-1)(0) measures below that bound.
     """
-    if n_onset < 0 or n_offset < 0:
-        raise ValueError(f"scan counts must be >= 0, got n_onset={n_onset}, "
-                         f"n_offset={n_offset}")
     n = spec.dimension
     unit = sphere_rule(n, 1.0, m=256, orders=(10, 20, 20)).nodes
     rings = (r * unit for r in gauss_legendre(64 if n == 1 else 40, 0.0, 12.0)[0])
     peak = float(np.max([np.max(np.abs(spec.evaluate(ring))) for ring in rings]))
-    if radii is None:
-        radii = np.geomspace(0.3, 3.0, 10)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.geomspace(0.3, 3.0, 10)
 
     pool = _scan_pool(n)
     hv = np.abs(spec.harmonic.evaluate(pool))
     scale = float(hv.max()) or 1.0
     order = np.argsort(-hv, kind="stable")
-    centers = np.concatenate([pool[hv <= 1e-12 * scale][:n_onset], pool[order[:n_offset]]])
+    centers = np.concatenate([pool[hv <= 1e-12 * scale][:30], pool[order[:10]]])
 
     source = spec.slot_product() if n == 2 else spec
     max_means = np.max(np.abs(twisted_mean_table(source, centers, radii,
@@ -1081,13 +1045,13 @@ class ProjectionExpansion:
         }
 
 
-def fit_projection_expansion(qk: SampledField, k: int, q_max: int | None = None,
-                             condition_limit: float = 1e10) -> ProjectionExpansion:
+def fit_projection_expansion(qk: SampledField, k: int,
+                             q_max: int | None = None) -> ProjectionExpansion:
     """Weighted least squares for the sector expansion of Q_k on C.
 
     Columns are normalized to unit weighted norm before solving; a design
-    condition number above ``condition_limit`` aborts with
-    IllConditionedFitError rather than returning silently garbage.
+    condition number above 1e10 aborts with IllConditionedFitError rather
+    than returning silently garbage.
     """
     if qk.dimension != 1:
         raise ValueError("the sector expansion fit runs on C")
@@ -1102,10 +1066,10 @@ def fit_projection_expansion(qk: SampledField, k: int, q_max: int | None = None,
     An = A / norms[None, :]
     svals = np.linalg.svd(An, compute_uv=False)
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
-    if cond > condition_limit:
+    if cond > 1e10:
         raise IllConditionedFitError(
             f"sector design matrix condition {cond:.3e} exceeds "
-            f"{condition_limit:.1e}; refine the grid or lower q_max",
+            "1.0e+10; refine the grid or lower q_max",
             condition_number=cond)
     b = qk.values * sqw
     chat, *_ = np.linalg.lstsq(An, b, rcond=None)

@@ -17,6 +17,8 @@ Design notes
   ``w_r r^(2n-1) * omega_(2n-1) w_w`` -- Lebesgue measure in the polar
   factorization ``dz = omega_(2n-1) r^(2n-1) dr dmu_r``.  One construction
   serves both n.
+* Node counts are Python or numpy integers, not bools (``_integer``): a
+  float count is a ValueError naming the parameter, never a rounded rule.
 * ``integrate`` reduces in fixed node order through ``compensated_sum``
   so a serial rerun (or any future chunked-parallel one that combines
   partials in index order) reproduces results bit for bit.
@@ -53,6 +55,17 @@ def compensated_sum(values, axis: int = -1):
         comp = (t - total) - y
         total = t
     return total
+
+
+def _integer(value, name: str, minimum: int | None = 0) -> int:
+    """value as an int: a Python or numpy integer, not a bool, and at least
+    ``minimum`` unless it is None; ValueError naming ``name`` and the value
+    otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def _frozen(*arrays) -> tuple:
@@ -160,9 +173,10 @@ def sphere_rule(dimension: int, radius: float, m: int | None = None,
     if not 0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if dimension == 1:
-        size = (256 if m is None else m,)
+        size = (256 if m is None else _integer(m, "m", 1),)
     else:
-        size = (16, 32, 32) if orders is None else tuple(orders)
+        size = (16, 32, 32) if orders is None else tuple(
+            _integer(o, f"orders[{i}]", 1) for i, o in enumerate(orders))
     unit = _unit_rule(dimension, size)
     return SphereRule(dimension, radius, radius * unit.nodes, unit.weights.copy(),
                       unit.t_weights.copy(), tuple(radius * s for s in unit.slot_nodes))
@@ -195,8 +209,9 @@ class RadialRule:
 
 
 def radial_rule(dimension: int, extent: float = 12.0, points: int = 64) -> RadialRule:
-    if extent <= 0 or points < 2:
-        raise ValueError("radial rule needs extent > 0 and points >= 2")
+    points = _integer(points, "points", 2)
+    if extent <= 0:
+        raise ValueError("radial rule needs extent > 0")
     r, w = gauss_legendre(points, 0.0, extent)
     jac = r ** (2 * dimension - 1)
     return RadialRule(dimension, extent, r, w * jac)
@@ -253,11 +268,15 @@ def plane_rule(dimension: int,
         raise ValueError("plane rules implemented for n in {1, 2}")
     if extent <= 0:
         raise ValueError("extent must be positive")
+    radial_points = _integer(radial_points, "radial_points", 1)
+    angular_points = _integer(angular_points, "angular_points", 1)
+    sphere3_orders = tuple(_integer(o, f"sphere3_orders[{i}]", 1)
+                           for i, o in enumerate(sphere3_orders))
     n = dimension
     r, wr = gauss_legendre(radial_points, 0.0, extent)
     # the unit rule built for this grid alone, not kept with the mean
     # tables' cached rules: a plane grid is mostly built once
-    sph = _build_unit_rule(n, (angular_points,) if n == 1 else tuple(sphere3_orders))
+    sph = _build_unit_rule(n, (angular_points,) if n == 1 else sphere3_orders)
     # the moment check below reads the radial nodes, not the nodes, so the
     # unit rule's nodes are checked here: on the unit sphere, weights sum 1
     sph.validate()
@@ -267,7 +286,7 @@ def plane_rule(dimension: int,
         theta_nodes, angular = None, {"angular_points": angular_points}
     else:
         theta_nodes = gauss_legendre(sphere3_orders[0], 0.0, 0.5 * np.pi)[0]
-        angular = {"sphere3_orders": tuple(sphere3_orders)}
+        angular = {"sphere3_orders": sphere3_orders}
     angular_counts = tuple(s.shape[1] for s in sph.slot_nodes)
     # (radius, [inclination,] phase per slot)
     shape = (radial_points,) + np.shape(theta_nodes) + angular_counts

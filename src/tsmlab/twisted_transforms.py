@@ -124,9 +124,8 @@ import numpy as np
 
 from .constants import TWIST_SIGN, sphere_surface_area
 from .errors import GridMismatchError, TruncationTailWarning, TranslateTailWarning
-from .fields import (_CHUNK, MeanProfile, SampledField, SpectrumTruncation, _finite,
-                     _integer)
-from .quadrature import (PlaneRule, RadialRule, compensated_sum, plane_rule,
+from .fields import _CHUNK, MeanProfile, SampledField, SpectrumTruncation, _finite
+from .quadrature import (PlaneRule, RadialRule, _integer, compensated_sum, plane_rule,
                          sphere_rule)
 from .special_functions import (LaguerreSpec, laguerre_function, laguerre_sequence,
                                 special_hermite_order_limit, special_hermite_radial)
@@ -350,16 +349,17 @@ def twisted_mean_table(f: SampledField, centers, radii, m: int | None = None,
     return out
 
 
-def twisted_spherical_mean(f: SampledField, z, r: float, m: int | None = None) -> complex:
+def twisted_spherical_mean(f: SampledField, z, r: float) -> complex:
     """f x mu_r(z) over the normalized sphere of radius r centered at z:
-    the 1 x 1 ``twisted_mean_table`` (the default S^3 rule on C^2)."""
+    the 1 x 1 ``twisted_mean_table`` on its default rules (256 circle
+    nodes on C, S^3 orders (16, 32, 32) on C^2)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))[None, :]
-    return complex(twisted_mean_table(f, z, [r], m)[0, 0])
+    return complex(twisted_mean_table(f, z, [r])[0, 0])
 
 
 def mean_profile(f: SampledField, z, radii=None,
                  radial_rule: RadialRule | None = None,
-                 m: int | None = None, name: str = "") -> MeanProfile:
+                 m: int | None = None) -> MeanProfile:
     """Means of f at one center over a radius grid: one row of
     ``twisted_mean_table`` (the default S^3 rule on C^2).
 
@@ -373,7 +373,7 @@ def mean_profile(f: SampledField, z, radii=None,
         radii = radial_rule.nodes
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     vals = twisted_mean_table(f, z[None, :], radii, m)[0]
-    return MeanProfile(z, radii, vals, radial_rule=radial_rule, name=name)
+    return MeanProfile(z, radii, vals, radial_rule=radial_rule)
 
 
 # ---------------------------------------------------------------------------

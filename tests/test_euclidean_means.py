@@ -10,8 +10,8 @@ from conftest import StackedFields, per_pair_circular_mean
 from tsmlab.errors import FieldDomainError
 from tsmlab.euclidean_means import (EuclideanSectorBasis, bump_profile,
                                     circular_mean, coxeter_odd_counterexample,
-                                    coxeter_odd_orders, euclidean_mean_table,
-                                    euclidean_sector_basis, write_mean_table)
+                                    euclidean_mean_table, euclidean_sector_basis,
+                                    write_mean_table)
 from tsmlab.fields import SampledField
 from tsmlab.injectivity_lab import assemble_operator, make_set, near_null_roundtrip
 from tsmlab.ioutil import read_csv_columns
@@ -189,12 +189,6 @@ def test_csv_imported_counterexample_keeps_its_certificate(tmp_path, n_lines):
     assert np.max(np.abs(ref)) >= 0.4 * peak     # off the lines
 
 
-def test_coxeter_odd_orders():
-    assert coxeter_odd_orders(2, 9) == [2, 4, 6, 8]
-    assert coxeter_odd_orders(3, 9) == [3, 6, 9]
-    assert coxeter_odd_orders(1, 4) == [1, 2, 3, 4]
-
-
 def test_sector_basis_functions():
     b = EuclideanSectorBasis(["sin"], [3], [1.0])
     assert b.labels == ["sin3_R1"]
@@ -220,6 +214,16 @@ def test_sector_support_radius_must_be_positive_and_finite(radius):
     assert EuclideanSectorBasis(["cos"], [np.int64(2)], [1.0]).orders.tolist() == [2]
     with pytest.raises(ValueError, match="support radius"):
         euclidean_sector_basis(3, support_radii=(radius,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EuclideanSectorBasis(["cos"], [True], [1.0]),
+    lambda: euclidean_sector_basis(3, orders=[True, 2]),
+], ids=["class", "builder"])
+def test_sector_orders_are_not_bools(build):
+    # both built bases: a cos1_R1 column, and sin1/cos1 columns
+    with pytest.raises(ValueError, match="angular order must be an integer, got True"):
+        build()
 
 
 @pytest.mark.parametrize("columns, message", [

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,3 +260,50 @@ def test_plane_rule_keeps_no_cached_unit_rule(n, size):
         assert _same(ring, r * unit.nodes)
     with pytest.raises(ValueError, match="at least 4 nodes"):
         plane_rule(1, angular_points=3)
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: plane_rule(1, extent=6.0, radial_points=24, angular_points=32.7),
+     "angular_points must be an integer >= 1, got 32.7"),
+    (lambda: plane_rule(1, extent=6.0, radial_points=24.5),
+     "radial_points must be an integer >= 1, got 24.5"),
+    (lambda: plane_rule(2, extent=6.0, radial_points=8, sphere3_orders=(4, 8.0, 8)),
+     "sphere3_orders[1] must be an integer >= 1, got 8.0"),
+    (lambda: sphere_rule(1, 1.0, m=16.5), "m must be an integer >= 1, got 16.5"),
+    (lambda: sphere_rule(2, 1.0, orders=(4, 8, 7.5)), "orders[2] must be an integer >= 1, got 7.5"),
+    (lambda: radial_rule(1, extent=4.0, points=20.5), "points must be an integer >= 2, got 20.5"),
+    (lambda: radial_rule(1, extent=4.0, points=1), "points must be an integer >= 2, got 1"),
+    # bools are not counts
+    (lambda: plane_rule(1, extent=6.0, radial_points=True),
+     "radial_points must be an integer >= 1, got True"),
+    (lambda: plane_rule(1, extent=6.0, angular_points=True),
+     "angular_points must be an integer >= 1, got True"),
+    (lambda: plane_rule(2, extent=6.0, sphere3_orders=(True, 8, 8)),
+     "sphere3_orders[0] must be an integer >= 1, got True"),
+    (lambda: sphere_rule(1, 1.0, m=True), "m must be an integer >= 1, got True"),
+    (lambda: sphere_rule(2, 1.0, orders=(4, False, 8)), "orders[1] must be an integer >= 1, got False"),
+    (lambda: radial_rule(1, points=True), "points must be an integer >= 2, got True"),
+])
+def test_rule_node_counts_are_integers(build, bad):
+    # angular_points=32.7 built 33 phases, m=16.5 17 circle nodes, and a
+    # float radial count raised numpy's "deg must be an integer"
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        build()
+
+
+def test_rules_take_numpy_integer_counts():
+    ref = plane_rule(1, extent=6.0, radial_points=24, angular_points=32)
+    got = plane_rule(1, extent=6.0, radial_points=np.int64(24), angular_points=np.int32(32))
+    assert _same(got.nodes, ref.nodes) and got.params == ref.params
+    assert type(got.params["radial_points"]) is int and type(got.params["angular_points"]) is int
+    ref2 = plane_rule(2, extent=6.0, radial_points=8, sphere3_orders=(4, 8, 8),
+                      tolerance=float("inf"))
+    got2 = plane_rule(2, extent=6.0, radial_points=8, sphere3_orders=np.array([4, 8, 8]),
+                      tolerance=float("inf"))
+    assert _same(got2.nodes, ref2.nodes) and got2.params == ref2.params
+    assert all(type(o) is int for o in got2.params["sphere3_orders"])
+    assert _same(sphere_rule(1, 1.0, m=np.int64(16)).nodes, sphere_rule(1, 1.0, m=16).nodes)
+    assert _same(sphere_rule(2, 1.0, orders=np.array([4, 8, 8])).nodes,
+                 sphere_rule(2, 1.0, orders=(4, 8, 8)).nodes)
+    assert _same(radial_rule(1, extent=4.0, points=np.int64(20)).nodes,
+                 radial_rule(1, extent=4.0, points=20).nodes)

@@ -1,5 +1,6 @@
 """The repository's source checks in ``tools/``: every defaulted parameter
-of the library, dataclass fields included, has a call that sets it,
+of the library, dataclass fields included, has a call outside the tests
+(the acceptance criteria aside) that sets it,
 ``src_stats`` counts as settable only what a caller can pass, and the
 payload tools run and compare the standard CLI runs."""
 
@@ -35,9 +36,8 @@ def test_dataclass_fields_count_as_init_parameters(tmp_path):
         "    d: dict = field(default_factory=dict)\n"
         "    e: dict = field(default_factory=dict, init=False)\n"
         "    f = 3\n")
-    for sub in ("tests", "bench"):
-        (tmp_path / sub).mkdir()
-    (tmp_path / "tests" / "t.py").write_text("Rec(1, 2)\nRec(1, d={})\n")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "t.py").write_text("Rec(1, 2)\nRec(1, d={})\n")
     tool = _tool("unset_params")
     assert tool.unset(tmp_path) == ["m.Rec.__init__.c"]
     assert tool.main([str(tmp_path)]) == 1
@@ -46,15 +46,22 @@ def test_dataclass_fields_count_as_init_parameters(tmp_path):
     assert _tool("src_stats").stats(pkg)["settable"] == 4
 
 
+def _package_with_callers(root: Path, callers: dict) -> Path:
+    """A package ``src/tsmlab/m.py`` defining f(a, b=1, c=2), and the caller
+    files ``callers`` ({path under root: text})."""
+    pkg = root / "src" / "tsmlab"
+    pkg.mkdir(parents=True)
+    (pkg / "m.py").write_text("def f(a, b=1, c=2):\n    return a\n")
+    for rel, text in callers.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
 def test_stale_kept_entries_fail(tmp_path, monkeypatch):
     """A ``KEPT`` entry that names a parameter a call now sets, or one that
     no longer exists, exits 1 like an unset parameter that is not kept."""
-    pkg = tmp_path / "src" / "tsmlab"
-    pkg.mkdir(parents=True)
-    (pkg / "m.py").write_text("def f(a, b=1, c=2):\n    return a\n")
-    for sub in ("tests", "bench"):
-        (tmp_path / sub).mkdir()
-    (tmp_path / "tests" / "t.py").write_text("f(1, c=3)\n")
+    _package_with_callers(tmp_path, {"bench/t.py": "f(1, c=3)\n"})
     tool = _tool("unset_params")
     assert tool.unset(tmp_path) == ["m.f.b"]
     monkeypatch.setattr(tool, "KEPT", {"m.f.b": "kept"})
@@ -62,6 +69,27 @@ def test_stale_kept_entries_fail(tmp_path, monkeypatch):
     for stale in ("m.f.c", "m.g.x"):
         monkeypatch.setattr(tool, "KEPT", {"m.f.b": "kept", stale: "stale"})
         assert tool.main([str(tmp_path)]) == 1
+
+
+def test_a_call_in_the_tests_sets_nothing(tmp_path, monkeypatch):
+    """A parameter that only a test sets is listed: the tests are not
+    callers."""
+    _package_with_callers(tmp_path, {"tests/test_m.py": "f(1, b=3, c=4)\n",
+                                     "src/tsmlab/use.py": "f(0, c=5)\n"})
+    tool = _tool("unset_params")
+    monkeypatch.setattr(tool, "KEPT", {})
+    assert tool.unset(tmp_path) == ["m.f.b"]
+    assert tool.main([str(tmp_path)]) == 1
+
+
+def test_the_acceptance_criteria_are_callers(tmp_path, monkeypatch):
+    """``tests/test_acceptance.py`` is the one test file whose calls count."""
+    _package_with_callers(tmp_path, {"tests/test_acceptance.py": "f(1, b=3)\n",
+                                     "bench/run.py": "f(0, c=5)\n"})
+    tool = _tool("unset_params")
+    monkeypatch.setattr(tool, "KEPT", {})
+    assert tool.unset(tmp_path) == []
+    assert tool.main([str(tmp_path)]) == 0
 
 
 def test_src_stats_counts_each_line_once(tmp_path, capsys):

@@ -4,7 +4,9 @@
 
 Every function and method defined at module or class level in
 ``REPO/src/tsmlab`` is read, and each of its parameters with a default is
-looked for among the calls in ``src/``, ``tests/`` and ``bench/``.  A class
+looked for among the calls in ``src/``, ``bench/`` and
+``tests/test_acceptance.py``.  The other tests are not callers: a knob that
+only its own tests set is a constant at the value the runs use.  A class
 decorated with ``dataclass`` counts as the ``__init__`` it generates: its
 annotated fields, in order, are the parameters, those with a default (or
 ``default_factory``) the defaulted ones, and a ``field(init=False)`` is
@@ -31,11 +33,16 @@ from pathlib import Path
 KEPT = {
     "injectivity_lab.assemble_operator.euclid_points":
         "read by name and through inspect.signature by the benchmark's span counters",
+    "injectivity_lab.assemble_operator.circle_points":
+        "read by name and through inspect.signature by the benchmark's span counters",
     "fields.SampledField.to_csv.header_path": "file paths stay configurable",
     "fields.SampledField.from_csv.header_path": "file paths stay configurable",
+    "injectivity_lab.operator_to_csv.meta_path": "file paths stay configurable",
 }
 
-CALLER_DIRS = ("src", "tests", "bench")
+# where calls are looked for: two directories and the one test file that
+# counts, since the acceptance criteria read the library as a caller does
+CALLERS = ("src", "bench", "tests/test_acceptance.py")
 
 
 def _defaulted(fn: ast.FunctionDef, is_method: bool) -> tuple[list[str], set[str]]:
@@ -96,10 +103,11 @@ def definitions(package: Path) -> list[tuple]:
 
 
 def calls(repo: Path) -> dict[str, list[ast.Call]]:
-    """Every call under the caller directories, keyed by the called name."""
+    """Every call in the caller files, keyed by the called name."""
     out: dict[str, list[ast.Call]] = {}
-    for sub in CALLER_DIRS:
-        for path in sorted((repo / sub).rglob("*.py")):
+    for sub in CALLERS:
+        root = repo / sub
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "attr", getattr(node.func, "id", None))
