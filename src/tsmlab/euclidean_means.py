@@ -103,8 +103,10 @@ class EuclideanSectorBasis:
         # per support radius, ascending: its columns, their orders, which are
         # sin columns, and the exponents 0 .. top order of its power table
         self._groups = []
-        for R in np.unique(self.support_radii):
-            cols = np.flatnonzero(self.support_radii == R)
+        # grouped through the inverse: np.unique with no return arrays imports numpy.ma
+        radii, group = np.unique(self.support_radii, return_inverse=True)
+        for g, R in enumerate(radii):
+            cols = np.flatnonzero(group == g)
             self._groups.append((R, cols, self.orders[cols], self.kinds[cols, None] == "sin",
                                  np.arange(self.orders[cols].max() + 1)[:, None]))
 

@@ -268,9 +268,9 @@ class SampledField:
         vals = np.asarray(self.values)
         real = np.issubdtype(vals.dtype, np.floating)
         self.values = vals.astype(float if real else complex, copy=False).ravel()
-        if self.values.shape[0] != self.rule.nodes.shape[0]:
+        if self.values.shape[0] != self.rule.size:
             raise GridMismatchError(
-                f"{self.values.shape[0]} values for {self.rule.nodes.shape[0]} nodes")
+                f"{self.values.shape[0]} values for {self.rule.size} nodes")
         if not np.all(np.isfinite(self.values.view(float))):
             raise ValueError("field values must be finite")
         if not self.support_radius > 0:
@@ -336,9 +336,10 @@ class SampledField:
         header_path = header_path or str(csv_path) + ".json"
         cols = []
         names = []
+        nodes = self.rule.nodes
         for j in range(self.dimension):
             names += [f"re_z{j + 1}", f"im_z{j + 1}"]
-            cols += [self.rule.nodes[:, j].real, self.rule.nodes[:, j].imag]
+            cols += [nodes[:, j].real, nodes[:, j].imag]
         names += ["re_f", "im_f"]
         cols += [self.values.real, self.values.imag]
         write_csv(csv_path, names, zip(*[[fmt(v) for v in c] for c in cols]))

@@ -687,17 +687,20 @@ def _ring_projections(f: SampledField, degrees: list, targets: np.ndarray) -> np
     weighted samples formed once; on C^2 each (radius, inclination) ring of
     f's polar rule is the m1 x m2 product grid of slot nodes r cos(th) e^(i p1)
     and r sin(th) e^(i p2), and each block of rings weights its own samples
-    when it is read, so no whole weighted copy of f's values is made."""
-    u = f.rule.nodes
+    when it is read, so no whole weighted copy of f's values is made.  The
+    slot tables are the radii times the unit rule's slot nodes, and every
+    node of a C^2 ring has one weight, so neither f's node table nor its
+    weight table is built on C^2."""
+    rule, r = f.rule, f.rule.radial_nodes
+    rings = 1 if f.dimension == 1 else r.size * rule.shape[1]
+    slots = [(r[:, None, None] * s[None]).reshape(rings, -1) for s in rule.sphere.slot_nodes]
     if f.dimension == 1:
-        slots, fw = [u.T], (f.values * f.rule.weights)[None]
+        fw = (f.values * rule.weights)[None]
         weighted = lambda ring, rows: fw
     else:
-        R, nt, m1, m2 = f.rule.shape
-        u = u.reshape(R * nt, m1, m2, 2)
-        slots = [u[:, :, 0, 0], u[:, 0, :, 1]]
-        samples, wts = (a.reshape(R * nt, m1, m2) for a in (f.values, f.rule.weights))
-        weighted = lambda ring, rows: samples[ring] * wts[ring]
+        ring_weights = rule.ring_weights
+        samples = f.values.reshape((rings,) + rule.angular_counts)
+        weighted = lambda ring, rows: samples[ring] * ring_weights[ring, None, None]
     pieces = [b for b in itertools.product(range(max(degrees) + 1), repeat=f.dimension)
               if sum(b) in degrees]
     vals = _slot_pieces(targets, slots, weighted, pieces)
@@ -721,12 +724,11 @@ def spectral_projections(f: SampledField, degrees, targets=None) -> np.ndarray:
     degrees = [_integer(k, f"degrees[{i}]") for i, k in enumerate(degrees)]
     if not degrees:
         raise ValueError("degrees must be a non-empty list of integers >= 0, got []")
-    w = f.rule.nodes
     if targets is not None:
         targets = _finite(np.asarray(targets, dtype=complex).reshape(-1, f.dimension), "targets")
-    if f.dimension == 1 and (targets is None or np.array_equal(targets, w)):
+    if f.dimension == 1 and (targets is None or np.array_equal(targets, f.rule.nodes)):
         return np.stack(_mode_table(f, max(degrees), degrees)[1], axis=1)
-    return _ring_projections(f, degrees, w if targets is None else targets)
+    return _ring_projections(f, degrees, f.rule.nodes if targets is None else targets)
 
 
 def special_hermite_coefficients(f: SampledField, max_degree: int) -> np.ndarray:

@@ -2,6 +2,10 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -300,3 +304,20 @@ def test_euclidean_runs_write_the_same_bytes_without_support_declarations(
     for name in payloads:
         assert ((tmp_path / "declared" / name).read_bytes()
                 == (tmp_path / "undeclared" / name).read_bytes()), name
+
+
+def test_probe_runs_leave_numpy_ma_unimported(tmp_path):
+    """np.unique with no return arrays imports numpy.ma (11-13 ms in a
+    fresh process); the default and euclidean probes group through its
+    inverse, so a process that runs both never imports it."""
+    code = ("import sys\n"
+            "from tsmlab.cli import main\n"
+            "for i, extra in enumerate([[], ['--override', 'probe.engine=euclidean']]):\n"
+            "    assert main(['--experiment', 'probe', '--out', sys.argv[1] + str(i)] + extra) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "probe")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"

@@ -1075,6 +1075,40 @@ def test_tensor_pieces_build_slot_kernels_per_distinct_slot_value(c2_offcentre, 
     assert rows == [24, 24]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_ring_sum_reads_the_rule_factors(n, monkeypatch):
+    """The ring sum's slot tables and weighted samples, built from the
+    radii, the unit slot tables and one weight per C^2 ring, equal bit for
+    bit those cut from the node and weight tables: on C one ring of every
+    node, on C^2 slot s of ring (radius, inclination) the column of its
+    nodes' z_s, and its samples times their weights."""
+    rule = (plane_rule(1, extent=8.0, radial_points=24, angular_points=16) if n == 1 else
+            plane_rule(2, extent=6.0, radial_points=6, sphere3_orders=(3, 8, 12),
+                       tolerance=float("inf")))
+    f = SampledField.from_function(lambda p: np.exp(-0.3 * np.sum(np.abs(p - 0.2) ** 2, axis=1)
+                                                    + 0.1j * p[:, 0].real), rule)
+    seen = []
+    pieces = twisted_transforms._slot_pieces
+
+    def spied(targets, slots, weighted, *rest):
+        seen.append((slots, weighted(slice(None), slice(None))))
+        return pieces(targets, slots, weighted, *rest)
+
+    monkeypatch.setattr(twisted_transforms, "_slot_pieces", spied)
+    spectral_projections(f, [0, 1], np.array([[0.3 - 0.1j, 1j][:n]]))
+    [(slots, fw)] = seen
+    nodes, weights = rule.nodes, rule.weights
+    if n == 1:
+        want, want_fw = [nodes.T], (f.values * weights)[None]
+    else:
+        R, nt, m1, m2 = rule.shape
+        u = nodes.reshape(R * nt, m1, m2, 2)
+        want = [u[:, :, 0, 0], u[:, 0, :, 1]]
+        want_fw = (f.values * weights).reshape(R * nt, m1, m2)
+    assert [s.tobytes() for s in slots] == [np.ascontiguousarray(w).tobytes() for w in want]
+    assert fw.tobytes() == want_fw.tobytes()
+
+
 def test_c2_ring_sum_memory_budget(c2_offcentre):
     """The ring sums on C^2 hold one block of targets' slot kernels over one
     block of rings, and its tables: on a small C^2 grid, reads at the probe
